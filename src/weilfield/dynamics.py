@@ -5,7 +5,9 @@ second order in space and time, stable under the CFL bound dt <= dx.  Every
 step is either linear (hence Weil-coefficientwise) or a lifted smooth map,
 so the solver runs verbatim over any Weil algebra: dual-number initial data
 yield the solution together with its exact directional derivative, the
-linearized solution, in the eps component.
+linearized solution, in the eps component.  For a smeared observable the
+transpose of that linearized scheme, run backward over one stored solve,
+gives the whole gradient at once (smeared_gradient).
 """
 
 from __future__ import annotations
@@ -284,6 +286,83 @@ def solve_smeared(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime
         acc = term if acc is None else acc + term
     assert acc is not None
     return acc * (lat.dx * lat.dt)
+
+
+def _d2_dx2_transpose(mu: WeilValue, lat: lt.LatticeSpacetime) -> WeilValue:
+    """D^T mu for the Laplacian D as the clamped leapfrog uses it.
+
+    D is symmetric on the circle.  On the line the clamp overwrites the
+    one-sided edge rows, so they drop out and D^T is the zero-padded
+    3-point stencil (mu itself vanishes on the edges).
+    """
+    if lat.topology == lt.CIRCLE:
+        return lt.d2_dx2(mu, lat)
+    c = mu.coeffs
+    out = -2.0 * c
+    out[..., 1:, :] += c[..., :-1, :]
+    out[..., :-1, :] += c[..., 1:, :]
+    return WeilValue(mu.algebra, out / lat.dx**2)
+
+
+def smeared_gradient(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
+                     weights: np.ndarray) -> tuple[WeilValue, WeilValue]:
+    """(dF/dphi, dF/dpi) at data for F = solve_smeared(data, inter, lat, weights).
+
+    Reverse mode: one stored base solve, then one backward sweep of the
+    exact transpose of the linearized leapfrog.  With lam^j = dF/dphi^j
+    seeded by weights[j] * dx * dt, and mu = lam^j with the line's clamped
+    edge sites zeroed, step j (phi^j from phi^{j-1} and phi^{j-2}) transposes to
+
+        lam^{j-1} += 2 mu + dt^2 (D^T mu - rho'(phi^{j-1}) mu)
+        lam^{j-2} -= mu
+
+    On the line the edge sites of phi^j are frozen copies of phi^0's, so
+    lam^j at the edges passes down to lam^{j-1} and ends in dF/dphi at the
+    edge sites.  The third-order Taylor start transposes, with
+    mu = lam^1 edge-zeroed, to
+
+        dF/dphi = lam^0 + mu + (dt^2/2)(D^T mu - rho'(phi) mu)
+                  - (dt^3/6) rho''(phi) pi mu
+        dF/dpi  = dt mu + (dt^3/6)(D^T mu - rho'(phi) mu).
+
+    Every product is Weil multiplication, which is symmetric, so the sweep
+    runs unchanged at Weil-extended and batched base points.  The support
+    check applies to the base point only; the history of every batch row is
+    stored, so callers bound the batch.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (lat.n_slices, lat.n_space):
+        raise SolverError("weights must cover the full grid")
+    history = solve_cauchy(data, inter, lat).values
+    phi, pi = data.phi, data.pi
+    seed = weights * (lat.dx * lat.dt)
+    dt2 = lat.dt**2
+
+    def seeded(j: int) -> WeilValue:
+        return WeilValue.from_scalar(phi.algebra, np.broadcast_to(seed[j], phi.shape))
+
+    def unclamp(lam: WeilValue, below: WeilValue) -> WeilValue:
+        if lat.topology != lt.LINE:
+            return lam
+        edges = [0, -1]
+        below.coeffs[..., edges, :] += lam.coeffs[..., edges, :]
+        mu = lam.copy()
+        mu.coeffs[..., edges, :] = 0.0
+        return mu
+
+    lam, below = seeded(lat.n_time), seeded(lat.n_time - 1)
+    for j in range(lat.n_time, 1, -1):
+        mu = unclamp(lam, below)
+        rho1 = apply_smooth(inter.rho_prime, history[j - 1])
+        lam = below + 2.0 * mu + dt2 * (_d2_dx2_transpose(mu, lat) - rho1 * mu)
+        below = seeded(j - 2) - mu
+
+    mu = unclamp(lam, below)
+    force = _d2_dx2_transpose(mu, lat) - apply_smooth(inter.rho_prime, phi) * mu
+    rho2 = apply_smooth(inter.rho_prime.derivative(), phi)
+    grad_phi = below + mu + (0.5 * dt2) * force - (lat.dt**3 / 6.0) * (rho2 * pi * mu)
+    grad_pi = lat.dt * mu + (lat.dt**3 / 6.0) * force
+    return grad_phi, grad_pi
 
 
 def restrict_data(history: FieldHistory, j: int) -> CauchyData:

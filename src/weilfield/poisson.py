@@ -4,8 +4,12 @@ Solutions are coordinatized by Cauchy data on the reference slice (the
 data map is the well-posedness isomorphism), so observables and vector
 fields are Weil-polymorphic maps on CauchyData: they accept data over any
 algebra extension and commute with scalar-part extraction.  Differentials
-are computed exactly by dual-number evaluation: the component of dF along
-the unit tangent at a site is the eps coefficient of F at data + eps*e_site.
+are exact.  Spacetime observables take dF by the discrete adjoint of the
+leapfrog: one stored base solve and one backward sweep
+(dynamics.smeared_gradient).  Every other observable takes it by forward
+dual-number evaluation, the general path and the tests' oracle: the
+component of dF along the unit tangent at a site is the eps coefficient of
+F at data + eps*e_site.
 
 Sign conventions, pinned once and used consistently:
 
@@ -28,8 +32,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lattice as lt
-from .dynamics import CauchyData, Interaction, lift_data, solve_cauchy, solve_smeared
-from .weil import WeilAlgebra, WeilValue, extract_top
+from .dynamics import (
+    CauchyData,
+    Interaction,
+    lift_data,
+    smeared_gradient,
+    solve_cauchy,
+    solve_smeared,
+)
+from .weil import WeilAlgebra, WeilValue, embed, extract_top
 
 DEFAULT_ADMISSIBILITY_TOL = 1e-8
 _EPS_MONO_INDEX = 1  # index of the adjoined eps monomial after append_dual
@@ -46,12 +57,15 @@ class Observable:
     evaluate maps CauchyData over any algebra W' to a WeilValue scalar over
     W' (batch axes pass through).  kind tags the construction; sc_window,
     when set, bounds the spatial support the observable can feel.
+    gradient, when set, returns dF at a base point directly, and
+    differential uses it in place of forward dual evaluation.
     """
 
     evaluate: Callable[[CauchyData], WeilValue]
     kind: str
     name: str = ""
     sc_window: lt.SupportWindow | None = None
+    gradient: Callable[[CauchyData], "Covector"] | None = None
 
 
 @dataclass(frozen=True)
@@ -98,8 +112,10 @@ def spacetime_observable(g: np.ndarray, inter: Interaction,
                          lat: lt.LatticeSpacetime, name: str = "") -> Observable:
     """F(d) = sum over the grid of g * Phi * dt * dx, solving for Phi internally.
 
-    The internal solve streams slice by slice, so batched evaluations (the
-    differential's direction batches) cost three slices of memory.
+    Evaluation streams the solve slice by slice, in three slices of memory.
+    dF is the discrete adjoint (dynamics.smeared_gradient), which stores the
+    base history, so a batched base is swept in chunks of leading batch rows
+    whose histories fit the direction-batch budget.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (lat.n_slices, lat.n_space):
@@ -108,9 +124,21 @@ def spacetime_observable(g: np.ndarray, inter: Interaction,
     def ev(d: CauchyData) -> WeilValue:
         return solve_smeared(d, inter, lat, g)
 
+    def grad(d: CauchyData) -> Covector:
+        if len(d.phi.shape) == 1:
+            return Covector(*smeared_gradient(d, inter, lat, g))
+        row_bytes = 8 * d.algebra.dim * lat.n_slices * int(np.prod(d.phi.shape[1:]))
+        rows = max(1, _DIRECTION_BATCH_BUDGET // row_bytes)
+        chunks = [smeared_gradient(CauchyData(d.phi[s:s + rows], d.pi[s:s + rows]),
+                                   inter, lat, g)
+                  for s in range(0, d.phi.shape[0], rows)]
+        phi, pi = (np.concatenate([c[k].coeffs for c in chunks]) for k in (0, 1))
+        return Covector(WeilValue(d.algebra, phi), WeilValue(d.algebra, pi))
+
     window = _smearing_window(np.abs(g).max(axis=0), lat)
     window = lt.causal_cone(window, lat.n_time, lat) if window is not None else None
-    return Observable(ev, "spacetime", name or "int g*Phi vol", sc_window=window)
+    return Observable(ev, "spacetime", name or "int g*Phi vol", sc_window=window,
+                      gradient=grad)
 
 
 def constant_observable(c: float, name: str = "") -> Observable:
@@ -183,7 +211,7 @@ def constant_field(fiber: CauchyData, lat: lt.LatticeSpacetime,
     return SolVectorField(ev, sc=True, window=window, name=name or "constant")
 
 
-# -- differentials by dual numbers --------------------------------------------
+# -- differentials: adjoint where supplied, dual numbers otherwise -------------
 
 
 @dataclass(frozen=True)
@@ -202,12 +230,17 @@ class Covector:
 
 def differential(F: Observable, at: CauchyData, *,
                  chunk: int | None = None) -> Covector:
-    """Exact dF at a base point: eps coefficients of F along unit site tangents.
+    """Exact dF at a base point.
 
-    Works at Weil-valued and batched base points; directions are batched in
-    chunks sized to a fixed memory budget (all at once at a plain real base,
-    smaller when the base is itself direction-batched or Weil-extended).
+    An observable with a gradient (spacetime observables: the discrete
+    adjoint) returns it.  Otherwise dF is read off as eps coefficients of F
+    along unit site tangents: directions are batched in chunks sized to a
+    fixed memory budget (all at once at a plain real base, smaller when the
+    base is itself direction-batched or Weil-extended).  Both paths work at
+    Weil-valued and batched base points.
     """
+    if F.gradient is not None:
+        return F.gradient(at)
     alg = at.algebra
     big = alg.tensor(WeilAlgebra.dual())
     n = at.n_space
@@ -216,8 +249,8 @@ def differential(F: Observable, at: CauchyData, *,
         per_direction = 8 * big.dim * n * max(1, int(np.prod(batch)))
         chunk = int(np.clip(_DIRECTION_BATCH_BUDGET // per_direction, 1, 2 * n))
 
-    base_phi = _embed_coeffs(at.phi, big)
-    base_pi = _embed_coeffs(at.pi, big)
+    base_phi = embed(at.phi, big).coeffs
+    base_pi = embed(at.pi, big).coeffs
 
     grads = np.empty((2 * n,) + batch + (alg.dim,))
     for start in range(0, 2 * n, chunk):
@@ -238,12 +271,6 @@ def differential(F: Observable, at: CauchyData, *,
         WeilValue(alg, grads[..., :n, :].copy()),
         WeilValue(alg, grads[..., n:, :].copy()),
     )
-
-
-def _embed_coeffs(w: WeilValue, big: WeilAlgebra) -> np.ndarray:
-    from .weil import embed
-
-    return embed(w, big).coeffs
 
 
 # -- the pinned slice form of omega -------------------------------------------
@@ -489,9 +516,6 @@ def tau_bracket(v: SolVectorField, vp: SolVectorField, at: CauchyData) -> Cauchy
     k = big.num_generators
     e1 = WeilValue.generator(big, k - 2)
     e2 = WeilValue.generator(big, k - 1)
-
-    from .weil import embed
-
     d = CauchyData(embed(at.phi, big), embed(at.pi, big), at.slice_index)
 
     def flow(data: CauchyData, field: SolVectorField, gen: WeilValue,

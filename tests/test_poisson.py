@@ -96,6 +96,113 @@ def test_differential_matches_finite_differences_spacetime(rng):
     assert worst < 1e-6
 
 
+def forward_observable(g, inter, lat):
+    """The spacetime observable without its gradient: dF by forward dual solves.
+
+    The support check is off because the unit tangents land on the line's
+    guard band.
+    """
+    def ev(d):
+        return dyn.solve_smeared(d, inter, lat, g, check_support=False)
+
+    return ps.Observable(ev, "spacetime")
+
+
+def adjoint_test_lattice(topology):
+    return lt.LatticeSpacetime(topology, 48, 0.1, 0.05, 12)
+
+
+def interior_bases(lat, rng):
+    """A real, a dual-extended and a batched base point, off the line's guard band."""
+    n = lat.n_space
+    mask = np.ones(n) if lat.topology == lt.CIRCLE else \
+        ((np.arange(n) >= 18) & (np.arange(n) < 30)).astype(float)
+    dual = WeilAlgebra.dual()
+    return {
+        "real": dyn.data_from_arrays(*(0.5 * rng.standard_normal((2, n)) * mask)),
+        "dual": dyn.CauchyData(
+            *(WeilValue(dual, 0.5 * rng.standard_normal((n, 2)) * mask[:, None])
+              for _ in range(2))),
+        "batched": dyn.data_from_arrays(*(0.5 * rng.standard_normal((2, 3, n)) * mask)),
+    }
+
+
+@pytest.mark.parametrize("topology", ["circle", "line"])
+@pytest.mark.parametrize("name", ["free", "mass", "phi4", "sine_gordon"])
+def test_adjoint_differential_matches_forward(topology, name, rng):
+    lat = adjoint_test_lattice(topology)
+    inter = dyn.interaction(name)
+    g = rng.standard_normal((lat.n_slices, lat.n_space))
+    F = ps.spacetime_observable(g, inter, lat)
+    oracle = forward_observable(g, inter, lat)
+    for kind, at in interior_bases(lat, rng).items():
+        adjoint = ps.differential(F, at)
+        forward = ps.differential(oracle, at)
+        assert adjoint.phi.shape == forward.phi.shape == at.phi.shape, kind
+        assert adjoint.phi.algebra == forward.phi.algebra == at.algebra, kind
+        assert (adjoint - forward).max_abs() <= 1e-12 * forward.max_abs(), kind
+
+
+def test_spacetime_differential_on_the_line(rng):
+    lat = adjoint_test_lattice("line")
+    inter = dyn.interaction("sine_gordon")
+    g = rng.standard_normal((lat.n_slices, lat.n_space))
+    at = interior_bases(lat, rng)["real"]
+    F = ps.spacetime_observable(g, inter, lat)
+    # forward mode through the observable's own (checked) solve cannot
+    # take a single unit tangent on the guard band
+    with pytest.raises(dyn.SolverError):
+        ps.differential(ps.Observable(F.evaluate, "spacetime"), at)
+    c = ps.differential(F, at)
+    ref = ps.differential(forward_observable(g, inter, lat), at)
+    assert (c - ref).max_abs() <= 1e-12 * ref.max_abs()
+    # the frozen edge sites carry their own, nonzero, component of dF/dphi
+    assert np.all(np.abs(ref.phi.scalar_part[[0, -1]]) > 1e-6 * ref.max_abs())
+
+
+def test_adjoint_batch_chunks_match_rows_bitwise(rng, monkeypatch):
+    lat = adjoint_test_lattice("circle")
+    g = rng.standard_normal((lat.n_slices, lat.n_space))
+    F = ps.spacetime_observable(g, dyn.interaction("sine_gordon"), lat)
+    dual = WeilAlgebra.dual()
+    at = dyn.CauchyData(*(WeilValue(dual, 0.5 * rng.standard_normal((5, lat.n_space, 2)))
+                          for _ in range(2)))
+    row_bytes = 8 * dual.dim * lat.n_slices * lat.n_space
+    monkeypatch.setattr(ps, "_DIRECTION_BATCH_BUDGET", 2 * row_bytes)
+    swept = []
+
+    def spy(d, *args):
+        swept.append(d.phi.shape[:-1])
+        return dyn.smeared_gradient(d, *args)
+
+    monkeypatch.setattr(ps, "smeared_gradient", spy)
+    chunked = ps.differential(F, at)
+    assert swept == [(2,), (2,), (1,)]
+    for r in range(5):
+        row = ps.differential(F, dyn.CauchyData(at.phi[r], at.pi[r]))
+        assert np.array_equal(chunked.phi.coeffs[r], row.phi.coeffs)
+        assert np.array_equal(chunked.pi.coeffs[r], row.pi.coeffs)
+
+
+def test_lie_bracket_of_spacetime_fields_matches_tau_bracket():
+    # the tau bracket runs the adjoint at dual (x) dual base points
+    lat = circle_lattice(32, 16)
+    inter = dyn.interaction("sine_gordon")
+    T = lat.n_time * lat.dt
+
+    def field(t0, x0):
+        g = np.outer(np.exp(-0.5 * ((lat.t - t0) / (T / 6)) ** 2),
+                     np.exp(-0.5 * ((lat.x - x0) / 0.6) ** 2))
+        return ps.hamiltonian_field(ps.spacetime_observable(g, inter, lat), lat)
+
+    v1, v2 = field(T / 3, 2.0), field(2 * T / 3, 4.0)
+    at = dyn.data_from_arrays(0.5 * np.cos(lat.x), 0.3 * np.sin(lat.x))
+    lb = ps.lie_bracket(v1, v2, at)
+    tb = ps.tau_bracket(v1, v2, at)
+    assert lb.max_abs() > 0.0
+    assert (lb - tb).max_abs() <= 1e-12 * lb.max_abs()
+
+
 def test_observable_scalar_part_naturality(small, rng):
     # evaluating at data then projecting to W/I equals evaluating at the
     # projected data
