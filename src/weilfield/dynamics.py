@@ -73,10 +73,6 @@ def interaction(name: str, **params) -> Interaction:
     raise SolverError(f"unknown interaction {name!r}")
 
 
-def custom_interaction(name: str, rho: SmoothMap) -> Interaction:
-    return Interaction(name, rho)
-
-
 @dataclass(frozen=True)
 class FieldHistory:
     """A Weil-valued field over the full (time x space) grid.
@@ -194,10 +190,7 @@ def _check_line_support(data: CauchyData, lat: lt.LatticeSpacetime) -> None:
     for name, v in (("phi", data.phi), ("pi", data.pi)):
         if np.any(np.abs(v.coeffs[..., band, :]) > 0):
             raise SolverError(f"line topology: initial {name} must vanish on the guard band")
-    mask = np.any(np.abs(data.phi.coeffs) > 0, axis=-1) | \
-        np.any(np.abs(data.pi.coeffs) > 0, axis=-1)
-    mask = mask.reshape(-1, lat.n_space).any(axis=0)
-    window = lt.SupportWindow.from_mask(mask, lat)
+    window = lt.support_window(lat, data.phi, data.pi)
     cone = lt.causal_cone(window, lat.n_time, lat)
     if not cone.is_empty:
         if cone.lo < lat.guard or cone.lo + cone.width > lat.n_space - lat.guard:

@@ -10,6 +10,8 @@ experiment kind; shared descriptors:
                   random_fourier|array, ...parameters}
 
 Spacetime smearings are separable:  {space: <profile>, time: <profile>}.
+
+Every error in a descriptor is a ConfigError; from_dict names the key.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ EXPERIMENTS = (
 DEFAULT_TOLERANCES = {
     "solve_residual": None,      # None: scaled from the grid at run time
     "omega_drift": 1e-3,
-    "closedness_order_band": 0.3,
     "order_band": 0.3,
     "bracket_oracle": 1e-3,
     "axiom_defect": 1e-9,
@@ -84,6 +85,8 @@ def _profile_array(desc: dict, x: np.ndarray, rng: np.random.Generator) -> np.nd
             out += coeffs[0, k] * np.cos(w * x) + coeffs[1, k] * np.sin(w * x)
         return amp * out
     if kind == "array":
+        if "values" not in desc:
+            raise ConfigError("array profile needs values")
         arr = np.asarray(desc["values"], dtype=np.float64)
         if arr.shape != x.shape:
             raise ConfigError("array profile length must match n_space")
@@ -119,7 +122,7 @@ def _lattice_from(desc: dict) -> lt.LatticeSpacetime:
     elif "dx" in d:
         dx = float(d["dx"])
     else:
-        raise ConfigError("lattice needs dx or extent")
+        raise ConfigError("needs dx or extent")
     if "dt" in d and "dt_factor" in d:
         raise ConfigError("give dt or dt_factor, not both")
     if "dt_factor" in d:
@@ -127,27 +130,30 @@ def _lattice_from(desc: dict) -> lt.LatticeSpacetime:
     elif "dt" in d:
         dt = float(d["dt"])
     else:
-        raise ConfigError("lattice needs dt or dt_factor")
-    try:
-        return lt.LatticeSpacetime(
-            topology=d.get("topology", "circle"),
-            n_space=n_space,
-            dx=dx,
-            dt=dt,
-            n_time=int(d["n_time"]),
-            guard=int(d.get("guard", 2)),
-        )
-    except lt.LatticeError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError("needs dt or dt_factor")
+    return lt.LatticeSpacetime(
+        topology=d.get("topology", "circle"),
+        n_space=n_space,
+        dx=dx,
+        dt=dt,
+        n_time=int(d["n_time"]),
+        guard=int(d.get("guard", 2)),
+    )
 
 
 def _interaction_from(desc: dict) -> dyn.Interaction:
     d = dict(desc)
     name = d.pop("name")
+    return dyn.interaction(name, **d)
+
+
+def _parsed(key: str, parse, desc):
+    """parse(desc), with any error it raises turned into a ConfigError naming key."""
     try:
-        return dyn.interaction(name, **d)
-    except (dyn.SolverError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+        return parse(desc)
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+        missing = "missing " if isinstance(exc, KeyError) else ""
+        raise ConfigError(f"{key}: {missing}{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -179,13 +185,17 @@ class ExperimentConfig:
             )
         if "lattice" not in doc:
             raise ConfigError("config needs a lattice descriptor")
-        lattice = _lattice_from(doc["lattice"])
-        inter = _interaction_from(doc.get("interaction", {"name": "free"}))
-        algebra = WeilAlgebra.from_descriptor(
-            doc.get("algebra", {"generators": 0, "orders": []})
-        )
-        tolerances = dict(DEFAULT_TOLERANCES)
-        tolerances.update(doc.get("tolerances", {}))
+        lattice = _parsed("lattice", _lattice_from, doc["lattice"])
+        inter = _parsed("interaction", _interaction_from,
+                        doc.get("interaction", {"name": "free"}))
+        algebra = _parsed("algebra", WeilAlgebra.from_descriptor,
+                          doc.get("algebra", {"generators": 0, "orders": []}))
+        tolerances = _parsed("tolerances", lambda d: {**DEFAULT_TOLERANCES, **d},
+                             doc.get("tolerances", {}))
+        ladder = _parsed("ladder", lambda d: tuple(int(n) for n in d),
+                         doc.get("ladder", ()))
+        if len(set(ladder)) != len(ladder):
+            raise ConfigError(f"ladder rungs must be distinct, got {list(ladder)}")
         return cls(
             experiment=experiment,
             lattice=lattice,
@@ -196,8 +206,8 @@ class ExperimentConfig:
             tangents=tuple(doc.get("tangents", ())),
             observables=tuple(doc.get("observables", ())),
             tolerances=tolerances,
-            seed=int(doc.get("seed", 0)),
-            ladder=tuple(int(n) for n in doc.get("ladder", ())),
+            seed=_parsed("seed", int, doc.get("seed", 0)),
+            ladder=ladder,
             study=doc.get("study", "solution_error"),
             options=doc.get("options", {}),
             raw=doc,

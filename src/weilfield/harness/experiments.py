@@ -17,9 +17,8 @@ from .. import dynamics as dyn
 from .. import lattice as lt
 from .. import poisson as ps
 from .. import zuckerman as zk
-from ..weil import WeilValue
 from .config import ConfigError, ExperimentConfig, spacetime_profile, spatial_profile
-from .oracle import OracleError, PauliJordanOracle
+from .oracle import PauliJordanOracle
 from .report import Report, atomic_write_bytes, check, check_window, write_report
 
 
@@ -51,24 +50,16 @@ def run(config: ExperimentConfig, outdir: str | None = None) -> Report:
 
 def _build_data(config: ExperimentConfig, rng: np.random.Generator,
                 lat: lt.LatticeSpacetime | None = None) -> dyn.CauchyData:
-    lat = lat or config.lattice
-    phi = spatial_profile(config.initial_data.get("phi", {"profile": "zero"}), lat, rng)
-    pi = spatial_profile(config.initial_data.get("pi", {"profile": "zero"}), lat, rng)
-    return dyn.CauchyData(
-        WeilValue.from_scalar(config.algebra, phi),
-        WeilValue.from_scalar(config.algebra, pi),
-    )
+    return _build_tangent(config.initial_data, config, rng, lat)
 
 
 def _build_tangent(desc: dict, config: ExperimentConfig, rng: np.random.Generator,
                    lat: lt.LatticeSpacetime | None = None) -> dyn.CauchyData:
+    """Cauchy data over the config's algebra from a {phi, pi} descriptor."""
     lat = lat or config.lattice
     phi = spatial_profile(desc.get("phi", {"profile": "zero"}), lat, rng)
     pi = spatial_profile(desc.get("pi", {"profile": "zero"}), lat, rng)
-    return dyn.CauchyData(
-        WeilValue.from_scalar(config.algebra, phi),
-        WeilValue.from_scalar(config.algebra, pi),
-    )
+    return dyn.data_from_arrays(phi, pi, config.algebra)
 
 
 def _build_observable(desc: dict, config: ExperimentConfig,
@@ -115,7 +106,21 @@ def _scaled_lattice(lat: lt.LatticeSpacetime, n: int) -> lt.LatticeSpacetime:
 
 def _fit_order(dxs, errs) -> float:
     """Least-squares slope of log error against log dx."""
-    return float(np.polyfit(np.log(np.asarray(dxs)), np.log(np.asarray(errs)), 1)[0])
+    errs = np.asarray(errs)
+    if not np.all(np.isfinite(errs) & (errs > 0)):
+        raise ConfigError(f"cannot fit an order to the errors {errs.tolist()}: "
+                          "each must be finite and nonzero")
+    return float(np.polyfit(np.log(np.asarray(dxs)), np.log(errs), 1)[0])
+
+
+def _oracle(config: ExperimentConfig) -> PauliJordanOracle:
+    """The mode-sum oracle for the config's lattice and free or mass interaction."""
+    name = config.interaction.name
+    if name not in ("mass", "free"):
+        raise ConfigError("the mode-sum oracle needs the free or mass interaction")
+    mass = float(config.raw.get("interaction", {}).get("mass", 1.0)) \
+        if name == "mass" else 0.0
+    return PauliJordanOracle(config.lattice, mass)
 
 
 def _tangent_solutions(config: ExperimentConfig, rng: np.random.Generator,
@@ -133,9 +138,7 @@ def _tangent_solutions(config: ExperimentConfig, rng: np.random.Generator,
         fiber = dyn.fiber_history(lifted)
         window = None
         if lat.topology == lt.LINE:
-            mask = np.any(np.abs(direction.phi.coeffs) > 0, axis=-1) | \
-                np.any(np.abs(direction.pi.coeffs) > 0, axis=-1)
-            window = lt.SupportWindow.from_mask(np.atleast_2d(mask).any(axis=0), lat)
+            window = lt.support_window(lat, direction.phi, direction.pi)
         out.append(zk.tangent_solution_from_histories(shared_base, fiber, window))
     return out
 
@@ -178,7 +181,7 @@ def _run_conserve(config: ExperimentConfig, outdir: str | None) -> Report:
     ]
     report = Report("conserve")
     report.add_table("omega_series", ["slice", "t", "omega", "relative_drift"], rows)
-    drift = zk.slice_drift(v, vp)
+    drift = zk.slice_drift(series)
     closed = zk.closedness_residual(v, vp)
     report.add_table("closedness", ["max_divergence"], [[closed]])
     report.add_verdict(check("omega_slice_drift", drift,
@@ -197,13 +200,7 @@ def _run_bracket(config: ExperimentConfig, outdir: str | None) -> Report:
     pairs = [ps.make_pair(obs, lat, samples=[base]) for obs, _ in built]
 
     compare = bool(config.options.get("compare_oracle", False))
-    oracle = None
-    if compare:
-        if config.interaction.name not in ("mass", "free"):
-            raise ConfigError("oracle comparison needs the free or mass interaction")
-        mass = float(config.raw.get("interaction", {}).get("mass", 1.0)) \
-            if config.interaction.name == "mass" else 0.0
-        oracle = PauliJordanOracle(lat, mass)
+    oracle = _oracle(config) if compare else None
 
     header = ["i", "j", "name_i", "name_j", "bracket", "pair_residual"]
     if oracle is not None:
@@ -283,6 +280,8 @@ def _run_jacobi(config: ExperimentConfig, outdir: str | None) -> Report:
 def _run_convergence(config: ExperimentConfig, outdir: str | None) -> Report:
     lat0 = config.lattice
     ladder = config.ladder or (64, 128, 256)
+    if len(ladder) < 2:
+        raise ConfigError("a convergence ladder needs at least two rungs")
     study = config.study
     rows = []
     errs, dxs = [], []
@@ -299,9 +298,7 @@ def _run_convergence(config: ExperimentConfig, outdir: str | None) -> Report:
             err = float(np.max(np.abs(hist.values.scalar_part - exact)))
         elif study == "omega_drift":
             v, vp = _tangent_solutions(config, rng, lat)[:2]
-            series = zk.presymplectic_series(v, vp)
-            scale = max(abs(float(series[0])), 1e-300)
-            err = float(np.max(np.abs(series - series[0]))) / scale
+            err = zk.slice_drift(zk.presymplectic_series(v, vp))
         elif study == "closedness":
             v, vp = _tangent_solutions(config, rng, lat)[:2]
             err = zk.closedness_residual(v, vp)
@@ -354,23 +351,16 @@ def _run_roundtrip(config: ExperimentConfig, outdir: str | None) -> Report:
 
 def _run_oracle_pj(config: ExperimentConfig, outdir: str | None) -> Report:
     lat = config.lattice
-    if config.interaction.name not in ("mass", "free"):
-        raise ConfigError("the mode-sum oracle needs the free or mass interaction")
-    mass = float(config.raw.get("interaction", {}).get("mass", 1.0)) \
-        if config.interaction.name == "mass" else 0.0
-    try:
-        oracle = PauliJordanOracle(lat, mass)
-        rows = []
-        for j in (0, lat.n_time // 2, lat.n_time):
-            t = float(lat.t[j])
-            g = oracle.commutator(t)
-            for i in range(lat.n_space):
-                rows.append([j, t, i, i * lat.dx, float(g[i])])
-        comb_defect = float(np.max(np.abs(oracle.d_dt_commutator(0.0)
-                                          - oracle.delta_comb())))
-        zero_defect = float(np.max(np.abs(oracle.commutator(0.0))))
-    except OracleError as exc:
-        raise ConfigError(str(exc)) from exc
+    oracle = _oracle(config)
+    rows = []
+    for j in (0, lat.n_time // 2, lat.n_time):
+        t = float(lat.t[j])
+        g = oracle.commutator(t)
+        for i in range(lat.n_space):
+            rows.append([j, t, i, i * lat.dx, float(g[i])])
+    comb_defect = float(np.max(np.abs(oracle.d_dt_commutator(0.0)
+                                      - oracle.delta_comb())))
+    zero_defect = float(np.max(np.abs(oracle.commutator(0.0))))
     report = Report("oracle_pj")
     report.add_table("commutator", ["slice", "t", "site", "separation", "G"], rows)
     tol = config.tolerances["comb_defect"]

@@ -362,12 +362,11 @@ class SupportWindow:
         return SupportWindow(lo, width, self.n_space, self.topology)
 
 
-def support_window(values: WeilValue, lat: LatticeSpacetime,
-                   tol: float = 0.0) -> SupportWindow:
-    """Window covering the sites where a slice value is (numerically) nonzero."""
-    mask = np.any(np.abs(values.coeffs) > tol, axis=-1)
-    if mask.ndim != 1:
-        raise LatticeError("support_window expects a single spatial slice")
+def support_window(lat: LatticeSpacetime, *values: WeilValue) -> SupportWindow:
+    """Window covering the sites where any value is nonzero, batch axes folded."""
+    mask = np.zeros(lat.n_space, dtype=bool)
+    for v in values:
+        mask |= np.any(np.abs(v.coeffs) > 0, axis=-1).reshape(-1, lat.n_space).any(axis=0)
     return SupportWindow.from_mask(mask, lat)
 
 

@@ -168,24 +168,6 @@ def observable_power(F: Observable, k: int, name: str = "") -> Observable:
                       sc_window=F.sc_window)
 
 
-def observable_sum(F: Observable, G: Observable, name: str = "") -> Observable:
-    def ev(d: CauchyData) -> WeilValue:
-        return F.evaluate(d) + G.evaluate(d)
-
-    window = None
-    if F.sc_window is not None and G.sc_window is not None:
-        window = F.sc_window.union(G.sc_window)
-    return Observable(ev, "poly_composite", name or f"({F.name})+({G.name})",
-                      sc_window=window)
-
-
-def observable_scale(F: Observable, c: float, name: str = "") -> Observable:
-    def ev(d: CauchyData) -> WeilValue:
-        return F.evaluate(d) * c
-
-    return Observable(ev, F.kind, name or f"{c:g}*({F.name})", sc_window=F.sc_window)
-
-
 def _smearing_window(profile: np.ndarray, lat: lt.LatticeSpacetime
                      ) -> lt.SupportWindow | None:
     mask = np.abs(np.asarray(profile)) > 0
@@ -195,9 +177,7 @@ def _smearing_window(profile: np.ndarray, lat: lt.LatticeSpacetime
 def constant_field(fiber: CauchyData, lat: lt.LatticeSpacetime,
                    name: str = "") -> SolVectorField:
     """A vector field assigning the same tangent data at every base point."""
-    mask = np.any(np.abs(fiber.phi.coeffs) > 0, axis=-1) | \
-        np.any(np.abs(fiber.pi.coeffs) > 0, axis=-1)
-    window = lt.SupportWindow.from_mask(np.atleast_2d(mask).any(axis=0), lat)
+    window = lt.support_window(lat, fiber.phi, fiber.pi)
 
     def ev(d: CauchyData) -> CauchyData:
         alg = d.algebra
@@ -228,8 +208,7 @@ class Covector:
         return Covector(self.phi - other.phi, self.pi - other.pi)
 
 
-def differential(F: Observable, at: CauchyData, *,
-                 chunk: int | None = None) -> Covector:
+def differential(F: Observable, at: CauchyData) -> Covector:
     """Exact dF at a base point.
 
     An observable with a gradient (spacetime observables: the discrete
@@ -245,9 +224,8 @@ def differential(F: Observable, at: CauchyData, *,
     big = alg.tensor(WeilAlgebra.dual())
     n = at.n_space
     batch = at.phi.shape[:-1]
-    if chunk is None:
-        per_direction = 8 * big.dim * n * max(1, int(np.prod(batch)))
-        chunk = int(np.clip(_DIRECTION_BATCH_BUDGET // per_direction, 1, 2 * n))
+    per_direction = 8 * big.dim * n * max(1, int(np.prod(batch)))
+    chunk = int(np.clip(_DIRECTION_BATCH_BUDGET // per_direction, 1, 2 * n))
 
     base_phi = embed(at.phi, big).coeffs
     base_pi = embed(at.pi, big).coeffs
@@ -291,6 +269,13 @@ def hamiltonian_inversion(c: Covector, dx: float) -> CauchyData:
     return CauchyData(-c.pi / dx, c.phi / dx)
 
 
+def _equation_defect(c: Covector, fiber: CauchyData, dx: float) -> float:
+    """Relative defect of c = iota_fiber omega."""
+    back = insert_omega(fiber, dx)
+    scale = max(c.max_abs(), back.max_abs(), 1e-300)
+    return (back - c).max_abs() / scale
+
+
 def window_is_interior(window: lt.SupportWindow | None,
                        lat: lt.LatticeSpacetime) -> bool:
     """True when the window stays off the line's guard band (vacuously on the circle)."""
@@ -305,7 +290,7 @@ def window_is_interior(window: lt.SupportWindow | None,
 
 
 def hamiltonian_field(F: Observable, lat: lt.LatticeSpacetime, *,
-                      chunk: int | None = None, name: str = "") -> SolVectorField:
+                      name: str = "") -> SolVectorField:
     """The Hamiltonian vector field of F under the closed-form omega.
 
     On the circle every field is spacelike compact (the slices are compact);
@@ -314,7 +299,7 @@ def hamiltonian_field(F: Observable, lat: lt.LatticeSpacetime, *,
     """
 
     def ev(d: CauchyData) -> CauchyData:
-        return hamiltonian_inversion(differential(F, d, chunk=chunk), lat.dx)
+        return hamiltonian_inversion(differential(F, d), lat.dx)
 
     sc = window_is_interior(F.sc_window, lat)
     return SolVectorField(ev, sc=sc, window=F.sc_window,
@@ -435,8 +420,7 @@ def unstack_tangent(vec: np.ndarray, algebra: WeilAlgebra) -> CauchyData:
 
 def hamiltonian_vf(F: Observable, at: CauchyData, lat: lt.LatticeSpacetime, *,
                    omega_op: OmegaOperator | None = None,
-                   sc_required: bool = False,
-                   chunk: int | None = None) -> tuple[CauchyData, float]:
+                   sc_required: bool = False) -> tuple[CauchyData, float]:
     """Solve the Hamiltonian equation for F at a base point.
 
     With the closed-form omega the inversion is exact; with an explicit
@@ -445,12 +429,10 @@ def hamiltonian_vf(F: Observable, at: CauchyData, lat: lt.LatticeSpacetime, *,
     admissibility tolerance classifies F as not admissible at this base
     point; that is a classification, not an error.
     """
-    c = differential(F, at, chunk=chunk)
+    c = differential(F, at)
     if omega_op is None:
         v = hamiltonian_inversion(c, lat.dx)
-        back = insert_omega(v, lat.dx)
-        scale = max(c.max_abs(), 1e-300)
-        residual = (back - c).max_abs() / scale
+        residual = _equation_defect(c, v, lat.dx)
     else:
         if at.algebra.dim != 1:
             raise ValueError("operator-based solve expects a real base point")
@@ -553,25 +535,20 @@ class HamiltonianPair:
 
 
 def pair_defect(F: Observable, v: SolVectorField, at: CauchyData,
-                lat: lt.LatticeSpacetime, *, chunk: int | None = None) -> float:
+                lat: lt.LatticeSpacetime) -> float:
     """Relative defect of dF = iota_v omega at one base point."""
-    c = differential(F, at, chunk=chunk)
-    back = insert_omega(v.evaluate(at), lat.dx)
-    scale = max(c.max_abs(), back.max_abs(), 1e-300)
-    return (back - c).max_abs() / scale
+    return _equation_defect(differential(F, at), v.evaluate(at), lat.dx)
 
 
 def make_pair(F: Observable, lat: lt.LatticeSpacetime,
-              samples: Sequence[CauchyData] = (), *,
-              chunk: int | None = None) -> HamiltonianPair:
+              samples: Sequence[CauchyData] = ()) -> HamiltonianPair:
     """Pair F with its closed-form Hamiltonian field, validated at samples."""
-    v = hamiltonian_field(F, lat, chunk=chunk)
+    v = hamiltonian_field(F, lat)
     residual = 0.0
     for s in samples:
-        c = differential(F, s, chunk=chunk)
-        back = insert_omega(hamiltonian_inversion(c, lat.dx), lat.dx)
-        scale = max(c.max_abs(), back.max_abs(), 1e-300)
-        residual = max(residual, (back - c).max_abs() / scale)
+        c = differential(F, s)
+        residual = max(residual,
+                       _equation_defect(c, hamiltonian_inversion(c, lat.dx), lat.dx))
     return HamiltonianPair(F, v, residual)
 
 
@@ -585,8 +562,7 @@ def _require_bracket_sc(v: SolVectorField, vp: SolVectorField,
 
 
 def bracket(p: HamiltonianPair, pp: HamiltonianPair, lat: lt.LatticeSpacetime,
-            samples: Sequence[CauchyData] = (), *, chunk: int | None = None
-            ) -> HamiltonianPair:
+            samples: Sequence[CauchyData] = ()) -> HamiltonianPair:
     """{ (F,v), (F',v') } = ( omega(v, v'), [v, v'] ), revalidated at samples."""
     _require_bracket_sc(p.v, pp.v, lat)
 
@@ -597,13 +573,13 @@ def bracket(p: HamiltonianPair, pp: HamiltonianPair, lat: lt.LatticeSpacetime,
     v2 = lie_bracket_field(p.v, pp.v)
     residual = max(p.residual, pp.residual)
     for s in samples:
-        residual = max(residual, pair_defect(F2, v2, s, lat, chunk=chunk))
+        residual = max(residual, pair_defect(F2, v2, s, lat))
     return HamiltonianPair(F2, v2, residual)
 
 
 def pair_product(p: HamiltonianPair, pp: HamiltonianPair,
-                 lat: lt.LatticeSpacetime, samples: Sequence[CauchyData] = (),
-                 *, chunk: int | None = None) -> HamiltonianPair:
+                 lat: lt.LatticeSpacetime, samples: Sequence[CauchyData] = ()
+                 ) -> HamiltonianPair:
     """(F,v) * (F',v') = (F F', F v' + F' v), revalidated at samples."""
     F2 = observable_product(p.F, pp.F)
 
@@ -622,7 +598,7 @@ def pair_product(p: HamiltonianPair, pp: HamiltonianPair,
                         name=f"{p.F.name}*{pp.v.name}+{pp.F.name}*{p.v.name}")
     residual = max(p.residual, pp.residual)
     for s in samples:
-        residual = max(residual, pair_defect(F2, v2, s, lat, chunk=chunk))
+        residual = max(residual, pair_defect(F2, v2, s, lat))
     return HamiltonianPair(F2, v2, residual)
 
 

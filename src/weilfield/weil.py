@@ -431,10 +431,6 @@ def identity_map() -> SmoothMap:
     return monomial_map(1.0, 1, name="id")
 
 
-def zero_map() -> SmoothMap:
-    return constant_map(0.0)
-
-
 def constant_map(c: float) -> SmoothMap:
     def nth(n, x):
         return np.full(np.shape(x), c) if n == 0 else np.zeros(np.shape(x))
@@ -561,8 +557,3 @@ def apply_smooth(f: SmoothMap, args) -> WeilValue:
         else:
             out += mono.coeffs * np.asarray(weight)[..., None]
     return WeilValue(algebra, out)
-
-
-def make_dual_algebra() -> WeilAlgebra:
-    """The smallest nontrivial case: R[eps] with eps^2 = 0."""
-    return WeilAlgebra.dual()

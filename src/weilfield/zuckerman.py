@@ -173,8 +173,7 @@ def presymplectic_series(v: TangentSolution, vp: TangentSolution) -> np.ndarray:
     ])
 
 
-def slice_drift(v: TangentSolution, vp: TangentSolution) -> float:
-    """Max relative drift of omega across slices, against its initial size."""
-    series = presymplectic_series(v, vp)
+def slice_drift(series: np.ndarray) -> float:
+    """Max relative drift of an omega series across slices, against its initial size."""
     scale = max(float(np.max(np.abs(series[0]))), 1e-300)
     return float(np.max(np.abs(series - series[0]))) / scale

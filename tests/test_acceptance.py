@@ -81,7 +81,7 @@ def test_criterion_2_omega_slice_independence(sg_ladder):
     tol_drift, order_band = 1e-3, 0.3
     drifts, dxs = {}, {}
     for n, (lat, sg, v1, v2) in sg_ladder.items():
-        drifts[n] = zk.slice_drift(v1, v2)
+        drifts[n] = zk.slice_drift(zk.presymplectic_series(v1, v2))
         dxs[n] = lat.dx
     order = fitted_order([dxs[n] for n in sorted(dxs)],
                          [drifts[n] for n in sorted(dxs)])

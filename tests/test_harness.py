@@ -22,6 +22,53 @@ BASE_CONSERVE = {
     "seed": 11,
 }
 
+TOY_BRACKET = {
+    "experiment": "bracket",
+    "lattice": {"topology": "circle", "n_space": 32,
+                "extent": 2 * np.pi, "dt_factor": 0.5, "n_time": 16},
+    "interaction": {"name": "mass", "mass": 0.7},
+    "observables": [
+        {"kind": "spacetime", "smearing": {
+            "time": {"profile": "gaussian", "center": 0.3, "width": 0.2},
+            "space": {"profile": "gaussian", "center": 2.0, "width": 0.5}}},
+        {"kind": "spacetime", "smearing": {
+            "time": {"profile": "gaussian", "center": 0.6, "width": 0.2},
+            "space": {"profile": "gaussian", "center": 3.0, "width": 0.5}}},
+    ],
+    "options": {"compare_oracle": True},
+    "seed": 4,
+}
+
+TOY_JACOBI = {
+    "experiment": "jacobi",
+    "lattice": {"topology": "circle", "n_space": 32,
+                "extent": 2 * np.pi, "dt_factor": 0.5, "n_time": 8},
+    "interaction": {"name": "sine_gordon"},
+    "observables": [
+        {"kind": "slice_phi", "smearing": {"profile": "gaussian",
+                                           "center": 2.0, "width": 0.6}},
+        {"kind": "slice_pi", "smearing": {"profile": "cosine"}},
+        {"kind": "poly_composite", "factors": [
+            {"kind": "slice_phi", "smearing": {"profile": "sine"}},
+            {"kind": "slice_pi", "smearing": {"profile": "cosine"}}]},
+    ],
+    "options": {"n_samples": 2},
+    "seed": 2,
+}
+
+BASE_DRIFT = {
+    "experiment": "convergence",
+    "lattice": {"topology": "circle", "n_space": 16,
+                "extent": 2 * np.pi, "dt_factor": 0.5, "n_time": 8},
+    "interaction": {"name": "sine_gordon"},
+    "study": "omega_drift",
+    "ladder": [16, 32],
+    "tangents": [
+        {"phi": {"profile": "gaussian", "center": 3.14159, "width": 0.5}},
+        {"pi": {"profile": "gaussian", "center": 3.14159, "width": 0.5}},
+    ],
+}
+
 
 # -- configuration ---------------------------------------------------------------
 
@@ -134,14 +181,28 @@ def test_verdict_lines():
 # -- experiments ----------------------------------------------------------------------
 
 
+def _run_twice_byte_identical(doc, tmp_path) -> rp.Report:
+    """Run doc twice; every file written must match byte for byte."""
+    conf = cfg.ExperimentConfig.from_dict(copy.deepcopy(doc))
+    report = experiments.run(conf, outdir=str(tmp_path / "a"))
+    experiments.run(conf, outdir=str(tmp_path / "b"))
+    files_a, files_b = (sorted((tmp_path / d).iterdir()) for d in "ab")
+    assert [p.name for p in files_a] == [p.name for p in files_b]
+    assert "report.json" in [p.name for p in files_a]
+    for a, b in zip(files_a, files_b):
+        assert a.read_bytes() == b.read_bytes(), a.name
+    return report
+
+
 def test_conserve_deterministic(tmp_path):
-    conf = cfg.ExperimentConfig.from_dict(copy.deepcopy(BASE_CONSERVE))
-    r1 = experiments.run(conf, outdir=str(tmp_path / "a"))
-    r2 = experiments.run(conf, outdir=str(tmp_path / "b"))
-    assert r1.all_passed()
-    csv_a = (tmp_path / "a" / "omega_series.csv").read_bytes()
-    csv_b = (tmp_path / "b" / "omega_series.csv").read_bytes()
-    assert csv_a == csv_b
+    report = _run_twice_byte_identical(BASE_CONSERVE, tmp_path)
+    assert report.all_passed()
+    assert (tmp_path / "a" / "omega_series.csv").exists()
+
+
+@pytest.mark.parametrize("doc", [TOY_BRACKET, TOY_JACOBI], ids=["bracket", "jacobi"])
+def test_runs_byte_deterministic(doc, tmp_path):
+    _run_twice_byte_identical(doc, tmp_path)
 
 
 def test_solve_writes_snapshot(tmp_path):
@@ -278,6 +339,54 @@ def test_cli_invalid_config(tmp_path):
 
 def test_cli_missing_file(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+def _edited(doc, edit):
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    return doc
+
+
+MALFORMED = {
+    "lattice_without_n_space": lambda d: d["lattice"].pop("n_space"),
+    "lattice_without_n_time": lambda d: d["lattice"].pop("n_time"),
+    "interaction_without_name": lambda d: d["interaction"].pop("name"),
+    "array_profile_without_values":
+        lambda d: d["initial_data"].update(phi={"profile": "array"}),
+    "n_space_not_a_number": lambda d: d["lattice"].update(n_space="abc"),
+    "n_space_zero": lambda d: d["lattice"].update(n_space=0),
+    "algebra_order_below_two": lambda d: d.update(algebra={"orders": [1]}),
+}
+
+DEGENERATE_LADDERS = {
+    "one_rung": lambda d: d.update(ladder=[16]),
+    "repeated_rung": lambda d: d.update(ladder=[16, 32, 16]),
+    "zero_tangents": lambda d: d.update(tangents=[{}, {}]),
+}
+
+
+def _assert_usage_error(command, doc, tmp_path, capsys):
+    assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_cli_malformed_config_exits_2(edit, tmp_path, capsys):
+    _assert_usage_error("conserve", _edited(BASE_CONSERVE, edit), tmp_path, capsys)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edit", DEGENERATE_LADDERS.values(),
+                         ids=DEGENERATE_LADDERS.keys())
+def test_cli_degenerate_ladder_exits_2(edit, tmp_path, capsys):
+    _assert_usage_error("convergence", _edited(BASE_DRIFT, edit), tmp_path, capsys)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_drift_ladder_passes(tmp_path):
+    # the undegenerate ladder the cases above start from
+    assert cli.main(["convergence", "--config", _write(tmp_path, BASE_DRIFT)]) == 0
 
 
 def test_report_cites_tolerances():

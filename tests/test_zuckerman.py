@@ -226,7 +226,7 @@ def test_omega_antisymmetric_exact(sg_setup):
 
 def test_omega_slice_independent(sg_setup):
     lat, sg, base, v1, v2 = sg_setup
-    assert zk.slice_drift(v1, v2) < 10 * lat.dx**2
+    assert zk.slice_drift(zk.presymplectic_series(v1, v2)) < 10 * lat.dx**2
 
 
 def test_omega_sign_convention():
