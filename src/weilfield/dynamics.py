@@ -97,11 +97,6 @@ class FieldHistory:
     def algebra(self) -> WeilAlgebra:
         return self.values.algebra
 
-    def slice(self, j: int) -> WeilValue:
-        if not 0 <= j <= self.lattice.n_time:
-            raise SolverError(f"slice {j} out of range")
-        return self.values[j]
-
 
 @dataclass(frozen=True)
 class CauchyData:
@@ -109,7 +104,6 @@ class CauchyData:
 
     phi: WeilValue
     pi: WeilValue
-    slice_index: int = 0
 
     def __post_init__(self) -> None:
         if self.phi.algebra != self.pi.algebra:
@@ -126,13 +120,13 @@ class CauchyData:
         return self.phi.shape[-1]
 
     def __add__(self, other: "CauchyData") -> "CauchyData":
-        return CauchyData(self.phi + other.phi, self.pi + other.pi, self.slice_index)
+        return CauchyData(self.phi + other.phi, self.pi + other.pi)
 
     def __sub__(self, other: "CauchyData") -> "CauchyData":
-        return CauchyData(self.phi - other.phi, self.pi - other.pi, self.slice_index)
+        return CauchyData(self.phi - other.phi, self.pi - other.pi)
 
     def __mul__(self, c) -> "CauchyData":
-        return CauchyData(self.phi * c, self.pi * c, self.slice_index)
+        return CauchyData(self.phi * c, self.pi * c)
 
     __rmul__ = __mul__
 
@@ -184,20 +178,15 @@ def max_residual(history: FieldHistory, inter: Interaction) -> float:
 
 
 def _check_line_support(data: CauchyData, lat: lt.LatticeSpacetime) -> None:
-    band = np.zeros(lat.n_space, dtype=bool)
-    band[: lat.guard] = True
-    band[lat.n_space - lat.guard:] = True
     for name, v in (("phi", data.phi), ("pi", data.pi)):
-        if np.any(np.abs(v.coeffs[..., band, :]) > 0):
+        if np.any(np.abs(v.coeffs[..., lat.guard_band, :]) > 0):
             raise SolverError(f"line topology: initial {name} must vanish on the guard band")
     window = lt.support_window(lat, data.phi, data.pi)
-    cone = lt.causal_cone(window, lat.n_time, lat)
-    if not cone.is_empty:
-        if cone.lo < lat.guard or cone.lo + cone.width > lat.n_space - lat.guard:
-            raise ConeEscapeError(
-                "causal cone of the initial data reaches the guard band "
-                f"within {lat.n_time} steps"
-            )
+    if not lt.window_is_interior(lt.causal_cone(window, lat.n_time, lat), lat):
+        raise ConeEscapeError(
+            "causal cone of the initial data reaches the guard band "
+            f"within {lat.n_time} steps"
+        )
 
 
 def _leapfrog_slices(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
@@ -365,7 +354,7 @@ def restrict_data(history: FieldHistory, j: int) -> CauchyData:
         raise SolverError(f"slice {j} out of range")
     phi = history.values[j].copy()
     pi = lt.time_derivative_at(history.values, j, lat)
-    return CauchyData(phi, pi, slice_index=j)
+    return CauchyData(phi, pi)
 
 
 # -- tangent lifts --------------------------------------------------------------
@@ -378,17 +367,15 @@ def lift_data(data: CauchyData, direction: CauchyData) -> CauchyData:
     return CauchyData(
         embed(data.phi, big) + eps * embed(direction.phi, big),
         embed(data.pi, big) + eps * embed(direction.pi, big),
-        data.slice_index,
     )
 
 
 def tangent_lift(data: CauchyData, direction: CauchyData, inter: Interaction,
-                 lat: lt.LatticeSpacetime, *, check_support: bool = True) -> FieldHistory:
+                 lat: lt.LatticeSpacetime) -> FieldHistory:
     """Solve over W (x) R[eps] with data + eps*direction in one pass."""
     if data.algebra != direction.algebra:
         raise SolverError("data and direction must share an algebra")
-    return solve_cauchy(lift_data(data, direction), inter, lat,
-                        check_support=check_support)
+    return solve_cauchy(lift_data(data, direction), inter, lat)
 
 
 def base_history(lifted: FieldHistory) -> FieldHistory:

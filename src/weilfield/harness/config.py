@@ -45,38 +45,55 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def json_object(value, what: str) -> dict:
+    """value itself when it is a JSON object, else a ConfigError naming what."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def number(desc: dict, key: str, default, cast=float):
+    """desc[key] (default when absent) converted by cast, or a ConfigError naming key."""
+    value = desc.get(key, default)
+    try:
+        return cast(value)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+
+
 def _profile_array(desc: dict, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    desc = json_object(desc, "a profile")
     kind = desc.get("profile", "zero")
-    amp = float(desc.get("amplitude", 1.0))
+    amp = number(desc, "amplitude", 1.0)
     if kind == "zero":
         return np.zeros_like(x)
     if kind == "constant":
         return np.full_like(x, amp)
     if kind == "gaussian":
-        c = float(desc.get("center", 0.0))
-        w = float(desc.get("width", 1.0))
+        c = number(desc, "center", 0.0)
+        w = number(desc, "width", 1.0)
         return amp * np.exp(-0.5 * ((x - c) / w) ** 2)
     if kind == "bump":
-        c = float(desc.get("center", 0.0))
-        w = float(desc.get("width", 1.0))
+        c = number(desc, "center", 0.0)
+        w = number(desc, "width", 1.0)
         s = (x - c) / w
         out = np.zeros_like(x)
         inside = np.abs(s) < 1.0
         out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
         return out
     if kind == "cosine":
-        k = float(desc.get("wavenumber", 1.0))
-        ph = float(desc.get("phase", 0.0))
+        k = number(desc, "wavenumber", 1.0)
+        ph = number(desc, "phase", 0.0)
         return amp * np.cos(k * x + ph)
     if kind == "sine":
-        k = float(desc.get("wavenumber", 1.0))
-        ph = float(desc.get("phase", 0.0))
+        k = number(desc, "wavenumber", 1.0)
+        ph = number(desc, "phase", 0.0)
         return amp * np.sin(k * x + ph)
     if kind == "kink":
-        c = float(desc.get("center", 0.0))
+        c = number(desc, "center", 0.0)
         return 4.0 * np.arctan(np.exp(x - c))
     if kind == "random_fourier":
-        kmax = int(desc.get("kmax", 4))
+        kmax = number(desc, "kmax", 4, int)
         coeffs = rng.standard_normal((2, kmax + 1)) / np.arange(1, kmax + 2) ** 2
         span = x[-1] - x[0] + (x[1] - x[0])
         out = np.zeros_like(x)
@@ -87,7 +104,10 @@ def _profile_array(desc: dict, x: np.ndarray, rng: np.random.Generator) -> np.nd
     if kind == "array":
         if "values" not in desc:
             raise ConfigError("array profile needs values")
-        arr = np.asarray(desc["values"], dtype=np.float64)
+        try:
+            arr = np.asarray(desc["values"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"array profile values must be numbers: {exc}") from exc
         if arr.shape != x.shape:
             raise ConfigError("array profile length must match n_space")
         return arr
@@ -107,6 +127,7 @@ def time_profile(desc: dict, lat: lt.LatticeSpacetime,
 def spacetime_profile(desc: dict, lat: lt.LatticeSpacetime,
                       rng: np.random.Generator) -> np.ndarray:
     """Separable smearing g(t, x) = time_profile(t) * space_profile(x)."""
+    desc = json_object(desc, "a spacetime smearing")
     g_t = time_profile(desc.get("time", {"profile": "constant"}), lat, rng)
     g_x = spatial_profile(desc.get("space", {"profile": "zero"}), lat, rng)
     return np.outer(g_t, g_x)
@@ -145,6 +166,16 @@ def _interaction_from(desc: dict) -> dyn.Interaction:
     d = dict(desc)
     name = d.pop("name")
     return dyn.interaction(name, **d)
+
+
+def _tolerances_from(desc: dict) -> dict:
+    tolerances = {**DEFAULT_TOLERANCES, **desc}
+    for key, value in tolerances.items():
+        if value is None and key == "solve_residual":
+            continue  # scaled from the grid at run time
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{key} must be a number, got {value!r}")
+    return tolerances
 
 
 def _parsed(key: str, parse, desc):
@@ -190,8 +221,7 @@ class ExperimentConfig:
                         doc.get("interaction", {"name": "free"}))
         algebra = _parsed("algebra", WeilAlgebra.from_descriptor,
                           doc.get("algebra", {"generators": 0, "orders": []}))
-        tolerances = _parsed("tolerances", lambda d: {**DEFAULT_TOLERANCES, **d},
-                             doc.get("tolerances", {}))
+        tolerances = _parsed("tolerances", _tolerances_from, doc.get("tolerances", {}))
         ladder = _parsed("ladder", lambda d: tuple(int(n) for n in d),
                          doc.get("ladder", ()))
         if len(set(ladder)) != len(ladder):
@@ -201,15 +231,19 @@ class ExperimentConfig:
             lattice=lattice,
             interaction=inter,
             algebra=algebra,
-            initial_data=doc.get("initial_data",
-                                 {"phi": {"profile": "zero"}, "pi": {"profile": "zero"}}),
-            tangents=tuple(doc.get("tangents", ())),
+            initial_data=json_object(
+                doc.get("initial_data",
+                        {"phi": {"profile": "zero"}, "pi": {"profile": "zero"}}),
+                "initial_data"),
+            tangents=_parsed("tangents",
+                             lambda ts: tuple(json_object(t, "a tangent") for t in ts),
+                             doc.get("tangents", ())),
             observables=tuple(doc.get("observables", ())),
             tolerances=tolerances,
             seed=_parsed("seed", int, doc.get("seed", 0)),
             ladder=ladder,
             study=doc.get("study", "solution_error"),
-            options=doc.get("options", {}),
+            options=json_object(doc.get("options", {}), "options"),
             raw=doc,
         )
 

@@ -17,7 +17,8 @@ from .. import dynamics as dyn
 from .. import lattice as lt
 from .. import poisson as ps
 from .. import zuckerman as zk
-from .config import ConfigError, ExperimentConfig, spacetime_profile, spatial_profile
+from .config import (ConfigError, ExperimentConfig, json_object, number,
+                     spacetime_profile, spatial_profile)
 from .oracle import PauliJordanOracle
 from .report import Report, atomic_write_bytes, check, check_window, write_report
 
@@ -65,7 +66,7 @@ def _build_tangent(desc: dict, config: ExperimentConfig, rng: np.random.Generato
 def _build_observable(desc: dict, config: ExperimentConfig,
                       rng: np.random.Generator) -> tuple[ps.Observable, dict]:
     """Build an observable from its descriptor; aux carries smearing grids."""
-    kind = desc.get("kind")
+    kind = json_object(desc, "an observable").get("kind")
     lat = config.lattice
     if kind == "slice_phi":
         f = spatial_profile(desc.get("smearing", {}), lat, rng)
@@ -86,7 +87,7 @@ def _build_observable(desc: dict, config: ExperimentConfig,
         obs = built[0]
         for extra in built[1:]:
             obs = ps.observable_product(obs, extra)
-        power = int(desc.get("power", 1))
+        power = number(desc, "power", 1, int)
         if power != 1:
             obs = ps.observable_power(obs, power)
         return obs, {}
@@ -242,8 +243,8 @@ def _run_jacobi(config: ExperimentConfig, outdir: str | None) -> Report:
     if len(config.observables) < 3:
         raise ConfigError("jacobi experiment needs three observables")
     built = [_build_observable(d, config, rng)[0] for d in config.observables[:3]]
-    n_samples = int(config.options.get("n_samples", 5))
-    amp = float(config.options.get("sample_amplitude", 0.5))
+    n_samples = number(config.options, "n_samples", 5, int)
+    amp = number(config.options, "sample_amplitude", 0.5)
     samples = []
     for _ in range(n_samples):
         phi = spatial_profile({"profile": "random_fourier", "amplitude": amp}, lat, rng)

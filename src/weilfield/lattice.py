@@ -97,10 +97,15 @@ class LatticeSpacetime:
     def t(self) -> np.ndarray:
         return np.arange(self.n_slices) * self.dt
 
-    def interior_sites(self) -> slice:
-        if self.topology == CIRCLE:
-            return slice(0, self.n_space)
-        return slice(self.guard, self.n_space - self.guard)
+    @cached_property
+    def guard_band(self) -> np.ndarray:
+        """Read-only mask of the line's guard sites; all False on the circle."""
+        band = np.zeros(self.n_space, dtype=bool)
+        if self.topology == LINE:
+            band[: self.guard] = True
+            band[self.n_space - self.guard:] = True
+        band.flags.writeable = False
+        return band
 
     def descriptor(self) -> dict:
         return {
@@ -380,6 +385,16 @@ def causal_cone(window: SupportWindow, steps: int,
     if steps < 0:
         raise LatticeError("steps must be nonnegative")
     return window.widen(int(steps))
+
+
+def window_is_interior(window: SupportWindow | None, lat: LatticeSpacetime) -> bool:
+    """True when the window stays off the line's guard band (vacuously on the circle).
+
+    None stands for unbounded support, which reaches the band on the line.
+    """
+    if lat.topology == CIRCLE:
+        return True
+    return window is not None and not (window.mask() & lat.guard_band).any()
 
 
 # -- binary snapshots ---------------------------------------------------------

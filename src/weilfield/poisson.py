@@ -55,14 +55,13 @@ class Observable:
     """A Weil-polymorphic function of Cauchy data.
 
     evaluate maps CauchyData over any algebra W' to a WeilValue scalar over
-    W' (batch axes pass through).  kind tags the construction; sc_window,
-    when set, bounds the spatial support the observable can feel.
+    W' (batch axes pass through).  sc_window, when set, bounds the spatial
+    support the observable can feel.
     gradient, when set, returns dF at a base point directly, and
     differential uses it in place of forward dual evaluation.
     """
 
     evaluate: Callable[[CauchyData], WeilValue]
-    kind: str
     name: str = ""
     sc_window: lt.SupportWindow | None = None
     gradient: Callable[[CauchyData], "Covector"] | None = None
@@ -92,7 +91,7 @@ def slice_phi_observable(f: np.ndarray, lat: lt.LatticeSpacetime,
     def ev(d: CauchyData) -> WeilValue:
         return (d.phi * f).sum(axis=-1) * lat.dx
 
-    return Observable(ev, "slice_phi", name or "int f*phi",
+    return Observable(ev, name or "int f*phi",
                       sc_window=_smearing_window(f, lat))
 
 
@@ -104,7 +103,7 @@ def slice_pi_observable(g: np.ndarray, lat: lt.LatticeSpacetime,
     def ev(d: CauchyData) -> WeilValue:
         return (d.pi * g).sum(axis=-1) * lat.dx
 
-    return Observable(ev, "slice_pi", name or "int g*pi",
+    return Observable(ev, name or "int g*pi",
                       sc_window=_smearing_window(g, lat))
 
 
@@ -137,7 +136,7 @@ def spacetime_observable(g: np.ndarray, inter: Interaction,
 
     window = _smearing_window(np.abs(g).max(axis=0), lat)
     window = lt.causal_cone(window, lat.n_time, lat) if window is not None else None
-    return Observable(ev, "spacetime", name or "int g*Phi vol", sc_window=window,
+    return Observable(ev, name or "int g*Phi vol", sc_window=window,
                       gradient=grad)
 
 
@@ -145,18 +144,15 @@ def constant_observable(c: float, name: str = "") -> Observable:
     def ev(d: CauchyData) -> WeilValue:
         return WeilValue.from_scalar(d.algebra, np.full(d.phi.shape[:-1], c))
 
-    return Observable(ev, "constant", name or f"const {c:g}")
+    return Observable(ev, name or f"const {c:g}")
 
 
 def observable_product(F: Observable, G: Observable, name: str = "") -> Observable:
     def ev(d: CauchyData) -> WeilValue:
         return F.evaluate(d) * G.evaluate(d)
 
-    window = None
-    if F.sc_window is not None and G.sc_window is not None:
-        window = F.sc_window.union(G.sc_window)
-    return Observable(ev, "poly_composite",
-                      name or f"({F.name})*({G.name})", sc_window=window)
+    return Observable(ev, name or f"({F.name})*({G.name})",
+                      sc_window=_window_union(F.sc_window, G.sc_window))
 
 
 def observable_power(F: Observable, k: int, name: str = "") -> Observable:
@@ -164,8 +160,13 @@ def observable_power(F: Observable, k: int, name: str = "") -> Observable:
         out = F.evaluate(d)
         return out ** k
 
-    return Observable(ev, "poly_composite", name or f"({F.name})^{k}",
-                      sc_window=F.sc_window)
+    return Observable(ev, name or f"({F.name})^{k}", sc_window=F.sc_window)
+
+
+def _window_union(a: lt.SupportWindow | None, b: lt.SupportWindow | None
+                  ) -> lt.SupportWindow | None:
+    """The union of two support windows, or None (unbounded) if either is."""
+    return None if a is None or b is None else a.union(b)
 
 
 def _smearing_window(profile: np.ndarray, lat: lt.LatticeSpacetime
@@ -236,11 +237,10 @@ def differential(F: Observable, at: CauchyData) -> Covector:
         m = stop - start
         phi_c = np.broadcast_to(base_phi, (m,) + base_phi.shape).copy()
         pi_c = np.broadcast_to(base_pi, (m,) + base_pi.shape).copy()
-        for local, direction in enumerate(range(start, stop)):
-            if direction < n:
-                phi_c[local, ..., direction, _EPS_MONO_INDEX] += 1.0
-            else:
-                pi_c[local, ..., direction - n, _EPS_MONO_INDEX] += 1.0
+        local, site = np.arange(m), np.arange(start, stop)
+        on_phi = site < n
+        phi_c[local[on_phi], ..., site[on_phi], _EPS_MONO_INDEX] += 1.0
+        pi_c[local[~on_phi], ..., site[~on_phi] - n, _EPS_MONO_INDEX] += 1.0
         value = F.evaluate(CauchyData(WeilValue(big, phi_c), WeilValue(big, pi_c)))
         grads[start:stop] = extract_top(value, 1).coeffs
 
@@ -276,19 +276,6 @@ def _equation_defect(c: Covector, fiber: CauchyData, dx: float) -> float:
     return (back - c).max_abs() / scale
 
 
-def window_is_interior(window: lt.SupportWindow | None,
-                       lat: lt.LatticeSpacetime) -> bool:
-    """True when the window stays off the line's guard band (vacuously on the circle)."""
-    if lat.topology == lt.CIRCLE:
-        return True
-    if window is None:
-        return False
-    if window.is_empty:
-        return True
-    mask = window.mask()
-    return not (mask[: lat.guard].any() or mask[lat.n_space - lat.guard:].any())
-
-
 def hamiltonian_field(F: Observable, lat: lt.LatticeSpacetime, *,
                       name: str = "") -> SolVectorField:
     """The Hamiltonian vector field of F under the closed-form omega.
@@ -301,7 +288,7 @@ def hamiltonian_field(F: Observable, lat: lt.LatticeSpacetime, *,
     def ev(d: CauchyData) -> CauchyData:
         return hamiltonian_inversion(differential(F, d), lat.dx)
 
-    sc = window_is_interior(F.sc_window, lat)
+    sc = lt.window_is_interior(F.sc_window, lat)
     return SolVectorField(ev, sc=sc, window=F.sc_window,
                           name=name or f"X[{F.name}]")
 
@@ -313,9 +300,9 @@ def hamiltonian_field(F: Observable, lat: lt.LatticeSpacetime, *,
 class OmegaOperator:
     """Antisymmetric pairing on stacked (psi, pi) site vectors at a base point.
 
-    pair(v, w) = v @ matrix @ w, and the covector of the Hamiltonian
+    omega(v, w) = v @ matrix @ w, and the covector of the Hamiltonian
     equation for v is matrix @ v, so admissibility of a covector c is
-    solvability of matrix @ v = c.
+    solvability of matrix @ v = c (see solve).
     """
 
     matrix: np.ndarray
@@ -391,12 +378,6 @@ class OmegaOperator:
         rank = int(np.sum(s > rtol * s[0])) if s.size else 0
         return vt[rank:].T
 
-    def pair(self, v: np.ndarray, w: np.ndarray) -> float:
-        return float(v @ self.matrix @ w)
-
-    def insert(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
     def solve(self, c: np.ndarray) -> tuple[np.ndarray, float]:
         """Minimal-norm least-squares solution of matrix @ v = c and its defect."""
         v, *_ = np.linalg.lstsq(self.matrix, c, rcond=None)
@@ -441,12 +422,9 @@ def hamiltonian_vf(F: Observable, at: CauchyData, lat: lt.LatticeSpacetime, *,
     if sc_required:
         if lat.topology != lt.LINE:
             raise ValueError("sc_required only applies to line topology")
-        interior = lat.interior_sites()
-        mask = np.ones(lat.n_space, dtype=bool)
-        mask[interior] = False
         leak = max(
-            float(np.max(np.abs(v.phi.coeffs[..., mask, :]), initial=0.0)),
-            float(np.max(np.abs(v.pi.coeffs[..., mask, :]), initial=0.0)),
+            float(np.max(np.abs(v.phi.coeffs[..., lat.guard_band, :]), initial=0.0)),
+            float(np.max(np.abs(v.pi.coeffs[..., lat.guard_band, :]), initial=0.0)),
         )
         scale = max(v.max_abs(), 1e-300)
         residual = max(residual, leak / scale)
@@ -477,11 +455,8 @@ def lie_bracket_field(v: SolVectorField, vp: SolVectorField,
     def ev(d: CauchyData) -> CauchyData:
         return lie_bracket(v, vp, d)
 
-    sc = v.sc and vp.sc
-    window = None
-    if v.window is not None and vp.window is not None:
-        window = v.window.union(vp.window)
-    return SolVectorField(ev, sc=sc, window=window,
+    return SolVectorField(ev, sc=v.sc and vp.sc,
+                          window=_window_union(v.window, vp.window),
                           name=name or f"[{v.name},{vp.name}]")
 
 
@@ -498,7 +473,7 @@ def tau_bracket(v: SolVectorField, vp: SolVectorField, at: CauchyData) -> Cauchy
     k = big.num_generators
     e1 = WeilValue.generator(big, k - 2)
     e2 = WeilValue.generator(big, k - 1)
-    d = CauchyData(embed(at.phi, big), embed(at.pi, big), at.slice_index)
+    d = CauchyData(embed(at.phi, big), embed(at.pi, big))
 
     def flow(data: CauchyData, field: SolVectorField, gen: WeilValue,
              sign: float) -> CauchyData:
@@ -506,7 +481,6 @@ def tau_bracket(v: SolVectorField, vp: SolVectorField, at: CauchyData) -> Cauchy
         return CauchyData(
             data.phi + sign * (gen * fiber.phi),
             data.pi + sign * (gen * fiber.pi),
-            data.slice_index,
         )
 
     d = flow(d, v, e1, +1.0)
@@ -529,9 +503,6 @@ class HamiltonianPair:
     F: Observable
     v: SolVectorField
     residual: float
-
-    def is_admissible(self, tol: float = DEFAULT_ADMISSIBILITY_TOL) -> bool:
-        return self.residual <= tol
 
 
 def pair_defect(F: Observable, v: SolVectorField, at: CauchyData,
@@ -569,7 +540,7 @@ def bracket(p: HamiltonianPair, pp: HamiltonianPair, lat: lt.LatticeSpacetime,
     def ev(d: CauchyData) -> WeilValue:
         return omega_pairing(p.v.evaluate(d), pp.v.evaluate(d), lat.dx)
 
-    F2 = Observable(ev, "bracket", name=f"{{{p.F.name},{pp.F.name}}}")
+    F2 = Observable(ev, name=f"{{{p.F.name},{pp.F.name}}}")
     v2 = lie_bracket_field(p.v, pp.v)
     residual = max(p.residual, pp.residual)
     for s in samples:
@@ -591,10 +562,7 @@ def pair_product(p: HamiltonianPair, pp: HamiltonianPair,
         return CauchyData(a * fb.phi + b * fa.phi, a * fb.pi + b * fa.pi)
 
     sc = p.v.sc and pp.v.sc
-    window = None
-    if p.v.window is not None and pp.v.window is not None:
-        window = p.v.window.union(pp.v.window)
-    v2 = SolVectorField(ev, sc=sc, window=window,
+    v2 = SolVectorField(ev, sc=sc, window=_window_union(p.v.window, pp.v.window),
                         name=f"{p.F.name}*{pp.v.name}+{pp.F.name}*{p.v.name}")
     residual = max(p.residual, pp.residual)
     for s in samples:

@@ -3,8 +3,8 @@
 The algebras here are R[g_1, ..., g_k] / (g_1^o_1, ..., g_k^o_k) with
 per-generator truncation orders o_i >= 2: commutative, finite dimensional,
 local, with every generator nilpotent.  Any element splits as
-``w = scalar * 1 + nilpotent``, and every smooth real map lifts to the
-algebra by Taylor expansion in the nilpotent parts.  The expansion
+``w = scalar * 1 + nilpotent``, and every smooth map R -> R lifts to the
+algebra by Taylor expansion in the nilpotent part.  The expansion
 terminates at the nilpotency degree, so the lifted map is exact up to
 float rounding: one order-2 generator (dual numbers, eps^2 = 0) carries
 first derivatives, stacked order-2 generators carry mixed partials, and
@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -361,70 +361,47 @@ def dual_parts(w: WeilValue) -> tuple[WeilValue, WeilValue]:
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """A smooth map R^arity -> R with analytically supplied partials.
+    """A smooth map R -> R with analytically supplied derivatives.
 
-    ``deriv(alpha, args)`` returns the mixed partial of multi-order alpha,
-    evaluated at real points given as broadcastable arrays.  Derivatives
-    are closed-form per constructor and must agree with finite differences
-    of the order-0 evaluation to O(h^2); that invariant is what makes the
-    lifted arithmetic exact.
+    ``nth(n, x)`` returns the n-th derivative at real points given as an
+    array.  Derivatives are closed-form per constructor and must agree with
+    finite differences of the order-0 evaluation to O(h^2); that invariant
+    is what makes the lifted arithmetic exact.
     """
 
     name: str
-    arity: int
-    _deriv: Callable[[tuple[int, ...], tuple[np.ndarray, ...]], np.ndarray]
+    nth: Callable[[int, np.ndarray], np.ndarray]
     max_order: int | None = None
 
-    def deriv(self, alpha: Sequence[int], args: Sequence[np.ndarray]) -> np.ndarray:
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.arity or len(args) != self.arity:
-            raise ValueError(f"{self.name}: expected {self.arity} arguments")
-        if self.max_order is not None and sum(alpha) > self.max_order:
+    def deriv(self, n: int, x) -> np.ndarray:
+        n = int(n)
+        if self.max_order is not None and n > self.max_order:
             raise DerivativeOrderError(
-                f"{self.name}: derivative order {alpha} unavailable "
-                f"(max total order {self.max_order})"
+                f"{self.name}: derivative order {n} unavailable "
+                f"(max order {self.max_order})"
             )
-        out = self._deriv(alpha, tuple(np.asarray(a, dtype=np.float64) for a in args))
-        return np.asarray(out, dtype=np.float64)
+        return np.asarray(self.nth(n, np.asarray(x, dtype=np.float64)), dtype=np.float64)
 
-    def __call__(self, *args) -> np.ndarray:
-        return self.deriv((0,) * self.arity, args)
+    def __call__(self, x) -> np.ndarray:
+        return self.deriv(0, x)
 
-    def derivative(self, arg_index: int = 0) -> "SmoothMap":
-        """The partial-derivative map with respect to one argument."""
-        if not 0 <= arg_index < self.arity:
-            raise ValueError("argument index out of range")
-        shift = tuple(1 if i == arg_index else 0 for i in range(self.arity))
-        parent = self
-
-        def shifted(alpha, args):
-            bumped = tuple(a + s for a, s in zip(alpha, shift))
-            return parent._deriv(bumped, args)
-
+    def derivative(self) -> "SmoothMap":
+        """The derivative map x -> f'(x)."""
+        nth = self.nth
         max_order = None if self.max_order is None else self.max_order - 1
-        return SmoothMap(f"d{arg_index}({self.name})", self.arity, shifted, max_order)
-
-
-def univariate(name: str, nth: Callable[[int, np.ndarray], np.ndarray],
-               max_order: int | None = None) -> SmoothMap:
-    """Build a one-argument SmoothMap from its n-th derivative rule."""
-
-    def deriv(alpha, args):
-        return nth(alpha[0], args[0])
-
-    return SmoothMap(name, 1, deriv, max_order)
+        return SmoothMap(f"d({self.name})", lambda n, x: nth(n + 1, x), max_order)
 
 
 def sin_map() -> SmoothMap:
-    return univariate("sin", lambda n, x: np.sin(x + n * np.pi / 2.0))
+    return SmoothMap("sin", lambda n, x: np.sin(x + n * np.pi / 2.0))
 
 
 def cos_map() -> SmoothMap:
-    return univariate("cos", lambda n, x: np.cos(x + n * np.pi / 2.0))
+    return SmoothMap("cos", lambda n, x: np.cos(x + n * np.pi / 2.0))
 
 
 def exp_map(rate: float = 1.0) -> SmoothMap:
-    return univariate(f"exp({rate}x)", lambda n, x: rate**n * np.exp(rate * x))
+    return SmoothMap(f"exp({rate}x)", lambda n, x: rate**n * np.exp(rate * x))
 
 
 def identity_map() -> SmoothMap:
@@ -435,7 +412,7 @@ def constant_map(c: float) -> SmoothMap:
     def nth(n, x):
         return np.full(np.shape(x), c) if n == 0 else np.zeros(np.shape(x))
 
-    return univariate(f"const({c})", nth)
+    return SmoothMap(f"const({c})", nth)
 
 
 def monomial_map(coeff: float, power: int, name: str | None = None) -> SmoothMap:
@@ -449,7 +426,7 @@ def monomial_map(coeff: float, power: int, name: str | None = None) -> SmoothMap
         c = coeff * math.perm(power, n)
         return c * x ** (power - n)
 
-    return univariate(name or f"{coeff}*x^{power}", nth)
+    return SmoothMap(name or f"{coeff}*x^{power}", nth)
 
 
 def polynomial_map(coeffs: Sequence[float], name: str | None = None) -> SmoothMap:
@@ -464,96 +441,31 @@ def polynomial_map(coeffs: Sequence[float], name: str | None = None) -> SmoothMa
             return np.zeros(np.shape(x))
         return np.polynomial.polynomial.polyval(x, c)
 
-    return univariate(name or f"poly(deg {base.size - 1})", nth)
+    return SmoothMap(name or f"poly(deg {base.size - 1})", nth)
 
 
-def projection_map(arity: int, i: int) -> SmoothMap:
-    """(x_1..x_n) -> x_i."""
-    if not 0 <= i < arity:
-        raise ValueError("projection index out of range")
+def apply_smooth(f: SmoothMap, w: WeilValue) -> WeilValue:
+    """Lift a smooth map to a Weil value by truncated Taylor expansion.
 
-    def deriv(alpha, args):
-        if sum(alpha) == 0:
-            return args[i]
-        if sum(alpha) == 1 and alpha[i] == 1:
-            return np.ones(np.shape(args[i]))
-        return np.zeros(np.shape(args[i]))
-
-    return SmoothMap(f"proj_{i}", arity, deriv)
-
-
-def product_map() -> SmoothMap:
-    """(x, y) -> x * y."""
-
-    def deriv(alpha, args):
-        x, y = args
-        table = {(0, 0): x * y, (1, 0): y + 0.0 * x, (0, 1): x + 0.0 * y}
-        if alpha in table:
-            return table[alpha]
-        if alpha == (1, 1):
-            return np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
-        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
-
-    return SmoothMap("mul", 2, deriv)
-
-
-def _multi_indices(arity: int, max_total: int,
-                   limits: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All exponent tuples with sum <= max_total and alpha[i] <= limits[i]."""
-    ranges = [range(min(limit, max_total) + 1) for limit in limits]
-    for alpha in itertools.product(*ranges):
-        if sum(alpha) <= max_total:
-            yield alpha
-
-
-def apply_smooth(f: SmoothMap, args) -> WeilValue:
-    """Lift a smooth map to Weil-valued arguments by truncated Taylor expansion.
-
-    The expansion runs around the scalar parts, in the nilpotent parts, up
-    to the algebra's nilpotency degree; since higher terms vanish in the
-    quotient ring the result carries no truncation error.
+    With w = a + h (scalar part a, nilpotent part h) the lift is the sum of
+    f^(n)(a)/n! * h^n up to the algebra's nilpotency degree; since higher
+    powers of h vanish in the quotient ring the result carries no
+    truncation error.
     """
-    if isinstance(args, WeilValue):
-        args = [args]
-    args = list(args)
-    if len(args) != f.arity:
-        raise ValueError(f"{f.name}: expected {f.arity} arguments, got {len(args)}")
-    algebra = args[0].algebra
-    for a in args[1:]:
-        if a.algebra != algebra:
-            raise AlgebraMismatchError("apply_smooth arguments must share an algebra")
-
-    scalars = tuple(a.scalar_part for a in args)
-    out_shape = np.broadcast_shapes(*(a.shape for a in args))
+    algebra = w.algebra
+    scalar = w.scalar_part
     if algebra.dim == 1:
-        value = np.broadcast_to(f.deriv((0,) * f.arity, scalars), out_shape)
+        value = np.broadcast_to(f.deriv(0, scalar), w.shape)
         return WeilValue.from_scalar(algebra, value)
 
-    max_deg = algebra.nil_degree
-    powers: list[list[WeilValue | None]] = []
-    for a in args:
-        h = a.nilpotent_part
-        plist: list[WeilValue | None] = [None, h]  # exponent-indexed; unit handled apart
-        p = h
-        for _ in range(2, max_deg + 1):
+    h = w.nilpotent_part
+    out = np.zeros(w.shape + (algebra.dim,))
+    out[..., 0] += f.deriv(0, scalar)
+    p = h
+    for n in range(1, algebra.nil_degree + 1):
+        if n > 1:
             p = p * h
-            plist.append(p)
-        powers.append(plist)
-
-    out = np.zeros(out_shape + (algebra.dim,))
-    limits = [max_deg] * f.arity
-    for alpha in _multi_indices(f.arity, max_deg, limits):
-        d = f.deriv(alpha, scalars)
-        if not np.any(d):
-            continue
-        weight = d / math.prod(math.factorial(a) for a in alpha)
-        mono = None
-        for p, a in zip(powers, alpha):
-            if a == 0:
-                continue
-            mono = p[a] if mono is None else mono * p[a]
-        if mono is None:
-            out[..., 0] += weight
-        else:
-            out += mono.coeffs * np.asarray(weight)[..., None]
+        d = f.deriv(n, scalar)
+        if np.any(d):
+            out += p.coeffs * np.asarray(d / math.factorial(n))[..., None]
     return WeilValue(algebra, out)

@@ -148,8 +148,7 @@ def closedness_residual(v: TangentSolution, vp: TangentSolution) -> float:
     div = lt.divergence(u, v.lattice)
     inner = div.coeffs[1:-1]
     if v.lattice.topology == lt.LINE:
-        interior = v.lattice.interior_sites()
-        inner = inner[..., interior, :]
+        inner = inner[..., ~v.lattice.guard_band, :]
     return float(np.max(np.abs(inner))) if inner.size else 0.0
 
 

@@ -347,16 +347,42 @@ def _edited(doc, edit):
     return doc
 
 
+# (command, edit of that command's base config)
 MALFORMED = {
-    "lattice_without_n_space": lambda d: d["lattice"].pop("n_space"),
-    "lattice_without_n_time": lambda d: d["lattice"].pop("n_time"),
-    "interaction_without_name": lambda d: d["interaction"].pop("name"),
+    "lattice_without_n_space": ("conserve", lambda d: d["lattice"].pop("n_space")),
+    "lattice_without_n_time": ("conserve", lambda d: d["lattice"].pop("n_time")),
+    "interaction_without_name": ("conserve", lambda d: d["interaction"].pop("name")),
     "array_profile_without_values":
-        lambda d: d["initial_data"].update(phi={"profile": "array"}),
-    "n_space_not_a_number": lambda d: d["lattice"].update(n_space="abc"),
-    "n_space_zero": lambda d: d["lattice"].update(n_space=0),
-    "algebra_order_below_two": lambda d: d.update(algebra={"orders": [1]}),
+        ("conserve", lambda d: d["initial_data"].update(phi={"profile": "array"})),
+    "n_space_not_a_number": ("conserve", lambda d: d["lattice"].update(n_space="abc")),
+    "n_space_zero": ("conserve", lambda d: d["lattice"].update(n_space=0)),
+    "algebra_order_below_two": ("conserve", lambda d: d.update(algebra={"orders": [1]})),
+    "tolerance_not_a_number":
+        ("conserve", lambda d: d.update(tolerances={"omega_drift": "abc"})),
+    "tolerance_null": ("conserve", lambda d: d.update(tolerances={"omega_drift": None})),
+    "profile_amplitude_not_a_number":
+        ("conserve", lambda d: d["initial_data"]["phi"].update(amplitude="x")),
+    "profile_kmax_not_a_number": ("conserve", lambda d: d["initial_data"].update(
+        phi={"profile": "random_fourier", "kmax": "many"})),
+    "initial_data_not_an_object": ("conserve", lambda d: d.update(initial_data=[1])),
+    "tangent_not_an_object": ("conserve", lambda d: d.update(tangents=[1, 2])),
+    "profile_not_an_object": ("conserve", lambda d: d["initial_data"].update(phi=3)),
+    "options_not_an_object": ("conserve", lambda d: d.update(options="fast")),
+    "array_values_not_numbers": ("conserve", lambda d: d["initial_data"].update(
+        phi={"profile": "array", "values": ["a"] * 128})),
+    "n_samples_not_a_number":
+        ("jacobi", lambda d: d["options"].update(n_samples="five")),
+    "sample_amplitude_not_a_number":
+        ("jacobi", lambda d: d["options"].update(sample_amplitude="big")),
+    "power_not_a_number": ("jacobi", lambda d: d["observables"][2].update(power="two")),
+    "smearing_amplitude_not_a_number": ("jacobi", lambda d: d["observables"][1][
+        "smearing"].update(amplitude="wide")),
+    "factor_not_an_object":
+        ("jacobi", lambda d: d["observables"][2].update(factors=[7])),
+    "spacetime_smearing_not_an_object":
+        ("bracket", lambda d: d["observables"][0].update(smearing="wide")),
 }
+BASES = {"conserve": BASE_CONSERVE, "jacobi": TOY_JACOBI, "bracket": TOY_BRACKET}
 
 DEGENERATE_LADDERS = {
     "one_rung": lambda d: d.update(ladder=[16]),
@@ -371,9 +397,9 @@ def _assert_usage_error(command, doc, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
-@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
-def test_cli_malformed_config_exits_2(edit, tmp_path, capsys):
-    _assert_usage_error("conserve", _edited(BASE_CONSERVE, edit), tmp_path, capsys)
+@pytest.mark.parametrize("command,edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_cli_malformed_config_exits_2(command, edit, tmp_path, capsys):
+    _assert_usage_error(command, _edited(BASES[command], edit), tmp_path, capsys)
 
 
 @pytest.mark.filterwarnings("error")

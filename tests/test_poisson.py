@@ -105,7 +105,7 @@ def forward_observable(g, inter, lat):
     def ev(d):
         return dyn.solve_smeared(d, inter, lat, g, check_support=False)
 
-    return ps.Observable(ev, "spacetime")
+    return ps.Observable(ev)
 
 
 def adjoint_test_lattice(topology):
@@ -152,7 +152,7 @@ def test_spacetime_differential_on_the_line(rng):
     # forward mode through the observable's own (checked) solve cannot
     # take a single unit tangent on the guard band
     with pytest.raises(dyn.SolverError):
-        ps.differential(ps.Observable(F.evaluate, "spacetime"), at)
+        ps.differential(ps.Observable(F.evaluate), at)
     c = ps.differential(F, at)
     ref = ps.differential(forward_observable(g, inter, lat), at)
     assert (c - ref).max_abs() <= 1e-12 * ref.max_abs()
