@@ -181,8 +181,8 @@ def _check_line_support(data: CauchyData, lat: lt.LatticeSpacetime) -> None:
     for name, v in (("phi", data.phi), ("pi", data.pi)):
         if np.any(np.abs(v.coeffs[..., lat.guard_band, :]) > 0):
             raise SolverError(f"line topology: initial {name} must vanish on the guard band")
-    window = lt.support_window(lat, data.phi, data.pi)
-    if not lt.window_is_interior(lt.causal_cone(window, lat.n_time, lat), lat):
+    mask = lt.support_mask(lat, data.phi, data.pi)
+    if not lt.window_is_interior(lt.causal_cone(mask, lat.n_time, lat), lat):
         raise ConeEscapeError(
             "causal cone of the initial data reaches the guard band "
             f"within {lat.n_time} steps"
@@ -199,6 +199,7 @@ def _leapfrog_slices(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacet
     so that the start-up error stays invisible to twice-differenced
     diagnostics (the conserved-current divergence) while global accuracy
     remains O(dx^2 + dt^2).  Consumers must not mutate the yielded slices.
+    A slice that overflows or turns NaN raises a SolverError naming it.
     """
     if data.n_space != lat.n_space:
         raise SolverError("data length does not match the lattice")
@@ -220,18 +221,25 @@ def _leapfrog_slices(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacet
             value.coeffs[..., -1, :] = edge_right
         return value
 
-    yield 0, phi0
-    jerk = lt.d2_dx2(pi0, lat) - apply_smooth(inter.rho_prime, phi0) * pi0
-    cur = clamp_guard(
-        phi0 + lat.dt * pi0 + (0.5 * lat.dt**2) * accel(phi0)
-        + (lat.dt**3 / 6.0) * jerk
-    )
-    yield 1, cur
+    def finite(j: int, value: WeilValue) -> WeilValue:
+        if not np.isfinite(value.coeffs).all():
+            raise SolverError(f"the field is not finite at slice {j} (t = {lat.t[j]:.6g})")
+        return value
+
+    yield 0, finite(0, phi0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jerk = lt.d2_dx2(pi0, lat) - apply_smooth(inter.rho_prime, phi0) * pi0
+        cur = clamp_guard(
+            phi0 + lat.dt * pi0 + (0.5 * lat.dt**2) * accel(phi0)
+            + (lat.dt**3 / 6.0) * jerk
+        )
+    yield 1, finite(1, cur)
     prev = phi0
     dt2 = lat.dt**2
     for j in range(2, lat.n_time + 1):
-        nxt = clamp_guard(2.0 * cur - prev + dt2 * accel(cur))
-        yield j, nxt
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt = clamp_guard(2.0 * cur - prev + dt2 * accel(cur))
+        yield j, finite(j, nxt)
         prev, cur = cur, nxt
 
 

@@ -61,6 +61,14 @@ def number(desc: dict, key: str, default, cast=float):
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
 
+def count(desc: dict, key: str, default: int, least: int) -> int:
+    """desc[key] (default when absent) as an integer of at least least, or a ConfigError."""
+    value = number(desc, key, default, int)
+    if value < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value}")
+    return value
+
+
 def _profile_array(desc: dict, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     desc = json_object(desc, "a profile")
     kind = desc.get("profile", "zero")
@@ -93,7 +101,7 @@ def _profile_array(desc: dict, x: np.ndarray, rng: np.random.Generator) -> np.nd
         c = number(desc, "center", 0.0)
         return 4.0 * np.arctan(np.exp(x - c))
     if kind == "random_fourier":
-        kmax = number(desc, "kmax", 4, int)
+        kmax = count(desc, "kmax", 4, 0)
         coeffs = rng.standard_normal((2, kmax + 1)) / np.arange(1, kmax + 2) ** 2
         span = x[-1] - x[0] + (x[1] - x[0])
         out = np.zeros_like(x)
@@ -178,6 +186,15 @@ def _tolerances_from(desc: dict) -> dict:
     return tolerances
 
 
+def _objects(what: str):
+    """A parser of a JSON list whose items must each be an object."""
+    def parse(items) -> tuple[dict, ...]:
+        if not isinstance(items, (list, tuple)):
+            raise ConfigError(f"must be a list, got {items!r}")
+        return tuple(json_object(item, what) for item in items)
+    return parse
+
+
 def _parsed(key: str, parse, desc):
     """parse(desc), with any error it raises turned into a ConfigError naming key."""
     try:
@@ -224,8 +241,9 @@ class ExperimentConfig:
         tolerances = _parsed("tolerances", _tolerances_from, doc.get("tolerances", {}))
         ladder = _parsed("ladder", lambda d: tuple(int(n) for n in d),
                          doc.get("ladder", ()))
-        if len(set(ladder)) != len(ladder):
-            raise ConfigError(f"ladder rungs must be distinct, got {list(ladder)}")
+        if len(set(ladder)) != len(ladder) or min(ladder, default=1) < 1:
+            raise ConfigError(
+                f"ladder rungs must be distinct and at least 1, got {list(ladder)}")
         return cls(
             experiment=experiment,
             lattice=lattice,
@@ -235,12 +253,11 @@ class ExperimentConfig:
                 doc.get("initial_data",
                         {"phi": {"profile": "zero"}, "pi": {"profile": "zero"}}),
                 "initial_data"),
-            tangents=_parsed("tangents",
-                             lambda ts: tuple(json_object(t, "a tangent") for t in ts),
-                             doc.get("tangents", ())),
-            observables=tuple(doc.get("observables", ())),
+            tangents=_parsed("tangents", _objects("a tangent"), doc.get("tangents", ())),
+            observables=_parsed("observables", _objects("an observable"),
+                                doc.get("observables", ())),
             tolerances=tolerances,
-            seed=_parsed("seed", int, doc.get("seed", 0)),
+            seed=count(doc, "seed", 0, 0),
             ladder=ladder,
             study=doc.get("study", "solution_error"),
             options=json_object(doc.get("options", {}), "options"),

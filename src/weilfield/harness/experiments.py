@@ -17,7 +17,7 @@ from .. import dynamics as dyn
 from .. import lattice as lt
 from .. import poisson as ps
 from .. import zuckerman as zk
-from .config import (ConfigError, ExperimentConfig, json_object, number,
+from .config import (ConfigError, ExperimentConfig, count, json_object, number,
                      spacetime_profile, spatial_profile)
 from .oracle import PauliJordanOracle
 from .report import Report, atomic_write_bytes, check, check_window, write_report
@@ -81,7 +81,7 @@ def _build_observable(desc: dict, config: ExperimentConfig,
         return obs, {"grid": g}
     if kind == "poly_composite":
         factors = desc.get("factors", [])
-        if not factors:
+        if not isinstance(factors, list) or not factors:
             raise ConfigError("poly_composite needs a nonempty factors list")
         built = [_build_observable(f, config, rng)[0] for f in factors]
         obs = built[0]
@@ -136,11 +136,10 @@ def _tangent_solutions(config: ExperimentConfig, rng: np.random.Generator,
         lifted = dyn.tangent_lift(base, direction, config.interaction, lat)
         if shared_base is None:
             shared_base = dyn.base_history(lifted)
-        fiber = dyn.fiber_history(lifted)
-        window = None
+        support = None
         if lat.topology == lt.LINE:
-            window = lt.support_window(lat, direction.phi, direction.pi)
-        out.append(zk.tangent_solution_from_histories(shared_base, fiber, window))
+            support = lt.support_mask(lat, direction.phi, direction.pi)
+        out.append(zk.TangentSolution(shared_base, dyn.fiber_history(lifted), support))
     return out
 
 
@@ -243,7 +242,7 @@ def _run_jacobi(config: ExperimentConfig, outdir: str | None) -> Report:
     if len(config.observables) < 3:
         raise ConfigError("jacobi experiment needs three observables")
     built = [_build_observable(d, config, rng)[0] for d in config.observables[:3]]
-    n_samples = number(config.options, "n_samples", 5, int)
+    n_samples = count(config.options, "n_samples", 5, 1)
     amp = number(config.options, "sample_amplitude", 0.5)
     samples = []
     for _ in range(n_samples):

@@ -273,128 +273,39 @@ def divergence(current: Current, lat: LatticeSpacetime) -> WeilValue:
     return WeilValue(current.t_component.algebra, dt_a - dx_b)
 
 
-# -- support windows and causal cones ----------------------------------------
+# -- support masks and causal cones ------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupportWindow:
-    """A contiguous block of sites (wrapping allowed on the circle)."""
-
-    lo: int
-    width: int
-    n_space: int
-    topology: str
-
-    def __post_init__(self) -> None:
-        if self.width < 0:
-            raise LatticeError("window width must be nonnegative")
-        w = min(self.width, self.n_space)
-        lo = self.lo
-        if self.topology == CIRCLE:
-            lo = lo % self.n_space if w < self.n_space else 0
-        else:
-            if w > 0:
-                lo = max(lo, 0)
-                w = min(w, self.n_space - lo)
-        if w == 0:
-            lo = 0
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "width", w)
-
-    @classmethod
-    def empty(cls, lat: LatticeSpacetime) -> "SupportWindow":
-        return cls(0, 0, lat.n_space, lat.topology)
-
-    @classmethod
-    def full(cls, lat: LatticeSpacetime) -> "SupportWindow":
-        return cls(0, lat.n_space, lat.n_space, lat.topology)
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray, lat: LatticeSpacetime) -> "SupportWindow":
-        """Smallest window covering the true sites of a boolean mask."""
-        ref = cls(0, 0, lat.n_space, lat.topology)
-        return ref._from_mask_like(np.asarray(mask, dtype=bool))
-
-    @property
-    def is_empty(self) -> bool:
-        return self.width == 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.width >= self.n_space
-
-    def mask(self) -> np.ndarray:
-        out = np.zeros(self.n_space, dtype=bool)
-        if self.is_empty:
-            return out
-        sites = (self.lo + np.arange(self.width))
-        if self.topology == CIRCLE:
-            sites = sites % self.n_space
-        out[sites] = True
-        return out
-
-    def contains(self, other: "SupportWindow") -> bool:
-        return bool(np.all(self.mask() | ~other.mask()))
-
-    def widen(self, k: int) -> "SupportWindow":
-        if self.is_empty or k <= 0:
-            return self
-        return SupportWindow(self.lo - k, self.width + 2 * k, self.n_space, self.topology)
-
-    def union(self, other: "SupportWindow") -> "SupportWindow":
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return self._from_mask_like(self.mask() | other.mask())
-
-    def intersect(self, other: "SupportWindow") -> "SupportWindow":
-        return self._from_mask_like(self.mask() & other.mask())
-
-    def _from_mask_like(self, mask: np.ndarray) -> "SupportWindow":
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            return SupportWindow(0, 0, self.n_space, self.topology)
-        if self.topology == LINE:
-            return SupportWindow(int(idx[0]), int(idx[-1] - idx[0] + 1),
-                                 self.n_space, self.topology)
-        if idx.size == self.n_space:
-            return SupportWindow(0, self.n_space, self.n_space, self.topology)
-        gaps = np.diff(np.concatenate([idx, [idx[0] + self.n_space]]))
-        g = int(np.argmax(gaps))
-        lo = int(idx[(g + 1) % idx.size])
-        width = self.n_space - int(gaps[g]) + 1
-        return SupportWindow(lo, width, self.n_space, self.topology)
-
-
-def support_window(lat: LatticeSpacetime, *values: WeilValue) -> SupportWindow:
-    """Window covering the sites where any value is nonzero, batch axes folded."""
+def support_mask(lat: LatticeSpacetime, *values: WeilValue) -> np.ndarray:
+    """Mask of the sites where any value is nonzero, batch axes folded."""
     mask = np.zeros(lat.n_space, dtype=bool)
     for v in values:
         mask |= np.any(np.abs(v.coeffs) > 0, axis=-1).reshape(-1, lat.n_space).any(axis=0)
-    return SupportWindow.from_mask(mask, lat)
+    return mask
 
 
-def causal_cone(window: SupportWindow, steps: int,
-                lat: LatticeSpacetime) -> SupportWindow:
-    """Widen a window by the lattice lightcone: one site per time step each side.
+def causal_cone(mask: np.ndarray, steps: int, lat: LatticeSpacetime) -> np.ndarray:
+    """Grow a support mask by the lattice lightcone: one site per time step each side.
 
     One site per step is the reach of the explicit stencil (speed dx/dt >= 1
     in physical units), so support containment checks against it are exact.
+    The cone clips at the line's ends and wraps on the circle.
     """
     if steps < 0:
         raise LatticeError("steps must be nonnegative")
-    return window.widen(int(steps))
+    padded = np.pad(mask, steps, mode="wrap" if lat.topology == CIRCLE else "constant")
+    hits = np.concatenate([[0], np.cumsum(padded)])
+    return hits[2 * steps + 1:] > hits[:lat.n_space]
 
 
-def window_is_interior(window: SupportWindow | None, lat: LatticeSpacetime) -> bool:
-    """True when the window stays off the line's guard band (vacuously on the circle).
+def window_is_interior(mask: np.ndarray | None, lat: LatticeSpacetime) -> bool:
+    """True when the mask stays off the line's guard band (vacuously on the circle).
 
     None stands for unbounded support, which reaches the band on the line.
     """
     if lat.topology == CIRCLE:
         return True
-    return window is not None and not (window.mask() & lat.guard_band).any()
+    return mask is not None and not (mask & lat.guard_band).any()
 
 
 # -- binary snapshots ---------------------------------------------------------

@@ -55,15 +55,15 @@ class Observable:
     """A Weil-polymorphic function of Cauchy data.
 
     evaluate maps CauchyData over any algebra W' to a WeilValue scalar over
-    W' (batch axes pass through).  sc_window, when set, bounds the spatial
-    support the observable can feel.
+    W' (batch axes pass through).  sc_window, when set, is a site mask
+    bounding the spatial support the observable can feel.
     gradient, when set, returns dF at a base point directly, and
     differential uses it in place of forward dual evaluation.
     """
 
     evaluate: Callable[[CauchyData], WeilValue]
     name: str = ""
-    sc_window: lt.SupportWindow | None = None
+    sc_window: np.ndarray | None = None
     gradient: Callable[[CauchyData], "Covector"] | None = None
 
 
@@ -73,13 +73,11 @@ class SolVectorField:
 
     evaluate returns only the fiber (a tangent CauchyData at the input
     base), which builds the section condition into the type.  sc marks
-    spacelike-compact fields; window, when present, bounds their support
-    on the reference slice.
+    spacelike-compact fields.
     """
 
     evaluate: Callable[[CauchyData], CauchyData]
     sc: bool = True
-    window: lt.SupportWindow | None = None
     name: str = ""
 
 
@@ -91,8 +89,7 @@ def slice_phi_observable(f: np.ndarray, lat: lt.LatticeSpacetime,
     def ev(d: CauchyData) -> WeilValue:
         return (d.phi * f).sum(axis=-1) * lat.dx
 
-    return Observable(ev, name or "int f*phi",
-                      sc_window=_smearing_window(f, lat))
+    return Observable(ev, name or "int f*phi", sc_window=np.abs(f) > 0)
 
 
 def slice_pi_observable(g: np.ndarray, lat: lt.LatticeSpacetime,
@@ -103,8 +100,7 @@ def slice_pi_observable(g: np.ndarray, lat: lt.LatticeSpacetime,
     def ev(d: CauchyData) -> WeilValue:
         return (d.pi * g).sum(axis=-1) * lat.dx
 
-    return Observable(ev, name or "int g*pi",
-                      sc_window=_smearing_window(g, lat))
+    return Observable(ev, name or "int g*pi", sc_window=np.abs(g) > 0)
 
 
 def spacetime_observable(g: np.ndarray, inter: Interaction,
@@ -134,8 +130,7 @@ def spacetime_observable(g: np.ndarray, inter: Interaction,
         phi, pi = (np.concatenate([c[k].coeffs for c in chunks]) for k in (0, 1))
         return Covector(WeilValue(d.algebra, phi), WeilValue(d.algebra, pi))
 
-    window = _smearing_window(np.abs(g).max(axis=0), lat)
-    window = lt.causal_cone(window, lat.n_time, lat) if window is not None else None
+    window = lt.causal_cone((np.abs(g) > 0).any(axis=0), lat.n_time, lat)
     return Observable(ev, name or "int g*Phi vol", sc_window=window,
                       gradient=grad)
 
@@ -151,8 +146,9 @@ def observable_product(F: Observable, G: Observable, name: str = "") -> Observab
     def ev(d: CauchyData) -> WeilValue:
         return F.evaluate(d) * G.evaluate(d)
 
+    unbounded = F.sc_window is None or G.sc_window is None
     return Observable(ev, name or f"({F.name})*({G.name})",
-                      sc_window=_window_union(F.sc_window, G.sc_window))
+                      sc_window=None if unbounded else F.sc_window | G.sc_window)
 
 
 def observable_power(F: Observable, k: int, name: str = "") -> Observable:
@@ -161,35 +157,6 @@ def observable_power(F: Observable, k: int, name: str = "") -> Observable:
         return out ** k
 
     return Observable(ev, name or f"({F.name})^{k}", sc_window=F.sc_window)
-
-
-def _window_union(a: lt.SupportWindow | None, b: lt.SupportWindow | None
-                  ) -> lt.SupportWindow | None:
-    """The union of two support windows, or None (unbounded) if either is."""
-    return None if a is None or b is None else a.union(b)
-
-
-def _smearing_window(profile: np.ndarray, lat: lt.LatticeSpacetime
-                     ) -> lt.SupportWindow | None:
-    mask = np.abs(np.asarray(profile)) > 0
-    return lt.SupportWindow.from_mask(mask, lat)
-
-
-def constant_field(fiber: CauchyData, lat: lt.LatticeSpacetime,
-                   name: str = "") -> SolVectorField:
-    """A vector field assigning the same tangent data at every base point."""
-    window = lt.support_window(lat, fiber.phi, fiber.pi)
-
-    def ev(d: CauchyData) -> CauchyData:
-        alg = d.algebra
-        shape = d.phi.shape
-        phi = WeilValue.zeros(alg, shape)
-        pi = WeilValue.zeros(alg, shape)
-        phi.coeffs[..., 0] = fiber.phi.scalar_part
-        pi.coeffs[..., 0] = fiber.pi.scalar_part
-        return CauchyData(phi, pi)
-
-    return SolVectorField(ev, sc=True, window=window, name=name or "constant")
 
 
 # -- differentials: adjoint where supplied, dual numbers otherwise -------------
@@ -282,15 +249,14 @@ def hamiltonian_field(F: Observable, lat: lt.LatticeSpacetime, *,
 
     On the circle every field is spacelike compact (the slices are compact);
     on the line the field counts as spacelike compact only when the
-    observable's support window stays off the guard band.
+    observable's support mask stays off the guard band.
     """
 
     def ev(d: CauchyData) -> CauchyData:
         return hamiltonian_inversion(differential(F, d), lat.dx)
 
     sc = lt.window_is_interior(F.sc_window, lat)
-    return SolVectorField(ev, sc=sc, window=F.sc_window,
-                          name=name or f"X[{F.name}]")
+    return SolVectorField(ev, sc=sc, name=name or f"X[{F.name}]")
 
 
 # -- omega as an explicit operator (degeneracy laboratory) ---------------------
@@ -455,9 +421,7 @@ def lie_bracket_field(v: SolVectorField, vp: SolVectorField,
     def ev(d: CauchyData) -> CauchyData:
         return lie_bracket(v, vp, d)
 
-    return SolVectorField(ev, sc=v.sc and vp.sc,
-                          window=_window_union(v.window, vp.window),
-                          name=name or f"[{v.name},{vp.name}]")
+    return SolVectorField(ev, sc=v.sc and vp.sc, name=name or f"[{v.name},{vp.name}]")
 
 
 def tau_bracket(v: SolVectorField, vp: SolVectorField, at: CauchyData) -> CauchyData:
@@ -562,8 +526,7 @@ def pair_product(p: HamiltonianPair, pp: HamiltonianPair,
         return CauchyData(a * fb.phi + b * fa.phi, a * fb.pi + b * fa.pi)
 
     sc = p.v.sc and pp.v.sc
-    v2 = SolVectorField(ev, sc=sc, window=_window_union(p.v.window, pp.v.window),
-                        name=f"{p.F.name}*{pp.v.name}+{pp.F.name}*{p.v.name}")
+    v2 = SolVectorField(ev, sc=sc, name=f"{p.F.name}*{pp.v.name}+{pp.F.name}*{p.v.name}")
     residual = max(p.residual, pp.residual)
     for s in samples:
         residual = max(residual, pair_defect(F2, v2, s, lat))

@@ -12,7 +12,7 @@ as an independent oracle for the closed form used here.
 Spacelike-compact bookkeeping: on the line, at least one factor of u must
 be spacelike compact for slice integrals to make sense over a noncompact
 slice; the support of u then sits inside the intersection of the factors'
-causal windows (widened one site for the derivative stencil).
+causal cones (widened one site for the derivative stencil).
 """
 
 from __future__ import annotations
@@ -30,20 +30,21 @@ from .weil import WeilValue
 class TangentSolution:
     """An on-shell base history together with a linearized solution along it.
 
-    sc_windows, when present, certify spacelike-compact support: one window
-    per slice containing all sites where the fiber is nonzero.
+    support, when present, certifies spacelike-compact support: the site
+    mask of the tangent's initial data, whose causal cone at slice j holds
+    every site where the fiber is nonzero.
     """
 
     base: FieldHistory
     fiber: FieldHistory
-    sc_windows: tuple[lt.SupportWindow, ...] | None = None
+    support: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.base.lattice != self.fiber.lattice:
             raise lt.LatticeError("base and fiber must share a lattice")
-        if self.sc_windows is not None and \
-                len(self.sc_windows) != self.base.lattice.n_slices:
-            raise lt.LatticeError("need one support window per slice")
+        if self.support is not None and \
+                np.shape(self.support) != (self.base.lattice.n_space,):
+            raise lt.LatticeError("the support mask needs one entry per site")
 
     @property
     def lattice(self) -> lt.LatticeSpacetime:
@@ -51,7 +52,7 @@ class TangentSolution:
 
     @property
     def is_sc(self) -> bool:
-        return self.sc_windows is not None
+        return self.support is not None
 
     def validate(self, inter: Interaction, tol: float) -> float:
         """Max linearized residual; raises if above tol or support leaks."""
@@ -60,26 +61,13 @@ class TangentSolution:
             raise lt.LatticeError(
                 f"fiber is off shell: linearized residual {res:.3e} > {tol:.3e}"
             )
-        if self.sc_windows is not None:
-            for j, win in enumerate(self.sc_windows):
-                outside = ~win.mask()
+        if self.support is not None:
+            for j in range(self.lattice.n_slices):
+                outside = ~lt.causal_cone(self.support, j, self.lattice)
                 leak = np.abs(self.fiber.values.coeffs[j][..., outside, :])
                 if leak.size and leak.max() > 0.0:
-                    raise lt.SupportError(f"fiber leaks outside its window on slice {j}")
+                    raise lt.SupportError(f"fiber leaks outside its cone on slice {j}")
         return res
-
-
-def tangent_solution_from_histories(base: FieldHistory, fiber: FieldHistory,
-                                    data_window: lt.SupportWindow | None = None
-                                    ) -> TangentSolution:
-    """Bundle base and fiber; a data window grows into per-slice cone windows."""
-    if data_window is None:
-        return TangentSolution(base, fiber)
-    lat = base.lattice
-    windows = tuple(
-        lt.causal_cone(data_window, j, lat) for j in range(lat.n_slices)
-    )
-    return TangentSolution(base, fiber, windows)
 
 
 def theta(v: TangentSolution) -> lt.Current:
@@ -118,22 +106,22 @@ def current_u(v: TangentSolution, vp: TangentSolution) -> lt.Current:
 
 
 def current_windows(v: TangentSolution, vp: TangentSolution
-                    ) -> tuple[lt.SupportWindow, ...] | None:
-    """Per-slice support windows of current_u: intersection of the factors'.
+                    ) -> tuple[np.ndarray, ...] | None:
+    """Per-slice support masks of current_u: intersection of the factors' cones.
 
-    The derivative stencil widens each factor window by one site.  Returns
-    None when neither factor is spacelike compact (full support).
+    The derivative stencil widens each factor's cone by one site, so slice j
+    takes the cones at j + 1.  Returns None when neither factor is spacelike
+    compact (full support).
     """
     if not (v.is_sc or vp.is_sc):
         return None
     lat = v.lattice
-    full = lt.SupportWindow.full(lat)
-    out = []
-    for j in range(lat.n_slices):
-        a = v.sc_windows[j].widen(1) if v.is_sc else full
-        b = vp.sc_windows[j].widen(1) if vp.is_sc else full
-        out.append(a.intersect(b))
-    return tuple(out)
+    full = np.ones(lat.n_space, dtype=bool)
+    return tuple(
+        (lt.causal_cone(v.support, j + 1, lat) if v.is_sc else full)
+        & (lt.causal_cone(vp.support, j + 1, lat) if vp.is_sc else full)
+        for j in range(lat.n_slices)
+    )
 
 
 def closedness_residual(v: TangentSolution, vp: TangentSolution) -> float:

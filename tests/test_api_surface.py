@@ -1,7 +1,9 @@
 """Every public module-level function and class, and every public class member, is used.
 
 A module-level name counts as used when src/ or tests/ references it (as a
-name, an attribute or an imported name) outside its own definition.  A
+name, an attribute or an imported name) outside its own definition.  In a
+test file, a bare name that the file itself defines at top level refers to
+that local helper, not to a src/ name of the same spelling.  A
 public method, property or annotated field of a public class counts as used
 when src/ or tests/ reads an attribute of that name.  API that neither the
 library, the harness nor the tests use is dead code.
@@ -15,9 +17,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "weilfield"
 
 
-def _references(node: ast.AST):
+def _references(node: ast.AST, local=frozenset()):
+    """Names, attributes and imported names in node; bare names in local are skipped."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and sub.id not in local:
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
@@ -30,13 +33,16 @@ def test_no_unreferenced_public_api():
     sites = defaultdict(set)  # name -> {(module path, enclosing top-level name)}
     for path in sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        local = frozenset() if path.is_relative_to(PACKAGE) else frozenset(
+            stmt.name for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
         for stmt in tree.body:
             owner = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owner = stmt.name
                 if path.is_relative_to(PACKAGE) and not owner.startswith("_"):
                     defined.append((path, owner))
-            for name in _references(stmt):
+            for name in _references(stmt, local):
                 sites[name].add((path, owner))
     dead = sorted(f"{path.relative_to(PACKAGE)}:{name}" for path, name in defined
                   if not sites[name] - {(path, name)})

@@ -1,9 +1,13 @@
 import copy
+import functools
 import json
+import operator
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weilfield import lattice as lt
 from weilfield.harness import cli, config as cfg, experiments, oracle, report as rp
@@ -381,8 +385,21 @@ MALFORMED = {
         ("jacobi", lambda d: d["observables"][2].update(factors=[7])),
     "spacetime_smearing_not_an_object":
         ("bracket", lambda d: d["observables"][0].update(smearing="wide")),
+    "kmax_negative": ("jacobi", lambda d: d["observables"][1].update(
+        smearing={"profile": "random_fourier", "kmax": -5})),
+    "kmax_minus_one": ("jacobi", lambda d: d["observables"][1].update(
+        smearing={"profile": "random_fourier", "kmax": -1})),
+    "n_samples_zero": ("jacobi", lambda d: d["options"].update(n_samples=0)),
+    "n_samples_negative": ("jacobi", lambda d: d["options"].update(n_samples=-2)),
+    "observables_null": ("bracket", lambda d: d.update(observables=None)),
+    "observables_a_number": ("bracket", lambda d: d.update(observables=3)),
+    "factors_a_number": ("jacobi", lambda d: d["observables"][2].update(factors=7)),
+    "factors_true": ("jacobi", lambda d: d["observables"][2].update(factors=True)),
+    "seed_negative": ("conserve", lambda d: d.update(seed=-1)),
+    "ladder_rung_zero": ("convergence", lambda d: d.update(ladder=[0, 16])),
 }
-BASES = {"conserve": BASE_CONSERVE, "jacobi": TOY_JACOBI, "bracket": TOY_BRACKET}
+BASES = {"conserve": BASE_CONSERVE, "jacobi": TOY_JACOBI, "bracket": TOY_BRACKET,
+         "convergence": BASE_DRIFT}
 
 DEGENERATE_LADDERS = {
     "one_rung": lambda d: d.update(ladder=[16]),
@@ -409,10 +426,96 @@ def test_cli_degenerate_ladder_exits_2(edit, tmp_path, capsys):
     _assert_usage_error("convergence", _edited(BASE_DRIFT, edit), tmp_path, capsys)
 
 
+def test_cli_seed_override_negative_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, BASE_CONSERVE)
+    assert cli.main(["conserve", "--config", path, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: seed"), err
+
+
+# phi4 with a large coupling and amplitude: the leapfrog overflows within a few steps
+BLOW_UP = {
+    "experiment": "solve",
+    "lattice": {"topology": "circle", "n_space": 64,
+                "extent": 2 * np.pi, "dt_factor": 0.5, "n_time": 2000},
+    "interaction": {"name": "phi4", "coupling": 50},
+    "initial_data": {"phi": {"profile": "cosine", "amplitude": 30}},
+    "tangents": BASE_CONSERVE["tangents"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["solve", "conserve"])
+def test_cli_non_finite_field_names_the_slice(command, tmp_path, capsys):
+    doc = dict(BLOW_UP, experiment=command)
+    assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1, err
+    assert re.fullmatch(r"error: the field is not finite at slice \d+ \(t = \S+\)", err[0])
+    assert captured.out == ""
+
+
 @pytest.mark.filterwarnings("error")
 def test_cli_drift_ladder_passes(tmp_path):
     # the undegenerate ladder the cases above start from
     assert cli.main(["convergence", "--config", _write(tmp_path, BASE_DRIFT)]) == 0
+
+
+# -- property: no single-key mutation of a toy config escapes as a traceback --------
+
+SWAPS = ("text", None, ["x"], {"k": 1}, True)
+
+
+def _paths(node, prefix=()):
+    """Key paths (dict keys and list indices) of every value inside node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _replacements(value):
+    """Dropping the key, each type swap, and 0 and a negative value for a number."""
+    out = [("drop",), *(("set", s) for s in SWAPS)]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        out += [("set", 0), ("set", -abs(value) or -1)]
+    return out
+
+
+@st.composite
+def mutated_configs(draw):
+    command = draw(st.sampled_from(sorted(BASES)))
+    doc = copy.deepcopy(BASES[command])
+    *parents, key = draw(st.sampled_from(list(_paths(doc))))
+    holder = functools.reduce(operator.getitem, parents, doc)
+    mutation = draw(st.sampled_from(_replacements(holder[key])))
+    if mutation[0] == "drop":
+        del holder[key]
+    else:
+        holder[key] = copy.deepcopy(mutation[1])
+    return command, doc
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=mutated_configs())
+def test_mutated_configs_never_raise(case, tmp_path_factory):
+    command, doc = case
+    try:
+        cfg.ExperimentConfig.from_dict(copy.deepcopy(doc))
+        rejected = False
+    except cfg.ConfigError:
+        rejected = True
+    path = _write(tmp_path_factory.mktemp("mutated"), doc)
+    code = cli.main([command, "--config", path])
+    assert code in (0, 1, 2)
+    if rejected:
+        assert code == 2
 
 
 def test_report_cites_tolerances():

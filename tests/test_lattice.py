@@ -147,53 +147,66 @@ def test_stencils_commute_with_coefficient_extraction(rng, circle):
         assert np.array_equal(whole.coefficient(mono), part.scalar_part)
 
 
-# -- support windows and causal cones ----------------------------------------------
+# -- support masks and causal cones ------------------------------------------------
 
 
-def test_window_from_mask_line(line):
-    mask = np.zeros(line.n_space, dtype=bool)
-    mask[10:20] = True
-    w = lt.SupportWindow.from_mask(mask, line)
-    assert (w.lo, w.width) == (10, 10)
-    assert np.array_equal(w.mask(), mask)
+def sites(lat, *idx):
+    mask = np.zeros(lat.n_space, dtype=bool)
+    mask[list(idx)] = True
+    return mask
 
 
-def test_window_from_mask_circle_wraps(circle):
-    mask = np.zeros(circle.n_space, dtype=bool)
-    mask[[62, 63, 0, 1]] = True
-    w = lt.SupportWindow.from_mask(mask, circle)
-    assert w.width == 4
-    assert np.array_equal(w.mask(), mask)
-
-
-def test_window_union_intersect(line):
-    a = lt.SupportWindow(5, 10, line.n_space, line.topology)
-    b = lt.SupportWindow(12, 10, line.n_space, line.topology)
-    u = a.union(b)
-    i = a.intersect(b)
-    assert (u.lo, u.width) == (5, 17)
-    assert (i.lo, i.width) == (12, 3)
-    assert u.contains(a) and u.contains(b)
+def test_support_mask_folds_batch_and_coefficients(line, dual):
+    coeffs = np.zeros((3, line.n_space, dual.dim))
+    coeffs[0, 10, 0] = 1.0
+    coeffs[2, 20:23, 1] = -2.0
+    extra = WeilValue.from_scalar(dual, 1e-300 * sites(line, 90))
+    mask = lt.support_mask(line, WeilValue(dual, coeffs), extra)
+    assert np.array_equal(mask, sites(line, 10, 20, 21, 22, 90))
 
 
 def test_causal_cone_unit_speed(line):
-    w = lt.SupportWindow(40, 1, line.n_space, line.topology)
-    cone = lt.causal_cone(w, 5, line)
-    assert (cone.lo, cone.width) == (35, 11)
+    cone = lt.causal_cone(sites(line, 40), 5, line)
+    assert np.array_equal(np.flatnonzero(cone), np.arange(35, 46))
+    assert np.array_equal(lt.causal_cone(sites(line, 40), 0, line), sites(line, 40))
+    with pytest.raises(lt.LatticeError):
+        lt.causal_cone(sites(line, 40), -1, line)
+
+
+def test_causal_cone_keeps_gap_between_separated_sites(line):
+    cone = lt.causal_cone(sites(line, 30, 50), 4, line)
+    assert np.array_equal(np.flatnonzero(cone),
+                          np.concatenate([np.arange(26, 35), np.arange(46, 55)]))
+    # the gap closes once the two cones meet
+    assert lt.causal_cone(sites(line, 30, 50), 10, line)[30:51].all()
+
+
+def test_causal_cone_clips_at_line_end(line):
+    cone = lt.causal_cone(sites(line, 2), 5, line)
+    assert np.array_equal(np.flatnonzero(cone), np.arange(0, 8))
+    assert not lt.window_is_interior(cone, line)
+    # the guard band is sites 0 and 1: reached from site 10 in 9 steps, not in 8
+    assert lt.window_is_interior(lt.causal_cone(sites(line, 10), 8, line), line)
+    assert not lt.window_is_interior(lt.causal_cone(sites(line, 10), 9, line), line)
+
+
+def test_causal_cone_wraps_across_circle_seam(circle):
+    cone = lt.causal_cone(sites(circle, 1, 62), 2, circle)
+    assert np.array_equal(np.flatnonzero(cone), [0, 1, 2, 3, 60, 61, 62, 63])
+    assert lt.window_is_interior(cone, circle)  # no guard band on the circle
 
 
 def test_causal_cone_saturates_on_circle(circle):
-    w = lt.SupportWindow(0, 1, circle.n_space, circle.topology)
-    cone = lt.causal_cone(w, circle.n_space, circle)
-    assert cone.is_full
+    cone = lt.causal_cone(sites(circle, 0), circle.n_space, circle)
+    assert cone.all()
 
 
 def test_empty_window():
     lat = lt.LatticeSpacetime("line", 32, 0.1, 0.05, 8)
-    w = lt.SupportWindow.empty(lat)
-    assert w.is_empty
-    assert w.widen(3).is_empty
-    assert not w.mask().any()
+    empty = np.zeros(lat.n_space, dtype=bool)
+    assert not lt.causal_cone(empty, 3, lat).any()
+    assert lt.window_is_interior(empty, lat)
+    assert not lt.window_is_interior(None, lat)
 
 
 # -- persistence --------------------------------------------------------------------

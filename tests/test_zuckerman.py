@@ -255,21 +255,21 @@ def test_sc_rule_on_line():
     base = dyn.data_from_arrays(np.zeros(96), np.zeros(96))
     bump = np.zeros(96)
     bump[40:50] = np.exp(1 - 1 / (1 - np.linspace(-0.9, 0.9, 10) ** 2))
-    window = lt.SupportWindow.from_mask(bump != 0, lat)
     lifted = dyn.tangent_lift(base, dyn.data_from_arrays(bump, np.zeros(96)), sg, lat)
     fiber = dyn.fiber_history(lifted)
     base_h = dyn.base_history(lifted)
-    v_sc = zk.tangent_solution_from_histories(base_h, fiber, window)
+    v_sc = zk.TangentSolution(base_h, fiber, bump != 0)
     v_plain = zk.TangentSolution(base_h, fiber)
 
     with pytest.raises(lt.SupportError):
         zk.current_u(v_plain, v_plain)
     u = zk.current_u(v_sc, v_plain)  # one factor suffices
 
-    v_sc.validate(sg, tol=1e-9)  # fiber stays inside its cone windows
+    v_sc.validate(sg, tol=1e-9)  # fiber stays inside its causal cones
     windows = zk.current_windows(v_sc, v_plain)
     for j, win in enumerate(windows):
-        outside = ~win.mask()
+        assert np.array_equal(win, lt.causal_cone(bump != 0, j + 1, lat))
+        outside = ~win
         assert np.max(np.abs(u.t_component.coeffs[j][outside, :]), initial=0.0) == 0.0
 
 
@@ -279,11 +279,17 @@ def test_current_windows_intersection():
     zero_hist = dyn.FieldHistory(
         WeilValue.zeros(alg, (lat.n_slices, lat.n_space)), lat
     )
-    wa = lt.SupportWindow(30, 10, 96, "line")
-    wb = lt.SupportWindow(36, 10, 96, "line")
-    va = zk.TangentSolution(zero_hist, zero_hist, tuple([wa] * lat.n_slices))
-    vb = zk.TangentSolution(zero_hist, zero_hist, tuple([wb] * lat.n_slices))
+    sa = np.zeros(96, dtype=bool)
+    sa[30:40] = True
+    sb = np.zeros(96, dtype=bool)
+    sb[36:46] = True
+    va = zk.TangentSolution(zero_hist, zero_hist, sa)
+    vb = zk.TangentSolution(zero_hist, zero_hist, sb)
     wins = zk.current_windows(va, vb)
-    for win in wins:
-        assert win.contains(wa.widen(1).intersect(wb.widen(1)))
-        assert wa.widen(1).intersect(wb.widen(1)).contains(win)
+    assert len(wins) == lat.n_slices
+    for j, win in enumerate(wins):
+        # cones of [30, 40) and [36, 46) at slice j + 1 overlap on [35 - j, 41 + j)
+        assert np.array_equal(np.flatnonzero(win), np.arange(35 - j, 41 + j))
+    assert zk.current_windows(zk.TangentSolution(zero_hist, zero_hist), vb)[0].sum() == 12
+    with pytest.raises(lt.LatticeError):
+        zk.TangentSolution(zero_hist, zero_hist, sa[:10])
