@@ -261,17 +261,17 @@ def solve_cauchy(data: CauchyData, inter: Interaction,
 
 
 def solve_smeared(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
-                  weights: np.ndarray, *, check_support: bool = True) -> WeilValue:
+                  weights: np.ndarray) -> WeilValue:
     """The grid sum of weights * solution * dx * dt without storing the history.
 
-    Memory stays at three slices regardless of batch size, which lets
-    callers batch many initial-data directions through one pass.
+    Memory stays at three slices regardless of batch size, so one pass
+    carries a whole batch of directions (poisson.forward_differential).
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (lat.n_slices, lat.n_space):
         raise SolverError("weights must cover the full grid")
     acc: WeilValue | None = None
-    for j, value in _leapfrog_slices(data, inter, lat, check_support):
+    for j, value in _leapfrog_slices(data, inter, lat, check_support=True):
         term = (value * weights[j]).sum(axis=-1)
         acc = term if acc is None else acc + term
     assert acc is not None

@@ -77,14 +77,14 @@ def _profile_array(desc: dict, x: np.ndarray, rng: np.random.Generator) -> np.nd
         return np.zeros_like(x)
     if kind == "constant":
         return np.full_like(x, amp)
-    if kind == "gaussian":
+    if kind in ("gaussian", "bump"):
         c = number(desc, "center", 0.0)
         w = number(desc, "width", 1.0)
-        return amp * np.exp(-0.5 * ((x - c) / w) ** 2)
-    if kind == "bump":
-        c = number(desc, "center", 0.0)
-        w = number(desc, "width", 1.0)
+        if not w > 0:
+            raise ConfigError(f"width must be positive, got {w}")
         s = (x - c) / w
+        if kind == "gaussian":
+            return amp * np.exp(-0.5 * s ** 2)
         out = np.zeros_like(x)
         inside = np.abs(s) < 1.0
         out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))

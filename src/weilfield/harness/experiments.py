@@ -87,7 +87,7 @@ def _build_observable(desc: dict, config: ExperimentConfig,
         obs = built[0]
         for extra in built[1:]:
             obs = ps.observable_product(obs, extra)
-        power = number(desc, "power", 1, int)
+        power = count(desc, "power", 1, 0)
         if power != 1:
             obs = ps.observable_power(obs, power)
         return obs, {}
@@ -143,6 +143,15 @@ def _tangent_solutions(config: ExperimentConfig, rng: np.random.Generator,
     return out
 
 
+def _omega_series(v: zk.TangentSolution, vp: zk.TangentSolution) -> np.ndarray:
+    """omega(v, v') per slice; one that vanishes on every slice has no drift to measure."""
+    series = zk.presymplectic_series(v, vp)
+    if not np.any(series):
+        raise ConfigError("tangents: omega vanishes on every slice, so its drift "
+                          "would pass vacuously")
+    return series
+
+
 # -- drivers --------------------------------------------------------------------
 
 
@@ -172,7 +181,7 @@ def _run_conserve(config: ExperimentConfig, outdir: str | None) -> Report:
     rng = config.rng()
     lat = config.lattice
     v, vp = _tangent_solutions(config, rng, lat)[:2]
-    series = zk.presymplectic_series(v, vp)
+    series = _omega_series(v, vp)
     ref = float(series[0])
     scale = max(abs(ref), 1e-300)
     rows = [
@@ -298,7 +307,7 @@ def _run_convergence(config: ExperimentConfig, outdir: str | None) -> Report:
             err = float(np.max(np.abs(hist.values.scalar_part - exact)))
         elif study == "omega_drift":
             v, vp = _tangent_solutions(config, rng, lat)[:2]
-            err = zk.slice_drift(zk.presymplectic_series(v, vp))
+            err = zk.slice_drift(_omega_series(v, vp))
         elif study == "closedness":
             v, vp = _tangent_solutions(config, rng, lat)[:2]
             err = zk.closedness_residual(v, vp)

@@ -4,12 +4,12 @@ Solutions are coordinatized by Cauchy data on the reference slice (the
 data map is the well-posedness isomorphism), so observables and vector
 fields are Weil-polymorphic maps on CauchyData: they accept data over any
 algebra extension and commute with scalar-part extraction.  Differentials
-are exact.  Spacetime observables take dF by the discrete adjoint of the
-leapfrog: one stored base solve and one backward sweep
-(dynamics.smeared_gradient).  Every other observable takes it by forward
-dual-number evaluation, the general path and the tests' oracle: the
-component of dF along the unit tangent at a site is the eps coefficient of
-F at data + eps*e_site.
+are exact and each observable carries its own: closed forms for slices and
+constants, the product rule, the discrete adjoint of the leapfrog for
+spacetime observables (dynamics.smeared_gradient), and forward-over-reverse
+Hessian-vector products for brackets.  Forward dual mode, the eps part of F
+at data + eps*e_site for every unit tangent, is the tests' oracle
+(forward_differential).
 
 Sign conventions, pinned once and used consistently:
 
@@ -43,8 +43,6 @@ from .dynamics import (
 from .weil import WeilAlgebra, WeilValue, embed, extract_top
 
 DEFAULT_ADMISSIBILITY_TOL = 1e-8
-_EPS_MONO_INDEX = 1  # index of the adjoined eps monomial after append_dual
-_DIRECTION_BATCH_BUDGET = 48 * 2**20  # bytes of direction-batched coefficients
 
 
 # -- observables and vector fields -------------------------------------------
@@ -55,16 +53,15 @@ class Observable:
     """A Weil-polymorphic function of Cauchy data.
 
     evaluate maps CauchyData over any algebra W' to a WeilValue scalar over
-    W' (batch axes pass through).  sc_window, when set, is a site mask
-    bounding the spatial support the observable can feel.
-    gradient, when set, returns dF at a base point directly, and
-    differential uses it in place of forward dual evaluation.
+    W' (batch axes pass through), and gradient maps it to the exact dF at
+    that base point, equally Weil-polymorphic.  sc_window, when set, is a
+    site mask bounding the spatial support the observable can feel.
     """
 
     evaluate: Callable[[CauchyData], WeilValue]
+    gradient: Callable[[CauchyData], "Covector"]
     name: str = ""
     sc_window: np.ndarray | None = None
-    gradient: Callable[[CauchyData], "Covector"] | None = None
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,10 @@ def slice_phi_observable(f: np.ndarray, lat: lt.LatticeSpacetime,
     def ev(d: CauchyData) -> WeilValue:
         return (d.phi * f).sum(axis=-1) * lat.dx
 
-    return Observable(ev, name or "int f*phi", sc_window=np.abs(f) > 0)
+    def grad(d: CauchyData) -> Covector:
+        return _constant_covector(d, f * lat.dx, 0.0)
+
+    return Observable(ev, grad, name or "int f*phi", sc_window=np.abs(f) > 0)
 
 
 def slice_pi_observable(g: np.ndarray, lat: lt.LatticeSpacetime,
@@ -100,7 +100,10 @@ def slice_pi_observable(g: np.ndarray, lat: lt.LatticeSpacetime,
     def ev(d: CauchyData) -> WeilValue:
         return (d.pi * g).sum(axis=-1) * lat.dx
 
-    return Observable(ev, name or "int g*pi", sc_window=np.abs(g) > 0)
+    def grad(d: CauchyData) -> Covector:
+        return _constant_covector(d, 0.0, g * lat.dx)
+
+    return Observable(ev, grad, name or "int g*pi", sc_window=np.abs(g) > 0)
 
 
 def spacetime_observable(g: np.ndarray, inter: Interaction,
@@ -109,8 +112,7 @@ def spacetime_observable(g: np.ndarray, inter: Interaction,
 
     Evaluation streams the solve slice by slice, in three slices of memory.
     dF is the discrete adjoint (dynamics.smeared_gradient), which stores the
-    base history, so a batched base is swept in chunks of leading batch rows
-    whose histories fit the direction-batch budget.
+    base history of every batch row.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (lat.n_slices, lat.n_space):
@@ -120,46 +122,50 @@ def spacetime_observable(g: np.ndarray, inter: Interaction,
         return solve_smeared(d, inter, lat, g)
 
     def grad(d: CauchyData) -> Covector:
-        if len(d.phi.shape) == 1:
-            return Covector(*smeared_gradient(d, inter, lat, g))
-        row_bytes = 8 * d.algebra.dim * lat.n_slices * int(np.prod(d.phi.shape[1:]))
-        rows = max(1, _DIRECTION_BATCH_BUDGET // row_bytes)
-        chunks = [smeared_gradient(CauchyData(d.phi[s:s + rows], d.pi[s:s + rows]),
-                                   inter, lat, g)
-                  for s in range(0, d.phi.shape[0], rows)]
-        phi, pi = (np.concatenate([c[k].coeffs for c in chunks]) for k in (0, 1))
-        return Covector(WeilValue(d.algebra, phi), WeilValue(d.algebra, pi))
+        return Covector(*smeared_gradient(d, inter, lat, g))
 
     window = lt.causal_cone((np.abs(g) > 0).any(axis=0), lat.n_time, lat)
-    return Observable(ev, name or "int g*Phi vol", sc_window=window,
-                      gradient=grad)
+    return Observable(ev, grad, name or "int g*Phi vol", sc_window=window)
 
 
 def constant_observable(c: float, name: str = "") -> Observable:
     def ev(d: CauchyData) -> WeilValue:
         return WeilValue.from_scalar(d.algebra, np.full(d.phi.shape[:-1], c))
 
-    return Observable(ev, name or f"const {c:g}")
+    def grad(d: CauchyData) -> Covector:
+        return _constant_covector(d, 0.0, 0.0)
+
+    return Observable(ev, grad, name or f"const {c:g}")
 
 
 def observable_product(F: Observable, G: Observable, name: str = "") -> Observable:
     def ev(d: CauchyData) -> WeilValue:
         return F.evaluate(d) * G.evaluate(d)
 
+    def grad(d: CauchyData) -> Covector:
+        a, b = F.evaluate(d).expand_dims(-1), G.evaluate(d).expand_dims(-1)
+        da, db = F.gradient(d), G.gradient(d)
+        return Covector(a * db.phi + b * da.phi, a * db.pi + b * da.pi)
+
     unbounded = F.sc_window is None or G.sc_window is None
-    return Observable(ev, name or f"({F.name})*({G.name})",
+    return Observable(ev, grad, name or f"({F.name})*({G.name})",
                       sc_window=None if unbounded else F.sc_window | G.sc_window)
 
 
 def observable_power(F: Observable, k: int, name: str = "") -> Observable:
     def ev(d: CauchyData) -> WeilValue:
-        out = F.evaluate(d)
-        return out ** k
+        return F.evaluate(d) ** k
 
-    return Observable(ev, name or f"({F.name})^{k}", sc_window=F.sc_window)
+    def grad(d: CauchyData) -> Covector:
+        if k == 0:
+            return _constant_covector(d, 0.0, 0.0)
+        a, da = (k * F.evaluate(d) ** (k - 1)).expand_dims(-1), F.gradient(d)
+        return Covector(a * da.phi, a * da.pi)
+
+    return Observable(ev, grad, name or f"({F.name})^{k}", sc_window=F.sc_window)
 
 
-# -- differentials: adjoint where supplied, dual numbers otherwise -------------
+# -- differentials ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -176,46 +182,29 @@ class Covector:
         return Covector(self.phi - other.phi, self.pi - other.pi)
 
 
+def _constant_covector(at: CauchyData, phi, pi) -> Covector:
+    """The covector with the given real site weights at every batch row of at."""
+    return Covector(*(WeilValue.from_scalar(at.algebra, np.broadcast_to(w, at.phi.shape))
+                      for w in (phi, pi)))
+
+
 def differential(F: Observable, at: CauchyData) -> Covector:
-    """Exact dF at a base point.
+    """Exact dF at a base point: the observable's own gradient."""
+    return F.gradient(at)
 
-    An observable with a gradient (spacetime observables: the discrete
-    adjoint) returns it.  Otherwise dF is read off as eps coefficients of F
-    along unit site tangents: directions are batched in chunks sized to a
-    fixed memory budget (all at once at a plain real base, smaller when the
-    base is itself direction-batched or Weil-extended).  Both paths work at
-    Weil-valued and batched base points.
+
+def forward_differential(evaluate: Callable[[CauchyData], WeilValue],
+                         at: CauchyData) -> Covector:
+    """dF by forward dual mode, the tests' oracle.
+
+    The eps part of F at at + eps*e for all 2*n_space unit tangents e, in one batch.
     """
-    if F.gradient is not None:
-        return F.gradient(at)
-    alg = at.algebra
-    big = alg.tensor(WeilAlgebra.dual())
-    n = at.n_space
-    batch = at.phi.shape[:-1]
-    per_direction = 8 * big.dim * n * max(1, int(np.prod(batch)))
-    chunk = int(np.clip(_DIRECTION_BATCH_BUDGET // per_direction, 1, 2 * n))
-
-    base_phi = embed(at.phi, big).coeffs
-    base_pi = embed(at.pi, big).coeffs
-
-    grads = np.empty((2 * n,) + batch + (alg.dim,))
-    for start in range(0, 2 * n, chunk):
-        stop = min(start + chunk, 2 * n)
-        m = stop - start
-        phi_c = np.broadcast_to(base_phi, (m,) + base_phi.shape).copy()
-        pi_c = np.broadcast_to(base_pi, (m,) + base_pi.shape).copy()
-        local, site = np.arange(m), np.arange(start, stop)
-        on_phi = site < n
-        phi_c[local[on_phi], ..., site[on_phi], _EPS_MONO_INDEX] += 1.0
-        pi_c[local[~on_phi], ..., site[~on_phi] - n, _EPS_MONO_INDEX] += 1.0
-        value = F.evaluate(CauchyData(WeilValue(big, phi_c), WeilValue(big, pi_c)))
-        grads[start:stop] = extract_top(value, 1).coeffs
-
-    grads = np.moveaxis(grads, 0, -2)  # site axis next to the coefficient axis
-    return Covector(
-        WeilValue(alg, grads[..., :n, :].copy()),
-        WeilValue(alg, grads[..., n:, :].copy()),
-    )
+    n, m = at.n_space, 2 * at.n_space
+    e = np.eye(m).reshape((m,) + (1,) * (len(at.phi.shape) - 1) + (2, n))
+    tangents = CauchyData(*(WeilValue.from_scalar(at.algebra, e[..., b, :]) for b in (0, 1)))
+    grads = np.moveaxis(extract_top(evaluate(lift_data(at, tangents)), 1).coeffs, 0, -2)
+    return Covector(WeilValue(at.algebra, grads[..., :n, :]),
+                    WeilValue(at.algebra, grads[..., n:, :]))
 
 
 # -- the pinned slice form of omega -------------------------------------------
@@ -462,7 +451,11 @@ def tau_bracket(v: SolVectorField, vp: SolVectorField, at: CauchyData) -> Cauchy
 
 @dataclass(frozen=True)
 class HamiltonianPair:
-    """An observable with a Hamiltonian vector field and its sampled defect."""
+    """An observable, its Hamiltonian vector field and their sampled defect.
+
+    Each pair's field is its observable's Hamiltonian field, computed by its
+    own route; pair_defect samples how well dF = iota_v omega holds.
+    """
 
     F: Observable
     v: SolVectorField
@@ -504,7 +497,17 @@ def bracket(p: HamiltonianPair, pp: HamiltonianPair, lat: lt.LatticeSpacetime,
     def ev(d: CauchyData) -> WeilValue:
         return omega_pairing(p.v.evaluate(d), pp.v.evaluate(d), lat.dx)
 
-    F2 = Observable(ev, name=f"{{{p.F.name},{pp.F.name}}}")
+    def hessian_times(F: Observable, d: CauchyData, x: CauchyData) -> Covector:
+        c = F.gradient(lift_data(d, x))  # forward over reverse: eps part is H_F x
+        return Covector(extract_top(c.phi, 1), extract_top(c.pi, 1))
+
+    def grad(d: CauchyData) -> Covector:
+        # dF'' = H_G X_F - H_F X_G, with fields from the gradients, not p.v, pp.v
+        x_f = hamiltonian_inversion(p.F.gradient(d), lat.dx)
+        x_g = hamiltonian_inversion(pp.F.gradient(d), lat.dx)
+        return hessian_times(pp.F, d, x_f) - hessian_times(p.F, d, x_g)
+
+    F2 = Observable(ev, grad, name=f"{{{p.F.name},{pp.F.name}}}")
     v2 = lie_bracket_field(p.v, pp.v)
     residual = max(p.residual, pp.residual)
     for s in samples:
@@ -538,10 +541,8 @@ def unit_pair() -> HamiltonianPair:
     F = constant_observable(1.0, name="1")
 
     def ev(d: CauchyData) -> CauchyData:
-        return CauchyData(
-            WeilValue.zeros(d.algebra, d.phi.shape),
-            WeilValue.zeros(d.algebra, d.pi.shape),
-        )
+        zero = F.gradient(d)
+        return CauchyData(zero.phi, zero.pi)
 
     return HamiltonianPair(F, SolVectorField(ev, sc=True, name="0"), 0.0)
 

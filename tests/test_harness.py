@@ -397,6 +397,15 @@ MALFORMED = {
     "factors_true": ("jacobi", lambda d: d["observables"][2].update(factors=True)),
     "seed_negative": ("conserve", lambda d: d.update(seed=-1)),
     "ladder_rung_zero": ("convergence", lambda d: d.update(ladder=[0, 16])),
+    "gaussian_width_zero": ("jacobi", lambda d: d["observables"][0][
+        "smearing"].update(width=0)),
+    "gaussian_width_negative": ("jacobi", lambda d: d["observables"][0][
+        "smearing"].update(width=-1)),
+    "bump_width_zero": ("conserve", lambda d: d["tangents"][0].update(
+        phi={"profile": "bump", "width": 0})),
+    "bump_width_negative": ("conserve", lambda d: d["tangents"][0].update(
+        phi={"profile": "bump", "width": -1})),
+    "power_negative": ("jacobi", lambda d: d["observables"][2].update(power=-1)),
 }
 BASES = {"conserve": BASE_CONSERVE, "jacobi": TOY_JACOBI, "bracket": TOY_BRACKET,
          "convergence": BASE_DRIFT}
@@ -424,6 +433,31 @@ def test_cli_malformed_config_exits_2(command, edit, tmp_path, capsys):
                          ids=DEGENERATE_LADDERS.keys())
 def test_cli_degenerate_ladder_exits_2(edit, tmp_path, capsys):
     _assert_usage_error("convergence", _edited(BASE_DRIFT, edit), tmp_path, capsys)
+
+
+# tangent pairs that omega pairs to zero on every slice
+VANISHING_OMEGA = {
+    "conserve_zero_tangents": ("conserve", [{}, {}]),
+    "conserve_identical_tangents": ("conserve", [BASE_CONSERVE["tangents"][0]] * 2),
+    "drift_identical_tangents": ("convergence", [BASE_DRIFT["tangents"][1]] * 2),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,tangents", VANISHING_OMEGA.values(),
+                         ids=VANISHING_OMEGA.keys())
+def test_cli_vanishing_omega_exits_2(command, tangents, tmp_path, capsys):
+    doc = dict(BASES[command], tangents=tangents)
+    assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: tangents"), err
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_poly_composite_power_zero_passes(tmp_path):
+    # power 0 is the constant 1, whose Hamiltonian field is zero
+    doc = _edited(TOY_JACOBI, lambda d: d["observables"][2].update(power=0))
+    assert cli.main(["jacobi", "--config", _write(tmp_path, doc)]) == 0
 
 
 def test_cli_seed_override_negative_exits_2(tmp_path, capsys):

@@ -96,16 +96,15 @@ def test_differential_matches_finite_differences_spacetime(rng):
     assert worst < 1e-6
 
 
-def forward_observable(g, inter, lat):
-    """The spacetime observable without its gradient: dF by forward dual solves.
+def forward_oracle(F, at, monkeypatch):
+    """dF by forward dual mode with the line's support check off.
 
-    The support check is off because the unit tangents land on the line's
-    guard band.
+    The oracle's unit tangents land on the guard band, where the check
+    would refuse them; the observables themselves stay checked.
     """
-    def ev(d):
-        return dyn.solve_smeared(d, inter, lat, g, check_support=False)
-
-    return ps.Observable(ev)
+    with monkeypatch.context() as m:
+        m.setattr(dyn, "_check_line_support", lambda data, lat: None)
+        return ps.forward_differential(F.evaluate, at)
 
 
 def adjoint_test_lattice(topology):
@@ -127,23 +126,62 @@ def interior_bases(lat, rng):
     }
 
 
+def observables_of_every_kind(lat, inter, rng):
+    """One observable of each kind the library builds, keyed by kind.
+
+    The slice profiles and the bracket's spacetime smearing live on sites
+    20..27 (the smearing on the first three slices only), so on the line
+    every Hamiltonian field stays within sites 18..29 and the lifted solves
+    of the brackets' Hessian-vector products keep their cones off the band.
+    The plain spacetime kind smears the whole grid.
+    """
+    n = lat.n_space
+    window = (np.arange(n) >= 20) & (np.arange(n) < 28)
+    f, h = rng.standard_normal((2, n)) * window
+    compact = np.zeros((lat.n_slices, n))
+    compact[:3] = rng.standard_normal((3, n)) * window
+    phi_obs, pi_obs = ps.slice_phi_observable(f, lat), ps.slice_pi_observable(h, lat)
+    st = ps.spacetime_observable(compact, inter, lat)
+    product = ps.observable_product(st, pi_obs)
+    p_st, p_pi = ps.make_pair(st, lat), ps.make_pair(pi_obs, lat)
+    p_prod = ps.pair_product(p_st, p_pi, lat)
+    p_square = ps.make_pair(ps.observable_power(phi_obs, 2), lat)
+    p_slice_prod = ps.make_pair(ps.observable_product(phi_obs, pi_obs), lat)
+    st_prod = ps.bracket(p_st, p_prod, lat)
+    return {
+        "slice_phi": phi_obs,
+        "slice_pi": pi_obs,
+        "constant": ps.constant_observable(1.5),
+        "product": product,
+        **{f"power{k}": ps.observable_power(product, k) for k in (0, 1, 3)},
+        "spacetime": ps.spacetime_observable(
+            rng.standard_normal((lat.n_slices, n)), inter, lat),
+        "bracket_of_slices": ps.bracket(p_square, p_slice_prod, lat).F,
+        "bracket_spacetime_product": st_prod.F,
+        "nested_bracket": ps.bracket(p_square, st_prod, lat).F,
+    }
+
+
 @pytest.mark.parametrize("topology", ["circle", "line"])
 @pytest.mark.parametrize("name", ["free", "mass", "phi4", "sine_gordon"])
-def test_adjoint_differential_matches_forward(topology, name, rng):
+def test_adjoint_differential_matches_forward(topology, name, rng, monkeypatch):
+    # every kind's own gradient (closed form, product rule, adjoint, or
+    # forward over reverse) against forward dual mode
     lat = adjoint_test_lattice(topology)
     inter = dyn.interaction(name)
-    g = rng.standard_normal((lat.n_slices, lat.n_space))
-    F = ps.spacetime_observable(g, inter, lat)
-    oracle = forward_observable(g, inter, lat)
-    for kind, at in interior_bases(lat, rng).items():
-        adjoint = ps.differential(F, at)
-        forward = ps.differential(oracle, at)
-        assert adjoint.phi.shape == forward.phi.shape == at.phi.shape, kind
-        assert adjoint.phi.algebra == forward.phi.algebra == at.algebra, kind
-        assert (adjoint - forward).max_abs() <= 1e-12 * forward.max_abs(), kind
+    observables = observables_of_every_kind(lat, inter, rng)
+    for base, at in interior_bases(lat, rng).items():
+        for kind, F in observables.items():
+            exact = ps.differential(F, at)
+            forward = forward_oracle(F, at, monkeypatch)
+            assert exact.phi.shape == forward.phi.shape == at.phi.shape, (kind, base)
+            assert exact.phi.algebra == forward.phi.algebra == at.algebra, (kind, base)
+            assert (exact - forward).max_abs() <= 1e-12 * forward.max_abs(), (kind, base)
+            trivial = kind in ("constant", "power0")
+            assert (forward.max_abs() == 0.0) == trivial, (kind, base)
 
 
-def test_spacetime_differential_on_the_line(rng):
+def test_spacetime_differential_on_the_line(rng, monkeypatch):
     lat = adjoint_test_lattice("line")
     inter = dyn.interaction("sine_gordon")
     g = rng.standard_normal((lat.n_slices, lat.n_space))
@@ -152,36 +190,36 @@ def test_spacetime_differential_on_the_line(rng):
     # forward mode through the observable's own (checked) solve cannot
     # take a single unit tangent on the guard band
     with pytest.raises(dyn.SolverError):
-        ps.differential(ps.Observable(F.evaluate), at)
+        ps.forward_differential(F.evaluate, at)
     c = ps.differential(F, at)
-    ref = ps.differential(forward_observable(g, inter, lat), at)
+    ref = forward_oracle(F, at, monkeypatch)
     assert (c - ref).max_abs() <= 1e-12 * ref.max_abs()
     # the frozen edge sites carry their own, nonzero, component of dF/dphi
     assert np.all(np.abs(ref.phi.scalar_part[[0, -1]]) > 1e-6 * ref.max_abs())
 
 
-def test_adjoint_batch_chunks_match_rows_bitwise(rng, monkeypatch):
-    lat = adjoint_test_lattice("circle")
-    g = rng.standard_normal((lat.n_slices, lat.n_space))
-    F = ps.spacetime_observable(g, dyn.interaction("sine_gordon"), lat)
-    dual = WeilAlgebra.dual()
-    at = dyn.CauchyData(*(WeilValue(dual, 0.5 * rng.standard_normal((5, lat.n_space, 2)))
-                          for _ in range(2)))
-    row_bytes = 8 * dual.dim * lat.n_slices * lat.n_space
-    monkeypatch.setattr(ps, "_DIRECTION_BATCH_BUDGET", 2 * row_bytes)
-    swept = []
+def test_bracket_of_spacetime_differential_on_the_line(monkeypatch):
+    # the bracket's gradient lifts only the observables' Hamiltonian fields,
+    # whose cones stay interior, where forward mode must lift unit tangents
+    # on the guard band
+    lat = lt.LatticeSpacetime("line", 96, 0.1, 0.05, 12)
+    inter = dyn.interaction("sine_gordon")
 
-    def spy(d, *args):
-        swept.append(d.phi.shape[:-1])
-        return dyn.smeared_gradient(d, *args)
+    def pair(center, t0):
+        space = np.where(np.abs(lat.x - center) < 0.8,
+                         np.cos(np.pi * (lat.x - center) / 1.6) ** 2, 0.0)
+        g = np.outer(np.exp(-0.5 * ((lat.t - t0) / 0.2) ** 2), space)
+        return ps.make_pair(ps.spacetime_observable(g, inter, lat), lat)
 
-    monkeypatch.setattr(ps, "smeared_gradient", spy)
-    chunked = ps.differential(F, at)
-    assert swept == [(2,), (2,), (1,)]
-    for r in range(5):
-        row = ps.differential(F, dyn.CauchyData(at.phi[r], at.pi[r]))
-        assert np.array_equal(chunked.phi.coeffs[r], row.phi.coeffs)
-        assert np.array_equal(chunked.pi.coeffs[r], row.pi.coeffs)
+    bump = np.where(np.abs(lat.x) < 1.5, np.cos(np.pi * lat.x / 3.0) ** 2, 0.0)
+    at = dyn.data_from_arrays(bump, 0.3 * np.roll(bump, 2))
+    F = ps.bracket(pair(-0.2, 0.2), pair(0.2, 0.4), lat).F
+    c = ps.differential(F, at)
+    with pytest.raises(dyn.SolverError):
+        ps.forward_differential(F.evaluate, at)
+    ref = forward_oracle(F, at, monkeypatch)
+    assert ref.max_abs() > 0.0
+    assert (c - ref).max_abs() <= 1e-12 * ref.max_abs()
 
 
 def test_lie_bracket_of_spacetime_fields_matches_tau_bracket():
