@@ -27,6 +27,7 @@ from .weil import (
     constant_map,
     embed,
     extract_top,
+    max_or_nan,
     monomial_map,
     sin_map,
 )
@@ -131,7 +132,7 @@ class CauchyData:
     __rmul__ = __mul__
 
     def max_abs(self) -> float:
-        return max(self.phi.max_abs(), self.pi.max_abs())
+        return max_or_nan(self.phi.max_abs(), self.pi.max_abs())
 
 
 def zero_data(algebra: WeilAlgebra, lat: lt.LatticeSpacetime,

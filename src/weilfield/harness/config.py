@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,18 +53,29 @@ def json_object(value, what: str) -> dict:
     return value
 
 
-def number(desc: dict, key: str, default, cast=float):
-    """desc[key] (default when absent) converted by cast, or a ConfigError naming key."""
+def number(desc: dict, key: str, default) -> float:
+    """desc[key] (default when absent) as a finite float, or a ConfigError naming key."""
     value = desc.get(key, default)
     try:
-        return cast(value)
-    except (ArithmeticError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+        out = float(value)
+    except (ArithmeticError, TypeError, ValueError):
+        out = math.nan
+    if not math.isfinite(out):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return out
 
 
-def count(desc: dict, key: str, default: int, least: int) -> int:
-    """desc[key] (default when absent) as an integer of at least least, or a ConfigError."""
-    value = number(desc, key, default, int)
+def count(desc: dict, key: str, default: int | None, least: int) -> int:
+    """desc[key] (default when absent) as an integer of at least least, or a ConfigError.
+
+    An integral float such as 256.0 is that integer; a fraction, a boolean
+    or a string is refused rather than truncated.
+    """
+    value = desc.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{key} must be at least {least}, got {value}")
     return value
@@ -143,21 +155,21 @@ def spacetime_profile(desc: dict, lat: lt.LatticeSpacetime,
 
 def _lattice_from(desc: dict) -> lt.LatticeSpacetime:
     d = dict(desc)
-    n_space = int(d["n_space"])
+    n_space = count(d, "n_space", None, 1)
     if "dx" in d and "extent" in d:
         raise ConfigError("give dx or extent, not both")
     if "extent" in d:
-        dx = float(d["extent"]) / n_space
+        dx = number(d, "extent", None) / n_space
     elif "dx" in d:
-        dx = float(d["dx"])
+        dx = number(d, "dx", None)
     else:
         raise ConfigError("needs dx or extent")
     if "dt" in d and "dt_factor" in d:
         raise ConfigError("give dt or dt_factor, not both")
     if "dt_factor" in d:
-        dt = float(d["dt_factor"]) * dx
+        dt = number(d, "dt_factor", None) * dx
     elif "dt" in d:
-        dt = float(d["dt"])
+        dt = number(d, "dt", None)
     else:
         raise ConfigError("needs dt or dt_factor")
     return lt.LatticeSpacetime(
@@ -165,8 +177,8 @@ def _lattice_from(desc: dict) -> lt.LatticeSpacetime:
         n_space=n_space,
         dx=dx,
         dt=dt,
-        n_time=int(d["n_time"]),
-        guard=int(d.get("guard", 2)),
+        n_time=count(d, "n_time", None, 1),
+        guard=count(d, "guard", 2, 0),
     )
 
 
@@ -239,11 +251,11 @@ class ExperimentConfig:
         algebra = _parsed("algebra", WeilAlgebra.from_descriptor,
                           doc.get("algebra", {"generators": 0, "orders": []}))
         tolerances = _parsed("tolerances", _tolerances_from, doc.get("tolerances", {}))
-        ladder = _parsed("ladder", lambda d: tuple(int(n) for n in d),
+        ladder = _parsed("ladder", lambda rungs: tuple(count({"rung": n}, "rung", None, 1)
+                                                       for n in rungs),
                          doc.get("ladder", ()))
-        if len(set(ladder)) != len(ladder) or min(ladder, default=1) < 1:
-            raise ConfigError(
-                f"ladder rungs must be distinct and at least 1, got {list(ladder)}")
+        if len(set(ladder)) != len(ladder):
+            raise ConfigError(f"ladder rungs must be distinct, got {list(ladder)}")
         return cls(
             experiment=experiment,
             lattice=lattice,

@@ -124,8 +124,9 @@ def _oracle(config: ExperimentConfig) -> PauliJordanOracle:
     return PauliJordanOracle(config.lattice, mass)
 
 
-def _tangent_solutions(config: ExperimentConfig, rng: np.random.Generator,
-                       lat: lt.LatticeSpacetime) -> list[zk.TangentSolution]:
+def _current(config: ExperimentConfig, rng: np.random.Generator,
+             lat: lt.LatticeSpacetime) -> lt.Current:
+    """The one current_u of the config's first two tangents, over a shared base solve."""
     if len(config.tangents) < 2:
         raise ConfigError("this experiment needs at least two tangent descriptors")
     base = _build_data(config, rng, lat)
@@ -140,12 +141,13 @@ def _tangent_solutions(config: ExperimentConfig, rng: np.random.Generator,
         if lat.topology == lt.LINE:
             support = lt.support_mask(lat, direction.phi, direction.pi)
         out.append(zk.TangentSolution(shared_base, dyn.fiber_history(lifted), support))
-    return out
+        del lifted  # the next solve must not overlap this dual history
+    return zk.current_u(*out[:2])
 
 
-def _omega_series(v: zk.TangentSolution, vp: zk.TangentSolution) -> np.ndarray:
+def _omega_series(u: lt.Current) -> np.ndarray:
     """omega(v, v') per slice; one that vanishes on every slice has no drift to measure."""
-    series = zk.presymplectic_series(v, vp)
+    series = zk.presymplectic_series(u)
     if not np.any(series):
         raise ConfigError("tangents: omega vanishes on every slice, so its drift "
                           "would pass vacuously")
@@ -180,8 +182,8 @@ def _run_solve(config: ExperimentConfig, outdir: str | None) -> Report:
 def _run_conserve(config: ExperimentConfig, outdir: str | None) -> Report:
     rng = config.rng()
     lat = config.lattice
-    v, vp = _tangent_solutions(config, rng, lat)[:2]
-    series = _omega_series(v, vp)
+    u = _current(config, rng, lat)
+    series = _omega_series(u)
     ref = float(series[0])
     scale = max(abs(ref), 1e-300)
     rows = [
@@ -191,7 +193,7 @@ def _run_conserve(config: ExperimentConfig, outdir: str | None) -> Report:
     report = Report("conserve")
     report.add_table("omega_series", ["slice", "t", "omega", "relative_drift"], rows)
     drift = zk.slice_drift(series)
-    closed = zk.closedness_residual(v, vp)
+    closed = zk.closedness_residual(u)
     report.add_table("closedness", ["max_divergence"], [[closed]])
     report.add_verdict(check("omega_slice_drift", drift,
                              config.tolerances["omega_drift"],
@@ -306,11 +308,9 @@ def _run_convergence(config: ExperimentConfig, outdir: str | None) -> Report:
             exact = np.cos(k * lat.t)[:, None] * np.cos(k * lat.x)[None, :]
             err = float(np.max(np.abs(hist.values.scalar_part - exact)))
         elif study == "omega_drift":
-            v, vp = _tangent_solutions(config, rng, lat)[:2]
-            err = zk.slice_drift(_omega_series(v, vp))
+            err = zk.slice_drift(_omega_series(_current(config, rng, lat)))
         elif study == "closedness":
-            v, vp = _tangent_solutions(config, rng, lat)[:2]
-            err = zk.closedness_residual(v, vp)
+            err = zk.closedness_residual(_current(config, rng, lat))
         else:
             raise ConfigError(f"unknown convergence study {study!r}")
         rows.append([n, lat.dx, err])

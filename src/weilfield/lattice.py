@@ -14,7 +14,8 @@ fixed conventions, chosen once so that the canonical bracket comes out as
 
 All stencils are centered second order (one-sided second order at ends),
 and all grid operations act coefficientwise on Weil values, so they commute
-exactly with coefficient extraction.
+exactly with coefficient extraction.  Stencils write into one output array
+through slices of their input, with no shifted copies.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ class LatticeSpacetime:
             raise LatticeError("need at least 8 spatial sites")
         if self.n_time < 2:
             raise LatticeError("need at least 2 time steps")
-        if self.dx <= 0 or self.dt <= 0:
-            raise LatticeError("grid spacings must be positive")
+        if not (0 < self.dx < np.inf and 0 < self.dt < np.inf):
+            raise LatticeError(f"grid spacings must be finite and positive, "
+                               f"got dx={self.dx}, dt={self.dt}")
         if self.dt > self.dx * (1 + 1e-12):
             raise LatticeError(
                 f"CFL violation: dt={self.dt} exceeds dx={self.dx} (lightcone speed 1)"
@@ -132,49 +134,34 @@ class LatticeSpacetime:
 # -- spatial and temporal stencils (Weil-coefficientwise) --------------------
 
 
-def _shift_space(coeffs: np.ndarray, k: int, topology: str) -> np.ndarray:
-    """coeffs shifted k sites along the space axis; circular or zero-padded."""
-    if topology == CIRCLE:
-        return np.roll(coeffs, -k, axis=_SPACE_AXIS)
-    out = np.zeros_like(coeffs)
-    src = [slice(None)] * coeffs.ndim
-    dst = [slice(None)] * coeffs.ndim
-    n = coeffs.shape[_SPACE_AXIS]
-    if k >= 0:
-        src[_SPACE_AXIS] = slice(k, n)
-        dst[_SPACE_AXIS] = slice(0, n - k)
-    else:
-        src[_SPACE_AXIS] = slice(0, n + k)
-        dst[_SPACE_AXIS] = slice(-k, n)
-    out[tuple(dst)] = coeffs[tuple(src)]
-    return out
-
-
 def d_dx(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
     """Centered spatial derivative; one-sided second order at line edges."""
-    c = values.coeffs
-    out = (_shift_space(c, 1, lat.topology) - _shift_space(c, -1, lat.topology)) / (2 * lat.dx)
-    if lat.topology == LINE:
-        n = c.shape[_SPACE_AXIS]
-        sl = lambda i: tuple([Ellipsis, i, slice(None)])
-        out[sl(0)] = (-3 * c[sl(0)] + 4 * c[sl(1)] - c[sl(2)]) / (2 * lat.dx)
-        out[sl(n - 1)] = (3 * c[sl(n - 1)] - 4 * c[sl(n - 2)] + c[sl(n - 3)]) / (2 * lat.dx)
+    out = np.empty_like(values.coeffs)
+    c, o = (np.moveaxis(a, _SPACE_AXIS, 0) for a in (values.coeffs, out))  # sites first
+    np.subtract(c[2:], c[:-2], out=o[1:-1])
+    if lat.topology == CIRCLE:
+        o[0] = c[1] - c[-1]
+        o[-1] = c[0] - c[-2]
+    else:
+        o[0] = -3 * c[0] + 4 * c[1] - c[2]
+        o[-1] = 3 * c[-1] - 4 * c[-2] + c[-3]
+    out /= 2 * lat.dx
     return WeilValue(values.algebra, out)
 
 
 def d2_dx2(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
     """Centered second spatial derivative; one-sided second order at line edges."""
-    c = values.coeffs
-    out = (
-        _shift_space(c, 1, lat.topology) - 2 * c + _shift_space(c, -1, lat.topology)
-    ) / lat.dx**2
-    if lat.topology == LINE:
-        n = c.shape[_SPACE_AXIS]
-        sl = lambda i: tuple([Ellipsis, i, slice(None)])
-        out[sl(0)] = (2 * c[sl(0)] - 5 * c[sl(1)] + 4 * c[sl(2)] - c[sl(3)]) / lat.dx**2
-        out[sl(n - 1)] = (
-            2 * c[sl(n - 1)] - 5 * c[sl(n - 2)] + 4 * c[sl(n - 3)] - c[sl(n - 4)]
-        ) / lat.dx**2
+    out = np.multiply(values.coeffs, -2.0)  # -2c[i] + c[i+1] rounds as c[i+1] - 2c[i]
+    c, o = (np.moveaxis(a, _SPACE_AXIS, 0) for a in (values.coeffs, out))  # sites first
+    o[1:-1] += c[2:]
+    o[1:-1] += c[:-2]
+    if lat.topology == CIRCLE:
+        o[0] = c[1] - 2 * c[0] + c[-1]
+        o[-1] = c[0] - 2 * c[-1] + c[-2]
+    else:
+        o[0] = 2 * c[0] - 5 * c[1] + 4 * c[2] - c[3]
+        o[-1] = 2 * c[-1] - 5 * c[-2] + 4 * c[-3] - c[-4]
+    out /= lat.dx**2
     return WeilValue(values.algebra, out)
 
 
@@ -189,7 +176,8 @@ def d_dt(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
     if c.shape[_TIME_AXIS] != lat.n_slices:
         raise LatticeError("time axis does not match the lattice")
     out = np.empty_like(c)
-    out[1:-1] = (c[2:] - c[:-2]) / (2 * lat.dt)
+    inner = np.subtract(c[2:], c[:-2], out=out[1:-1])
+    inner /= 2 * lat.dt
     out[0] = (-11 * c[0] + 18 * c[1] - 9 * c[2] + 2 * c[3]) / (6 * lat.dt)
     out[-1] = (11 * c[-1] - 18 * c[-2] + 9 * c[-3] - 2 * c[-4]) / (6 * lat.dt)
     return WeilValue(values.algebra, out)
@@ -268,9 +256,10 @@ def divergence(current: Current, lat: LatticeSpacetime) -> WeilValue:
     zero exactly and divergence(hodge_d(psi)) is the discrete wave operator.
     """
     a = current.t_component.coeffs
-    dt_a = (a[2:] - a[:-2]) / (2 * lat.dt)
-    dx_b = d_dx(current.x_component, lat).coeffs[1:-1]
-    return WeilValue(current.t_component.algebra, dt_a - dx_b)
+    out = np.subtract(a[2:], a[:-2])
+    out /= 2 * lat.dt
+    out -= d_dx(current.x_component[1:-1], lat).coeffs
+    return WeilValue(current.t_component.algebra, out)
 
 
 # -- support masks and causal cones ------------------------------------------

@@ -26,6 +26,8 @@ synthetic degenerate operators exercise the admissibility classification.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,9 +42,45 @@ from .dynamics import (
     solve_cauchy,
     solve_smeared,
 )
-from .weil import WeilAlgebra, WeilValue, embed, extract_top
+from .weil import WeilAlgebra, WeilValue, embed, extract_top, max_or_nan
 
 DEFAULT_ADMISSIBILITY_TOL = 1e-8
+
+
+# -- evaluations shared within one sample ------------------------------------
+
+_shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
+
+
+def _once(fn: Callable) -> Callable:
+    """fn, run once per tuple of argument objects while a sharing scope is open.
+
+    The scope's entries map (fn, *argument ids) to (result, arguments), so no
+    id is reused inside it; the result is shared, so no caller may mutate it.
+    """
+
+    def call(*args):
+        if (shared := _shared.get()) is None:
+            return fn(*args)
+        key = (fn, *map(id, args))
+        if key not in shared:
+            shared[key] = (fn(*args), args)
+        return shared[key][0]
+
+    return call
+
+
+@contextmanager
+def _sharing():
+    """A scope in which each _once function runs once per argument tuple."""
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+_lift = _once(lift_data)
 
 
 # -- observables and vector fields -------------------------------------------
@@ -63,6 +101,10 @@ class Observable:
     name: str = ""
     sc_window: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "evaluate", _once(self.evaluate))
+        object.__setattr__(self, "gradient", _once(self.gradient))
+
 
 @dataclass(frozen=True)
 class SolVectorField:
@@ -76,6 +118,9 @@ class SolVectorField:
     evaluate: Callable[[CauchyData], CauchyData]
     sc: bool = True
     name: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "evaluate", _once(self.evaluate))
 
 
 def slice_phi_observable(f: np.ndarray, lat: lt.LatticeSpacetime,
@@ -176,7 +221,7 @@ class Covector:
     pi: WeilValue
 
     def max_abs(self) -> float:
-        return max(self.phi.max_abs(), self.pi.max_abs())
+        return max_or_nan(self.phi.max_abs(), self.pi.max_abs())
 
     def __sub__(self, other: "Covector") -> "Covector":
         return Covector(self.phi - other.phi, self.pi - other.pi)
@@ -377,12 +422,12 @@ def hamiltonian_vf(F: Observable, at: CauchyData, lat: lt.LatticeSpacetime, *,
     if sc_required:
         if lat.topology != lt.LINE:
             raise ValueError("sc_required only applies to line topology")
-        leak = max(
+        leak = max_or_nan(
             float(np.max(np.abs(v.phi.coeffs[..., lat.guard_band, :]), initial=0.0)),
             float(np.max(np.abs(v.pi.coeffs[..., lat.guard_band, :]), initial=0.0)),
         )
         scale = max(v.max_abs(), 1e-300)
-        residual = max(residual, leak / scale)
+        residual = max_or_nan(residual, leak / scale)
     return v, residual
 
 
@@ -392,7 +437,7 @@ def hamiltonian_vf(F: Observable, at: CauchyData, lat: lt.LatticeSpacetime, *,
 def directional_derivative(target: SolVectorField, direction: CauchyData,
                            at: CauchyData) -> CauchyData:
     """d/ds of target's fiber along the given tangent, by one dual evaluation."""
-    lifted = lift_data(at, direction)
+    lifted = _lift(at, direction)
     out = target.evaluate(lifted)
     return CauchyData(extract_top(out.phi, 1), extract_top(out.pi, 1))
 
@@ -475,8 +520,8 @@ def make_pair(F: Observable, lat: lt.LatticeSpacetime,
     residual = 0.0
     for s in samples:
         c = differential(F, s)
-        residual = max(residual,
-                       _equation_defect(c, hamiltonian_inversion(c, lat.dx), lat.dx))
+        residual = max_or_nan(
+            residual, _equation_defect(c, hamiltonian_inversion(c, lat.dx), lat.dx))
     return HamiltonianPair(F, v, residual)
 
 
@@ -498,7 +543,7 @@ def bracket(p: HamiltonianPair, pp: HamiltonianPair, lat: lt.LatticeSpacetime,
         return omega_pairing(p.v.evaluate(d), pp.v.evaluate(d), lat.dx)
 
     def hessian_times(F: Observable, d: CauchyData, x: CauchyData) -> Covector:
-        c = F.gradient(lift_data(d, x))  # forward over reverse: eps part is H_F x
+        c = F.gradient(_lift(d, x))  # forward over reverse: eps part is H_F x
         return Covector(extract_top(c.phi, 1), extract_top(c.pi, 1))
 
     def grad(d: CauchyData) -> Covector:
@@ -509,9 +554,9 @@ def bracket(p: HamiltonianPair, pp: HamiltonianPair, lat: lt.LatticeSpacetime,
 
     F2 = Observable(ev, grad, name=f"{{{p.F.name},{pp.F.name}}}")
     v2 = lie_bracket_field(p.v, pp.v)
-    residual = max(p.residual, pp.residual)
+    residual = max_or_nan(p.residual, pp.residual)
     for s in samples:
-        residual = max(residual, pair_defect(F2, v2, s, lat))
+        residual = max_or_nan(residual, pair_defect(F2, v2, s, lat))
     return HamiltonianPair(F2, v2, residual)
 
 
@@ -530,9 +575,9 @@ def pair_product(p: HamiltonianPair, pp: HamiltonianPair,
 
     sc = p.v.sc and pp.v.sc
     v2 = SolVectorField(ev, sc=sc, name=f"{p.F.name}*{pp.v.name}+{pp.F.name}*{p.v.name}")
-    residual = max(p.residual, pp.residual)
+    residual = max_or_nan(p.residual, pp.residual)
     for s in samples:
-        residual = max(residual, pair_defect(F2, v2, s, lat))
+        residual = max_or_nan(residual, pair_defect(F2, v2, s, lat))
     return HamiltonianPair(F2, v2, residual)
 
 
@@ -562,7 +607,7 @@ class AxiomReport:
     leibniz_v: float
 
     def max_defect(self) -> float:
-        return max(
+        return max_or_nan(
             self.antisymmetry_f, self.antisymmetry_v,
             self.jacobi_f, self.jacobi_v,
             self.leibniz_f, self.leibniz_v,
@@ -576,7 +621,11 @@ def _rel(defect: float, scale: float) -> float:
 def verify_axioms(p1: HamiltonianPair, p2: HamiltonianPair, p3: HamiltonianPair,
                   samples: Sequence[CauchyData], lat: lt.LatticeSpacetime
                   ) -> AxiomReport:
-    """Evaluate antisymmetry, Jacobi, and Leibniz defects at the sampled points."""
+    """Evaluate antisymmetry, Jacobi, and Leibniz defects at the sampled points.
+
+    Within one sample each observable value, gradient, field value and dual
+    lift runs once, however many terms ask for it.  A NaN term fails.
+    """
     b12 = bracket(p1, p2, lat)
     b21 = bracket(p2, p1, lat)
     b13 = bracket(p1, p3, lat)
@@ -596,28 +645,29 @@ def verify_axioms(p1: HamiltonianPair, p2: HamiltonianPair, p3: HamiltonianPair,
     anti_f = anti_v = jac_f = jac_v = leib_f = leib_v = 0.0
     anti_scale = jac_scale = leib_scale = 0.0
     for d in samples:
-        a, b = fval(b12, d), fval(b21, d)
-        anti_f = max(anti_f, abs(a + b))
-        anti_scale = max(anti_scale, abs(a), abs(b), 1.0)
-        va, vb = b12.v.evaluate(d), b21.v.evaluate(d)
-        anti_v = max(anti_v, (va + vb).max_abs())
-        anti_scale = max(anti_scale, va.max_abs(), vb.max_abs())
+        with _sharing():
+            a, b = fval(b12, d), fval(b21, d)
+            anti_f = max_or_nan(anti_f, abs(a + b))
+            anti_scale = max_or_nan(anti_scale, abs(a), abs(b), 1.0)
+            va, vb = b12.v.evaluate(d), b21.v.evaluate(d)
+            anti_v = max_or_nan(anti_v, (va + vb).max_abs())
+            anti_scale = max_or_nan(anti_scale, va.max_abs(), vb.max_abs())
 
-        t1, t2, t3 = fval(j1, d), fval(j2, d), fval(j3, d)
-        jac_f = max(jac_f, abs(t1 + t2 + t3))
-        jac_scale = max(jac_scale, abs(t1), abs(t2), abs(t3), 1.0)
-        w1, w2, w3 = j1.v.evaluate(d), j2.v.evaluate(d), j3.v.evaluate(d)
-        jac_v = max(jac_v, (w1 + w2 + w3).max_abs())
-        jac_scale = max(jac_scale, w1.max_abs(), w2.max_abs(), w3.max_abs())
+            t1, t2, t3 = fval(j1, d), fval(j2, d), fval(j3, d)
+            jac_f = max_or_nan(jac_f, abs(t1 + t2 + t3))
+            jac_scale = max_or_nan(jac_scale, abs(t1), abs(t2), abs(t3), 1.0)
+            w1, w2, w3 = j1.v.evaluate(d), j2.v.evaluate(d), j3.v.evaluate(d)
+            jac_v = max_or_nan(jac_v, (w1 + w2 + w3).max_abs())
+            jac_scale = max_or_nan(jac_scale, w1.max_abs(), w2.max_abs(), w3.max_abs())
 
-        lhs = fval(leib_lhs, d)
-        rhs = fval(leib_r1, d) + fval(leib_r2, d)
-        leib_f = max(leib_f, abs(lhs - rhs))
-        leib_scale = max(leib_scale, abs(lhs), abs(rhs), 1.0)
-        lv = leib_lhs.v.evaluate(d)
-        rv = leib_r1.v.evaluate(d) + leib_r2.v.evaluate(d)
-        leib_v = max(leib_v, (lv - rv).max_abs())
-        leib_scale = max(leib_scale, lv.max_abs(), rv.max_abs())
+            lhs = fval(leib_lhs, d)
+            rhs = fval(leib_r1, d) + fval(leib_r2, d)
+            leib_f = max_or_nan(leib_f, abs(lhs - rhs))
+            leib_scale = max_or_nan(leib_scale, abs(lhs), abs(rhs), 1.0)
+            lv = leib_lhs.v.evaluate(d)
+            rv = leib_r1.v.evaluate(d) + leib_r2.v.evaluate(d)
+            leib_v = max_or_nan(leib_v, (lv - rv).max_abs())
+            leib_scale = max_or_nan(leib_scale, lv.max_abs(), rv.max_abs())
 
     return AxiomReport(
         antisymmetry_f=_rel(anti_f, anti_scale),

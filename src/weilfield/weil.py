@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -130,31 +130,32 @@ class WeilAlgebra:
         """Dense structure constants T[i, j, k]: basis_i * basis_j = sum_k T[i,j,k] basis_k."""
         dim = self.dim
         table = np.zeros((dim, dim, dim))
-        for i, j, k in self.mult_triples:
-            table[i, j, k] = 1.0
+        for k, pairs in self._mult_by_target:
+            for i, j in pairs:
+                table[i, j, k] = 1.0
         return table
 
     @cached_property
-    def mult_triples(self) -> tuple[tuple[int, int, int], ...]:
-        """The nonzero products: basis_i * basis_j = basis_k (zero products omitted)."""
-        triples = []
-        for i, a in enumerate(self.basis):
-            for j, b in enumerate(self.basis):
-                m = tuple(x + y for x, y in zip(a, b))
-                if all(e < o for e, o in zip(m, self.orders)):
-                    triples.append((i, j, self.index(m)))
-        return tuple(triples)
-
-    @cached_property
     def _mult_by_target(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """mult_triples grouped by result monomial, for accumulation by slot."""
-        grouped: dict[int, list[tuple[int, int]]] = {}
-        for i, j, k in self.mult_triples:
-            grouped.setdefault(k, []).append((i, j))
-        return tuple((k, tuple(pairs)) for k, pairs in sorted(grouped.items()))
+        return _products_by_target(self)
 
     def __repr__(self) -> str:
         return f"WeilAlgebra(orders={self.orders})"
+
+
+@cache
+def _products_by_target(algebra: WeilAlgebra):
+    """The nonzero products basis_i * basis_j = basis_k as (k, ((i, j), ...)), k ascending.
+
+    Built once per orders tuple, as every append_dual makes a new instance.
+    """
+    grouped: dict[int, list[tuple[int, int]]] = {}
+    for i, a in enumerate(algebra.basis):
+        for j, b in enumerate(algebra.basis):
+            m = tuple(x + y for x, y in zip(a, b))
+            if all(e < o for e, o in zip(m, algebra.orders)):
+                grouped.setdefault(algebra.index(m), []).append((i, j))
+    return tuple((k, tuple(pairs)) for k, pairs in sorted(grouped.items()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,6 +315,15 @@ class WeilValue:
 
     def __repr__(self) -> str:
         return f"WeilValue(orders={self.algebra.orders}, shape={self.shape})"
+
+
+def max_or_nan(*values: float) -> float:
+    """The largest value, or NaN when any value is NaN.
+
+    Python's max keeps a NaN only when it comes first; a defect that turned
+    NaN must fail its check, not drop out of a running maximum.
+    """
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 # -- moving between algebras ------------------------------------------------

@@ -81,7 +81,7 @@ def test_criterion_2_omega_slice_independence(sg_ladder):
     tol_drift, order_band = 1e-3, 0.3
     drifts, dxs = {}, {}
     for n, (lat, sg, v1, v2) in sg_ladder.items():
-        drifts[n] = zk.slice_drift(zk.presymplectic_series(v1, v2))
+        drifts[n] = zk.slice_drift(zk.presymplectic_series(zk.current_u(v1, v2)))
         dxs[n] = lat.dx
     order = fitted_order([dxs[n] for n in sorted(dxs)],
                          [drifts[n] for n in sorted(dxs)])
@@ -100,14 +100,14 @@ def test_criterion_3_on_shell_closedness(sg_ladder):
     errs, dxs, controls = [], [], []
     for n in sorted(sg_ladder):
         lat, sg, v1, v2 = sg_ladder[n]
-        errs.append(zk.closedness_residual(v1, v2))
+        errs.append(zk.closedness_residual(zk.current_u(v1, v2)))
         dxs.append(lat.dx)
         bad_vals = v2.fiber.values.coeffs.copy()
         bad_vals[..., 0] += np.sin(lat.t)[:, None] * np.cos(2 * lat.x)[None, :]
         bad = zk.TangentSolution(
             v1.base, dyn.FieldHistory(WeilValue(v2.fiber.algebra, bad_vals), lat)
         )
-        controls.append(zk.closedness_residual(v1, bad))
+        controls.append(zk.closedness_residual(zk.current_u(v1, bad)))
     order = fitted_order(dxs, errs)
     control_floor = min(controls)
     ok = abs(order - 2.0) <= order_band and control_floor > 0.1 * max(controls) \

@@ -4,6 +4,7 @@ import json
 import operator
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,6 +407,29 @@ MALFORMED = {
     "bump_width_negative": ("conserve", lambda d: d["tangents"][0].update(
         phi={"profile": "bump", "width": -1})),
     "power_negative": ("jacobi", lambda d: d["observables"][2].update(power=-1)),
+    # non-finite numbers
+    "sample_amplitude_nan":
+        ("jacobi", lambda d: d["options"].update(sample_amplitude=float("nan"))),
+    "sample_amplitude_inf":
+        ("jacobi", lambda d: d["options"].update(sample_amplitude=float("inf"))),
+    "dt_factor_nan": ("jacobi", lambda d: d["lattice"].update(dt_factor=float("nan"))),
+    "extent_inf": ("conserve", lambda d: d["lattice"].update(extent=float("inf"))),
+    "dx_nan": ("jacobi", lambda d: d.update(lattice={
+        "topology": "circle", "n_space": 32, "dx": float("nan"), "dt": 0.01, "n_time": 8})),
+    "smearing_center_nan":
+        ("jacobi", lambda d: d["observables"][0]["smearing"].update(center=float("nan"))),
+    # counts that are not integers
+    "n_samples_fraction": ("jacobi", lambda d: d["options"].update(n_samples=2.7)),
+    "n_samples_true": ("jacobi", lambda d: d["options"].update(n_samples=True)),
+    "n_space_fraction": ("conserve", lambda d: d["lattice"].update(n_space=128.5)),
+    "n_time_fraction": ("conserve", lambda d: d["lattice"].update(n_time=8.5)),
+    "n_time_string": ("conserve", lambda d: d["lattice"].update(n_time="8")),
+    "guard_fraction": ("conserve", lambda d: d["lattice"].update(guard=2.5)),
+    "seed_fraction": ("conserve", lambda d: d.update(seed=1.5)),
+    "power_fraction": ("jacobi", lambda d: d["observables"][2].update(power=2.5)),
+    "kmax_fraction": ("jacobi", lambda d: d["observables"][1].update(
+        smearing={"profile": "random_fourier", "kmax": 2.5})),
+    "ladder_rung_fraction": ("convergence", lambda d: d.update(ladder=[16.5, 32])),
 }
 BASES = {"conserve": BASE_CONSERVE, "jacobi": TOY_JACOBI, "bracket": TOY_BRACKET,
          "convergence": BASE_DRIFT}
@@ -451,6 +475,14 @@ def test_cli_vanishing_omega_exits_2(command, tangents, tmp_path, capsys):
     assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: tangents"), err
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_integral_float_counts_pass(tmp_path):
+    doc = _edited(TOY_JACOBI, lambda d: (d["lattice"].update(n_space=32.0, n_time=8.0),
+                                          d["options"].update(n_samples=2.0),
+                                          d.update(seed=2.0)))
+    assert cli.main(["jacobi", "--config", _write(tmp_path, doc)]) == 0
 
 
 @pytest.mark.filterwarnings("error")
@@ -550,6 +582,26 @@ def test_mutated_configs_never_raise(case, tmp_path_factory):
     assert code in (0, 1, 2)
     if rejected:
         assert code == 2
+
+
+def test_conserve_run_holds_at_most_eight_histories():
+    # the traced peak of the shipped conserve config, in real-history sizes
+    # 8 * (n_time + 1) * n_space bytes: the dual solves, the fibers and one
+    # current built in place stay near 7; building the current per
+    # diagnostic, from shifted copies, took it past 12
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "conserve_sine_gordon.json")
+    conf = cfg.ExperimentConfig.from_file(path)
+    lat = conf.lattice
+    assert (lat.n_space, lat.n_time) == (256, 512)
+    tracemalloc.start()
+    try:
+        rep = experiments.run(conf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.all_passed()
+    assert peak <= 8 * (8 * lat.n_slices * lat.n_space)
 
 
 def test_report_cites_tolerances():

@@ -31,6 +31,13 @@ def test_topology_and_sizes_validated():
         lt.LatticeSpacetime("line", 32, 0.1, 0.05, 8, guard=0)
 
 
+@pytest.mark.parametrize("dx,dt", [(np.nan, 0.05), (0.1, np.nan), (np.inf, 0.05),
+                                   (0.1, -np.inf), (0.0, 0.0)])
+def test_spacings_must_be_finite_and_positive(dx, dt):
+    with pytest.raises(lt.LatticeError, match="finite and positive"):
+        lt.LatticeSpacetime("circle", 32, dx, dt, 8)
+
+
 def test_descriptor_roundtrip(circle):
     assert lt.LatticeSpacetime.from_descriptor(circle.descriptor()) == circle
 
@@ -145,6 +152,58 @@ def test_stencils_commute_with_coefficient_extraction(rng, circle):
             WeilValue.from_scalar(WeilAlgebra.real(), vals.coefficient(mono)), circle
         )
         assert np.array_equal(whole.coefficient(mono), part.scalar_part)
+
+
+def shifted(c, k, lat):
+    """c[i+k] at site i: np.roll on the circle, zero-padded on the line."""
+    if lat.topology == lt.CIRCLE:
+        return np.roll(c, -k, axis=-2)
+    out = np.zeros_like(c)
+    n = c.shape[-2]
+    if k >= 0:
+        out[..., :n - k, :] = c[..., k:, :]
+    else:
+        out[..., -k:, :] = c[..., :n + k, :]
+    return out
+
+
+def reference_d_dx(c, lat):
+    out = (shifted(c, 1, lat) - shifted(c, -1, lat)) / (2 * lat.dx)
+    if lat.topology == lt.LINE:
+        out[..., 0, :] = (-3 * c[..., 0, :] + 4 * c[..., 1, :]
+                          - c[..., 2, :]) / (2 * lat.dx)
+        out[..., -1, :] = (3 * c[..., -1, :] - 4 * c[..., -2, :]
+                           + c[..., -3, :]) / (2 * lat.dx)
+    return out
+
+
+def reference_d2_dx2(c, lat):
+    out = (shifted(c, 1, lat) - 2 * c + shifted(c, -1, lat)) / lat.dx**2
+    if lat.topology == lt.LINE:
+        out[..., 0, :] = (2 * c[..., 0, :] - 5 * c[..., 1, :] + 4 * c[..., 2, :]
+                          - c[..., 3, :]) / lat.dx**2
+        out[..., -1, :] = (2 * c[..., -1, :] - 5 * c[..., -2, :] + 4 * c[..., -3, :]
+                           - c[..., -4, :]) / lat.dx**2
+    return out
+
+
+@pytest.mark.parametrize("topology", ["circle", "line"])
+def test_stencils_bit_match_shifted_copies(topology, request, rng, dual):
+    # batched dual histories: time, a batch axis of 3, space, coefficients
+    lat = request.getfixturevalue(topology)
+    shape = (lat.n_slices, 3, lat.n_space, dual.dim)
+    a, b = (WeilValue(dual, rng.standard_normal(shape)) for _ in range(2))
+    assert np.array_equal(lt.d_dx(a, lat).coeffs, reference_d_dx(a.coeffs, lat))
+    assert np.array_equal(lt.d2_dx2(a, lat).coeffs, reference_d2_dx2(a.coeffs, lat))
+    c = a.coeffs
+    d_dt = np.concatenate([
+        [(-11 * c[0] + 18 * c[1] - 9 * c[2] + 2 * c[3]) / (6 * lat.dt)],
+        (c[2:] - c[:-2]) / (2 * lat.dt),
+        [(11 * c[-1] - 18 * c[-2] + 9 * c[-3] - 2 * c[-4]) / (6 * lat.dt)],
+    ])
+    assert np.array_equal(lt.d_dt(a, lat).coeffs, d_dt)
+    div = (c[2:] - c[:-2]) / (2 * lat.dt) - reference_d_dx(b.coeffs, lat)[1:-1]
+    assert np.array_equal(lt.divergence(lt.Current(a, b, lat), lat).coeffs, div)
 
 
 # -- support masks and causal cones ------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -540,3 +542,97 @@ def test_sc_closure_window_union():
     assert b.v.sc
     assert np.array_equal(pa.F.sc_window, fa != 0)
     assert np.array_equal(pb.F.sc_window, fb != 0)
+
+
+# -- evaluations shared within one sample -------------------------------------------
+
+
+def spacetime_triple(lat, rng):
+    """Pairs of two spacetime sine-Gordon observables and a spacetime x slice_pi product."""
+    sg = dyn.interaction("sine_gordon")
+    t, x = lat.t[:, None], lat.x[None, :]
+
+    def smearing(tc, xc):
+        return np.exp(-0.5 * ((t - tc) / 0.15) ** 2 - 0.5 * ((x - xc) / 0.5) ** 2)
+
+    st = [ps.spacetime_observable(smearing(tc, xc), sg, lat)
+          for tc, xc in ((0.3, 2.0), (0.5, 3.5), (0.4, 4.0))]
+    third = ps.observable_product(st[2], ps.slice_pi_observable(np.cos(lat.x), lat))
+    return [ps.make_pair(F, lat) for F in (st[0], st[1], third)]
+
+
+def test_verify_axioms_shares_adjoint_sweeps_per_sample(small, rng, monkeypatch):
+    lat = small[0]
+    pairs = spacetime_triple(lat, rng)
+    samples = [random_data(lat, rng) for _ in range(2)]
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(args)
+        return dyn.smeared_gradient(*args)
+
+    monkeypatch.setattr(ps, "smeared_gradient", counted)
+    shared = ps.verify_axioms(*pairs, samples, lat)
+    assert len(sweeps) == 38  # 19 per sample
+    assert ps._shared.get() is None
+    sweeps.clear()
+    monkeypatch.setattr(ps, "_sharing", contextlib.nullcontext)
+    unshared = ps.verify_axioms(*pairs, samples, lat)
+    assert len(sweeps) == 168
+    assert shared == unshared
+
+
+def test_shared_values_bit_match_unshared_calls(small, rng):
+    lat = small[0]
+    p1, p2, p3 = spacetime_triple(lat, rng)
+    b12 = ps.bracket(p1, p2, lat)
+    nested = ps.bracket(p3, b12, lat)
+    at = random_data(lat, rng)
+
+    def values():
+        out = []
+        for p in (p1, p3, b12, nested):
+            c, v = p.F.gradient(at), p.v.evaluate(at)
+            out += [p.F.evaluate(at).coeffs, c.phi.coeffs, c.pi.coeffs,
+                    v.phi.coeffs, v.pi.coeffs]
+        return out
+
+    outside = values()
+    with ps._sharing():
+        inside, again = values(), values()
+    assert ps._shared.get() is None
+    for a, b, c in zip(outside, inside, again):
+        assert np.array_equal(a, b)
+        assert c is b  # the second round is served from the scope
+
+
+def test_sharing_scope_closes_when_an_evaluation_raises(small, rng):
+    lat, f, g, h = small
+
+    def fail(d):
+        raise RuntimeError("evaluation failed")
+
+    good = ps.make_pair(ps.slice_phi_observable(f, lat), lat)
+    bad = ps.HamiltonianPair(ps.Observable(fail, fail), ps.SolVectorField(fail), 0.0)
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        ps.verify_axioms(good, bad, good, [random_data(lat, rng)], lat)
+    assert ps._shared.get() is None
+
+
+def test_non_finite_sample_fails_every_defect(small, rng):
+    # a NaN term must not drop out of a running maximum after a finite one
+    lat, f, g, h = small
+    nan = dyn.data_from_arrays(np.full(lat.n_space, np.nan), np.zeros(lat.n_space))
+    samples = [random_data(lat, rng), nan]
+    F1 = ps.observable_power(ps.slice_phi_observable(f, lat), 2)
+    F2 = ps.slice_pi_observable(g, lat)
+    F3 = ps.observable_product(ps.slice_phi_observable(h, lat),
+                               ps.slice_pi_observable(g, lat))
+    pairs = [ps.make_pair(F, lat, samples=samples) for F in (F1, F2, F3)]
+    assert np.isnan(pairs[0].residual) and np.isnan(pairs[2].residual)
+    assert np.isnan(ps.bracket(pairs[1], ps.make_pair(F1, lat), lat, samples).residual)
+    rep = ps.verify_axioms(*pairs, samples, lat)
+    assert all(np.isnan(getattr(rep, name)) for name in (
+        "antisymmetry_f", "antisymmetry_v", "jacobi_f", "jacobi_v",
+        "leibniz_f", "leibniz_v"))
+    assert np.isnan(rep.max_defect())

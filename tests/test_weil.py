@@ -97,6 +97,15 @@ def test_mult_table_commutative_associative(orders):
     assert np.array_equal(left, right)
 
 
+def test_equal_algebras_share_one_multiplication_table():
+    # every append_dual and extract_top makes a new instance; the table is
+    # built once per orders tuple
+    a, b = WeilAlgebra((2, 2)), WeilAlgebra((2, 2))
+    assert a is not b
+    assert a._mult_by_target is b._mult_by_target
+    assert append_dual(WeilAlgebra.dual())._mult_by_target is a._mult_by_target
+
+
 @pytest.mark.parametrize("orders", [(2,), (3,), (2, 2), (2, 3, 2)])
 def test_locality(orders):
     W = WeilAlgebra(orders)

@@ -100,6 +100,24 @@ def test_current_bilinear(sg_setup):
     assert (a.t_component - c * b.t_component).max_abs() < 1e-11
 
 
+@pytest.mark.parametrize("over", ["real", "dual"])
+def test_current_u_bit_matches_two_hodge_d(sg_setup, over, dual, rng):
+    lat, sg, base, v1, v2 = sg_setup
+    if over == "dual":  # batched fibers over the dual numbers
+        shape = (lat.n_slices, 2, lat.n_space, dual.dim)
+        v1, v2 = (zk.TangentSolution(v1.base, dyn.FieldHistory(
+            WeilValue(dual, rng.standard_normal(shape)), lat)) for _ in range(2))
+    psi, psip = v1.fiber.values, v2.fiber.values
+    star_d, star_d_back = lt.hodge_d(psip, lat), lt.hodge_d(psi, lat)
+    u = zk.current_u(v1, v2)
+    assert np.array_equal(
+        u.t_component.coeffs,
+        (psi * star_d.t_component - psip * star_d_back.t_component).coeffs)
+    assert np.array_equal(
+        u.x_component.coeffs,
+        (psi * star_d.x_component - psip * star_d_back.x_component).coeffs)
+
+
 def test_free_field_density_at_initial_slice():
     # fibers from (cos x, 0) and (sin x, 0): both time derivatives vanish at
     # t = 0, so the density there is zero to the end-stencil order
@@ -193,7 +211,7 @@ def test_closedness_second_order():
             [dyn.data_from_arrays(g, np.zeros(n)),
              dyn.data_from_arrays(np.zeros(n), g)],
         )
-        errs.append(zk.closedness_residual(v1, v2))
+        errs.append(zk.closedness_residual(zk.current_u(v1, v2)))
         dxs.append(lat.dx)
     slope = np.polyfit(np.log(dxs), np.log(errs), 1)[0]
     assert abs(slope - 2.0) < 0.3
@@ -207,7 +225,7 @@ def test_off_shell_fiber_is_detected(sg_setup):
         v1.base, dyn.FieldHistory(WeilValue(v2.fiber.algebra, bad_vals), lat)
     )
     # the closedness residual stays bounded away from zero
-    assert zk.closedness_residual(v1, bad) > 0.1
+    assert zk.closedness_residual(zk.current_u(v1, bad)) > 0.1
     with pytest.raises(lt.LatticeError):
         bad.validate(sg, tol=1e-6)
     v2.validate(sg, tol=1e-10)  # the honest fiber passes
@@ -226,7 +244,7 @@ def test_omega_antisymmetric_exact(sg_setup):
 
 def test_omega_slice_independent(sg_setup):
     lat, sg, base, v1, v2 = sg_setup
-    assert zk.slice_drift(zk.presymplectic_series(v1, v2)) < 10 * lat.dx**2
+    assert zk.slice_drift(zk.presymplectic_series(zk.current_u(v1, v2))) < 10 * lat.dx**2
 
 
 def test_omega_sign_convention():
