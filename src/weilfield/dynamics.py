@@ -135,9 +135,8 @@ class CauchyData:
         return max_or_nan(self.phi.max_abs(), self.pi.max_abs())
 
 
-def zero_data(algebra: WeilAlgebra, lat: lt.LatticeSpacetime,
-              batch: tuple[int, ...] = ()) -> CauchyData:
-    shape = tuple(batch) + (lat.n_space,)
+def zero_data(algebra: WeilAlgebra, lat: lt.LatticeSpacetime) -> CauchyData:
+    shape = (lat.n_space,)
     return CauchyData(WeilValue.zeros(algebra, shape), WeilValue.zeros(algebra, shape))
 
 

@@ -40,19 +40,16 @@ class Verdict:
         return out + (f" ({self.note})" if self.note else "")
 
 
-def check(name: str, value: float, tolerance: float, *, lower: bool = False,
-          note: str = "") -> Verdict:
-    """Verdict value <= tolerance, or value >= tolerance when lower is set."""
-    passed = value >= tolerance if lower else value <= tolerance
-    return Verdict(name, float(value), float(tolerance), bool(passed), note)
+def check(name: str, value: float, tolerance: float, *, note: str = "") -> Verdict:
+    """Verdict value <= tolerance."""
+    return Verdict(name, float(value), float(tolerance), bool(value <= tolerance), note)
 
 
-def check_window(name: str, value: float, center: float, band: float,
-                 note: str = "") -> Verdict:
+def check_window(name: str, value: float, center: float, band: float) -> Verdict:
     """Verdict |value - center| <= band, reported against the band."""
     return Verdict(name, float(value), float(band),
                    bool(abs(value - center) <= band),
-                   note or f"target {center:g} +/- {band:g}")
+                   f"target {center:g} +/- {band:g}")
 
 
 @dataclass

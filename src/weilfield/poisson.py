@@ -18,10 +18,12 @@ Sign conventions, pinned once and used consistently:
     iota_v omega as a covector:     (pi * dx, -psi * dx)
     bracket of pairs:               F'' = omega(v, v'),  v'' = [v, v']
 
-which reproduce {integral f*phi, integral g*pi} = + integral f*g.  The
-closed slice form of omega is used everywhere; the operator assembled from
-basis insertions into the current integral is retained as an oracle, and
-synthetic degenerate operators exercise the admissibility classification.
+which reproduce {integral f*phi, integral g*pi} = + integral f*g.  Pairs
+(F, v) are algebra: bracket and product check nothing, and pair_defect alone
+compares dF with iota_v omega, at one point.  The closed slice form of omega
+is used everywhere; the operator assembled from basis insertions into the
+current integral is retained as an oracle, and synthetic degenerate operators
+exercise the admissibility classification.
 """
 
 from __future__ import annotations
@@ -71,8 +73,12 @@ def _once(fn: Callable) -> Callable:
 
 
 @contextmanager
-def _sharing():
-    """A scope in which each _once function runs once per argument tuple."""
+def sharing():
+    """A scope in which each _once function runs once per argument tuple.
+
+    It holds every result until it closes, so scope one base point.  Scopes
+    do not nest: an inner one starts empty.
+    """
     token = _shared.set({})
     try:
         yield
@@ -117,7 +123,6 @@ class SolVectorField:
 
     evaluate: Callable[[CauchyData], CauchyData]
     sc: bool = True
-    name: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "evaluate", _once(self.evaluate))
@@ -183,7 +188,7 @@ def constant_observable(c: float, name: str = "") -> Observable:
     return Observable(ev, grad, name or f"const {c:g}")
 
 
-def observable_product(F: Observable, G: Observable, name: str = "") -> Observable:
+def observable_product(F: Observable, G: Observable) -> Observable:
     def ev(d: CauchyData) -> WeilValue:
         return F.evaluate(d) * G.evaluate(d)
 
@@ -193,11 +198,11 @@ def observable_product(F: Observable, G: Observable, name: str = "") -> Observab
         return Covector(a * db.phi + b * da.phi, a * db.pi + b * da.pi)
 
     unbounded = F.sc_window is None or G.sc_window is None
-    return Observable(ev, grad, name or f"({F.name})*({G.name})",
+    return Observable(ev, grad, f"({F.name})*({G.name})",
                       sc_window=None if unbounded else F.sc_window | G.sc_window)
 
 
-def observable_power(F: Observable, k: int, name: str = "") -> Observable:
+def observable_power(F: Observable, k: int) -> Observable:
     def ev(d: CauchyData) -> WeilValue:
         return F.evaluate(d) ** k
 
@@ -207,7 +212,7 @@ def observable_power(F: Observable, k: int, name: str = "") -> Observable:
         a, da = (k * F.evaluate(d) ** (k - 1)).expand_dims(-1), F.gradient(d)
         return Covector(a * da.phi, a * da.pi)
 
-    return Observable(ev, grad, name or f"({F.name})^{k}", sc_window=F.sc_window)
+    return Observable(ev, grad, f"({F.name})^{k}", sc_window=F.sc_window)
 
 
 # -- differentials ---------------------------------------------------------------
@@ -238,16 +243,22 @@ def differential(F: Observable, at: CauchyData) -> Covector:
     return F.gradient(at)
 
 
+def _unit_lift(at: CauchyData) -> CauchyData:
+    """at + eps*e for the 2*n_space unit tangents e (phi block first), on a new leading axis."""
+    n, m = at.n_space, 2 * at.n_space
+    e = np.eye(m).reshape((m,) + (1,) * (len(at.phi.shape) - 1) + (2, n))
+    return lift_data(at, CauchyData(*(WeilValue.from_scalar(at.algebra, e[..., b, :])
+                                      for b in (0, 1))))
+
+
 def forward_differential(evaluate: Callable[[CauchyData], WeilValue],
                          at: CauchyData) -> Covector:
     """dF by forward dual mode, the tests' oracle.
 
     The eps part of F at at + eps*e for all 2*n_space unit tangents e, in one batch.
     """
-    n, m = at.n_space, 2 * at.n_space
-    e = np.eye(m).reshape((m,) + (1,) * (len(at.phi.shape) - 1) + (2, n))
-    tangents = CauchyData(*(WeilValue.from_scalar(at.algebra, e[..., b, :]) for b in (0, 1)))
-    grads = np.moveaxis(extract_top(evaluate(lift_data(at, tangents)), 1).coeffs, 0, -2)
+    n = at.n_space
+    grads = np.moveaxis(extract_top(evaluate(_unit_lift(at)), 1).coeffs, 0, -2)
     return Covector(WeilValue(at.algebra, grads[..., :n, :]),
                     WeilValue(at.algebra, grads[..., n:, :]))
 
@@ -277,8 +288,7 @@ def _equation_defect(c: Covector, fiber: CauchyData, dx: float) -> float:
     return (back - c).max_abs() / scale
 
 
-def hamiltonian_field(F: Observable, lat: lt.LatticeSpacetime, *,
-                      name: str = "") -> SolVectorField:
+def hamiltonian_field(F: Observable, lat: lt.LatticeSpacetime) -> SolVectorField:
     """The Hamiltonian vector field of F under the closed-form omega.
 
     On the circle every field is spacelike compact (the slices are compact);
@@ -290,7 +300,7 @@ def hamiltonian_field(F: Observable, lat: lt.LatticeSpacetime, *,
         return hamiltonian_inversion(differential(F, d), lat.dx)
 
     sc = lt.window_is_interior(F.sc_window, lat)
-    return SolVectorField(ev, sc=sc, name=name or f"X[{F.name}]")
+    return SolVectorField(ev, sc=sc)
 
 
 # -- omega as an explicit operator (degeneracy laboratory) ---------------------
@@ -338,21 +348,7 @@ class OmegaOperator:
         """
         if base.algebra.dim != 1:
             raise ValueError("assembled operator expects a real base point")
-        n = lat.n_space
-        directions = np.zeros((2 * n, 2, n))
-        directions[np.arange(n), 0, np.arange(n)] = 1.0
-        directions[n + np.arange(n), 1, np.arange(n)] = 1.0
-        alg = base.algebra
-        dir_data = CauchyData(
-            WeilValue.from_scalar(alg, directions[:, 0]),
-            WeilValue.from_scalar(alg, directions[:, 1]),
-        )
-        base_b = CauchyData(
-            WeilValue.from_scalar(alg, np.broadcast_to(base.phi.scalar_part, (2 * n, n))),
-            WeilValue.from_scalar(alg, np.broadcast_to(base.pi.scalar_part, (2 * n, n))),
-        )
-        lifted = solve_cauchy(lift_data(base_b, dir_data), inter, lat,
-                              check_support=False)
+        lifted = solve_cauchy(_unit_lift(base), inter, lat, check_support=False)
         fib = extract_top(lifted.values, 1)
         psi = fib.scalar_part[slice_index]
         dpsi = lt.time_derivative_at(fib, slice_index, lat).scalar_part
@@ -372,10 +368,10 @@ class OmegaOperator:
         proj = np.eye(q.size) - np.outer(q, q)
         return OmegaOperator(proj @ self.matrix @ proj, self.dx)
 
-    def null_space(self, rtol: float = 1e-10) -> np.ndarray:
-        """Orthonormal basis of the kernel (columns)."""
+    def null_space(self) -> np.ndarray:
+        """Orthonormal basis of the kernel (columns): singular values <= 1e-10 * the largest."""
         u, s, vt = np.linalg.svd(self.matrix)
-        rank = int(np.sum(s > rtol * s[0])) if s.size else 0
+        rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
         return vt[rank:].T
 
     def solve(self, c: np.ndarray) -> tuple[np.ndarray, float]:
@@ -450,12 +446,11 @@ def lie_bracket(v: SolVectorField, vp: SolVectorField, at: CauchyData) -> Cauchy
         directional_derivative(v, fiber_vp, at)
 
 
-def lie_bracket_field(v: SolVectorField, vp: SolVectorField,
-                      name: str = "") -> SolVectorField:
+def lie_bracket_field(v: SolVectorField, vp: SolVectorField) -> SolVectorField:
     def ev(d: CauchyData) -> CauchyData:
         return lie_bracket(v, vp, d)
 
-    return SolVectorField(ev, sc=v.sc and vp.sc, name=name or f"[{v.name},{vp.name}]")
+    return SolVectorField(ev, sc=v.sc and vp.sc)
 
 
 def tau_bracket(v: SolVectorField, vp: SolVectorField, at: CauchyData) -> CauchyData:
@@ -496,33 +491,23 @@ def tau_bracket(v: SolVectorField, vp: SolVectorField, at: CauchyData) -> Cauchy
 
 @dataclass(frozen=True)
 class HamiltonianPair:
-    """An observable, its Hamiltonian vector field and their sampled defect.
+    """An observable and its Hamiltonian vector field, an element of the algebra.
 
-    Each pair's field is its observable's Hamiltonian field, computed by its
-    own route; pair_defect samples how well dF = iota_v omega holds.
+    The pair records no check; pair_defect measures dF = iota_v omega at a point.
     """
 
     F: Observable
     v: SolVectorField
-    residual: float
 
 
-def pair_defect(F: Observable, v: SolVectorField, at: CauchyData,
-                lat: lt.LatticeSpacetime) -> float:
-    """Relative defect of dF = iota_v omega at one base point."""
-    return _equation_defect(differential(F, at), v.evaluate(at), lat.dx)
+def pair_defect(p: HamiltonianPair, at: CauchyData, lat: lt.LatticeSpacetime) -> float:
+    """Relative defect of dF = iota_v omega at one base point; opens no sharing scope."""
+    return _equation_defect(differential(p.F, at), p.v.evaluate(at), lat.dx)
 
 
-def make_pair(F: Observable, lat: lt.LatticeSpacetime,
-              samples: Sequence[CauchyData] = ()) -> HamiltonianPair:
-    """Pair F with its closed-form Hamiltonian field, validated at samples."""
-    v = hamiltonian_field(F, lat)
-    residual = 0.0
-    for s in samples:
-        c = differential(F, s)
-        residual = max_or_nan(
-            residual, _equation_defect(c, hamiltonian_inversion(c, lat.dx), lat.dx))
-    return HamiltonianPair(F, v, residual)
+def make_pair(F: Observable, lat: lt.LatticeSpacetime) -> HamiltonianPair:
+    """Pair F with its closed-form Hamiltonian field."""
+    return HamiltonianPair(F, hamiltonian_field(F, lat))
 
 
 def _require_bracket_sc(v: SolVectorField, vp: SolVectorField,
@@ -534,9 +519,9 @@ def _require_bracket_sc(v: SolVectorField, vp: SolVectorField,
         )
 
 
-def bracket(p: HamiltonianPair, pp: HamiltonianPair, lat: lt.LatticeSpacetime,
-            samples: Sequence[CauchyData] = ()) -> HamiltonianPair:
-    """{ (F,v), (F',v') } = ( omega(v, v'), [v, v'] ), revalidated at samples."""
+def bracket(p: HamiltonianPair, pp: HamiltonianPair,
+            lat: lt.LatticeSpacetime) -> HamiltonianPair:
+    """{ (F,v), (F',v') } = ( omega(v, v'), [v, v'] )."""
     _require_bracket_sc(p.v, pp.v, lat)
 
     def ev(d: CauchyData) -> WeilValue:
@@ -553,32 +538,19 @@ def bracket(p: HamiltonianPair, pp: HamiltonianPair, lat: lt.LatticeSpacetime,
         return hessian_times(pp.F, d, x_f) - hessian_times(p.F, d, x_g)
 
     F2 = Observable(ev, grad, name=f"{{{p.F.name},{pp.F.name}}}")
-    v2 = lie_bracket_field(p.v, pp.v)
-    residual = max_or_nan(p.residual, pp.residual)
-    for s in samples:
-        residual = max_or_nan(residual, pair_defect(F2, v2, s, lat))
-    return HamiltonianPair(F2, v2, residual)
+    return HamiltonianPair(F2, lie_bracket_field(p.v, pp.v))
 
 
-def pair_product(p: HamiltonianPair, pp: HamiltonianPair,
-                 lat: lt.LatticeSpacetime, samples: Sequence[CauchyData] = ()
-                 ) -> HamiltonianPair:
-    """(F,v) * (F',v') = (F F', F v' + F' v), revalidated at samples."""
-    F2 = observable_product(p.F, pp.F)
+def pair_product(p: HamiltonianPair, pp: HamiltonianPair) -> HamiltonianPair:
+    """(F,v) * (F',v') = (F F', F v' + F' v)."""
 
     def ev(d: CauchyData) -> CauchyData:
-        a = p.F.evaluate(d).expand_dims(-1)
-        b = pp.F.evaluate(d).expand_dims(-1)
-        fa = p.v.evaluate(d)
-        fb = pp.v.evaluate(d)
+        a, b = p.F.evaluate(d).expand_dims(-1), pp.F.evaluate(d).expand_dims(-1)
+        fa, fb = p.v.evaluate(d), pp.v.evaluate(d)
         return CauchyData(a * fb.phi + b * fa.phi, a * fb.pi + b * fa.pi)
 
-    sc = p.v.sc and pp.v.sc
-    v2 = SolVectorField(ev, sc=sc, name=f"{p.F.name}*{pp.v.name}+{pp.F.name}*{p.v.name}")
-    residual = max_or_nan(p.residual, pp.residual)
-    for s in samples:
-        residual = max_or_nan(residual, pair_defect(F2, v2, s, lat))
-    return HamiltonianPair(F2, v2, residual)
+    return HamiltonianPair(observable_product(p.F, pp.F),
+                           SolVectorField(ev, sc=p.v.sc and pp.v.sc))
 
 
 def unit_pair() -> HamiltonianPair:
@@ -589,7 +561,7 @@ def unit_pair() -> HamiltonianPair:
         zero = F.gradient(d)
         return CauchyData(zero.phi, zero.pi)
 
-    return HamiltonianPair(F, SolVectorField(ev, sc=True, name="0"), 0.0)
+    return HamiltonianPair(F, SolVectorField(ev, sc=True))
 
 
 # -- axiom verification ----------------------------------------------------------
@@ -597,7 +569,11 @@ def unit_pair() -> HamiltonianPair:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Max relative defects of the Poisson axioms over the sampled base points."""
+    """Max relative defects over the sampled base points.
+
+    max_defect gathers the six Poisson axioms; pair_defects and closure are
+    the pair defects of p1, p2, p3 and of their bracket {p1, p2}.
+    """
 
     antisymmetry_f: float
     antisymmetry_v: float
@@ -605,6 +581,8 @@ class AxiomReport:
     jacobi_v: float
     leibniz_f: float
     leibniz_v: float
+    pair_defects: tuple[float, float, float]
+    closure: float
 
     def max_defect(self) -> float:
         return max_or_nan(
@@ -621,10 +599,11 @@ def _rel(defect: float, scale: float) -> float:
 def verify_axioms(p1: HamiltonianPair, p2: HamiltonianPair, p3: HamiltonianPair,
                   samples: Sequence[CauchyData], lat: lt.LatticeSpacetime
                   ) -> AxiomReport:
-    """Evaluate antisymmetry, Jacobi, and Leibniz defects at the sampled points.
+    """Evaluate antisymmetry, Jacobi, Leibniz and pair defects at the sampled points.
 
-    Within one sample each observable value, gradient, field value and dual
-    lift runs once, however many terms ask for it.  A NaN term fails.
+    Every sampled check runs here, one sharing scope per sample: within it
+    each observable value, gradient, field value and dual lift runs once,
+    however many terms ask for it.  A NaN term fails.
     """
     b12 = bracket(p1, p2, lat)
     b21 = bracket(p2, p1, lat)
@@ -634,18 +613,23 @@ def verify_axioms(p1: HamiltonianPair, p2: HamiltonianPair, p3: HamiltonianPair,
     j1 = bracket(p1, b23, lat)
     j2 = bracket(p2, b31, lat)
     j3 = bracket(p3, b12, lat)
-    prod23 = pair_product(p2, p3, lat)
+    prod23 = pair_product(p2, p3)
     leib_lhs = bracket(p1, prod23, lat)
-    leib_r1 = pair_product(b12, p3, lat)
-    leib_r2 = pair_product(p2, b13, lat)
+    leib_r1 = pair_product(b12, p3)
+    leib_r2 = pair_product(p2, b13)
 
     def fval(pair: HamiltonianPair, d: CauchyData) -> float:
         return float(pair.F.evaluate(d).scalar_part)
 
-    anti_f = anti_v = jac_f = jac_v = leib_f = leib_v = 0.0
+    anti_f = anti_v = jac_f = jac_v = leib_f = leib_v = closure = 0.0
     anti_scale = jac_scale = leib_scale = 0.0
+    pair_defects = (0.0, 0.0, 0.0)
     for d in samples:
-        with _sharing():
+        with sharing():
+            pair_defects = tuple(max_or_nan(m, pair_defect(p, d, lat))
+                                 for m, p in zip(pair_defects, (p1, p2, p3)))
+            closure = max_or_nan(closure, pair_defect(b12, d, lat))
+
             a, b = fval(b12, d), fval(b21, d)
             anti_f = max_or_nan(anti_f, abs(a + b))
             anti_scale = max_or_nan(anti_scale, abs(a), abs(b), 1.0)
@@ -676,4 +660,6 @@ def verify_axioms(p1: HamiltonianPair, p2: HamiltonianPair, p3: HamiltonianPair,
         jacobi_v=_rel(jac_v, jac_scale),
         leibniz_f=_rel(leib_f, leib_scale),
         leibniz_v=_rel(leib_v, leib_scale),
+        pair_defects=pair_defects,
+        closure=closure,
     )

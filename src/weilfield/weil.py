@@ -410,8 +410,8 @@ def cos_map() -> SmoothMap:
     return SmoothMap("cos", lambda n, x: np.cos(x + n * np.pi / 2.0))
 
 
-def exp_map(rate: float = 1.0) -> SmoothMap:
-    return SmoothMap(f"exp({rate}x)", lambda n, x: rate**n * np.exp(rate * x))
+def exp_map() -> SmoothMap:
+    return SmoothMap("exp", lambda n, x: np.exp(x))
 
 
 def identity_map() -> SmoothMap:
@@ -439,7 +439,7 @@ def monomial_map(coeff: float, power: int, name: str | None = None) -> SmoothMap
     return SmoothMap(name or f"{coeff}*x^{power}", nth)
 
 
-def polynomial_map(coeffs: Sequence[float], name: str | None = None) -> SmoothMap:
+def polynomial_map(coeffs: Sequence[float]) -> SmoothMap:
     """Polynomial with coefficients low-to-high degree."""
     base = np.asarray(coeffs, dtype=np.float64)
 
@@ -451,7 +451,7 @@ def polynomial_map(coeffs: Sequence[float], name: str | None = None) -> SmoothMa
             return np.zeros(np.shape(x))
         return np.polynomial.polynomial.polyval(x, c)
 
-    return SmoothMap(name or f"poly(deg {base.size - 1})", nth)
+    return SmoothMap(f"poly(deg {base.size - 1})", nth)
 
 
 def apply_smooth(f: SmoothMap, w: WeilValue) -> WeilValue:

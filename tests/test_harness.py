@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weilfield import dynamics as dyn
 from weilfield import lattice as lt
+from weilfield import poisson as ps
 from weilfield.harness import cli, config as cfg, experiments, oracle, report as rp
 
 BASE_CONSERVE = {
@@ -430,6 +432,11 @@ MALFORMED = {
     "kmax_fraction": ("jacobi", lambda d: d["observables"][1].update(
         smearing={"profile": "random_fourier", "kmax": 2.5})),
     "ladder_rung_fraction": ("convergence", lambda d: d.update(ladder=[16.5, 32])),
+    # the current pairs exactly two tangents
+    "tangents_one": ("conserve", lambda d: d["tangents"].pop()),
+    "tangents_three": ("conserve", lambda d: d["tangents"].append(d["tangents"][0])),
+    "drift_tangents_three":
+        ("convergence", lambda d: d["tangents"].append(d["tangents"][0])),
 }
 BASES = {"conserve": BASE_CONSERVE, "jacobi": TOY_JACOBI, "bracket": TOY_BRACKET,
          "convergence": BASE_DRIFT}
@@ -602,6 +609,50 @@ def test_conserve_run_holds_at_most_eight_histories():
         tracemalloc.stop()
     assert rep.all_passed()
     assert peak <= 8 * (8 * lat.n_slices * lat.n_space)
+
+
+def _spacetime(tc, xc):
+    return {"kind": "spacetime", "smearing": {
+        "time": {"profile": "gaussian", "center": tc, "width": 0.15},
+        "space": {"profile": "gaussian", "center": xc, "width": 0.5}}}
+
+
+# two spacetime sine-Gordon observables and a spacetime x slice_pi product
+TOY_SPACETIME_JACOBI = dict(TOY_JACOBI, observables=[
+    _spacetime(0.3, 2.0), _spacetime(0.5, 3.5),
+    {"kind": "poly_composite", "factors": [
+        _spacetime(0.4, 4.0), {"kind": "slice_pi", "smearing": {"profile": "cosine"}}]},
+])
+
+
+def _adjoint_sweeps(doc, monkeypatch):
+    """smeared_gradient calls of one passing run of doc."""
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(args)
+        return dyn.smeared_gradient(*args)
+
+    monkeypatch.setattr(ps, "smeared_gradient", counted)
+    assert experiments.run(cfg.ExperimentConfig.from_dict(copy.deepcopy(doc))).all_passed()
+    return len(sweeps)
+
+
+def test_spacetime_jacobi_run_checks_pairs_inside_the_sample_scope(monkeypatch):
+    # 21 sweeps per sample, all inside verify_axioms' per-sample scope; pairs
+    # validated on their own and a revalidation bracket outside it took 60
+    assert _adjoint_sweeps(TOY_SPACETIME_JACOBI, monkeypatch) <= 42
+
+
+def test_bracket_run_takes_each_differential_once(monkeypatch):
+    # one sweep per observable at the single base point; pair checks and
+    # bracket values taken outside one sharing scope took 4
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "bracket_vs_oracle.json")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["lattice"].update(n_space=32, n_time=16)
+    doc["tolerances"]["bracket_oracle"] = 0.5  # scheme order at 32 sites
+    assert _adjoint_sweeps(doc, monkeypatch) == 2
 
 
 def test_report_cites_tolerances():

@@ -6,7 +6,7 @@ import pytest
 from weilfield import dynamics as dyn
 from weilfield import lattice as lt
 from weilfield import poisson as ps
-from weilfield.weil import WeilAlgebra, WeilValue
+from weilfield.weil import WeilAlgebra, WeilValue, max_or_nan
 
 
 def circle_lattice(n, steps, extent=2 * np.pi):
@@ -35,7 +35,7 @@ def constant_field(lat, a, b):
             WeilValue.from_scalar(alg, np.broadcast_to(b, d.pi.shape)),
         )
 
-    return ps.SolVectorField(ev, name="const")
+    return ps.SolVectorField(ev)
 
 
 def polynomial_field(lat, rng, power=2):
@@ -50,7 +50,7 @@ def polynomial_field(lat, rng, power=2):
         coef = (s ** power * t).expand_dims(-1)
         return dyn.CauchyData(coef * c, coef * e)
 
-    return ps.SolVectorField(ev, name=f"poly{power}")
+    return ps.SolVectorField(ev)
 
 
 # -- differentials ------------------------------------------------------------------
@@ -146,7 +146,7 @@ def observables_of_every_kind(lat, inter, rng):
     st = ps.spacetime_observable(compact, inter, lat)
     product = ps.observable_product(st, pi_obs)
     p_st, p_pi = ps.make_pair(st, lat), ps.make_pair(pi_obs, lat)
-    p_prod = ps.pair_product(p_st, p_pi, lat)
+    p_prod = ps.pair_product(p_st, p_pi)
     p_square = ps.make_pair(ps.observable_power(phi_obs, 2), lat)
     p_slice_prod = ps.make_pair(ps.observable_product(phi_obs, pi_obs), lat)
     st_prod = ps.bracket(p_st, p_prod, lat)
@@ -302,6 +302,32 @@ def test_assembled_operators_at_two_slices_agree():
     assert np.max(np.abs(a.matrix - b.matrix)) < 2 * lat.dx**2
 
 
+def explicit_unit_lift(at):
+    """at + eps*e_k for every unit tangent, with the base broadcast to the batch first."""
+    n = at.n_space
+    directions = np.zeros((2 * n, 2, n))
+    directions[np.arange(n), 0, np.arange(n)] = 1.0
+    directions[n + np.arange(n), 1, np.arange(n)] = 1.0
+    batch = [np.broadcast_to(w.scalar_part, (2 * n, n)) for w in (at.phi, at.pi)]
+    return dyn.lift_data(dyn.data_from_arrays(*batch, at.algebra),
+                         dyn.data_from_arrays(directions[:, 0], directions[:, 1], at.algebra))
+
+
+@pytest.mark.parametrize("name", ["sine_gordon", "phi4", "mass"])
+def test_assembled_operator_bit_matches_explicit_unit_tangents(name, monkeypatch):
+    # the unit-tangent batch forward_differential also lifts, against tangents
+    # built one block at a time over an explicitly broadcast base
+    lat = circle_lattice(24, 16)
+    inter = dyn.interaction(name)
+    base = dyn.data_from_arrays(0.3 * np.cos(lat.x), 0.1 * np.sin(lat.x))
+    lifted, explicit_lift = ps._unit_lift(base), explicit_unit_lift(base)
+    for a, b in ((lifted.phi, explicit_lift.phi), (lifted.pi, explicit_lift.pi)):
+        assert a.algebra == b.algebra and np.array_equal(a.coeffs, b.coeffs)
+    batched = ps.OmegaOperator.assembled(base, inter, lat, 8).matrix
+    monkeypatch.setattr(ps, "_unit_lift", explicit_unit_lift)
+    assert np.array_equal(batched, ps.OmegaOperator.assembled(base, inter, lat, 8).matrix)
+
+
 # -- Hamiltonian vector fields -------------------------------------------------------------
 
 
@@ -449,13 +475,13 @@ def test_lie_bracket_jacobi(small, rng):
 def test_canonical_bracket(small, rng):
     lat, f, g, h = small
     base = random_data(lat, rng)
-    pf = ps.make_pair(ps.slice_phi_observable(f, lat), lat, samples=[base])
-    pg = ps.make_pair(ps.slice_pi_observable(g, lat), lat, samples=[base])
-    b = ps.bracket(pf, pg, lat, samples=[base])
+    pf = ps.make_pair(ps.slice_phi_observable(f, lat), lat)
+    pg = ps.make_pair(ps.slice_pi_observable(g, lat), lat)
+    b = ps.bracket(pf, pg, lat)
     val = float(b.F.evaluate(base).scalar_part)
     assert abs(val - float(np.sum(f * g) * lat.dx)) < 1e-14
     assert b.v.evaluate(base).max_abs() == 0.0
-    assert b.residual < 1e-12
+    assert max(ps.pair_defect(p, base, lat) for p in (pf, pg, b)) < 1e-12
 
 
 def test_bracket_antisymmetric(small, rng):
@@ -474,16 +500,16 @@ def test_unit_and_product(small, rng):
     lat, f, g, h = small
     base = random_data(lat, rng)
     one = ps.unit_pair()
-    p = ps.make_pair(ps.slice_pi_observable(g, lat), lat, samples=[base])
-    prod = ps.pair_product(one, p, lat, samples=[base])
+    p = ps.make_pair(ps.slice_pi_observable(g, lat), lat)
+    prod = ps.pair_product(one, p)
     assert abs(float(prod.F.evaluate(base).scalar_part)
                - float(p.F.evaluate(base).scalar_part)) < 1e-14
     assert (prod.v.evaluate(base) - p.v.evaluate(base)).max_abs() < 1e-14
-    assert prod.residual < 1e-12
+    assert max(ps.pair_defect(r, base, lat) for r in (one, p, prod)) < 1e-12
     # commutativity of the product
     q = ps.make_pair(ps.slice_phi_observable(f, lat), lat)
-    ab = ps.pair_product(p, q, lat)
-    ba = ps.pair_product(q, p, lat)
+    ab = ps.pair_product(p, q)
+    ba = ps.pair_product(q, p)
     assert abs(float(ab.F.evaluate(base).scalar_part)
                - float(ba.F.evaluate(base).scalar_part)) < 1e-14
     assert (ab.v.evaluate(base) - ba.v.evaluate(base)).max_abs() < 1e-14
@@ -496,7 +522,7 @@ def test_verify_axioms_polynomial_triple(small, rng):
     F3 = ps.observable_product(ps.slice_phi_observable(h, lat),
                                ps.slice_pi_observable(g, lat))
     samples = [random_data(lat, rng) for _ in range(3)]
-    pairs = [ps.make_pair(F, lat, samples=samples) for F in (F1, F2, F3)]
+    pairs = [ps.make_pair(F, lat) for F in (F1, F2, F3)]
     rep = ps.verify_axioms(*pairs, samples, lat)
     assert rep.max_defect() < 1e-9
 
@@ -504,11 +530,11 @@ def test_verify_axioms_polynomial_triple(small, rng):
 def test_bracket_closure_bound(small, rng):
     lat, f, g, h = small
     samples = [random_data(lat, rng) for _ in range(3)]
-    p1 = ps.make_pair(ps.observable_power(ps.slice_phi_observable(f, lat), 2),
-                      lat, samples=samples)
-    p2 = ps.make_pair(ps.slice_pi_observable(g, lat), lat, samples=samples)
-    b = ps.bracket(p1, p2, lat, samples=samples)
-    assert b.residual <= max(p1.residual, p2.residual) + 10 * lat.dx**2
+    p1 = ps.make_pair(ps.observable_power(ps.slice_phi_observable(f, lat), 2), lat)
+    p2 = ps.make_pair(ps.slice_pi_observable(g, lat), lat)
+    b = ps.bracket(p1, p2, lat)
+    d1, d2, db = (max(ps.pair_defect(p, s, lat) for s in samples) for p in (p1, p2, b))
+    assert max(d1, d2, db) <= max(d1, d2) + 10 * lat.dx**2
 
 
 def test_bracket_sc_rule_on_line(rng):
@@ -522,7 +548,6 @@ def test_bracket_sc_rule_on_line(rng):
         ps.slice_pi_observable(np.ones(64), lat),
         ps.SolVectorField(constant_field(lat, -np.ones(64), np.zeros(64)).evaluate,
                           sc=False),
-        0.0,
     )
     b = ps.bracket(p_sc, p_non, lat)  # one sc factor suffices
     assert not b.v.sc
@@ -573,12 +598,12 @@ def test_verify_axioms_shares_adjoint_sweeps_per_sample(small, rng, monkeypatch)
 
     monkeypatch.setattr(ps, "smeared_gradient", counted)
     shared = ps.verify_axioms(*pairs, samples, lat)
-    assert len(sweeps) == 38  # 19 per sample
+    assert len(sweeps) == 42  # 21 per sample, 2 of them for the closure's pair defect
     assert ps._shared.get() is None
     sweeps.clear()
-    monkeypatch.setattr(ps, "_sharing", contextlib.nullcontext)
+    monkeypatch.setattr(ps, "sharing", contextlib.nullcontext)
     unshared = ps.verify_axioms(*pairs, samples, lat)
-    assert len(sweeps) == 168
+    assert len(sweeps) == 196
     assert shared == unshared
 
 
@@ -598,7 +623,7 @@ def test_shared_values_bit_match_unshared_calls(small, rng):
         return out
 
     outside = values()
-    with ps._sharing():
+    with ps.sharing():
         inside, again = values(), values()
     assert ps._shared.get() is None
     for a, b, c in zip(outside, inside, again):
@@ -613,7 +638,7 @@ def test_sharing_scope_closes_when_an_evaluation_raises(small, rng):
         raise RuntimeError("evaluation failed")
 
     good = ps.make_pair(ps.slice_phi_observable(f, lat), lat)
-    bad = ps.HamiltonianPair(ps.Observable(fail, fail), ps.SolVectorField(fail), 0.0)
+    bad = ps.HamiltonianPair(ps.Observable(fail, fail), ps.SolVectorField(fail))
     with pytest.raises(RuntimeError, match="evaluation failed"):
         ps.verify_axioms(good, bad, good, [random_data(lat, rng)], lat)
     assert ps._shared.get() is None
@@ -628,10 +653,12 @@ def test_non_finite_sample_fails_every_defect(small, rng):
     F2 = ps.slice_pi_observable(g, lat)
     F3 = ps.observable_product(ps.slice_phi_observable(h, lat),
                                ps.slice_pi_observable(g, lat))
-    pairs = [ps.make_pair(F, lat, samples=samples) for F in (F1, F2, F3)]
-    assert np.isnan(pairs[0].residual) and np.isnan(pairs[2].residual)
-    assert np.isnan(ps.bracket(pairs[1], ps.make_pair(F1, lat), lat, samples).residual)
+    pairs = [ps.make_pair(F, lat) for F in (F1, F2, F3)]
     rep = ps.verify_axioms(*pairs, samples, lat)
+    assert np.isnan(rep.pair_defects[0]) and np.isnan(rep.pair_defects[2])
+    assert np.isnan(rep.closure)
+    b21 = ps.bracket(pairs[1], ps.make_pair(F1, lat), lat)
+    assert np.isnan(max_or_nan(*(ps.pair_defect(b21, s, lat) for s in samples)))
     assert all(np.isnan(getattr(rep, name)) for name in (
         "antisymmetry_f", "antisymmetry_v", "jacobi_f", "jacobi_v",
         "leibniz_f", "leibniz_v"))
