@@ -7,7 +7,9 @@ so the solver runs verbatim over any Weil algebra: dual-number initial data
 yield the solution together with its exact directional derivative, the
 linearized solution, in the eps component.  For a smeared observable the
 transpose of that linearized scheme, run backward over one stored solve,
-gives the whole gradient at once (smeared_gradient).
+gives the whole gradient at once (smeared_gradient).  One generator,
+leapfrog_slices, marches the scheme; solve_cauchy stores its slices, while
+solve_smeared and tangent_slices use each slice as it arrives and hold three.
 """
 
 from __future__ import annotations
@@ -189,9 +191,12 @@ def _check_line_support(data: CauchyData, lat: lt.LatticeSpacetime) -> None:
         )
 
 
-def _leapfrog_slices(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
-                     check_support: bool):
+def leapfrog_slices(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
+                    check_support: bool = True):
     """Yield (slice index, field slice) marching the leapfrog forward.
+
+    This is the one leapfrog: solve_cauchy stores what it yields,
+    solve_smeared and tangent_slices fold it slice by slice.
 
     The first step is a Taylor start carried to third order,
     phi^1 = phi + dt*pi + (dt^2/2)(d_x^2 phi - rho(phi))
@@ -255,7 +260,7 @@ def solve_cauchy(data: CauchyData, inter: Interaction,
     algebra = data.algebra
     batch = data.phi.shape[:-1]
     out = np.zeros((lat.n_slices,) + batch + (lat.n_space, algebra.dim))
-    for j, value in _leapfrog_slices(data, inter, lat, check_support):
+    for j, value in leapfrog_slices(data, inter, lat, check_support):
         out[j] = np.broadcast_to(value.coeffs, out[j].shape)
     return FieldHistory(WeilValue(algebra, out), lat)
 
@@ -271,7 +276,7 @@ def solve_smeared(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime
     if weights.shape != (lat.n_slices, lat.n_space):
         raise SolverError("weights must cover the full grid")
     acc: WeilValue | None = None
-    for j, value in _leapfrog_slices(data, inter, lat, check_support=True):
+    for j, value in leapfrog_slices(data, inter, lat):
         term = (value * weights[j]).sum(axis=-1)
         acc = term if acc is None else acc + term
     assert acc is not None
@@ -384,6 +389,34 @@ def tangent_lift(data: CauchyData, direction: CauchyData, inter: Interaction,
     if data.algebra != direction.algebra:
         raise SolverError("data and direction must share an algebra")
     return solve_cauchy(lift_data(data, direction), inter, lat)
+
+
+def tangent_slices(data: CauchyData, directions: list[CauchyData], inter: Interaction,
+                   lat: lt.LatticeSpacetime):
+    """Yield (j, fibers): the linearized solutions along data, slice by slice.
+
+    The directions stack on a leading batch axis over data broadcast to it,
+    so one dual leapfrog carries them all and nothing is stored.  fibers[k]
+    is the eps part on slice j for directions[k], the same floats as slice j
+    of fiber_history(tangent_lift(data, directions[k], inter, lat)).  On the
+    line the support check sees the union of the batch's cones, so it
+    refuses exactly when one of the separate lifts would.
+    """
+    if any(d.algebra != data.algebra for d in directions):
+        raise SolverError("data and direction must share an algebra")
+    batch = (len(directions),)
+
+    def stacked(parts: list[WeilValue]) -> WeilValue:
+        return WeilValue(data.algebra, np.stack([p.coeffs for p in parts]))
+
+    def broadcast(v: WeilValue) -> WeilValue:
+        return WeilValue(v.algebra, np.broadcast_to(v.coeffs, batch + v.coeffs.shape))
+
+    lifted = lift_data(CauchyData(broadcast(data.phi), broadcast(data.pi)),
+                       CauchyData(stacked([d.phi for d in directions]),
+                                  stacked([d.pi for d in directions])))
+    for j, value in leapfrog_slices(lifted, inter, lat):
+        yield j, extract_top(value, 1)
 
 
 def base_history(lifted: FieldHistory) -> FieldHistory:

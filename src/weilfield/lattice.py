@@ -137,7 +137,7 @@ class LatticeSpacetime:
 def d_dx(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
     """Centered spatial derivative; one-sided second order at line edges."""
     out = np.empty_like(values.coeffs)
-    c, o = (np.moveaxis(a, _SPACE_AXIS, 0) for a in (values.coeffs, out))  # sites first
+    c, o = (a.swapaxes(0, _SPACE_AXIS) for a in (values.coeffs, out))  # sites first
     np.subtract(c[2:], c[:-2], out=o[1:-1])
     if lat.topology == CIRCLE:
         o[0] = c[1] - c[-1]
@@ -152,7 +152,7 @@ def d_dx(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
 def d2_dx2(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
     """Centered second spatial derivative; one-sided second order at line edges."""
     out = np.multiply(values.coeffs, -2.0)  # -2c[i] + c[i+1] rounds as c[i+1] - 2c[i]
-    c, o = (np.moveaxis(a, _SPACE_AXIS, 0) for a in (values.coeffs, out))  # sites first
+    c, o = (a.swapaxes(0, _SPACE_AXIS) for a in (values.coeffs, out))  # sites first
     o[1:-1] += c[2:]
     o[1:-1] += c[:-2]
     if lat.topology == CIRCLE:

@@ -9,8 +9,11 @@ derivative of the boundary form theta(v) = -psi *d(phi); the Koszul-formula
 route v(theta(v')) - v'(theta(v)) - theta([v,v']) is kept in the test suite
 as an independent oracle for the closed form used here.
 
-A run builds u once per pair of tangents and hands that Current to every
-diagnostic (presymplectic_series, closedness_residual).
+A run never builds u whole: conservation folds it into omega on every
+slice and into the closedness residual while the two fibers stream out of
+one dual march (dynamics.tangent_slices), holding four fiber slices.
+current_u, theta and TangentSolution are the whole-grid forms the tests
+check the stream against.
 
 Spacelike-compact bookkeeping: on the line, at least one factor of u must
 be spacelike compact for slice integrals to make sense over a noncompact
@@ -20,13 +23,15 @@ causal cones (widened one site for the derivative stencil).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from . import lattice as lt
 from .dynamics import FieldHistory, Interaction, linearize_residual
-from .weil import WeilValue
+from .weil import WeilValue, max_or_nan
 
 
 @dataclass(frozen=True)
@@ -85,8 +90,8 @@ def theta(v: TangentSolution) -> lt.Current:
     )
 
 
-def _require_sc_rule(v: TangentSolution, vp: TangentSolution) -> None:
-    if v.lattice.topology == lt.LINE and not (v.is_sc or vp.is_sc):
+def _require_sc_rule(lat: lt.LatticeSpacetime, supports) -> None:
+    if lat.topology == lt.LINE and all(s is None for s in supports):
         raise lt.SupportError(
             "line topology: at least one factor must be spacelike compact"
         )
@@ -96,7 +101,7 @@ def current_u(v: TangentSolution, vp: TangentSolution) -> lt.Current:
     """The conserved current psi *d(psi') - psi' *d(psi) of two fibers."""
     if v.lattice != vp.lattice:
         raise lt.LatticeError("tangent solutions must share a lattice")
-    _require_sc_rule(v, vp)
+    _require_sc_rule(v.lattice, (v.support, vp.support))
     lat = v.lattice
     psi, psip = v.fiber.values, vp.fiber.values
 
@@ -128,21 +133,6 @@ def current_windows(v: TangentSolution, vp: TangentSolution
     )
 
 
-def closedness_residual(u: lt.Current) -> float:
-    """Max norm of the discrete divergence of a current_u over the interior grid.
-
-    Interior means every stencil in the composition is centered: time slices
-    2..n_time-2 (the current's own time derivative is one-sided on the end
-    slices, and differencing across the seam costs an order), and on the
-    line the sites off the guard band.
-    """
-    lat = u.lattice
-    inner = lt.divergence(u, lat).coeffs[1:-1]
-    if lat.topology == lt.LINE:
-        inner = inner[..., ~lat.guard_band, :]
-    return float(np.max(np.abs(inner))) if inner.size else 0.0
-
-
 def presymplectic_form(v: TangentSolution, vp: TangentSolution,
                        slice_index: int) -> WeilValue:
     """Slice integral of the current density: omega at one Cauchy slice."""
@@ -153,15 +143,83 @@ def presymplectic_form(v: TangentSolution, vp: TangentSolution,
     return lt.integrate_slice(u.slice_density(slice_index))
 
 
-def presymplectic_series(u: lt.Current) -> np.ndarray:
-    """Scalar part of omega of a current_u on every slice (the conservation diagnostic)."""
-    return np.array([
-        lt.integrate_slice(u.slice_density(j)).scalar_part
-        for j in range(u.lattice.n_slices)
-    ])
+def _cross(fibers: WeilValue, d: np.ndarray) -> WeilValue:
+    """psi * d' - psi' * d for fibers (psi, psi') and their derivatives d = (d, d')."""
+    both = fibers * WeilValue(fibers.algebra, d[::-1])
+    return WeilValue(fibers.algebra, np.subtract(both.coeffs[0], both.coeffs[1]))
+
+
+def conservation(fiber_slices: Iterable[tuple[int, WeilValue]], lat: lt.LatticeSpacetime,
+                 supports: tuple[np.ndarray | None, np.ndarray | None]
+                 ) -> tuple[np.ndarray, float]:
+    """omega on every slice and the closedness residual of current_u, streamed.
+
+    fiber_slices yields (j, fibers) for j = 0..n_time in order, fibers
+    holding the two linearized solutions psi, psi' of slice j on a leading
+    axis of length 2 (dynamics.tangent_slices); supports are their
+    spacelike-compact site masks, or None, and on the line one must be a
+    mask (the rule current_u applies).  The current is folded as the
+    slices arrive: omega at j needs slices j-1..j+1 (0..3 and
+    n_time-3..n_time at the ends, where the time stencil is one-sided) and
+    the divergence at j needs j-2..j+2, so four fiber slices are held.  The
+    stencils and products are the ones current_u, lt.integrate_slice and
+    lt.divergence apply to whole histories, so the floats are theirs.
+
+    The residual is the max norm of the divergence over the interior grid,
+    where every stencil in the composition is centered: slices 2..n_time-2
+    (the current's own time derivative is one-sided on the end slices, and
+    differencing across the seam costs an order), and on the line the sites
+    off the guard band.
+    """
+    _require_sc_rule(lat, supports)
+    if lat.n_time < 3:
+        raise lt.LatticeError("the current's one-sided time stencil needs at least "
+                              f"3 time steps, not {lat.n_time}")
+    interior = ~lat.guard_band if lat.topology == lt.LINE else slice(None)
+    two_dt, six_dt = 2 * lat.dt, 6 * lat.dt
+    series = np.empty(lat.n_slices)
+    closed = 0.0
+    f = deque(maxlen=4)  # fiber slices j-3..j
+    a = deque(maxlen=3)  # the density t_component at j-3..j-1
+
+    def omega(density: WeilValue) -> float:
+        return float(lt.integrate_slice(lt.SliceDensity(density, lat)).scalar_part)
+
+    count = 0
+    for j, fibers in fiber_slices:
+        if j != count or fibers.shape != (2, lat.n_space):
+            raise lt.LatticeError(f"slice {j}: the current pairs two fibers of "
+                                  f"{lat.n_space} sites, slice by slice from 0")
+        count += 1
+        f.append(fibers)
+        if j < 2:
+            continue
+        a.append(_cross(f[-2], (f[-1].coeffs - f[-3].coeffs) / two_dt))
+        series[j - 1] = omega(a[-1])
+        if j == 3:
+            c = [v.coeffs for v in f]
+            series[0] = omega(_cross(
+                f[0], (-11 * c[0] + 18 * c[1] - 9 * c[2] + 2 * c[3]) / six_dt))
+        if j >= 4:  # the divergence at j - 2
+            b = _cross(f[-3], lt.d_dx(f[-3], lat).coeffs)
+            div = np.subtract(a[-1].coeffs, a[-3].coeffs)
+            div /= two_dt
+            div -= lt.d_dx(b, lat).coeffs
+            closed = max_or_nan(closed, float(np.max(np.abs(div[interior]), initial=0.0)))
+    if count != lat.n_slices:
+        raise lt.LatticeError(f"the current needs {lat.n_slices} slices, got {count}")
+    c = [v.coeffs for v in f]
+    series[-1] = omega(_cross(
+        f[-1], (11 * c[-1] - 18 * c[-2] + 9 * c[-3] - 2 * c[-4]) / six_dt))
+    return series, closed
+
+
+def relative_drift(series: np.ndarray) -> np.ndarray:
+    """|omega_j - omega_0| per slice, against the initial size of omega."""
+    scale = max(float(np.max(np.abs(series[0]))), 1e-300)
+    return np.abs(series - series[0]) / scale
 
 
 def slice_drift(series: np.ndarray) -> float:
-    """Max relative drift of an omega series across slices, against its initial size."""
-    scale = max(float(np.max(np.abs(series[0]))), 1e-300)
-    return float(np.max(np.abs(series - series[0]))) / scale
+    """Max relative drift of an omega series across slices."""
+    return float(np.max(relative_drift(series)))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from weilfield import dynamics as dyn
 from weilfield import lattice as lt
-from weilfield.weil import WeilAlgebra
+from weilfield.weil import WeilAlgebra, WeilValue
 
 
 @pytest.fixture
@@ -40,3 +41,38 @@ def circle():
 @pytest.fixture
 def line():
     return lt.LatticeSpacetime("line", 96, 0.1, 0.05, 48, guard=2)
+
+
+@pytest.fixture
+def tangent_setup(rng):
+    """make(topology, over) -> (lat, base, directions): sine-Gordon data, two tangents.
+
+    Random smooth profiles (three Fourier modes) over R or the dual numbers,
+    eps parts nonzero; on the line they sit on sites 36..59 of 96, so 24
+    steps keep every cone interior.
+    """
+
+    def make(topology, over):
+        if topology == "circle":
+            lat = lt.LatticeSpacetime("circle", 48, 2 * np.pi / 48, np.pi / 48, 40)
+            window = np.ones(lat.n_space)
+        else:
+            lat = lt.LatticeSpacetime("line", 96, 0.1, 0.05, 24, guard=2)
+            window = np.zeros(lat.n_space)
+            window[36:60] = np.hanning(24)
+        algebra = WeilAlgebra.real() if over == "real" else WeilAlgebra.dual()
+
+        modes = np.exp(2j * np.pi * np.outer(np.arange(lat.n_space) / lat.n_space,
+                                             np.arange(1, 4)))
+
+        def value(scale):
+            amps = rng.standard_normal((2, 3, algebra.dim))
+            coeffs = (modes.real @ amps[0] + modes.imag @ amps[1]) * window[:, None]
+            return WeilValue(algebra, scale * coeffs)
+
+        def data(scale):
+            return dyn.CauchyData(value(scale), value(scale))
+
+        return lat, data(0.3), [data(0.1), data(0.1)]
+
+    return make

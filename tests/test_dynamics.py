@@ -235,6 +235,43 @@ def test_tangent_lift_matches_finite_difference():
     assert np.max(np.abs(fiber - fd)) <= 1e-6 * np.max(np.abs(fiber))
 
 
+@pytest.mark.parametrize("over", ["real", "dual"])
+@pytest.mark.parametrize("topology", ["circle", "line"])
+def test_tangent_slices_bit_match_separate_lifts(tangent_setup, topology, over):
+    # one batched march streams the fibers two stored lifts would hold
+    lat, base, directions = tangent_setup(topology, over)
+    sg = dyn.interaction("sine_gordon")
+    stored = [dyn.fiber_history(dyn.tangent_lift(base, d, sg, lat)).values.coeffs
+              for d in directions]
+    seen = []
+    for j, fibers in dyn.tangent_slices(base, directions, sg, lat):
+        assert fibers.algebra == base.algebra and fibers.shape == (2, lat.n_space)
+        assert all(np.array_equal(fibers.coeffs[k], stored[k][j]) for k in range(2))
+        seen.append(j)
+    assert seen == list(range(lat.n_slices))
+
+
+def test_tangent_slices_refuse_when_one_cone_escapes():
+    # the batch refuses exactly when one of the separate lifts would
+    lat = lt.LatticeSpacetime("line", 64, 0.1, 0.05, 20, guard=2)
+    free = dyn.interaction("free")
+    base = dyn.data_from_arrays(np.zeros(64), np.zeros(64))
+    inside, near_edge = np.zeros(64), np.zeros(64)
+    inside[30:34] = 1.0
+    near_edge[10:14] = 1.0
+    fits = dyn.data_from_arrays(inside, np.zeros(64))
+    escapes = dyn.data_from_arrays(np.zeros(64), near_edge)
+    dyn.tangent_lift(base, fits, free, lat)
+    with pytest.raises(dyn.ConeEscapeError):
+        dyn.tangent_lift(base, escapes, free, lat)
+    assert len(list(dyn.tangent_slices(base, [fits, fits], free, lat))) == lat.n_slices
+    for pair in ([fits, escapes], [escapes, fits]):
+        with pytest.raises(dyn.ConeEscapeError):
+            next(dyn.tangent_slices(base, pair, free, lat))
+    with pytest.raises(dyn.SolverError):
+        next(dyn.tangent_slices(base, [fits, dyn.lift_data(fits, fits)], free, lat))
+
+
 def test_finite_propagation_speed_exact():
     lat = lt.LatticeSpacetime("line", 96, 0.1, 0.05, 30, guard=2)
     sg = dyn.interaction("sine_gordon")

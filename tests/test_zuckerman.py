@@ -24,6 +24,17 @@ def make_tangents(lat, inter, base_data, directions):
     return out
 
 
+def fiber_pairs(v, vp):
+    """Two stored fibers slice by slice, stacked as conservation takes them."""
+    pair = np.stack([v.fiber.values.coeffs, vp.fiber.values.coeffs], axis=1)
+    return ((j, WeilValue(v.fiber.algebra, pair[j])) for j in range(len(pair)))
+
+
+def streamed(v, vp):
+    """conservation's (omega series, closedness residual) of two stored tangents."""
+    return zk.conservation(fiber_pairs(v, vp), v.lattice, (v.support, vp.support))
+
+
 @pytest.fixture
 def sg_setup():
     lat = circle_lattice(64, 96)
@@ -211,7 +222,7 @@ def test_closedness_second_order():
             [dyn.data_from_arrays(g, np.zeros(n)),
              dyn.data_from_arrays(np.zeros(n), g)],
         )
-        errs.append(zk.closedness_residual(zk.current_u(v1, v2)))
+        errs.append(streamed(v1, v2)[1])
         dxs.append(lat.dx)
     slope = np.polyfit(np.log(dxs), np.log(errs), 1)[0]
     assert abs(slope - 2.0) < 0.3
@@ -225,10 +236,63 @@ def test_off_shell_fiber_is_detected(sg_setup):
         v1.base, dyn.FieldHistory(WeilValue(v2.fiber.algebra, bad_vals), lat)
     )
     # the closedness residual stays bounded away from zero
-    assert zk.closedness_residual(zk.current_u(v1, bad)) > 0.1
+    assert streamed(v1, bad)[1] > 0.1
     with pytest.raises(lt.LatticeError):
         bad.validate(sg, tol=1e-6)
     v2.validate(sg, tol=1e-10)  # the honest fiber passes
+
+
+def whole_grid_reference(v, vp):
+    """omega per slice and the interior max of the divergence, from current_u."""
+    u, lat = zk.current_u(v, vp), v.lattice
+    series = np.array([lt.integrate_slice(u.slice_density(j)).scalar_part
+                       for j in range(lat.n_slices)])
+    div = lt.divergence(u, lat).coeffs[1:-1][..., ~lat.guard_band, :]
+    return series, float(np.max(np.abs(div)))
+
+
+@pytest.mark.parametrize("over", ["real", "dual"])
+@pytest.mark.parametrize("topology", ["circle", "line"])
+def test_stream_bit_matches_whole_grid_current(tangent_setup, topology, over):
+    lat, base, directions = tangent_setup(topology, over)
+    sg = dyn.interaction("sine_gordon")
+    supports = (None, None)
+    if topology == "line":
+        supports = tuple(lt.support_mask(lat, d.phi, d.pi) for d in directions)
+    v1, v2 = (zk.TangentSolution(v.base, v.fiber, s) for v, s in
+              zip(make_tangents(lat, sg, base, directions), supports))
+    # on shell, straight from the dual march
+    series, closed = zk.conservation(dyn.tangent_slices(base, directions, sg, lat),
+                                     lat, supports)
+    ref_series, ref_closed = whole_grid_reference(v1, v2)
+    assert np.array_equal(series, ref_series) and closed == ref_closed
+
+    # the negative control: a fiber off shell inside the slab
+    bad = v2.fiber.values.coeffs.copy()
+    bad[..., 0] += np.sin(lat.t)[:, None] * np.cos(2 * lat.x)[None, :]
+    bad[..., lat.guard_band, :] = 0.0
+    bad = zk.TangentSolution(v1.base, dyn.FieldHistory(WeilValue(base.algebra, bad), lat))
+    off_series, off_closed = streamed(v1, bad)
+    ref_series, ref_closed = whole_grid_reference(v1, bad)
+    assert np.array_equal(off_series, ref_series) and off_closed == ref_closed
+    assert off_closed > 10 * closed
+
+
+def test_conservation_refuses_malformed_streams(sg_setup):
+    lat, sg, base, v1, v2 = sg_setup
+    three = np.stack([v1.fiber.values.coeffs] * 3, axis=1)
+    with pytest.raises(lt.LatticeError, match="two fibers"):
+        zk.conservation(((j, WeilValue(v1.fiber.algebra, three[j]))
+                         for j in range(lat.n_slices)), lat, (None, None))
+    short = list(fiber_pairs(v1, v2))[:-1]
+    with pytest.raises(lt.LatticeError, match="slices"):
+        zk.conservation(iter(short), lat, (None, None))
+    skipping = short[:2] + short[3:]
+    with pytest.raises(lt.LatticeError, match="slice 3"):
+        zk.conservation(iter(skipping), lat, (None, None))
+    two_steps = circle_lattice(32, 2)
+    with pytest.raises(lt.LatticeError, match="3 time steps"):
+        zk.conservation(iter(()), two_steps, (None, None))
 
 
 # -- the presymplectic form ------------------------------------------------------------
@@ -244,7 +308,7 @@ def test_omega_antisymmetric_exact(sg_setup):
 
 def test_omega_slice_independent(sg_setup):
     lat, sg, base, v1, v2 = sg_setup
-    assert zk.slice_drift(zk.presymplectic_series(zk.current_u(v1, v2))) < 10 * lat.dx**2
+    assert zk.slice_drift(streamed(v1, v2)[0]) < 10 * lat.dx**2
 
 
 def test_omega_sign_convention():
@@ -281,7 +345,10 @@ def test_sc_rule_on_line():
 
     with pytest.raises(lt.SupportError):
         zk.current_u(v_plain, v_plain)
+    with pytest.raises(lt.SupportError):
+        streamed(v_plain, v_plain)
     u = zk.current_u(v_sc, v_plain)  # one factor suffices
+    assert np.array_equal(streamed(v_sc, v_plain)[0], streamed(v_plain, v_sc)[0] * -1)
 
     v_sc.validate(sg, tol=1e-9)  # fiber stays inside its causal cones
     windows = zk.current_windows(v_sc, v_plain)
