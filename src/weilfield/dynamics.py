@@ -7,9 +7,12 @@ so the solver runs verbatim over any Weil algebra: dual-number initial data
 yield the solution together with its exact directional derivative, the
 linearized solution, in the eps component.  For a smeared observable the
 transpose of that linearized scheme, run backward over one stored solve,
-gives the whole gradient at once (smeared_gradient).  One generator,
-leapfrog_slices, marches the scheme; solve_cauchy stores its slices, while
-solve_smeared and tangent_slices use each slice as it arrives and hold three.
+gives the whole gradient at once (smeared_gradient).  Several tangents at
+one base ride one march over W (x) D(k), the base marched once with the k
+directions in its first-order tangent slots (tangent_slices).  One
+generator, leapfrog_slices, marches the scheme; solve_cauchy stores its
+slices, while solve_smeared and tangent_slices use each slice as it
+arrives and hold three.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ from .weil import (
     constant_map,
     embed,
     extract_top,
+    lift_tangents,
     max_or_nan,
     monomial_map,
     sin_map,
+    tangent_parts,
 )
 
 
@@ -212,7 +217,9 @@ def leapfrog_slices(data: CauchyData, inter: Interaction, lat: lt.LatticeSpaceti
         _check_line_support(data, lat)
 
     def accel(u: WeilValue) -> WeilValue:
-        return lt.d2_dx2(u, lat) - apply_smooth(inter.rho, u)
+        a = lt.d2_dx2(u, lat)
+        np.subtract(a.coeffs, apply_smooth(inter.rho, u).coeffs, out=a.coeffs)
+        return a
 
     phi0, pi0 = data.phi, data.pi
     # line boundary: edge sites frozen at their initial values, which
@@ -243,7 +250,13 @@ def leapfrog_slices(data: CauchyData, inter: Interaction, lat: lt.LatticeSpaceti
     dt2 = lat.dt**2
     for j in range(2, lat.n_time + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = clamp_guard(2.0 * cur - prev + dt2 * accel(cur))
+            # (2 cur - prev) + dt^2 accel(cur), one new slice, the rest in place
+            nxt = np.multiply(cur.coeffs, 2.0)
+            nxt -= prev.coeffs
+            force = accel(cur).coeffs
+            force *= dt2
+            nxt += force
+            nxt = clamp_guard(WeilValue(cur.algebra, nxt))
         yield j, finite(j, nxt)
         prev, cur = cur, nxt
 
@@ -395,28 +408,20 @@ def tangent_slices(data: CauchyData, directions: list[CauchyData], inter: Intera
                    lat: lt.LatticeSpacetime):
     """Yield (j, fibers): the linearized solutions along data, slice by slice.
 
-    The directions stack on a leading batch axis over data broadcast to it,
-    so one dual leapfrog carries them all and nothing is stored.  fibers[k]
-    is the eps part on slice j for directions[k], the same floats as slice j
-    of fiber_history(tangent_lift(data, directions[k], inter, lat)).  On the
-    line the support check sees the union of the batch's cones, so it
+    data + sum_k t_k * directions[k] over W (x) D(len(directions)) marches
+    once, so the base is lifted and stenciled once per step and nothing is
+    stored.  fibers holds the t_k parts of slice j on a leading axis:
+    fibers[k] is the same floats as slice j of
+    fiber_history(tangent_lift(data, directions[k], inter, lat)).  On the
+    line the support check sees the union of the directions' cones, so it
     refuses exactly when one of the separate lifts would.
     """
     if any(d.algebra != data.algebra for d in directions):
         raise SolverError("data and direction must share an algebra")
-    batch = (len(directions),)
-
-    def stacked(parts: list[WeilValue]) -> WeilValue:
-        return WeilValue(data.algebra, np.stack([p.coeffs for p in parts]))
-
-    def broadcast(v: WeilValue) -> WeilValue:
-        return WeilValue(v.algebra, np.broadcast_to(v.coeffs, batch + v.coeffs.shape))
-
-    lifted = lift_data(CauchyData(broadcast(data.phi), broadcast(data.pi)),
-                       CauchyData(stacked([d.phi for d in directions]),
-                                  stacked([d.pi for d in directions])))
+    lifted = CauchyData(lift_tangents(data.phi, [d.phi for d in directions]),
+                        lift_tangents(data.pi, [d.pi for d in directions]))
     for j, value in leapfrog_slices(lifted, inter, lat):
-        yield j, extract_top(value, 1)
+        yield j, tangent_parts(value, data.algebra)
 
 
 def base_history(lifted: FieldHistory) -> FieldHistory:

@@ -195,6 +195,9 @@ def _tolerances_from(desc: dict) -> dict:
             continue  # scaled from the grid at run time
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{key} must be a number, got {value!r}")
+        if not math.isfinite(value) or value < 0:
+            # an infinite bound passes every value and a negative one none
+            raise ValueError(f"{key} must be finite and nonnegative, got {value!r}")
     return tolerances
 
 

@@ -129,7 +129,8 @@ def _conservation(config: ExperimentConfig, rng: np.random.Generator,
                   lat: lt.LatticeSpacetime) -> tuple[np.ndarray, float]:
     """omega per slice and the closedness residual of the config's two tangents.
 
-    Both come from one dual march of the two tangents, folded slice by slice.
+    Both come from one march of the two tangents over W (x) D(2), folded
+    slice by slice.
     """
     if len(config.tangents) != 2:
         raise ConfigError(f"tangents: omega pairs exactly two, not {len(config.tangents)}")

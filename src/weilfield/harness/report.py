@@ -14,6 +14,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 
@@ -82,13 +83,26 @@ class Report:
         return [v.line() for v in self.verdicts]
 
 
+@cache
+def _new_file_mode() -> int:
+    """The mode open() gives a new file: 0o666 under the process umask, read once."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a sibling temp file and rename, never leaving partial output."""
+    """Write via a sibling temp file and rename, never leaving partial output.
+
+    The temp file is created private (0o600), so it takes the mode a plain
+    open() would give the file before the rename publishes it.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), _new_file_mode())
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -10,6 +10,12 @@ float rounding: one order-2 generator (dual numbers, eps^2 = 0) carries
 first derivatives, stacked order-2 generators carry mixed partials, and
 higher truncation orders carry jets.
 
+A first-order tangent block tensors such an algebra W with
+D(k) = R[t_1..t_k]/(t_i t_j), the Weil algebra of the first-order
+neighbourhood of 0 in R^k (Kock, Synthetic Differential Geometry, I.1).
+W (x) D(k) carries one base point with k tangent vectors at it, so k
+directional derivatives ride one evaluation of the base.
+
 Coefficient arrays keep the monomial axis last, so a single value can hold
 an entire lattice of algebra elements and all operations vectorize over
 the leading axes.
@@ -38,22 +44,37 @@ class DerivativeOrderError(ValueError):
 
 @dataclass(frozen=True)
 class WeilAlgebra:
-    """Structure constants of R[g_1..g_k]/(g_i^orders[i]).
+    """Structure constants of R[g_1..g_k]/(g_i^orders[i]), times D(tangents).
 
     The basis is the set of monomials g^m with m[i] < orders[i], ordered
     row-major (last generator varies fastest); basis[0] is the unit.  The
     multiplication table is monomial addition truncated to zero whenever
     any exponent reaches its order, which makes every non-unit basis
     element nilpotent and the quotient by the maximal ideal equal to R.
+
+    With tangents = n > 1 the algebra is that box algebra W tensored with
+    D(n): n more generators t_i with t_i t_j = 0 for all i, j.  Its basis
+    monomials end in n tangent exponents, at most one of them 1, and its
+    coefficients are stored as (W.dim, n + 1) row-major: slot 0 holds the
+    base W-value, slot i its t_i part.  D(1) is one dual generator, so
+    tangents=1 is stored as orders + (2,), the same algebra append_dual makes.
+    Nothing tensors after a tangent block.
     """
 
     orders: tuple[int, ...]
+    tangents: int = 0
 
     def __post_init__(self) -> None:
         orders = tuple(int(o) for o in self.orders)
+        tangents = int(self.tangents)
         if any(o < 2 for o in orders):
             raise ValueError("generator truncation orders must be >= 2")
+        if tangents < 0:
+            raise ValueError("a tangent block needs a nonnegative number of tangents")
+        if tangents == 1:
+            orders, tangents = orders + (2,), 0
         object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "tangents", tangents)
 
     # -- construction -------------------------------------------------
 
@@ -73,6 +94,11 @@ class WeilAlgebra:
         return cls((order,))
 
     @classmethod
+    def first_order(cls, n: int) -> "WeilAlgebra":
+        """D(n) = R[t_1..t_n]/(t_i t_j): n tangent directions at one point."""
+        return cls((), n)
+
+    @classmethod
     def from_descriptor(cls, desc: dict) -> "WeilAlgebra":
         orders = tuple(int(o) for o in desc["orders"])
         if int(desc.get("generators", len(orders))) != len(orders):
@@ -80,21 +106,25 @@ class WeilAlgebra:
         return cls(orders)
 
     def descriptor(self) -> dict:
+        if self.tangents:
+            raise ValueError("a tangent block lives inside one march and has no descriptor")
         return {"generators": self.num_generators, "orders": list(self.orders)}
 
     def tensor(self, other: "WeilAlgebra") -> "WeilAlgebra":
         """Tensor product over R: generators and truncations concatenate."""
-        return WeilAlgebra(self.orders + other.orders)
+        if self.tangents:
+            raise ValueError(f"{self!r} ends in a tangent block; nothing tensors after it")
+        return WeilAlgebra(self.orders + other.orders, other.tangents)
 
     # -- derived structure --------------------------------------------
 
     @property
     def num_generators(self) -> int:
-        return len(self.orders)
+        return len(self.orders) + self.tangents
 
     @cached_property
     def dim(self) -> int:
-        d = 1
+        d = self.tangents + 1
         for o in self.orders:
             d *= o
         return d
@@ -102,11 +132,11 @@ class WeilAlgebra:
     @cached_property
     def nil_degree(self) -> int:
         """Max total degree of a basis monomial; nilpotent^(nil_degree+1) = 0."""
-        return sum(o - 1 for o in self.orders)
+        return sum(o - 1 for o in self.orders) + (1 if self.tangents else 0)
 
-    @cached_property
+    @property
     def basis(self) -> tuple[Monomial, ...]:
-        return tuple(itertools.product(*(range(o) for o in self.orders)))
+        return _basis(self)
 
     @cached_property
     def _strides(self) -> tuple[int, ...]:
@@ -121,9 +151,12 @@ class WeilAlgebra:
         mono = tuple(int(e) for e in mono)
         if len(mono) != self.num_generators:
             raise ValueError(f"monomial {mono} has wrong generator count")
-        if any(e < 0 or e >= o for e, o in zip(mono, self.orders)):
-            raise ValueError(f"monomial {mono} outside basis for orders {self.orders}")
-        return sum(e * s for e, s in zip(mono, self._strides))
+        box, tangent = mono[:len(self.orders)], mono[len(self.orders):]
+        if any(e < 0 or e >= o for e, o in zip(box, self.orders)) \
+                or any(e not in (0, 1) for e in tangent) or sum(tangent) > 1:
+            raise ValueError(f"monomial {mono} outside basis for {self!r}")
+        slot = tangent.index(1) + 1 if 1 in tangent else 0
+        return sum(e * s for e, s in zip(box, self._strides)) * (self.tangents + 1) + slot
 
     @cached_property
     def mult_tensor(self) -> np.ndarray:
@@ -140,21 +173,34 @@ class WeilAlgebra:
         return _products_by_target(self)
 
     def __repr__(self) -> str:
-        return f"WeilAlgebra(orders={self.orders})"
+        tangents = f", tangents={self.tangents}" if self.tangents else ""
+        return f"WeilAlgebra(orders={self.orders}{tangents})"
+
+
+@cache
+def _basis(algebra: WeilAlgebra) -> tuple[Monomial, ...]:
+    """The basis monomials in storage order, built once per algebra."""
+    box = itertools.product(*(range(o) for o in algebra.orders))
+    n = algebra.tangents
+    slots = [(0,) * n] + [tuple(int(i == s) for i in range(n)) for s in range(n)]
+    return tuple(m + t for m in box for t in slots)
 
 
 @cache
 def _products_by_target(algebra: WeilAlgebra):
     """The nonzero products basis_i * basis_j = basis_k as (k, ((i, j), ...)), k ascending.
 
-    Built once per orders tuple, as every append_dual makes a new instance.
+    Built once per algebra, as every append_dual makes a new instance.  The
+    pairs of each target come in (i, j) order, so a tangent block sums each
+    t_i slot in the order a dual generator sums its eps slot.
     """
+    index = {m: k for k, m in enumerate(algebra.basis)}
     grouped: dict[int, list[tuple[int, int]]] = {}
     for i, a in enumerate(algebra.basis):
         for j, b in enumerate(algebra.basis):
-            m = tuple(x + y for x, y in zip(a, b))
-            if all(e < o for e, o in zip(m, algebra.orders)):
-                grouped.setdefault(algebra.index(m), []).append((i, j))
+            k = index.get(tuple(x + y for x, y in zip(a, b)))
+            if k is not None:
+                grouped.setdefault(k, []).append((i, j))
     return tuple((k, tuple(pairs)) for k, pairs in sorted(grouped.items()))
 
 
@@ -331,14 +377,10 @@ def max_or_nan(*values: float) -> float:
 
 def embed(w: WeilValue, big: WeilAlgebra) -> WeilValue:
     """Include w into a larger algebra whose leading generators are w's."""
-    k = w.algebra.num_generators
-    if big.orders[:k] != w.algebra.orders:
-        raise AlgebraMismatchError(
-            f"{big.orders} does not extend {w.algebra.orders} on the left"
-        )
-    tail = 1
-    for o in big.orders[k:]:
-        tail *= o
+    k = len(w.algebra.orders)
+    if w.algebra.tangents or big.orders[:k] != w.algebra.orders:
+        raise AlgebraMismatchError(f"{big} does not extend {w.algebra} on the left")
+    tail = big.dim // w.algebra.dim
     coeffs = np.zeros(w.shape + (big.dim,))
     coeffs.reshape(w.shape + (w.algebra.dim, tail))[..., 0] = w.coeffs
     return WeilValue(big, coeffs)
@@ -347,6 +389,8 @@ def embed(w: WeilValue, big: WeilAlgebra) -> WeilValue:
 def extract_top(w: WeilValue, power: int) -> WeilValue:
     """Coefficient of (last generator)^power, as a value over the remaining algebra."""
     orders = w.algebra.orders
+    if w.algebra.tangents:
+        raise ValueError("a tangent block splits by tangent_parts, not extract_top")
     if not orders:
         raise ValueError("the trivial algebra has no generator to extract")
     if power < 0 or power >= orders[-1]:
@@ -364,6 +408,37 @@ def append_dual(algebra: WeilAlgebra) -> WeilAlgebra:
 def dual_parts(w: WeilValue) -> tuple[WeilValue, WeilValue]:
     """Split a value over W (x) R[eps] into (eps^0 part, eps^1 part) over W."""
     return extract_top(w, 0), extract_top(w, 1)
+
+
+@cache
+def _with_tangents(base: WeilAlgebra, n: int) -> WeilAlgebra:
+    """base (x) D(n), built once: a march reads its tangent parts every slice."""
+    return base.tensor(WeilAlgebra.first_order(n))
+
+
+def lift_tangents(base: WeilValue, directions: Sequence[WeilValue]) -> WeilValue:
+    """base + sum_i t_i * directions[i] over W (x) D(n), n = len(directions)."""
+    if not directions:
+        raise ValueError("a tangent block needs at least one direction")
+    for d in directions:
+        base._require_same_algebra(d)
+        if d.shape != base.shape:
+            raise ValueError(f"direction shape {d.shape} is not the base's {base.shape}")
+    big = _with_tangents(base.algebra, len(directions))
+    coeffs = np.zeros(base.shape + (base.algebra.dim, len(directions) + 1))
+    for slot, part in enumerate([base, *directions]):
+        coeffs[..., slot] += part.coeffs
+    return WeilValue(big, coeffs.reshape(base.shape + (big.dim,)))
+
+
+def tangent_parts(w: WeilValue, base: WeilAlgebra) -> WeilValue:
+    """The t_1..t_n parts of a value over base (x) D(n), as base-values on a new leading axis."""
+    n = w.algebra.dim // base.dim - 1
+    if n < 1 or w.algebra != _with_tangents(base, n):
+        raise AlgebraMismatchError(f"{w.algebra} is not {base} with a tangent block")
+    parts = w.coeffs.reshape(w.shape + (base.dim, n + 1))[..., 1:]
+    last = parts.ndim - 1
+    return WeilValue(base, parts.transpose((last,) + tuple(range(last))).copy())
 
 
 # -- smooth maps and their lifts --------------------------------------------

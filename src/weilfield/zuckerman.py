@@ -11,7 +11,8 @@ as an independent oracle for the closed form used here.
 
 A run never builds u whole: conservation folds it into omega on every
 slice and into the closedness residual while the two fibers stream out of
-one dual march (dynamics.tangent_slices), holding four fiber slices.
+one march over W (x) D(2) (dynamics.tangent_slices), holding four fiber
+slices.
 current_u, theta and TangentSolution are the whole-grid forms the tests
 check the stream against.
 

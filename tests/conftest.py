@@ -45,14 +45,14 @@ def line():
 
 @pytest.fixture
 def tangent_setup(rng):
-    """make(topology, over) -> (lat, base, directions): sine-Gordon data, two tangents.
+    """make(topology, over, count=2) -> (lat, base, directions): sine-Gordon data, tangents.
 
     Random smooth profiles (three Fourier modes) over R or the dual numbers,
     eps parts nonzero; on the line they sit on sites 36..59 of 96, so 24
     steps keep every cone interior.
     """
 
-    def make(topology, over):
+    def make(topology, over, count=2):
         if topology == "circle":
             lat = lt.LatticeSpacetime("circle", 48, 2 * np.pi / 48, np.pi / 48, 40)
             window = np.ones(lat.n_space)
@@ -73,6 +73,6 @@ def tangent_setup(rng):
         def data(scale):
             return dyn.CauchyData(value(scale), value(scale))
 
-        return lat, data(0.3), [data(0.1), data(0.1)]
+        return lat, data(0.3), [data(0.1) for _ in range(count)]
 
     return make

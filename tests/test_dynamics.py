@@ -3,7 +3,7 @@ import pytest
 
 from weilfield import dynamics as dyn
 from weilfield import lattice as lt
-from weilfield.weil import WeilAlgebra, WeilValue, extract_top
+from weilfield.weil import SmoothMap, WeilAlgebra, WeilValue, extract_top
 
 
 def circle_lattice(n, steps, dt_factor=0.5, extent=2 * np.pi):
@@ -235,20 +235,51 @@ def test_tangent_lift_matches_finite_difference():
     assert np.max(np.abs(fiber - fd)) <= 1e-6 * np.max(np.abs(fiber))
 
 
-@pytest.mark.parametrize("over", ["real", "dual"])
-@pytest.mark.parametrize("topology", ["circle", "line"])
-def test_tangent_slices_bit_match_separate_lifts(tangent_setup, topology, over):
-    # one batched march streams the fibers two stored lifts would hold
-    lat, base, directions = tangent_setup(topology, over)
+def _assert_slices_bit_match(lat, base, directions):
     sg = dyn.interaction("sine_gordon")
     stored = [dyn.fiber_history(dyn.tangent_lift(base, d, sg, lat)).values.coeffs
               for d in directions]
     seen = []
     for j, fibers in dyn.tangent_slices(base, directions, sg, lat):
-        assert fibers.algebra == base.algebra and fibers.shape == (2, lat.n_space)
-        assert all(np.array_equal(fibers.coeffs[k], stored[k][j]) for k in range(2))
+        assert fibers.algebra == base.algebra
+        assert fibers.shape == (len(directions), lat.n_space)
+        assert all(np.array_equal(fibers.coeffs[k], stored[k][j])
+                   for k in range(len(directions)))
         seen.append(j)
     assert seen == list(range(lat.n_slices))
+
+
+@pytest.mark.parametrize("over", ["real", "dual"])
+@pytest.mark.parametrize("topology", ["circle", "line"])
+def test_tangent_slices_bit_match_separate_lifts(tangent_setup, topology, over):
+    # one march over W (x) D(2) streams the fibers two stored lifts would hold
+    _assert_slices_bit_match(*tangent_setup(topology, over))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("over", ["real", "dual"])
+@pytest.mark.parametrize("topology", ["circle", "line"])
+def test_tangent_slices_bit_match_any_count(tangent_setup, topology, over, count):
+    # D(1) is one dual generator; D(3) carries three directions on one base
+    _assert_slices_bit_match(*tangent_setup(topology, over, count))
+
+
+def test_tangent_march_lifts_rho_on_one_base_slice():
+    # the base is marched once: rho and rho' see n_space scalars per step,
+    # not one row of scalars per direction
+    lat = circle_lattice(32, 8)
+    shapes = set()
+
+    def nth(n, x):
+        shapes.add(np.shape(x))
+        return np.sin(x + n * np.pi / 2)
+
+    probe = dyn.Interaction("probe", SmoothMap("probe", nth))
+    base = dyn.data_from_arrays(0.3 * np.cos(lat.x), 0.1 * np.sin(lat.x))
+    directions = [dyn.data_from_arrays(np.sin(k * lat.x), np.cos(k * lat.x))
+                  for k in (1, 2)]
+    assert len(list(dyn.tangent_slices(base, directions, probe, lat))) == lat.n_slices
+    assert shapes == {(lat.n_space,)}
 
 
 def test_tangent_slices_refuse_when_one_cone_escapes():

@@ -4,6 +4,7 @@ import json
 import operator
 import os
 import re
+import stat
 import tracemalloc
 
 import numpy as np
@@ -176,6 +177,22 @@ def test_atomic_write_leaves_no_partial(tmp_path, monkeypatch):
     assert leftovers == []
 
 
+def test_atomic_write_gives_the_umask_mode(tmp_path):
+    # a new file and a replaced one both end up 0o666 under the umask,
+    # not the temp file's private 0o600
+    target = tmp_path / "out.csv"
+    old = os.umask(0o022)
+    rp._new_file_mode.cache_clear()
+    try:
+        for data in (b"first", b"second"):
+            rp.atomic_write_bytes(str(target), data)
+            assert stat.S_IMODE(target.stat().st_mode) == 0o644
+    finally:
+        os.umask(old)
+        rp._new_file_mode.cache_clear()
+    assert target.read_bytes() == b"second"
+
+
 def test_verdict_lines():
     v = rp.check("thing", 0.5, 1.0)
     assert v.passed and v.line().startswith("PASS thing")
@@ -333,6 +350,14 @@ def test_cli_tolerance_override_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_infinite_tolerance_override_exits_2(tmp_path, capsys):
+    # an infinite bound would pass every drift
+    path = _write(tmp_path, copy.deepcopy(BASE_CONSERVE))
+    assert cli.main(["conserve", "--config", path, "--tol", "inf"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: tolerances: omega_drift"), err
+
+
 def test_cli_command_config_mismatch(tmp_path, capsys):
     path = _write(tmp_path, copy.deepcopy(BASE_CONSERVE))
     code = cli.main(["solve", "--config", path])
@@ -367,6 +392,12 @@ MALFORMED = {
     "tolerance_not_a_number":
         ("conserve", lambda d: d.update(tolerances={"omega_drift": "abc"})),
     "tolerance_null": ("conserve", lambda d: d.update(tolerances={"omega_drift": None})),
+    "tolerance_inf":
+        ("conserve", lambda d: d.update(tolerances={"omega_drift": float("inf")})),
+    "tolerance_nan":
+        ("conserve", lambda d: d.update(tolerances={"omega_drift": float("nan")})),
+    "tolerance_negative":
+        ("conserve", lambda d: d.update(tolerances={"omega_drift": -1e-3})),
     "profile_amplitude_not_a_number":
         ("conserve", lambda d: d["initial_data"]["phi"].update(amplitude="x")),
     "profile_kmax_not_a_number": ("conserve", lambda d: d["initial_data"].update(

@@ -18,9 +18,11 @@ from weilfield.weil import (
     exp_map,
     extract_top,
     identity_map,
+    lift_tangents,
     monomial_map,
     polynomial_map,
     sin_map,
+    tangent_parts,
 )
 
 
@@ -228,6 +230,97 @@ def test_extract_top_bounds():
         extract_top(w, 2)
     with pytest.raises(ValueError):
         extract_top(WeilValue.unit(WeilAlgebra.real()), 0)
+
+
+# -- first-order tangent blocks W (x) D(n) ---------------------------------------
+
+TANGENT_BLOCKS = [((), 2), ((), 3), ((2,), 2), ((3,), 3), ((2, 2), 2)]
+
+
+@pytest.mark.parametrize("orders,n", TANGENT_BLOCKS)
+def test_tangent_block_table(orders, n):
+    W = WeilAlgebra(orders)
+    big = W.tensor(WeilAlgebra.first_order(n))
+    assert big.dim == W.dim * (n + 1) and big.nil_degree == W.nil_degree + 1
+    T = big.mult_tensor
+    assert np.array_equal(T, np.swapaxes(T, 0, 1))
+    assert np.array_equal(np.einsum("ijm,mkl->ijkl", T, T),
+                          np.einsum("jkm,iml->ijkl", T, T))
+    # t_i t_j = 0 for every pair, squares included
+    t = [WeilValue.generator(big, len(orders) + i) for i in range(n)]
+    assert all((a * b).max_abs() == 0.0 for a in t for b in t)
+    # storage is (W.dim, n + 1) row-major: basis_k is W's basis_(k // (n+1)), slot k % (n+1)
+    assert all(big.index(m) == k for k, m in enumerate(big.basis))
+    assert [m[:len(orders)] for m in big.basis[::n + 1]] == list(W.basis)
+
+
+@pytest.mark.parametrize("orders,n", TANGENT_BLOCKS)
+def test_tangent_block_locality(orders, n):
+    big = WeilAlgebra(orders).tensor(WeilAlgebra.first_order(n))
+    assert [m for m in big.basis if sum(m) == 0] == [big.basis[0]]
+    for k in range(1, big.dim):
+        v = WeilValue(big, np.eye(big.dim)[k])
+        assert (v ** (big.nil_degree + 1)).max_abs() == 0.0
+
+
+def test_first_order_one_is_the_dual_generator():
+    for W in (WeilAlgebra.real(), WeilAlgebra.dual(), WeilAlgebra((2, 3))):
+        one = W.tensor(WeilAlgebra.first_order(1))
+        assert one == append_dual(W) and hash(one) == hash(append_dual(W))
+        assert one._mult_by_target is append_dual(W)._mult_by_target
+
+
+def test_nothing_tensors_after_a_tangent_block():
+    big = WeilAlgebra.dual().tensor(WeilAlgebra.first_order(2))
+    assert big == WeilAlgebra((2,), 2)
+    for other in (WeilAlgebra.dual(), WeilAlgebra.real(), WeilAlgebra.first_order(2)):
+        with pytest.raises(ValueError):
+            big.tensor(other)
+    with pytest.raises(ValueError):
+        append_dual(big)
+    w = WeilValue.unit(big)
+    with pytest.raises(ValueError):
+        extract_top(w, 1)
+    with pytest.raises(AlgebraMismatchError):
+        embed(w, WeilAlgebra((2, 2, 2)))
+    with pytest.raises(ValueError):
+        big.descriptor()
+
+
+@pytest.mark.parametrize("orders", [(), (2,), (3,)])
+@pytest.mark.parametrize("factory", [sin_map, exp_map,
+                                     lambda: polynomial_map([0.3, 1.2, -0.7, 0.25])])
+def test_apply_smooth_on_tangent_block(orders, factory, rng):
+    # each t_i part of f(a + sum_i t_i v_i) is the directional derivative
+    # along v_i over W: bit for bit the eps part of a dual lift, and the
+    # central difference to O(h^2)
+    W, f = WeilAlgebra(orders), factory()
+    a = WeilValue(W, 0.5 * rng.standard_normal((5, W.dim)))
+    vs = [WeilValue(W, rng.standard_normal((5, W.dim))) for _ in range(3)]
+    out = apply_smooth(f, lift_tangents(a, vs))
+    parts = tangent_parts(out, W)
+    assert parts.algebra == W and parts.shape == (3, 5)
+    assert np.array_equal(out.coeffs[..., ::4], apply_smooth(f, a).coeffs)
+    D = append_dual(W)
+    eps = WeilValue.generator(D, W.num_generators)
+    h = 1e-5
+    for v, part in zip(vs, parts.coeffs):
+        _, dual = dual_parts(apply_smooth(f, embed(a, D) + eps * embed(v, D)))
+        assert np.array_equal(part, dual.coeffs)
+        fd = (apply_smooth(f, a + h * v) - apply_smooth(f, a - h * v)) / (2 * h)
+        assert (fd - WeilValue(W, part)).max_abs() < 1e-7 * max(1.0, fd.max_abs())
+
+
+def test_lift_tangents_refuses_mismatched_directions():
+    a = WeilValue.unit(WeilAlgebra.dual(), (4,))
+    with pytest.raises(ValueError):
+        lift_tangents(a, [])
+    with pytest.raises(AlgebraMismatchError):
+        lift_tangents(a, [WeilValue.unit(WeilAlgebra.real(), (4,))])
+    with pytest.raises(ValueError):
+        lift_tangents(a, [WeilValue.unit(WeilAlgebra.dual(), (3,))])
+    with pytest.raises(AlgebraMismatchError):
+        tangent_parts(lift_tangents(a, [a, a]), WeilAlgebra.real())
 
 
 # -- smooth map lifts ------------------------------------------------------------
