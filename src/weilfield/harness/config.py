@@ -189,6 +189,14 @@ def _interaction_from(desc: dict) -> dyn.Interaction:
 
 
 def _tolerances_from(desc: dict) -> dict:
+    if not isinstance(desc, dict):
+        raise ValueError(f"must be a JSON object, got {desc!r}")
+    for key in desc:
+        if key not in DEFAULT_TOLERANCES:
+            import difflib  # only a misspelled key pays for the import
+            close = difflib.get_close_matches(key, DEFAULT_TOLERANCES, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ValueError(f"unknown tolerance {key!r}{hint}")
     tolerances = {**DEFAULT_TOLERANCES, **desc}
     for key, value in tolerances.items():
         if value is None and key == "solve_residual":

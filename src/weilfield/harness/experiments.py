@@ -220,9 +220,12 @@ def _run_bracket(config: ExperimentConfig, outdir: str | None) -> Report:
                max_or_nan(defects[i], defects[j])]
         if oracle is not None:
             ref = oracle.smeared_bracket(built[i][1]["grid"], built[j][1]["grid"])
-            rel = abs(value - ref) / max(abs(ref), 1e-300)
+            if ref == 0:
+                raise ConfigError(f"observables {i} and {j}: the oracle bracket is 0, "
+                                  "so a relative error against it would measure nothing")
+            rel = abs(value - ref) / abs(ref)
             row += [ref, rel]
-            worst = max(worst, rel)
+            worst = max_or_nan(worst, rel)
         rows.append(row)
     report = Report("bracket")
     report.add_table("brackets", header, rows)
@@ -231,7 +234,7 @@ def _run_bracket(config: ExperimentConfig, outdir: str | None) -> Report:
                                  config.tolerances["bracket_oracle"],
                                  note="max relative error over pairs"))
     else:
-        report.add_verdict(check("pair_residual_max", max(defects),
+        report.add_verdict(check("pair_residual_max", max_or_nan(*defects),
                                  ps.DEFAULT_ADMISSIBILITY_TOL,
                                  note="admissibility of the input pairs"))
     return report
@@ -253,7 +256,7 @@ def _run_jacobi(config: ExperimentConfig, outdir: str | None) -> Report:
     pairs = [ps.make_pair(F, lat) for F in built]
     rep = ps.verify_axioms(pairs[0], pairs[1], pairs[2], samples, lat)
     reval = max_or_nan(rep.pair_defects[0], rep.pair_defects[1], rep.closure)
-    closure_bound = max(rep.pair_defects) + 10.0 * lat.dx**2
+    closure_bound = max_or_nan(*rep.pair_defects) + 10.0 * lat.dx**2
 
     report = Report("jacobi")
     report.add_table(
@@ -269,9 +272,10 @@ def _run_jacobi(config: ExperimentConfig, outdir: str | None) -> Report:
         ],
     )
     tol = config.tolerances["axiom_defect"]
-    report.add_verdict(check("antisymmetry", max(rep.antisymmetry_f, rep.antisymmetry_v), tol))
-    report.add_verdict(check("jacobi", max(rep.jacobi_f, rep.jacobi_v), tol))
-    report.add_verdict(check("leibniz", max(rep.leibniz_f, rep.leibniz_v), tol))
+    report.add_verdict(check("antisymmetry",
+                             max_or_nan(rep.antisymmetry_f, rep.antisymmetry_v), tol))
+    report.add_verdict(check("jacobi", max_or_nan(rep.jacobi_f, rep.jacobi_v), tol))
+    report.add_verdict(check("leibniz", max_or_nan(rep.leibniz_f, rep.leibniz_v), tol))
     report.add_verdict(check("bracket_revalidation", reval, closure_bound,
                              note="max(input residuals) + 10*dx^2"))
     return report
@@ -331,7 +335,7 @@ def _run_roundtrip(config: ExperimentConfig, outdir: str | None) -> Report:
         err_phi = (back.phi - data.phi).max_abs()
         err_pi = (back.pi - data.pi).max_abs()
         rows.append([n, lat.dt, err_phi, err_pi])
-        worst_phi = max(worst_phi, err_phi)
+        worst_phi = max_or_nan(worst_phi, err_phi)
         errs_pi.append(err_pi)
         dts.append(lat.dt)
     report = Report("roundtrip")

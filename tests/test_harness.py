@@ -1,16 +1,20 @@
 import copy
+import dataclasses
 import functools
 import json
 import operator
 import os
 import re
 import stat
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weilfield
 from weilfield import dynamics as dyn
 from weilfield import lattice as lt
 from weilfield import poisson as ps
@@ -295,6 +299,74 @@ def test_roundtrip_experiment():
     assert rep.all_passed()
 
 
+# -- a verdict value that turns NaN fails (the builtin max drops a NaN after the first)
+
+
+def _passed(doc) -> dict[str, bool]:
+    rep = experiments.run(cfg.ExperimentConfig.from_dict(copy.deepcopy(doc)))
+    return {v.name: v.passed for v in rep.verdicts}
+
+
+def _nan_on_call(monkeypatch, owner, name, call):
+    """Make owner.name return NaN on its call-th call and the real value otherwise."""
+    real = getattr(owner, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        return np.nan if len(calls) == call else real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+def test_jacobi_nan_defects_fail(monkeypatch):
+    real = ps.verify_axioms
+
+    def nan_defects(*args, **kwargs):
+        # NaN only in the second of each folded pair, and in the last pair defect
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(rep, antisymmetry_v=np.nan, jacobi_v=np.nan,
+                                   pair_defects=(*rep.pair_defects[:2], np.nan))
+
+    monkeypatch.setattr(ps, "verify_axioms", nan_defects)
+    assert _passed(TOY_JACOBI) == {"antisymmetry": False, "jacobi": False,
+                                   "leibniz": True, "bracket_revalidation": False}
+
+
+def test_bracket_nan_relative_error_fails(monkeypatch):
+    doc = _edited(TOY_BRACKET, lambda d: (d["observables"].append(_spacetime(0.9, 4.0)),
+                                          d.update(tolerances={"bracket_oracle": 0.5})))
+    assert _passed(doc) == {"bracket_vs_oracle": True}
+    # the second of three pairs: its oracle value and so its relative error are NaN
+    _nan_on_call(monkeypatch, oracle.PauliJordanOracle, "smeared_bracket", 2)
+    assert _passed(doc) == {"bracket_vs_oracle": False}
+
+
+def test_bracket_nan_pair_residual_fails(monkeypatch):
+    doc = _edited(TOY_BRACKET, lambda d: d.pop("options"))
+    assert _passed(doc) == {"pair_residual_max": True}
+    _nan_on_call(monkeypatch, ps, "pair_defect", 2)
+    assert _passed(doc) == {"pair_residual_max": False}
+
+
+def test_roundtrip_nan_phi_error_fails(monkeypatch):
+    doc = {"experiment": "roundtrip",
+           "lattice": {"topology": "circle", "n_space": 16,
+                       "extent": 2 * np.pi, "dt_factor": 0.5, "n_time": 4},
+           "ladder": [16, 32]}
+    assert _passed(doc)["phi_roundtrip"]
+    real = dyn.restrict_data
+    calls = []
+
+    def nan_phi_on_second_rung(hist, j):
+        calls.append(None)
+        back = real(hist, j)
+        return dyn.CauchyData(back.phi * np.nan, back.pi) if len(calls) == 2 else back
+
+    monkeypatch.setattr(dyn, "restrict_data", nan_phi_on_second_rung)
+    assert not _passed(doc)["phi_roundtrip"]
+
+
 # -- the mode-sum oracle -----------------------------------------------------------------
 
 
@@ -322,6 +394,79 @@ def test_oracle_smeared_antisymmetry(circle, rng):
     f = rng.standard_normal((circle.n_slices, circle.n_space))
     g = rng.standard_normal((circle.n_slices, circle.n_space))
     assert abs(pj.smeared_bracket(f, g) + pj.smeared_bracket(g, f)) < 1e-12
+
+
+def dense_pauli_jordan(lat, mass):
+    """The oracle's definition as dense sums, the oracle's own oracle.
+
+    G(t, .) sums every mode j = -(n//2)..n//2 at every site, and the smeared
+    bracket is the quadruple sum of f(t, x) G(t' - t, x - x') g(t', x')
+    dx dt dx' dt' over the grid twice.
+    """
+    n, L = lat.n_space, lat.circumference
+    k = 2 * np.pi * np.arange(-(n // 2), n // 2 + 1) / L
+    omega = np.sqrt(k**2 + mass**2)
+    cos_kx = np.cos(np.outer(lat.x, k))  # (sites, modes)
+
+    def commutator(t):
+        return cos_kx @ (np.sin(omega * t) / (omega * L))
+
+    def d_dt_commutator(t):
+        return cos_kx @ (np.cos(omega * t) / L)
+
+    def smeared_bracket(f, g):
+        sep = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n  # x - x' on the circle
+        total = 0.0
+        for j, f_t in enumerate(f):
+            for jp, g_t in enumerate(g):
+                total += f_t @ commutator(lat.t[jp] - lat.t[j])[sep] @ g_t
+        return total * (lat.dx * lat.dt) ** 2
+
+    return commutator, d_dt_commutator, smeared_bracket
+
+
+@pytest.mark.parametrize("n_space", [16, 17])
+def test_oracle_matches_dense_mode_sums(n_space, rng):
+    # even n has both modes j = +-n/2, odd n has neither
+    lat = lt.LatticeSpacetime("circle", n_space, 2 * np.pi / n_space,
+                              np.pi / n_space, 9)
+    pj = oracle.PauliJordanOracle(lat, 0.7)
+    commutator, d_dt_commutator, smeared_bracket = dense_pauli_jordan(lat, 0.7)
+    for t in (0.0, 0.3, 1.7, -0.9):
+        for got, ref in ((pj.commutator(t), commutator(t)),
+                         (pj.d_dt_commutator(t), d_dt_commutator(t))):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)) + 1e-300
+    for _ in range(3):
+        f = rng.standard_normal((lat.n_slices, n_space))
+        g = rng.standard_normal((lat.n_slices, n_space))
+        ref = smeared_bracket(f, g)
+        assert abs(pj.smeared_bracket(f, g) - ref) <= 1e-12 * abs(ref)
+
+
+def test_oracle_smeared_bracket_holds_less_than_four_grids(rng):
+    # one grid is 8 * (n_time + 1) * n_space bytes; the dense cos/sin tables
+    # and their matmuls took 8 grids, the real FFT takes about 2
+    lat = lt.LatticeSpacetime("circle", 512, 2 * np.pi / 512, np.pi / 512, 256)
+    pj = oracle.PauliJordanOracle(lat, 1.0)
+    f = rng.standard_normal((lat.n_slices, lat.n_space))
+    g = rng.standard_normal((lat.n_slices, lat.n_space))
+    tracemalloc.start()
+    try:
+        pj.smeared_bracket(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * lat.n_slices * lat.n_space
+
+
+def test_importing_the_harness_leaves_numpy_fft_unloaded():
+    # the oracle reaches numpy.fft when it runs, so a CLI call that never
+    # consults it does not pay for the import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weilfield.__file__)))
+    code = "import sys, weilfield.harness; print('numpy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "False"
 
 
 # -- the CLI ---------------------------------------------------------------------------------
@@ -398,6 +543,9 @@ MALFORMED = {
         ("conserve", lambda d: d.update(tolerances={"omega_drift": float("nan")})),
     "tolerance_negative":
         ("conserve", lambda d: d.update(tolerances={"omega_drift": -1e-3})),
+    "tolerance_misspelled":
+        ("conserve", lambda d: d.update(tolerances={"omega_drfit": 1e-12})),
+    "tolerances_not_an_object": ("conserve", lambda d: d.update(tolerances=[1e-3])),
     "profile_amplitude_not_a_number":
         ("conserve", lambda d: d["initial_data"]["phi"].update(amplitude="x")),
     "profile_kmax_not_a_number": ("conserve", lambda d: d["initial_data"].update(
@@ -468,6 +616,10 @@ MALFORMED = {
     "tangents_three": ("conserve", lambda d: d["tangents"].append(d["tangents"][0])),
     "drift_tangents_three":
         ("convergence", lambda d: d["tangents"].append(d["tangents"][0])),
+    # two smearings with a zero space profile: bracket and oracle are both
+    # exactly 0, so a relative error between them has no scale
+    "oracle_bracket_zero": ("bracket", lambda d: [
+        o["smearing"].update(space={"profile": "zero"}) for o in d["observables"]]),
     # the current's one-sided time stencil spans four slices
     "n_time_two": ("conserve", lambda d: d["lattice"].update(n_time=2)),
     # tangents with disjoint data: omega is exactly 0 on slice 0 and not after,
@@ -539,6 +691,36 @@ def test_cli_poly_composite_power_zero_passes(tmp_path):
     # power 0 is the constant 1, whose Hamiltonian field is zero
     doc = _edited(TOY_JACOBI, lambda d: d["observables"][2].update(power=0))
     assert cli.main(["jacobi", "--config", _write(tmp_path, doc)]) == 0
+
+
+def test_cli_misspelled_tolerance_names_the_key(tmp_path, capsys):
+    # the default 1e-3 would otherwise judge a run that asked for 1e-12
+    doc = _edited(BASE_CONSERVE, lambda d: d.update(tolerances={"omega_drfit": 1e-12}))
+    assert cli.main(["conserve", "--config", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: tolerances: unknown tolerance 'omega_drfit'; did you mean 'omega_drift'?"]
+
+
+def test_cli_zero_oracle_bracket_exits_2(tmp_path, capsys):
+    doc = _edited(TOY_BRACKET, lambda d: d["observables"][1]["smearing"].update(
+        space={"profile": "zero"}))
+    assert cli.main(["bracket", "--config", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: observables 0 and 1: "), err
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_oracle_pj_mass_passes(tmp_path, capsys):
+    doc = {"experiment": "oracle_pj",
+           "lattice": {"topology": "circle", "n_space": 16,
+                       "extent": 2 * np.pi, "dt_factor": 0.5, "n_time": 8},
+           "interaction": {"name": "mass", "mass": 0.7}}
+    out = tmp_path / "out"
+    assert cli.main(["oracle-pj", "--config", _write(tmp_path, doc), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS equal_time_commutator: value=0.0000000000000000e+00 ")
+    assert lines[1].startswith("PASS velocity_comb: ")
+    assert (out / "commutator.csv").exists()
 
 
 def test_cli_seed_override_negative_exits_2(tmp_path, capsys):
