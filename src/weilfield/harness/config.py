@@ -10,6 +10,8 @@ experiment kind; shared descriptors:
                   random_fourier|array, ...parameters}
 
 Spacetime smearings are separable:  {space: <profile>, time: <profile>}.
+The tolerances and options blocks take known keys only (DEFAULT_TOLERANCES,
+OPTIONS per experiment).
 
 Every error in a descriptor is a ConfigError; from_dict names the key.
 """
@@ -39,6 +41,13 @@ DEFAULT_TOLERANCES = {
     "axiom_defect": 1e-9,
     "roundtrip_phi": 1e-12,
     "comb_defect": 1e-9,
+}
+
+
+# the keys of the options block, per experiment; the others take none
+OPTIONS = {
+    "bracket": ("compare_oracle",),
+    "jacobi": ("n_samples", "sample_amplitude"),
 }
 
 
@@ -188,16 +197,25 @@ def _interaction_from(desc: dict) -> dyn.Interaction:
     return dyn.interaction(name, **d)
 
 
-def _tolerances_from(desc: dict) -> dict:
+def _known_keys(desc, known, what: str) -> dict:
+    """desc when it is a JSON object whose keys are all in known, else a ValueError.
+
+    An unknown key would otherwise be ignored and its default used, so the
+    error names it and the closest known key.
+    """
     if not isinstance(desc, dict):
         raise ValueError(f"must be a JSON object, got {desc!r}")
     for key in desc:
-        if key not in DEFAULT_TOLERANCES:
+        if key not in known:
             import difflib  # only a misspelled key pays for the import
-            close = difflib.get_close_matches(key, DEFAULT_TOLERANCES, n=1)
+            close = difflib.get_close_matches(key, known, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ValueError(f"unknown tolerance {key!r}{hint}")
-    tolerances = {**DEFAULT_TOLERANCES, **desc}
+            raise ValueError(f"unknown {what} {key!r}{hint}")
+    return desc
+
+
+def _tolerances_from(desc: dict) -> dict:
+    tolerances = {**DEFAULT_TOLERANCES, **_known_keys(desc, DEFAULT_TOLERANCES, "tolerance")}
     for key, value in tolerances.items():
         if value is None and key == "solve_residual":
             continue  # scaled from the grid at run time
@@ -283,7 +301,9 @@ class ExperimentConfig:
             seed=count(doc, "seed", 0, 0),
             ladder=ladder,
             study=doc.get("study", "solution_error"),
-            options=json_object(doc.get("options", {}), "options"),
+            options=_parsed("options", lambda d: _known_keys(
+                d, OPTIONS.get(experiment, ()), f"{experiment} option"),
+                doc.get("options", {})),
             raw=doc,
         )
 

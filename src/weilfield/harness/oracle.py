@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,15 @@ from .. import lattice as lt
 
 class OracleError(ValueError):
     """The oracle only covers the linear interaction on the circle."""
+
+
+class Moments(NamedTuple):
+    """A smearing's time moments of its real-DFT parts (a: cosine, b: sine), per |k|."""
+
+    a_sin: np.ndarray
+    a_cos: np.ndarray
+    b_sin: np.ndarray
+    b_cos: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,36 +111,46 @@ class PauliJordanOracle:
             out[0] = n / L
         return out
 
-    def smeared_bracket(self, f: np.ndarray, g: np.ndarray) -> float:
-        """The bracket of int f*Phi*vol and int g*Phi*vol by factorized mode sums."""
+    @cached_property
+    def _time_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """sin(omega t) and cos(omega t) over |j| x the time slices, built once."""
+        wt = np.outer(self._folded[0], self.lattice.t)
+        return np.sin(wt), np.cos(wt)
+
+    def moments(self, h: np.ndarray) -> Moments:
+        """The mode moments of one smearing grid: what smeared_bracket pairs.
+
+        Per slice, sum_i h_i cos(k x_i) is the real part of the real DFT and
+        sum_i h_i sin(k x_i) minus its imaginary part; the sine sums enter
+        only in products of two, so their sign cancels.
+        """
         lat = self.lattice
-        f = np.asarray(f, dtype=np.float64)
-        g = np.asarray(g, dtype=np.float64)
-        if f.shape != (lat.n_slices, lat.n_space) or g.shape != f.shape:
+        h = np.asarray(h, dtype=np.float64)
+        if h.shape != (lat.n_slices, lat.n_space):
             raise OracleError("smearings must cover the full grid")
+        sin_wt, cos_wt = self._time_tables
+        spectrum = np.fft.rfft(h, axis=1)          # (T+1, n//2 + 1)
+        a, b = spectrum.real, spectrum.imag
+        return Moments(
+            np.einsum("kt,tk->k", sin_wt, a),
+            np.einsum("kt,tk->k", cos_wt, a),
+            np.einsum("kt,tk->k", sin_wt, b),
+            np.einsum("kt,tk->k", cos_wt, b),
+        )
+
+    def smeared_bracket(self, f: np.ndarray | Moments, g: np.ndarray | Moments) -> float:
+        """The bracket of int f*Phi*vol and int g*Phi*vol by factorized mode sums.
+
+        f and g are smearing grids or their moments; a grid in several
+        brackets is transformed once when its moments are passed.
+        """
+        lat = self.lattice
+        fm, gm = (h if isinstance(h, Moments) else self.moments(h) for h in (f, g))
         omega, pairs = self._folded
-        sin_wt = np.sin(np.outer(omega, lat.t))
-        cos_wt = np.cos(np.outer(omega, lat.t))
-
-        def moments(h: np.ndarray) -> tuple[np.ndarray, ...]:
-            # per slice, sum_i h_i cos(k x_i) is the real part of the real DFT
-            # and sum_i h_i sin(k x_i) minus its imaginary part; the sine sums
-            # enter only in products of two, so their sign cancels
-            spectrum = np.fft.rfft(h, axis=1)          # (T+1, n//2 + 1)
-            a, b = spectrum.real, spectrum.imag
-            return (
-                np.einsum("kt,tk->k", sin_wt, a),
-                np.einsum("kt,tk->k", cos_wt, a),
-                np.einsum("kt,tk->k", sin_wt, b),
-                np.einsum("kt,tk->k", cos_wt, b),
-            )
-
-        fa_sin, fa_cos, fb_sin, fb_cos = moments(f)
-        ga_sin, ga_cos, gb_sin, gb_cos = moments(g)
         # sin(w(t'-t)) cos(k(x-x')) expanded over the mode moments
         per_mode = (
-            fa_cos * ga_sin - fa_sin * ga_cos
-            + fb_cos * gb_sin - fb_sin * gb_cos
+            fm.a_cos * gm.a_sin - fm.a_sin * gm.a_cos
+            + fm.b_cos * gm.b_sin - fm.b_sin * gm.b_cos
         )
         return float(np.sum(pairs * per_mode / (omega * lat.circumference))
                      * (lat.dx * lat.dt) ** 2)

@@ -20,7 +20,7 @@ Sign conventions, pinned once and used consistently:
 
 which reproduce {integral f*phi, integral g*pi} = + integral f*g.  Pairs
 (F, v) are algebra: bracket and product check nothing, and pair_defect alone
-compares dF with iota_v omega, at one point.  The closed slice form of omega
+compares dF with iota_v omega, per batch row of a base point.  The closed slice form of omega
 is used everywhere; the operator assembled from basis insertions into the
 current integral is retained as an oracle, and synthetic degenerate operators
 exercise the admissibility classification.
@@ -49,7 +49,7 @@ from .weil import WeilAlgebra, WeilValue, embed, extract_top, max_or_nan
 DEFAULT_ADMISSIBILITY_TOL = 1e-8
 
 
-# -- evaluations shared within one sample ------------------------------------
+# -- evaluations shared within one base point ---------------------------------
 
 _shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
 
@@ -76,8 +76,10 @@ def _once(fn: Callable) -> Callable:
 def sharing():
     """A scope in which each _once function runs once per argument tuple.
 
-    It holds every result until it closes, so scope one base point.  Scopes
-    do not nest: an inner one starts empty.
+    It holds every result until it closes, so scope one base point: a single
+    point, or one scope over the sample batch of verify_axioms, whose memory
+    grows linearly with the batch.  Scopes do not nest: an inner one starts
+    empty.
     """
     token = _shared.set({})
     try:
@@ -233,9 +235,17 @@ class Covector:
 
 
 def _constant_covector(at: CauchyData, phi, pi) -> Covector:
-    """The covector with the given real site weights at every batch row of at."""
-    return Covector(*(WeilValue.from_scalar(at.algebra, np.broadcast_to(w, at.phi.shape))
-                      for w in (phi, pi)))
+    """The covector with the given real site weights at every batch row of at.
+
+    Each block is one (n_space, dim) row broadcast over the batch, a
+    read-only view, so no caller can mutate a shared result through it.
+    """
+
+    def block(w) -> WeilValue:
+        row = WeilValue.from_scalar(at.algebra, np.broadcast_to(w, at.n_space)).coeffs
+        return WeilValue(at.algebra, np.broadcast_to(row, at.phi.shape + row.shape[-1:]))
+
+    return Covector(block(phi), block(pi))
 
 
 def differential(F: Observable, at: CauchyData) -> Covector:
@@ -281,11 +291,20 @@ def hamiltonian_inversion(c: Covector, dx: float) -> CauchyData:
     return CauchyData(-c.pi / dx, c.phi / dx)
 
 
-def _equation_defect(c: Covector, fiber: CauchyData, dx: float) -> float:
-    """Relative defect of c = iota_fiber omega."""
+def _row_max_abs(*values: WeilValue) -> np.ndarray:
+    """max |coefficient| over the site and coefficient axes, per batch row.
+
+    np.max keeps a NaN, so a row with one NaN coefficient reads NaN.
+    """
+    return np.max([np.max(np.abs(v.coeffs), axis=(-2, -1)) for v in values], axis=0)
+
+
+def _equation_defect(c: Covector, fiber: CauchyData, dx: float) -> np.ndarray:
+    """Relative defect of c = iota_fiber omega, per batch row."""
     back = insert_omega(fiber, dx)
-    scale = max(c.max_abs(), back.max_abs(), 1e-300)
-    return (back - c).max_abs() / scale
+    diff = back - c
+    scale = np.maximum(_row_max_abs(c.phi, c.pi, back.phi, back.pi), 1e-300)
+    return _row_max_abs(diff.phi, diff.pi) / scale
 
 
 def hamiltonian_field(F: Observable, lat: lt.LatticeSpacetime) -> SolVectorField:
@@ -500,8 +519,12 @@ class HamiltonianPair:
     v: SolVectorField
 
 
-def pair_defect(p: HamiltonianPair, at: CauchyData, lat: lt.LatticeSpacetime) -> float:
-    """Relative defect of dF = iota_v omega at one base point; opens no sharing scope."""
+def pair_defect(p: HamiltonianPair, at: CauchyData,
+                lat: lt.LatticeSpacetime) -> np.ndarray:
+    """Relative defect of dF = iota_v omega per batch row of at; opens no sharing scope.
+
+    An unbatched point is a single row, and its defect a numpy scalar.
+    """
     return _equation_defect(differential(p.F, at), p.v.evaluate(at), lat.dx)
 
 
@@ -596,15 +619,38 @@ def _rel(defect: float, scale: float) -> float:
     return defect / max(scale, 1e-30)
 
 
+def _sup(*rows) -> float:
+    """The largest entry of all the given per-row values, or NaN when any is NaN."""
+    return float(max_or_nan(*(np.max(r) for r in rows)))
+
+
+def _stack(samples: Sequence[CauchyData]) -> CauchyData:
+    """The samples as one CauchyData with a leading sample axis."""
+    if not samples:
+        raise ValueError("verify_axioms needs at least one sample")
+    first = samples[0]
+    for d in samples[1:]:
+        if d.algebra != first.algebra or d.phi.shape != first.phi.shape:
+            raise ValueError(
+                f"samples must share an algebra and a shape: {first.algebra} "
+                f"{first.phi.shape} vs {d.algebra} {d.phi.shape}")
+    return CauchyData(*(WeilValue(first.algebra, np.stack([v.coeffs for v in block]))
+                        for block in ([d.phi for d in samples], [d.pi for d in samples])))
+
+
 def verify_axioms(p1: HamiltonianPair, p2: HamiltonianPair, p3: HamiltonianPair,
                   samples: Sequence[CauchyData], lat: lt.LatticeSpacetime
                   ) -> AxiomReport:
     """Evaluate antisymmetry, Jacobi, Leibniz and pair defects at the sampled points.
 
-    Every sampled check runs here, one sharing scope per sample: within it
-    each observable value, gradient, field value and dual lift runs once,
-    however many terms ask for it.  A NaN term fails.
+    The samples ride one batch, and every check runs in one sharing scope over
+    the sample batch: each observable value, gradient, field value and dual
+    lift runs once for all samples, however many terms ask for it.  Each term
+    is reduced per sample (max |coefficient| over sites and coefficients),
+    then over the samples; a NaN in any sample fails.  Memory grows linearly
+    with the number of samples.  Samples must share an algebra and a shape.
     """
+    at = _stack(samples)
     b12 = bracket(p1, p2, lat)
     b21 = bracket(p2, p1, lat)
     b13 = bracket(p1, p3, lat)
@@ -618,40 +664,33 @@ def verify_axioms(p1: HamiltonianPair, p2: HamiltonianPair, p3: HamiltonianPair,
     leib_r1 = pair_product(b12, p3)
     leib_r2 = pair_product(p2, b13)
 
-    def fval(pair: HamiltonianPair, d: CauchyData) -> float:
-        return float(pair.F.evaluate(d).scalar_part)
+    def fval(pair: HamiltonianPair) -> np.ndarray:
+        return pair.F.evaluate(at).scalar_part
 
-    anti_f = anti_v = jac_f = jac_v = leib_f = leib_v = closure = 0.0
-    anti_scale = jac_scale = leib_scale = 0.0
-    pair_defects = (0.0, 0.0, 0.0)
-    for d in samples:
-        with sharing():
-            pair_defects = tuple(max_or_nan(m, pair_defect(p, d, lat))
-                                 for m, p in zip(pair_defects, (p1, p2, p3)))
-            closure = max_or_nan(closure, pair_defect(b12, d, lat))
+    def vrows(v: CauchyData) -> np.ndarray:
+        return _row_max_abs(v.phi, v.pi)
 
-            a, b = fval(b12, d), fval(b21, d)
-            anti_f = max_or_nan(anti_f, abs(a + b))
-            anti_scale = max_or_nan(anti_scale, abs(a), abs(b), 1.0)
-            va, vb = b12.v.evaluate(d), b21.v.evaluate(d)
-            anti_v = max_or_nan(anti_v, (va + vb).max_abs())
-            anti_scale = max_or_nan(anti_scale, va.max_abs(), vb.max_abs())
+    with sharing():
+        pair_defects = tuple(_sup(pair_defect(p, at, lat)) for p in (p1, p2, p3))
+        closure = _sup(pair_defect(b12, at, lat))
 
-            t1, t2, t3 = fval(j1, d), fval(j2, d), fval(j3, d)
-            jac_f = max_or_nan(jac_f, abs(t1 + t2 + t3))
-            jac_scale = max_or_nan(jac_scale, abs(t1), abs(t2), abs(t3), 1.0)
-            w1, w2, w3 = j1.v.evaluate(d), j2.v.evaluate(d), j3.v.evaluate(d)
-            jac_v = max_or_nan(jac_v, (w1 + w2 + w3).max_abs())
-            jac_scale = max_or_nan(jac_scale, w1.max_abs(), w2.max_abs(), w3.max_abs())
+        a, b = fval(b12), fval(b21)
+        va, vb = b12.v.evaluate(at), b21.v.evaluate(at)
+        anti_f, anti_v = _sup(np.abs(a + b)), _sup(vrows(va + vb))
+        anti_scale = _sup(np.abs(a), np.abs(b), 1.0, vrows(va), vrows(vb))
 
-            lhs = fval(leib_lhs, d)
-            rhs = fval(leib_r1, d) + fval(leib_r2, d)
-            leib_f = max_or_nan(leib_f, abs(lhs - rhs))
-            leib_scale = max_or_nan(leib_scale, abs(lhs), abs(rhs), 1.0)
-            lv = leib_lhs.v.evaluate(d)
-            rv = leib_r1.v.evaluate(d) + leib_r2.v.evaluate(d)
-            leib_v = max_or_nan(leib_v, (lv - rv).max_abs())
-            leib_scale = max_or_nan(leib_scale, lv.max_abs(), rv.max_abs())
+        t1, t2, t3 = fval(j1), fval(j2), fval(j3)
+        w1, w2, w3 = j1.v.evaluate(at), j2.v.evaluate(at), j3.v.evaluate(at)
+        jac_f, jac_v = _sup(np.abs(t1 + t2 + t3)), _sup(vrows(w1 + w2 + w3))
+        jac_scale = _sup(np.abs(t1), np.abs(t2), np.abs(t3), 1.0,
+                         vrows(w1), vrows(w2), vrows(w3))
+
+        lhs = fval(leib_lhs)
+        rhs = fval(leib_r1) + fval(leib_r2)
+        lv = leib_lhs.v.evaluate(at)
+        rv = leib_r1.v.evaluate(at) + leib_r2.v.evaluate(at)
+        leib_f, leib_v = _sup(np.abs(lhs - rhs)), _sup(vrows(lv - rv))
+        leib_scale = _sup(np.abs(lhs), np.abs(rhs), 1.0, vrows(lv), vrows(rv))
 
     return AxiomReport(
         antisymmetry_f=_rel(anti_f, anti_scale),

@@ -554,6 +554,10 @@ MALFORMED = {
     "tangent_not_an_object": ("conserve", lambda d: d.update(tangents=[1, 2])),
     "profile_not_an_object": ("conserve", lambda d: d["initial_data"].update(phi=3)),
     "options_not_an_object": ("conserve", lambda d: d.update(options="fast")),
+    "option_misspelled": ("jacobi", lambda d: d["options"].update(n_sample=50)),
+    "option_of_another_experiment":
+        ("bracket", lambda d: d["options"].update(n_samples=3)),
+    "option_where_none_exist": ("conserve", lambda d: d.update(options={"fast": True})),
     "array_values_not_numbers": ("conserve", lambda d: d["initial_data"].update(
         phi={"profile": "array", "values": ["a"] * 128})),
     "n_samples_not_a_number":
@@ -699,6 +703,52 @@ def test_cli_misspelled_tolerance_names_the_key(tmp_path, capsys):
     assert cli.main(["conserve", "--config", _write(tmp_path, doc)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: tolerances: unknown tolerance 'omega_drfit'; did you mean 'omega_drift'?"]
+
+
+def test_cli_misspelled_option_names_the_key(tmp_path, capsys):
+    # the default 5 samples would otherwise run where 50 were asked for
+    doc = _edited(TOY_JACOBI, lambda d: d["options"].update(n_sample=50))
+    assert cli.main(["jacobi", "--config", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: options: unknown jacobi option 'n_sample'; did you mean 'n_samples'?"]
+
+
+def test_shipped_configs_and_workloads_name_known_options():
+    root = os.path.join(os.path.dirname(__file__), "..")
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    docs = []
+    for name in sorted(os.listdir(os.path.join(root, "configs"))):
+        with open(os.path.join(root, "configs", name), encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    docs += [workloads.config_doc(root, name, 0, toy=toy)
+             for name in workloads.WORKLOADS for toy in (False, True)]
+    for doc in docs:
+        conf = cfg.ExperimentConfig.from_dict(doc)
+        assert set(conf.options) <= set(cfg.OPTIONS.get(conf.experiment, ()))
+
+
+def test_bracket_oracle_transforms_each_grid_once(monkeypatch):
+    doc = _edited(TOY_BRACKET, lambda d: (d["observables"].append(_spacetime(0.9, 4.0)),
+                                          d.update(tolerances={"bracket_oracle": 0.5})))
+    rffts = []
+    real = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: rffts.append(None) or real(*a, **k))
+    assert _passed(doc) == {"bracket_vs_oracle": True}
+    assert len(rffts) == 3  # one per smearing, not one per smearing per pair
+
+
+def test_zero_oracle_is_refused_before_any_adjoint_sweep(monkeypatch):
+    doc = _edited(TOY_BRACKET, lambda d: d["observables"][1]["smearing"].update(
+        space={"profile": "zero"}))
+    sweeps = []
+    monkeypatch.setattr(ps, "smeared_gradient", lambda *a: sweeps.append(a))
+    with pytest.raises(cfg.ConfigError, match="observables 0 and 1: the oracle bracket is 0"):
+        experiments.run(cfg.ExperimentConfig.from_dict(doc))
+    assert sweeps == []
 
 
 def test_cli_zero_oracle_bracket_exits_2(tmp_path, capsys):
@@ -866,9 +916,10 @@ def _adjoint_sweeps(doc, monkeypatch):
 
 
 def test_spacetime_jacobi_run_checks_pairs_inside_the_sample_scope(monkeypatch):
-    # 21 sweeps per sample, all inside verify_axioms' per-sample scope; pairs
-    # validated on their own and a revalidation bracket outside it took 60
-    assert _adjoint_sweeps(TOY_SPACETIME_JACOBI, monkeypatch) <= 42
+    # 21 sweeps for the two-sample batch, all inside verify_axioms' one scope;
+    # one scope per sample took 42, and pairs validated on their own and a
+    # revalidation bracket outside it took 60
+    assert _adjoint_sweeps(TOY_SPACETIME_JACOBI, monkeypatch) == 21
 
 
 def test_bracket_run_takes_each_differential_once(monkeypatch):

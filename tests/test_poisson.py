@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -598,13 +599,122 @@ def test_verify_axioms_shares_adjoint_sweeps_per_sample(small, rng, monkeypatch)
 
     monkeypatch.setattr(ps, "smeared_gradient", counted)
     shared = ps.verify_axioms(*pairs, samples, lat)
-    assert len(sweeps) == 42  # 21 per sample, 2 of them for the closure's pair defect
+    # 21 sweeps in all, 2 of them for the closure's pair defect: the samples
+    # ride one batch, so every sweep's base carries both of them
+    assert len(sweeps) == 21
+    assert all(args[0].phi.shape == (2, lat.n_space) for args in sweeps)
     assert ps._shared.get() is None
     sweeps.clear()
     monkeypatch.setattr(ps, "sharing", contextlib.nullcontext)
     unshared = ps.verify_axioms(*pairs, samples, lat)
-    assert len(sweeps) == 196
+    assert len(sweeps) == 98
     assert shared == unshared
+
+
+def line_spacetime_triple(lat):
+    """spacetime_triple's kinds on the line, smeared on compact bumps."""
+    sg = dyn.interaction("sine_gordon")
+
+    def smearing(tc, xc):
+        space = np.where(np.abs(lat.x - xc) < 0.8,
+                         np.cos(np.pi * (lat.x - xc) / 1.6) ** 2, 0.0)
+        return np.outer(np.exp(-0.5 * ((lat.t - tc) / 0.2) ** 2), space)
+
+    st = [ps.spacetime_observable(smearing(tc, xc), sg, lat)
+          for tc, xc in ((0.2, -0.2), (0.4, 0.2), (0.3, 0.0))]
+    third = ps.observable_product(st[2], ps.slice_pi_observable(smearing(0, 0)[0], lat))
+    return [ps.make_pair(F, lat) for F in (st[0], st[1], third)]
+
+
+def slice_triple(lat, window):
+    f, g, h = (window * np.cos(k * lat.x) for k in (1.0, 2.0, 3.0))
+    F1 = ps.observable_power(ps.slice_phi_observable(f, lat), 2)
+    F2 = ps.slice_pi_observable(g, lat)
+    F3 = ps.observable_product(ps.slice_phi_observable(h, lat),
+                               ps.slice_pi_observable(g, lat))
+    return [ps.make_pair(F, lat) for F in (F1, F2, F3)]
+
+
+def compact_samples(lat, rng, count, scale=0.3):
+    """Random data on a bump of radius 1.5 around x = 0 (the line) or everywhere."""
+    window = np.ones(lat.n_space) if lat.topology == lt.CIRCLE else \
+        np.where(np.abs(lat.x) < 1.5, np.cos(np.pi * lat.x / 3.0) ** 2, 0.0)
+    return [dyn.data_from_arrays(*(scale * rng.standard_normal((2, lat.n_space)) * window))
+            for _ in range(count)]
+
+
+def axiom_triples():
+    circle = circle_lattice(32, 8)
+    line = lt.LatticeSpacetime("line", 96, 0.1, 0.05, 12)
+    bump = np.where(np.abs(line.x) < 1.5, 1.0, 0.0)
+    return {
+        "slice_circle": (circle, lambda: slice_triple(circle, 1.0)),
+        "slice_line": (line, lambda: slice_triple(line, bump)),
+        "spacetime_circle": (circle, lambda: spacetime_triple(circle,
+                                                              np.random.default_rng(3))),
+        "spacetime_line": (line, lambda: line_spacetime_triple(line)),
+    }
+
+
+@pytest.mark.parametrize("case", axiom_triples().keys())
+def test_batched_verify_axioms_is_the_max_over_single_samples(case, rng):
+    # every term stays below 1 here, so every sample's scale is 1 and the
+    # max over samples of each relative defect is the batch's, bit for bit
+    lat, triple = axiom_triples()[case]
+    pairs = triple()
+    samples = compact_samples(lat, rng, 3)
+    batched = ps.verify_axioms(*pairs, samples, lat)
+    singles = [ps.verify_axioms(*pairs, [d], lat) for d in samples]
+    for field in dataclasses.fields(ps.AxiomReport):
+        got = getattr(batched, field.name)
+        each = [getattr(r, field.name) for r in singles]
+        want = tuple(map(max, zip(*each))) if field.name == "pair_defects" else max(each)
+        assert got == want, field.name
+    assert batched.max_defect() < 1e-9
+
+
+def test_nan_in_one_sample_row_fails_its_defects(small, rng):
+    lat = small[0]
+    pairs = slice_triple(lat, 1.0)
+    samples = compact_samples(lat, rng, 3)
+    planted = samples[1].phi.coeffs.copy()
+    planted[5, 0] = np.nan
+    samples[1] = dyn.CauchyData(WeilValue(samples[1].algebra, planted), samples[1].pi)
+    rows = ps.pair_defect(pairs[0], ps._stack(samples), lat)
+    assert rows.shape == (3,)
+    assert np.isnan(rows[1]) and np.all(np.isfinite(rows[[0, 2]]))
+    rep = ps.verify_axioms(*pairs, samples, lat)
+    assert np.isnan(rep.pair_defects[0]) and np.isnan(rep.closure)
+    assert np.isnan(rep.max_defect()) and not rep.max_defect() <= 1e-9
+
+
+def test_shared_constant_gradient_is_read_only(small, rng):
+    lat, f, g, h = small
+    at = ps._stack(compact_samples(lat, rng, 2))
+    F = ps.slice_phi_observable(f, lat)
+    with ps.sharing():
+        c = F.gradient(at)
+        assert c is F.gradient(at)
+        assert c.phi.shape == at.phi.shape
+        with pytest.raises(ValueError, match="read-only"):
+            c.phi.coeffs[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            c.pi.coeffs += 1.0
+    assert np.array_equal(c.phi.scalar_part, np.broadcast_to(f * lat.dx, at.phi.shape))
+
+
+def test_verify_axioms_refuses_empty_or_mixed_samples(small, rng):
+    lat = small[0]
+    pairs = slice_triple(lat, 1.0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        ps.verify_axioms(*pairs, [], lat)
+    real = random_data(lat, rng)
+    lifted = dyn.lift_data(real, random_data(lat, rng))
+    with pytest.raises(ValueError, match="share an algebra and a shape"):
+        ps.verify_axioms(*pairs, [real, lifted], lat)
+    shorter = random_data(circle_lattice(16, 8), rng)
+    with pytest.raises(ValueError, match="share an algebra and a shape"):
+        ps.verify_axioms(*pairs, [real, shorter], lat)
 
 
 def test_shared_values_bit_match_unshared_calls(small, rng):
