@@ -207,7 +207,7 @@ def _run_bracket(config: ExperimentConfig, outdir: str | None) -> Report:
     index = [(i, j) for i in range(len(pairs)) for j in range(i + 1, len(pairs))]
     refs = []
     if oracle is not None:  # each grid transformed once, a zero refused before any sweep
-        moments = [oracle.moments(aux["grid"]) for _, aux in built]
+        moments = oracle.moments(*(aux["grid"] for _, aux in built))
         for i, j in index:
             refs.append(oracle.smeared_bracket(moments[i], moments[j]))
             if refs[-1] == 0:

@@ -111,41 +111,40 @@ class PauliJordanOracle:
             out[0] = n / L
         return out
 
-    @cached_property
-    def _time_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """sin(omega t) and cos(omega t) over |j| x the time slices, built once."""
-        wt = np.outer(self._folded[0], self.lattice.t)
-        return np.sin(wt), np.cos(wt)
-
-    def moments(self, h: np.ndarray) -> Moments:
-        """The mode moments of one smearing grid: what smeared_bracket pairs.
+    def moments(self, *grids: np.ndarray) -> list[Moments]:
+        """The mode moments of each smearing grid: what smeared_bracket pairs.
 
         Per slice, sum_i h_i cos(k x_i) is the real part of the real DFT and
         sum_i h_i sin(k x_i) minus its imaginary part; the sine sums enter
-        only in products of two, so their sign cancels.
+        only in products of two, so their sign cancels.  The sin/cos time
+        tables are built once per call and not kept.
         """
         lat = self.lattice
-        h = np.asarray(h, dtype=np.float64)
-        if h.shape != (lat.n_slices, lat.n_space):
+        grids = [np.asarray(h, dtype=np.float64) for h in grids]
+        if any(h.shape != (lat.n_slices, lat.n_space) for h in grids):
             raise OracleError("smearings must cover the full grid")
-        sin_wt, cos_wt = self._time_tables
-        spectrum = np.fft.rfft(h, axis=1)          # (T+1, n//2 + 1)
-        a, b = spectrum.real, spectrum.imag
-        return Moments(
-            np.einsum("kt,tk->k", sin_wt, a),
-            np.einsum("kt,tk->k", cos_wt, a),
-            np.einsum("kt,tk->k", sin_wt, b),
-            np.einsum("kt,tk->k", cos_wt, b),
-        )
+        wt = np.outer(self._folded[0], lat.t)
+        sin_wt, cos_wt = np.sin(wt), np.cos(wt)
+        out = []
+        for h in grids:
+            spectrum = np.fft.rfft(h, axis=1)          # (T+1, n//2 + 1)
+            a, b = spectrum.real, spectrum.imag
+            out.append(Moments(
+                np.einsum("kt,tk->k", sin_wt, a),
+                np.einsum("kt,tk->k", cos_wt, a),
+                np.einsum("kt,tk->k", sin_wt, b),
+                np.einsum("kt,tk->k", cos_wt, b),
+            ))
+        return out
 
     def smeared_bracket(self, f: np.ndarray | Moments, g: np.ndarray | Moments) -> float:
         """The bracket of int f*Phi*vol and int g*Phi*vol by factorized mode sums.
 
-        f and g are smearing grids or their moments; a grid in several
-        brackets is transformed once when its moments are passed.
+        f and g are two smearing grids, or the moments of two; a grid in
+        several brackets is transformed once when its moments are passed.
         """
         lat = self.lattice
-        fm, gm = (h if isinstance(h, Moments) else self.moments(h) for h in (f, g))
+        fm, gm = (f, g) if isinstance(f, Moments) else self.moments(f, g)
         omega, pairs = self._folded
         # sin(w(t'-t)) cos(k(x-x')) expanded over the mode moments
         per_mode = (
