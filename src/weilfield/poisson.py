@@ -20,10 +20,10 @@ Sign conventions, pinned once and used consistently:
 
 which reproduce {integral f*phi, integral g*pi} = + integral f*g.  Pairs
 (F, v) are algebra: bracket and product check nothing, and pair_defect alone
-compares dF with iota_v omega, per batch row of a base point.  The closed slice form of omega
-is used everywhere; the operator assembled from basis insertions into the
-current integral is retained as an oracle, and synthetic degenerate operators
-exercise the admissibility classification.
+compares dF with iota_v omega, per batch row of a base point.  The closed
+slice form of omega is used everywhere; the operator assembled from basis
+insertions into the current integral is retained as an oracle, and synthetic
+degenerate operators exercise the admissibility classification.
 """
 
 from __future__ import annotations
