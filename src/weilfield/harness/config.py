@@ -11,9 +11,12 @@ experiment kind; shared descriptors:
 
 Spacetime smearings are separable:  {space: <profile>, time: <profile>}.
 The tolerances and options blocks take known keys only (DEFAULT_TOLERANCES,
-OPTIONS per experiment).
+OPTIONS per experiment), and so do profiles (PROFILE_KEYS per kind), Cauchy
+data (initial_data and each tangent: phi, pi) and spacetime smearings.
 
 Every error in a descriptor is a ConfigError; from_dict names the key.
+Profiles and the descriptors that hold them are checked when a run
+builds them.
 """
 
 from __future__ import annotations
@@ -48,6 +51,19 @@ DEFAULT_TOLERANCES = {
 OPTIONS = {
     "bracket": ("compare_oracle",),
     "jacobi": ("n_samples", "sample_amplitude"),
+}
+
+# the keys of each profile kind besides "profile" itself
+PROFILE_KEYS = {
+    "zero": (),
+    "constant": ("amplitude",),
+    "gaussian": ("amplitude", "center", "width"),
+    "bump": ("amplitude", "center", "width"),
+    "cosine": ("amplitude", "wavenumber", "phase"),
+    "sine": ("amplitude", "wavenumber", "phase"),
+    "kink": ("center",),
+    "random_fourier": ("amplitude", "kmax"),
+    "array": ("values",),
 }
 
 
@@ -91,8 +107,10 @@ def count(desc: dict, key: str, default: int | None, least: int) -> int:
 
 
 def _profile_array(desc: dict, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    desc = json_object(desc, "a profile")
-    kind = desc.get("profile", "zero")
+    kind = json_object(desc, "a profile").get("profile", "zero")
+    if not isinstance(kind, str) or kind not in PROFILE_KEYS:
+        raise ConfigError(f"unknown profile {kind!r}")
+    _known_keys(desc, ("profile",) + PROFILE_KEYS[kind], f"{kind} profile key")
     amp = number(desc, "amplitude", 1.0)
     if kind == "zero":
         return np.zeros_like(x)
@@ -140,7 +158,13 @@ def _profile_array(desc: dict, x: np.ndarray, rng: np.random.Generator) -> np.nd
         if arr.shape != x.shape:
             raise ConfigError("array profile length must match n_space")
         return arr
-    raise ConfigError(f"unknown profile {kind!r}")
+
+
+def cauchy_profiles(desc: dict) -> tuple[dict, dict]:
+    """The phi and pi profiles of Cauchy data {phi, pi}, zero where absent."""
+    desc = _known_keys(desc, ("phi", "pi"), "Cauchy data key")
+    zero = {"profile": "zero"}
+    return desc.get("phi", zero), desc.get("pi", zero)
 
 
 def spatial_profile(desc: dict, lat: lt.LatticeSpacetime,
@@ -156,7 +180,8 @@ def time_profile(desc: dict, lat: lt.LatticeSpacetime,
 def spacetime_profile(desc: dict, lat: lt.LatticeSpacetime,
                       rng: np.random.Generator) -> np.ndarray:
     """Separable smearing g(t, x) = time_profile(t) * space_profile(x)."""
-    desc = json_object(desc, "a spacetime smearing")
+    desc = _known_keys(json_object(desc, "a spacetime smearing"), ("time", "space"),
+                       "spacetime smearing key")
     g_t = time_profile(desc.get("time", {"profile": "constant"}), lat, rng)
     g_x = spatial_profile(desc.get("space", {"profile": "zero"}), lat, rng)
     return np.outer(g_t, g_x)
@@ -198,19 +223,19 @@ def _interaction_from(desc: dict) -> dyn.Interaction:
 
 
 def _known_keys(desc, known, what: str) -> dict:
-    """desc when it is a JSON object whose keys are all in known, else a ValueError.
+    """desc when it is a JSON object whose keys are all in known, else a ConfigError.
 
     An unknown key would otherwise be ignored and its default used, so the
     error names it and the closest known key.
     """
     if not isinstance(desc, dict):
-        raise ValueError(f"must be a JSON object, got {desc!r}")
+        raise ConfigError(f"must be a JSON object, got {desc!r}")
     for key in desc:
         if key not in known:
             import difflib  # only a misspelled key pays for the import
             close = difflib.get_close_matches(key, known, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ValueError(f"unknown {what} {key!r}{hint}")
+            raise ConfigError(f"unknown {what} {key!r}{hint}")
     return desc
 
 

@@ -18,8 +18,8 @@ from .. import lattice as lt
 from .. import poisson as ps
 from .. import zuckerman as zk
 from ..weil import max_or_nan
-from .config import (ConfigError, ExperimentConfig, count, json_object, number,
-                     spacetime_profile, spatial_profile)
+from .config import (ConfigError, ExperimentConfig, cauchy_profiles, count, json_object,
+                     number, spacetime_profile, spatial_profile)
 from .oracle import PauliJordanOracle
 from .report import Report, atomic_write_bytes, check, check_window, write_report
 
@@ -59,8 +59,7 @@ def _build_tangent(desc: dict, config: ExperimentConfig, rng: np.random.Generato
                    lat: lt.LatticeSpacetime | None = None) -> dyn.CauchyData:
     """Cauchy data over the config's algebra from a {phi, pi} descriptor."""
     lat = lat or config.lattice
-    phi = spatial_profile(desc.get("phi", {"profile": "zero"}), lat, rng)
-    pi = spatial_profile(desc.get("pi", {"profile": "zero"}), lat, rng)
+    phi, pi = (spatial_profile(p, lat, rng) for p in cauchy_profiles(desc))
     return dyn.data_from_arrays(phi, pi, config.algebra)
 
 

@@ -11,10 +11,11 @@ as an independent oracle for the closed form used here.
 
 A run never builds u whole: conservation folds it into omega on every
 slice and into the closedness residual while the two fibers stream out of
-one march over W (x) D(2) (dynamics.tangent_slices), holding four fiber
-slices.
-current_u, theta and TangentSolution are the whole-grid forms the tests
-check the stream against.
+one march over W (x) D(2) (dynamics.tangent_slices).  It copies them into
+a block of 4 + BLOCK fiber slices and folds each BLOCK new slices in one
+vectorized pass, so it holds that block and the current on it, never a
+history.  current_u, theta and TangentSolution are the whole-grid forms
+the tests check the stream against.
 
 Spacelike-compact bookkeeping: on the line, at least one factor of u must
 be spacelike compact for slice integrals to make sense over a noncompact
@@ -24,7 +25,6 @@ causal cones (widened one site for the derivative stencil).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -150,6 +150,9 @@ def _cross(fibers: WeilValue, d: np.ndarray) -> WeilValue:
     return WeilValue(fibers.algebra, np.subtract(both.coeffs[0], both.coeffs[1]))
 
 
+BLOCK = 6  # fiber slices a block takes in before one vectorized pass folds them
+
+
 def conservation(fiber_slices: Iterable[tuple[int, WeilValue]], lat: lt.LatticeSpacetime,
                  supports: tuple[np.ndarray | None, np.ndarray | None]
                  ) -> tuple[np.ndarray, float]:
@@ -159,12 +162,15 @@ def conservation(fiber_slices: Iterable[tuple[int, WeilValue]], lat: lt.LatticeS
     holding the two linearized solutions psi, psi' of slice j on a leading
     axis of length 2 (dynamics.tangent_slices); supports are their
     spacelike-compact site masks, or None, and on the line one must be a
-    mask (the rule current_u applies).  The current is folded as the
-    slices arrive: omega at j needs slices j-1..j+1 (0..3 and
-    n_time-3..n_time at the ends, where the time stencil is one-sided) and
-    the divergence at j needs j-2..j+2, so four fiber slices are held.  The
-    stencils and products are the ones current_u, lt.integrate_slice and
-    lt.divergence apply to whole histories, so the floats are theirs.
+    mask (the rule current_u applies).  The slices are copied into one
+    preallocated block of 4 + BLOCK positions, and each time BLOCK new ones
+    have arrived one vectorized pass folds them: omega at j needs slices
+    j-1..j+1 (0..3 and n_time-3..n_time at the ends, where the time stencil
+    is one-sided) and the divergence at j needs j-2..j+2, so a block hands
+    the next its last four fiber slices and the current on the middle two of
+    them.  No other slice is kept, whatever n_time.  The stencils and products
+    are the ones current_u, lt.integrate_slice and lt.divergence apply to
+    whole histories, so the floats are theirs.
 
     The residual is the max norm of the divergence over the interior grid,
     where every stencil in the composition is centered: slices 2..n_time-2
@@ -178,40 +184,47 @@ def conservation(fiber_slices: Iterable[tuple[int, WeilValue]], lat: lt.LatticeS
                               f"3 time steps, not {lat.n_time}")
     interior = ~lat.guard_band if lat.topology == lt.LINE else slice(None)
     two_dt, six_dt = 2 * lat.dt, 6 * lat.dt
-    series = np.empty(lat.n_slices)
-    closed = 0.0
-    f = deque(maxlen=4)  # fiber slices j-3..j
-    a = deque(maxlen=3)  # the density t_component at j-3..j-1
+    series, closed = np.empty(lat.n_slices), 0.0
+    f = u = None  # fibers and current (t, x components) of slices s.., by position
+    s, m, lo = 0, 0, 1  # first slice, positions filled, first position without current
 
-    def omega(density: WeilValue) -> float:
-        return float(lt.integrate_slice(lt.SliceDensity(density, lat)).scalar_part)
+    def omega(density: np.ndarray) -> np.ndarray:
+        return lt.integrate_slice(lt.SliceDensity(WeilValue(algebra, density), lat)).scalar_part
 
-    count = 0
+    def one_sided(c: np.ndarray) -> np.ndarray:  # omega on c[:, 0], from c[:, 0..3]
+        d = (-11 * c[:, 0] + 18 * c[:, 1] - 9 * c[:, 2] + 2 * c[:, 3]) / six_dt
+        return omega(_cross(WeilValue(algebra, c[:, 0]), d).coeffs)
+
+    def fold() -> None:
+        nonlocal closed
+        if s == 0:
+            series[0] = one_sided(f[:, :4])
+        fibers = WeilValue(algebra, f[:, lo:m - 1])
+        u[0, lo:m - 1] = _cross(fibers, (f[:, lo + 1:m] - f[:, lo - 1:m - 2]) / two_dt).coeffs
+        u[1, lo:m - 1] = _cross(fibers, lt.d_dx(fibers, lat).coeffs).coeffs
+        series[s + lo:s + m - 1] = omega(u[0, lo:m - 1])
+        div = lt.divergence(lt.Current(*(WeilValue(algebra, c[1:m - 1]) for c in u), lat), lat)
+        closed = max_or_nan(closed, float(np.max(np.abs(div.coeffs[:, interior]), initial=0.0)))
+
     for j, fibers in fiber_slices:
-        if j != count or fibers.shape != (2, lat.n_space):
+        if f is None:
+            algebra = fibers.algebra
+            f = np.empty((2, 4 + BLOCK, lat.n_space, algebra.dim))
+            u = np.empty_like(f)
+        if j != s + m or fibers.coeffs.shape != f[:, 0].shape:
             raise lt.LatticeError(f"slice {j}: the current pairs two fibers of "
                                   f"{lat.n_space} sites, slice by slice from 0")
-        count += 1
-        f.append(fibers)
-        if j < 2:
-            continue
-        a.append(_cross(f[-2], (f[-1].coeffs - f[-3].coeffs) / two_dt))
-        series[j - 1] = omega(a[-1])
-        if j == 3:
-            c = [v.coeffs for v in f]
-            series[0] = omega(_cross(
-                f[0], (-11 * c[0] + 18 * c[1] - 9 * c[2] + 2 * c[3]) / six_dt))
-        if j >= 4:  # the divergence at j - 2
-            b = _cross(f[-3], lt.d_dx(f[-3], lat).coeffs)
-            div = np.subtract(a[-1].coeffs, a[-3].coeffs)
-            div /= two_dt
-            div -= lt.d_dx(b, lat).coeffs
-            closed = max_or_nan(closed, float(np.max(np.abs(div[interior]), initial=0.0)))
-    if count != lat.n_slices:
-        raise lt.LatticeError(f"the current needs {lat.n_slices} slices, got {count}")
-    c = [v.coeffs for v in f]
-    series[-1] = omega(_cross(
-        f[-1], (11 * c[-1] - 18 * c[-2] + 9 * c[-3] - 2 * c[-4]) / six_dt))
+        f[:, m] = fibers.coeffs
+        m += 1
+        if m == f.shape[1]:
+            fold()
+            f[:, :4], u[:, 1:3] = f[:, -4:], u[:, -3:-1]
+            s, m, lo = s + m - 4, 4, 3
+    if s + m != lat.n_slices:
+        raise lt.LatticeError(f"the current needs {lat.n_slices} slices, got {s + m}")
+    fold()
+    # the end stencil is the start stencil mirrored in time, and negation rounds exactly
+    series[-1] = -one_sided(f[:, m - 4:m][:, ::-1])
     return series, closed
 
 

@@ -558,6 +558,22 @@ MALFORMED = {
     "option_of_another_experiment":
         ("bracket", lambda d: d["options"].update(n_samples=3)),
     "option_where_none_exist": ("conserve", lambda d: d.update(options={"fast": True})),
+    # profiles, Cauchy data and smearings name only their own keys
+    "tangent_profile_key_misspelled":
+        ("conserve", lambda d: d["tangents"][0]["phi"].update(widht=0.01)),
+    "profile_key_of_another_kind":
+        ("conserve", lambda d: d["initial_data"]["phi"].update(width=0.3)),
+    "profile_amplitude_misspelled":
+        ("conserve", lambda d: d["initial_data"]["pi"].update(amplitued=2.0)),
+    "tangent_key_unknown": ("conserve", lambda d: d["tangents"][1].update(psi={})),
+    "initial_data_key_misspelled":
+        ("conserve", lambda d: d["initial_data"].update(ph={"profile": "zero"})),
+    "profile_kind_not_a_string":
+        ("conserve", lambda d: d["initial_data"].update(phi={"profile": ["cosine"]})),
+    "smearing_profile_key_misspelled": ("jacobi", lambda d: d["observables"][0][
+        "smearing"].update(centre=2.0)),
+    "spacetime_smearing_key_misspelled": ("bracket", lambda d: d["observables"][0][
+        "smearing"].update(tmie={"profile": "constant"})),
     "array_values_not_numbers": ("conserve", lambda d: d["initial_data"].update(
         phi={"profile": "array", "values": ["a"] * 128})),
     "n_samples_not_a_number":
@@ -713,13 +729,19 @@ def test_cli_misspelled_option_names_the_key(tmp_path, capsys):
         "error: options: unknown jacobi option 'n_sample'; did you mean 'n_samples'?"]
 
 
-def test_shipped_configs_and_workloads_name_known_options():
+def _perfbench_workloads():
+    """The repository root and perfbench's workloads module."""
     root = os.path.join(os.path.dirname(__file__), "..")
     sys.path.insert(0, os.path.join(root, "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
+    return root, workloads
+
+
+def test_shipped_configs_and_workloads_name_known_options():
+    root, workloads = _perfbench_workloads()
     docs = []
     for name in sorted(os.listdir(os.path.join(root, "configs"))):
         with open(os.path.join(root, "configs", name), encoding="utf-8") as fh:
@@ -729,6 +751,29 @@ def test_shipped_configs_and_workloads_name_known_options():
     for doc in docs:
         conf = cfg.ExperimentConfig.from_dict(doc)
         assert set(conf.options) <= set(cfg.OPTIONS.get(conf.experiment, ()))
+
+
+def test_cli_misspelled_profile_key_names_the_key(tmp_path, capsys):
+    # the key would otherwise be ignored, and the run pass at width 0.5
+    doc = _edited(BASE_CONSERVE, lambda d: d["tangents"][0]["phi"].update(widht=0.01))
+    assert cli.main(["conserve", "--config", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown gaussian profile key 'widht'; did you mean 'width'?"]
+
+
+def test_shipped_configs_and_workloads_name_known_profile_keys():
+    # every profile of the shipped configs builds; the workloads run at toy
+    # size, which also builds the jacobi driver's own random_fourier samples
+    root, workloads = _perfbench_workloads()
+    for name in sorted(os.listdir(os.path.join(root, "configs"))):
+        conf = cfg.ExperimentConfig.from_file(os.path.join(root, "configs", name))
+        rng = conf.rng()
+        for desc in (conf.initial_data, *conf.tangents):
+            experiments._build_tangent(desc, conf, rng)
+        for desc in conf.observables:
+            experiments._build_observable(desc, conf, rng)
+    for name in workloads.WORKLOADS:
+        assert all(_passed(workloads.config_doc(root, name, 0, toy=True)).values())
 
 
 def test_bracket_oracle_transforms_each_grid_once(monkeypatch):

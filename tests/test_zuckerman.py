@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,7 +251,7 @@ def whole_grid_reference(v, vp):
     series = np.array([lt.integrate_slice(u.slice_density(j)).scalar_part
                        for j in range(lat.n_slices)])
     div = lt.divergence(u, lat).coeffs[1:-1][..., ~lat.guard_band, :]
-    return series, float(np.max(np.abs(div)))
+    return series, float(np.max(np.abs(div), initial=0.0))  # no interior slice at n_time 3
 
 
 @pytest.mark.parametrize("over", ["real", "dual"])
@@ -276,6 +279,81 @@ def test_stream_bit_matches_whole_grid_current(tangent_setup, topology, over):
     ref_series, ref_closed = whole_grid_reference(v1, bad)
     assert np.array_equal(off_series, ref_series) and off_closed == ref_closed
     assert off_closed > 10 * closed
+
+
+# a block takes BLOCK new slices after four carried ones, so the first fold
+# comes at slice BLOCK + 3 and the next ones BLOCK slices apart
+BLOCK_EDGES = sorted({3, 4, 5, zk.BLOCK - 1, zk.BLOCK, zk.BLOCK + 1, zk.BLOCK + 2,
+                      zk.BLOCK + 3, zk.BLOCK + 4, 2 * zk.BLOCK + 3, 2 * zk.BLOCK + 4})
+
+
+@pytest.mark.parametrize("n_time", BLOCK_EDGES)
+@pytest.mark.parametrize("over", ["real", "dual"])
+@pytest.mark.parametrize("topology", ["circle", "line"])
+def test_blocks_bit_match_whole_grid_current_at_every_length(tangent_setup, topology, over,
+                                                             n_time):
+    lat, base, directions = tangent_setup(topology, over)
+    lat = dataclasses.replace(lat, n_time=n_time)
+    sg = dyn.interaction("sine_gordon")
+    supports = (None, None)
+    if topology == "line":
+        supports = tuple(lt.support_mask(lat, d.phi, d.pi) for d in directions)
+    v1, v2 = (zk.TangentSolution(v.base, v.fiber, s) for v, s in
+              zip(make_tangents(lat, sg, base, directions), supports))
+    series, closed = zk.conservation(dyn.tangent_slices(base, directions, sg, lat),
+                                     lat, supports)
+    ref_series, ref_closed = whole_grid_reference(v1, v2)
+    assert series.shape == (n_time + 1,)
+    assert np.array_equal(series, ref_series) and closed == ref_closed
+
+
+@pytest.mark.parametrize("j", [6, zk.BLOCK + 3, zk.BLOCK + 4 + zk.BLOCK // 2])
+def test_nan_in_one_fiber_site_fails_omega_and_closedness(sg_setup, j):
+    # slice j sits mid-block, on a block's last slice or mid the next block;
+    # later blocks are finite, so a running max that dropped a NaN would end
+    # finite
+    lat, sg, base, v1, v2 = sg_setup
+    bad = v2.fiber.values.coeffs.copy()
+    bad[j, 17, 0] = np.nan
+    bad = zk.TangentSolution(v1.base, dyn.FieldHistory(WeilValue(base.algebra, bad), lat))
+    series, closed = streamed(v1, bad)
+    assert np.isnan(closed)
+    assert np.flatnonzero(np.isnan(series)).tolist() == [j - 1, j, j + 1]
+    ref_series, _ = whole_grid_reference(v1, bad)
+    assert np.array_equal(series, ref_series, equal_nan=True)
+
+
+@pytest.mark.parametrize("j", [zk.BLOCK // 2, zk.BLOCK + 3, zk.BLOCK + 4 + zk.BLOCK // 2])
+def test_conservation_names_a_slice_skipped_anywhere_in_a_block(sg_setup, j):
+    lat, sg, base, v1, v2 = sg_setup
+    slices = list(fiber_pairs(v1, v2))
+    with pytest.raises(lt.LatticeError, match=f"slice {j + 1}:"):
+        zk.conservation(iter(slices[:j] + slices[j + 1:]), lat, (None, None))
+
+
+def _traced_peak_of_conservation(n_time):
+    """tracemalloc peak of the march streaming into conservation, on 1024 sites."""
+    lat = circle_lattice(1024, n_time)
+    sg = dyn.interaction("sine_gordon")
+    base = dyn.data_from_arrays(0.5 * np.cos(lat.x), 0.2 * np.sin(lat.x))
+    g = np.exp(-0.5 * ((lat.x - np.pi) / 0.5) ** 2)
+    directions = [dyn.data_from_arrays(g, np.zeros(lat.n_space)),
+                  dyn.data_from_arrays(np.zeros(lat.n_space), g)]
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        zk.conservation(dyn.tangent_slices(base, directions, sg, lat), lat, (None, None))
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_conservation_holds_no_history():
+    # a history of 2049 fiber pairs on 1024 sites is 32 MiB; the peak must
+    # be the block's, the same at 256 and at 2048 steps (only the omega
+    # series, 8 bytes a slice, grows)
+    short, long = (_traced_peak_of_conservation(n) for n in (256, 2048))
+    assert abs(long - short) <= 0.1 * short, (short, long)
 
 
 def test_conservation_refuses_malformed_streams(sg_setup):
