@@ -10,13 +10,14 @@ experiment kind; shared descriptors:
                   random_fourier|array, ...parameters}
 
 Spacetime smearings are separable:  {space: <profile>, time: <profile>}.
-The tolerances and options blocks take known keys only (DEFAULT_TOLERANCES,
-OPTIONS per experiment), and so do profiles (PROFILE_KEYS per kind), Cauchy
-data (initial_data and each tangent: phi, pi) and spacetime smearings.
+The top level, the lattice, and the tolerances and options blocks take
+known keys only (DEFAULT_TOLERANCES, OPTIONS per experiment), and so do
+profiles (PROFILE_KEYS per kind), Cauchy data (initial_data and each
+tangent: phi, pi) and spacetime smearings.
 
 Every error in a descriptor is a ConfigError; from_dict names the key.
 Profiles and the descriptors that hold them are checked when a run
-builds them.
+builds them, and their errors name the descriptor's path (located).
 """
 
 from __future__ import annotations
@@ -177,18 +178,33 @@ def time_profile(desc: dict, lat: lt.LatticeSpacetime,
     return _profile_array(desc, lat.t, rng)
 
 
-def spacetime_profile(desc: dict, lat: lt.LatticeSpacetime,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Separable smearing g(t, x) = time_profile(t) * space_profile(x)."""
-    desc = _known_keys(json_object(desc, "a spacetime smearing"), ("time", "space"),
-                       "spacetime smearing key")
-    g_t = time_profile(desc.get("time", {"profile": "constant"}), lat, rng)
-    g_x = spatial_profile(desc.get("space", {"profile": "zero"}), lat, rng)
+def spacetime_profile(desc: dict, lat: lt.LatticeSpacetime, rng: np.random.Generator,
+                      path: str = "smearing") -> np.ndarray:
+    """Separable smearing g(t, x) = time_profile(t) * space_profile(x), found at path."""
+    desc = located(path, _known_keys, desc, ("time", "space"), "spacetime smearing key")
+    g_t = located(f"{path}.time", time_profile, desc.get("time", {"profile": "constant"}),
+                  lat, rng)
+    g_x = located(f"{path}.space", spatial_profile, desc.get("space", {"profile": "zero"}),
+                  lat, rng)
     return np.outer(g_t, g_x)
 
 
+def located(path: str, build, *args):
+    """build(*args), a ConfigError it raises prefixed by path, the descriptor's place.
+
+    Profiles and the descriptors that hold them are checked when a run
+    builds them, so their errors say where in the config they sit, such as
+    tangents[0].phi or observables[1].smearing.
+    """
+    try:
+        return build(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _lattice_from(desc: dict) -> lt.LatticeSpacetime:
-    d = dict(desc)
+    d = dict(_known_keys(desc, ("topology", "n_space", "dx", "extent", "dt", "dt_factor",
+                                "n_time", "guard"), "lattice key"))
     n_space = count(d, "n_space", None, 1)
     if "dx" in d and "extent" in d:
         raise ConfigError("give dx or extent, not both")
@@ -292,6 +308,9 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
+        _known_keys(doc, ("experiment", "lattice", "interaction", "algebra", "initial_data",
+                          "tangents", "observables", "tolerances", "seed", "ladder", "study",
+                          "options"), "config key")
         experiment = doc.get("experiment")
         if experiment not in EXPERIMENTS:
             raise ConfigError(

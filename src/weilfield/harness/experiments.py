@@ -19,7 +19,7 @@ from .. import poisson as ps
 from .. import zuckerman as zk
 from ..weil import max_or_nan
 from .config import (ConfigError, ExperimentConfig, cauchy_profiles, count, json_object,
-                     number, spacetime_profile, spatial_profile)
+                     located, number, spacetime_profile, spatial_profile)
 from .oracle import PauliJordanOracle
 from .report import Report, atomic_write_bytes, check, check_window, write_report
 
@@ -56,34 +56,38 @@ def _build_data(config: ExperimentConfig, rng: np.random.Generator,
 
 
 def _build_tangent(desc: dict, config: ExperimentConfig, rng: np.random.Generator,
-                   lat: lt.LatticeSpacetime | None = None) -> dyn.CauchyData:
-    """Cauchy data over the config's algebra from a {phi, pi} descriptor."""
+                   lat: lt.LatticeSpacetime | None = None,
+                   path: str = "initial_data") -> dyn.CauchyData:
+    """Cauchy data over the config's algebra from the {phi, pi} descriptor at path."""
     lat = lat or config.lattice
-    phi, pi = (spatial_profile(p, lat, rng) for p in cauchy_profiles(desc))
+    phi, pi = (located(f"{path}.{name}", spatial_profile, p, lat, rng)
+               for name, p in zip(("phi", "pi"), located(path, cauchy_profiles, desc)))
     return dyn.data_from_arrays(phi, pi, config.algebra)
 
 
-def _build_observable(desc: dict, config: ExperimentConfig,
-                      rng: np.random.Generator) -> tuple[ps.Observable, dict]:
-    """Build an observable from its descriptor; aux carries smearing grids."""
-    kind = json_object(desc, "an observable").get("kind")
+def _build_observable(desc: dict, config: ExperimentConfig, rng: np.random.Generator,
+                      path: str = "observable") -> tuple[ps.Observable, dict]:
+    """Build the observable whose descriptor sits at path; aux carries smearing grids."""
+    kind = located(path, json_object, desc, "an observable").get("kind")
     lat = config.lattice
+    smearing = f"{path}.smearing"
     if kind == "slice_phi":
-        f = spatial_profile(desc.get("smearing", {}), lat, rng)
+        f = located(smearing, spatial_profile, desc.get("smearing", {}), lat, rng)
         return ps.slice_phi_observable(f, lat, name=desc.get("name", "")), {"profile": f}
     if kind == "slice_pi":
-        g = spatial_profile(desc.get("smearing", {}), lat, rng)
+        g = located(smearing, spatial_profile, desc.get("smearing", {}), lat, rng)
         return ps.slice_pi_observable(g, lat, name=desc.get("name", "")), {"profile": g}
     if kind == "spacetime":
-        g = spacetime_profile(desc.get("smearing", {}), lat, rng)
+        g = spacetime_profile(desc.get("smearing", {}), lat, rng, smearing)
         obs = ps.spacetime_observable(g, config.interaction, lat,
                                       name=desc.get("name", ""))
         return obs, {"grid": g}
     if kind == "poly_composite":
         factors = desc.get("factors", [])
         if not isinstance(factors, list) or not factors:
-            raise ConfigError("poly_composite needs a nonempty factors list")
-        built = [_build_observable(f, config, rng)[0] for f in factors]
+            raise ConfigError(f"{path}: poly_composite needs a nonempty factors list")
+        built = [_build_observable(f, config, rng, f"{path}.factors[{k}]")[0]
+                 for k, f in enumerate(factors)]
         obs = built[0]
         for extra in built[1:]:
             obs = ps.observable_product(obs, extra)
@@ -91,7 +95,7 @@ def _build_observable(desc: dict, config: ExperimentConfig,
         if power != 1:
             obs = ps.observable_power(obs, power)
         return obs, {}
-    raise ConfigError(f"unknown observable kind {kind!r}")
+    raise ConfigError(f"{path}: unknown observable kind {kind!r}")
 
 
 def _scaled_lattice(lat: lt.LatticeSpacetime, n: int) -> lt.LatticeSpacetime:
@@ -134,7 +138,8 @@ def _conservation(config: ExperimentConfig, rng: np.random.Generator,
     if len(config.tangents) != 2:
         raise ConfigError(f"tangents: omega pairs exactly two, not {len(config.tangents)}")
     base = _build_data(config, rng, lat)
-    directions = [_build_tangent(desc, config, rng, lat) for desc in config.tangents]
+    directions = [_build_tangent(desc, config, rng, lat, f"tangents[{k}]")
+                  for k, desc in enumerate(config.tangents)]
     supports = (None, None)
     if lat.topology == lt.LINE:
         supports = tuple(lt.support_mask(lat, d.phi, d.pi) for d in directions)
@@ -180,7 +185,7 @@ def _run_conserve(config: ExperimentConfig, outdir: str | None) -> Report:
     lat = config.lattice
     series, closed = _conservation(config, rng, lat)
     drift = zk.relative_drift(_omega_series(series))
-    rows = [[j, lat.t[j], float(series[j]), float(drift[j])] for j in range(lat.n_slices)]
+    rows = zip(range(lat.n_slices), lat.t.tolist(), series.tolist(), drift.tolist())
     report = Report("conserve")
     report.add_table("omega_series", ["slice", "t", "omega", "relative_drift"], rows)
     report.add_table("closedness", ["max_divergence"], [[closed]])
@@ -195,7 +200,8 @@ def _run_bracket(config: ExperimentConfig, outdir: str | None) -> Report:
     lat = config.lattice
     if len(config.observables) < 2:
         raise ConfigError("bracket experiment needs at least two observables")
-    built = [_build_observable(d, config, rng) for d in config.observables]
+    built = [_build_observable(d, config, rng, f"observables[{k}]")
+             for k, d in enumerate(config.observables)]
     base = _build_data(config, rng)
     pairs = [ps.make_pair(obs, lat) for obs, _ in built]
 
@@ -249,7 +255,8 @@ def _run_jacobi(config: ExperimentConfig, outdir: str | None) -> Report:
     lat = config.lattice
     if len(config.observables) < 3:
         raise ConfigError("jacobi experiment needs three observables")
-    built = [_build_observable(d, config, rng)[0] for d in config.observables[:3]]
+    built = [_build_observable(d, config, rng, f"observables[{k}]")[0]
+             for k, d in enumerate(config.observables[:3])]
     n_samples = count(config.options, "n_samples", 5, 1)
     amp = number(config.options, "sample_amplitude", 0.5)
     samples = []

@@ -15,7 +15,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 def fmt(value) -> str:
@@ -25,6 +25,25 @@ def fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.16e}"
     return str(value)
+
+
+@cache
+def _row_template(kinds: tuple[type, ...]) -> str | None:
+    """One %-format that renders a row of these cell types as fmt and csv.writer do.
+
+    Floats (numpy's float64 among them) take fmt's 17 digits, ints and bools
+    their str.  None when some cell is anything else: its text may need
+    csv quoting, so the row goes through csv.writer.
+    """
+    specs = []
+    for kind in kinds:
+        if issubclass(kind, float):
+            specs.append("%.16e")
+        elif issubclass(kind, int):
+            specs.append("%s")
+        else:
+            return None
+    return ",".join(specs) + "\n"
 
 
 @dataclass(frozen=True)
@@ -61,7 +80,7 @@ class Report:
     provenance: dict = field(default_factory=dict)
 
     def add_table(self, name: str, header: Sequence[str],
-                  rows: Sequence[Sequence]) -> None:
+                  rows: Iterable[Sequence]) -> None:
         self.tables[name] = (list(header), [list(r) for r in rows])
 
     def add_verdict(self, verdict: Verdict) -> None:
@@ -71,12 +90,17 @@ class Report:
         return all(v.passed for v in self.verdicts)
 
     def csv_bytes(self, name: str) -> bytes:
+        """The table as csv.writer writes fmt of each cell, one %-format per numeric row."""
         header, rows = self.tables[name]
         buf = io.StringIO(newline="")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([fmt(v) for v in row])
+            template = _row_template(tuple(map(type, row)))
+            if template is None:
+                writer.writerow([fmt(v) for v in row])
+            else:
+                buf.write(template % tuple(row))
         return buf.getvalue().encode("utf-8")
 
     def summary_lines(self) -> list[str]:

@@ -15,7 +15,8 @@ fixed conventions, chosen once so that the canonical bracket comes out as
 All stencils are centered second order (one-sided second order at ends),
 and all grid operations act coefficientwise on Weil values, so they commute
 exactly with coefficient extraction.  Stencils write into one output array
-through slices of their input, with no shifted copies.
+through slices of their input, with no shifted copies; d_dx takes every row
+of a batch in one flat pass over a contiguous input.
 """
 
 from __future__ import annotations
@@ -136,12 +137,15 @@ class LatticeSpacetime:
 
 def d_dx(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
     """Centered spatial derivative; one-sided second order at line edges."""
-    out = np.empty_like(values.coeffs)
-    c, o = (a.swapaxes(0, _SPACE_AXIS) for a in (values.coeffs, out))  # sites first
-    np.subtract(c[2:], c[:-2], out=o[1:-1])
-    if lat.topology == CIRCLE:
-        o[0] = c[1] - c[-1]
-        o[-1] = c[0] - c[-2]
+    c = np.ascontiguousarray(values.coeffs)
+    out = np.empty(c.shape)
+    # the centered difference of every site of every row in one flat pass
+    # (neighbouring sites lie step floats apart); each row's end sites are set below
+    flat, step = c.reshape(-1), c.shape[-1]
+    np.subtract(flat[2 * step:], flat[:-2 * step], out=out.reshape(-1)[step:-step])
+    c, o = c.swapaxes(0, _SPACE_AXIS), out.swapaxes(0, _SPACE_AXIS)  # sites first
+    if lat.topology == CIRCLE:  # both edges at once: sites (1, 0) - sites (-1, -2)
+        np.subtract(c[1::-1], c[:-3:-1], out=o[::len(o) - 1])
     else:
         o[0] = -3 * c[0] + 4 * c[1] - c[2]
         o[-1] = 3 * c[-1] - 4 * c[-2] + c[-3]
@@ -152,12 +156,14 @@ def d_dx(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
 def d2_dx2(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
     """Centered second spatial derivative; one-sided second order at line edges."""
     out = np.multiply(values.coeffs, -2.0)  # -2c[i] + c[i+1] rounds as c[i+1] - 2c[i]
-    c, o = (a.swapaxes(0, _SPACE_AXIS) for a in (values.coeffs, out))  # sites first
-    o[1:-1] += c[2:]
-    o[1:-1] += c[:-2]
-    if lat.topology == CIRCLE:
-        o[0] = c[1] - 2 * c[0] + c[-1]
-        o[-1] = c[0] - 2 * c[-1] + c[-2]
+    c, o = values.coeffs.swapaxes(0, _SPACE_AXIS), out.swapaxes(0, _SPACE_AXIS)  # sites first
+    inner = o[1:-1]
+    inner += c[2:]
+    inner += c[:-2]
+    if lat.topology == CIRCLE:  # both edges at once: right neighbours (1, 0), left (-1, -2)
+        edges = o[::len(o) - 1]
+        edges += c[1::-1]
+        edges += c[:-3:-1]
     else:
         o[0] = 2 * c[0] - 5 * c[1] + 4 * c[2] - c[3]
         o[-1] = 2 * c[-1] - 5 * c[-2] + 4 * c[-3] - c[-4]
@@ -241,7 +247,8 @@ class Current:
 
 def integrate_slice(density: SliceDensity) -> WeilValue:
     """Riemann sum over the slice; exact for the uniform grid's midpoint rule."""
-    return density.values.sum(axis=-1) * density.lattice.dx
+    values = density.values
+    return WeilValue(values.algebra, values.coeffs.sum(axis=-2) * density.lattice.dx)
 
 
 def hodge_d(values: WeilValue, lat: LatticeSpacetime) -> Current:

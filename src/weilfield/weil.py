@@ -204,7 +204,7 @@ def _products_by_target(algebra: WeilAlgebra):
     return tuple((k, tuple(pairs)) for k, pairs in sorted(grouped.items()))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class WeilValue:
     """Element(s) of a Weil algebra: one real coefficient per basis monomial.
 
@@ -219,13 +219,16 @@ class WeilValue:
     # keep numpy from elementwise-broadcasting into object arrays
     __array_ufunc__ = None
 
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if coeffs.ndim == 0 or coeffs.shape[-1] != self.algebra.dim:
+    def __init__(self, algebra: WeilAlgebra, coeffs) -> None:
+        if type(coeffs) is not np.ndarray or coeffs.dtype != np.float64:
+            coeffs = np.asarray(coeffs, dtype=np.float64)
+        if coeffs.ndim == 0 or coeffs.shape[-1] != algebra.dim:
             raise ValueError(
-                f"coefficient array needs trailing axis of length {self.algebra.dim}"
+                f"coefficient array needs trailing axis of length {algebra.dim}"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        # set once, here, past the frozen __setattr__: a value is built per stencil and slice
+        fields = self.__dict__
+        fields["algebra"], fields["coeffs"] = algebra, coeffs
 
     # -- constructors --------------------------------------------------
 
@@ -299,7 +302,7 @@ class WeilValue:
     # -- arithmetic ------------------------------------------------------
 
     def _require_same_algebra(self, other: "WeilValue") -> None:
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise AlgebraMismatchError(
                 f"algebras differ: {self.algebra} vs {other.algebra}"
             )
@@ -433,12 +436,12 @@ def lift_tangents(base: WeilValue, directions: Sequence[WeilValue]) -> WeilValue
 
 def tangent_parts(w: WeilValue, base: WeilAlgebra) -> WeilValue:
     """The t_1..t_n parts of a value over base (x) D(n), as base-values on a new leading axis."""
-    n = w.algebra.dim // base.dim - 1
-    if n < 1 or w.algebra != _with_tangents(base, n):
+    c, n = w.coeffs, w.algebra.dim // base.dim - 1
+    big = _with_tangents(base, n) if n > 0 else None
+    if w.algebra is not big and w.algebra != big:
         raise AlgebraMismatchError(f"{w.algebra} is not {base} with a tangent block")
-    parts = w.coeffs.reshape(w.shape + (base.dim, n + 1))[..., 1:]
-    last = parts.ndim - 1
-    return WeilValue(base, parts.transpose((last,) + tuple(range(last))).copy())
+    parts = c.reshape(c.shape[:-1] + (base.dim, n + 1))[..., 1:]
+    return WeilValue(base, parts.transpose((c.ndim,) + tuple(range(c.ndim))).copy())
 
 
 # -- smooth maps and their lifts --------------------------------------------
@@ -477,12 +480,21 @@ class SmoothMap:
         return SmoothMap(f"d({self.name})", lambda n, x: nth(n + 1, x), max_order)
 
 
+def _phase_shifted(trig: np.ufunc) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The n-th derivative of sin or cos as the map at x + n pi/2.
+
+    n = 0 takes x itself: shifting by 0 costs a pass over x and turns -0.0
+    into +0.0.
+    """
+    return lambda n, x: trig(x + n * np.pi / 2.0) if n else trig(x)
+
+
 def sin_map() -> SmoothMap:
-    return SmoothMap("sin", lambda n, x: np.sin(x + n * np.pi / 2.0))
+    return SmoothMap("sin", _phase_shifted(np.sin))
 
 
 def cos_map() -> SmoothMap:
-    return SmoothMap("cos", lambda n, x: np.cos(x + n * np.pi / 2.0))
+    return SmoothMap("cos", _phase_shifted(np.cos))
 
 
 def exp_map() -> SmoothMap:
@@ -534,23 +546,22 @@ def apply_smooth(f: SmoothMap, w: WeilValue) -> WeilValue:
 
     With w = a + h (scalar part a, nilpotent part h) the lift is the sum of
     f^(n)(a)/n! * h^n up to the algebra's nilpotency degree; since higher
-    powers of h vanish in the quotient ring the result carries no
-    truncation error.
+    powers of h vanish in the quotient ring the result is exact, with no
+    truncation error.  The lift allocates its result once, as the n = 1
+    term, sums any higher terms into it in place and writes f(a) into its
+    unit slot; only an algebra of nilpotency degree above 1 builds the
+    powers h^n, n >= 2, by Weil multiplication.
     """
-    algebra = w.algebra
-    scalar = w.scalar_part
-    if algebra.dim == 1:
-        value = np.broadcast_to(f.deriv(0, scalar), w.shape)
-        return WeilValue.from_scalar(algebra, value)
-
-    h = w.nilpotent_part
-    out = np.zeros(w.shape + (algebra.dim,))
-    out[..., 0] += f.deriv(0, scalar)
-    p = h
-    for n in range(1, algebra.nil_degree + 1):
-        if n > 1:
-            p = p * h
-        d = f.deriv(n, scalar)
-        if np.any(d):
-            out += p.coeffs * np.asarray(d / math.factorial(n))[..., None]
+    algebra, c = w.algebra, w.coeffs
+    scalar = c[..., 0]
+    if algebra.nil_degree:  # h is c off the unit slot, which is overwritten below
+        out = c * f.deriv(1, scalar)[..., None]
+        if algebra.nil_degree > 1:
+            h = p = w.nilpotent_part
+            for n in range(2, algebra.nil_degree + 1):
+                p = p * h
+                out += p.coeffs * (f.deriv(n, scalar) / math.factorial(n))[..., None]
+    else:
+        out = np.empty(c.shape)
+    out[..., 0] = f.deriv(0, scalar)  # h^n has no unit part for n >= 1
     return WeilValue(algebra, out)

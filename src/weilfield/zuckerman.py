@@ -144,10 +144,10 @@ def presymplectic_form(v: TangentSolution, vp: TangentSolution,
     return lt.integrate_slice(u.slice_density(slice_index))
 
 
-def _cross(fibers: WeilValue, d: np.ndarray) -> WeilValue:
-    """psi * d' - psi' * d for fibers (psi, psi') and their derivatives d = (d, d')."""
-    both = fibers * WeilValue(fibers.algebra, d[::-1])
-    return WeilValue(fibers.algebra, np.subtract(both.coeffs[0], both.coeffs[1]))
+def _cross(fibers: WeilValue, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """psi * d' - psi' * d for fibers (psi, psi') and their derivatives d = (d, d'), into out."""
+    both = (fibers * WeilValue(fibers.algebra, d[::-1])).coeffs
+    return np.subtract(both[0], both[1], out=out)
 
 
 BLOCK = 6  # fiber slices a block takes in before one vectorized pass folds them
@@ -193,25 +193,28 @@ def conservation(fiber_slices: Iterable[tuple[int, WeilValue]], lat: lt.LatticeS
 
     def one_sided(c: np.ndarray) -> np.ndarray:  # omega on c[:, 0], from c[:, 0..3]
         d = (-11 * c[:, 0] + 18 * c[:, 1] - 9 * c[:, 2] + 2 * c[:, 3]) / six_dt
-        return omega(_cross(WeilValue(algebra, c[:, 0]), d).coeffs)
+        return omega(_cross(WeilValue(algebra, c[:, 0]), d))
 
     def fold() -> None:
         nonlocal closed
         if s == 0:
             series[0] = one_sided(f[:, :4])
         fibers = WeilValue(algebra, f[:, lo:m - 1])
-        u[0, lo:m - 1] = _cross(fibers, (f[:, lo + 1:m] - f[:, lo - 1:m - 2]) / two_dt).coeffs
-        u[1, lo:m - 1] = _cross(fibers, lt.d_dx(fibers, lat).coeffs).coeffs
+        _cross(fibers, (f[:, lo + 1:m] - f[:, lo - 1:m - 2]) / two_dt, u[0, lo:m - 1])
+        _cross(fibers, lt.d_dx(fibers, lat).coeffs, u[1, lo:m - 1])
         series[s + lo:s + m - 1] = omega(u[0, lo:m - 1])
-        div = lt.divergence(lt.Current(*(WeilValue(algebra, c[1:m - 1]) for c in u), lat), lat)
-        closed = max_or_nan(closed, float(np.max(np.abs(div.coeffs[:, interior]), initial=0.0)))
+        div = lt.divergence(lt.Current(WeilValue(algebra, u[0, 1:m - 1]),
+                                       WeilValue(algebra, u[1, 1:m - 1]), lat), lat).coeffs
+        div = div[:, interior]  # a view or a copy, the pass's own either way
+        closed = max_or_nan(closed, float(np.abs(div, out=div).max(initial=0.0)))
 
     for j, fibers in fiber_slices:
         if f is None:
             algebra = fibers.algebra
             f = np.empty((2, 4 + BLOCK, lat.n_space, algebra.dim))
             u = np.empty_like(f)
-        if j != s + m or fibers.coeffs.shape != f[:, 0].shape:
+            slice_shape = (2, lat.n_space, algebra.dim)
+        if j != s + m or fibers.coeffs.shape != slice_shape:
             raise lt.LatticeError(f"slice {j}: the current pairs two fibers of "
                                   f"{lat.n_space} sites, slice by slice from 0")
         f[:, m] = fibers.coeffs

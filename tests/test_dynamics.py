@@ -264,6 +264,88 @@ def test_tangent_slices_bit_match_any_count(tangent_setup, topology, over, count
     _assert_slices_bit_match(*tangent_setup(topology, over, count))
 
 
+# rho, rho', rho'' of each interaction as plain numpy, in the registry's own
+# expressions: monomials as coeff * perm(power, n) * x**(power - n), sine-Gordon
+# as sin(x + n pi/2)
+REFERENCE_RHO = {
+    "free": (np.zeros_like,) * 3,
+    "mass": (lambda x: 1.3 * 1.3 * x**1, lambda x: 1.3 * 1.3 * x**0, np.zeros_like),
+    "phi4": (lambda x: 0.8 * x**3, lambda x: 0.8 * 3 * x**2, lambda x: 0.8 * 6 * x**1),
+    "sine_gordon": (np.sin, lambda x: np.sin(x + np.pi / 2.0), lambda x: np.sin(x + np.pi)),
+}
+INTERACTION_PARAMS = {"mass": {"mass": 1.3}, "phi4": {"coupling": 0.8}}
+
+
+def reference_slices(phi, pi, name, lat):
+    """The leapfrog's slices in plain numpy, over R, R[eps] or R (x) D(k).
+
+    Coefficient slot 0 is the base and slots 1.. are first-order, so a
+    product is (x0 y0, x0 y_k + x_k y0) and f lifts to (f(a), f'(a) b_k).
+    Operation order is the solver's: a third-order Taylor start, the
+    -2c + c[i+1] + c[i-1] stencil over dx^2, (2 cur - prev) + dt^2 (D cur -
+    rho(cur)), and the line's edge sites clamped to phi's.
+    """
+    rho, rho1, rho2 = REFERENCE_RHO[name]
+    dt = lat.dt
+
+    def d2(c):
+        return (-2.0 * c + np.roll(c, -1, axis=0) + np.roll(c, 1, axis=0)) / lat.dx**2
+
+    def lift(f, f1, c):
+        out = np.empty_like(c)
+        out[:, 0] = f(c[:, 0])
+        out[:, 1:] = c[:, 1:] * f1(c[:, 0])[:, None]
+        return out
+
+    def times(x, y):
+        out = np.empty_like(x)
+        out[:, 0] = x[:, 0] * y[:, 0]
+        out[:, 1:] = x[:, :1] * y[:, 1:] + x[:, 1:] * y[:, :1]
+        return out
+
+    def clamp(c):
+        if lat.topology == lt.LINE:
+            c[[0, -1]] = phi[[0, -1]]
+        return c
+
+    jerk = d2(pi) - times(lift(rho1, rho2, phi), pi)
+    prev, cur = phi, clamp(phi + dt * pi + (0.5 * dt**2) * (d2(phi) - lift(rho, rho1, phi))
+                           + (dt**3 / 6.0) * jerk)
+    out = [prev, cur]
+    for _ in range(2, lat.n_slices):
+        prev, cur = cur, clamp((2.0 * cur - prev) + dt**2 * (d2(cur) - lift(rho, rho1, cur)))
+        out.append(cur)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_RHO))
+@pytest.mark.parametrize("algebra", [WeilAlgebra.real(), WeilAlgebra.dual(),
+                                     WeilAlgebra.first_order(2)], ids=["R", "dual", "D2"])
+@pytest.mark.parametrize("topology", ["circle", "line"])
+def test_leapfrog_slices_bit_match_plain_numpy_recurrence(topology, algebra, name, rng):
+    # every slice equals a plain-numpy recurrence bit for bit, so a change of
+    # operation order anywhere in the step shows here and not only as a
+    # drift that two paths through the one leapfrog share
+    if topology == "circle":
+        lat = lt.LatticeSpacetime("circle", 48, 2 * np.pi / 48, np.pi / 48, 40)
+        window = np.ones(lat.n_space)
+    else:
+        lat = lt.LatticeSpacetime("line", 96, 0.1, 0.05, 24, guard=2)
+        window = np.zeros(lat.n_space)
+        window[36:60] = np.hanning(24)
+    phi, pi = (0.4 * rng.standard_normal((lat.n_space, algebra.dim)) * window[:, None]
+               for _ in range(2))
+    data = dyn.CauchyData(WeilValue(algebra, phi), WeilValue(algebra, pi))
+    inter = dyn.interaction(name, **INTERACTION_PARAMS.get(name, {}))
+    expected = reference_slices(phi, pi, name, lat)
+    seen = 0
+    for j, value in dyn.leapfrog_slices(data, inter, lat):
+        assert value.algebra == algebra
+        assert np.array_equal(value.coeffs, expected[j]), f"slice {j}"
+        seen += 1
+    assert seen == lat.n_slices
+
+
 def test_tangent_march_lifts_rho_on_one_base_slice():
     # the base is marched once: rho and rho' see n_space scalars per step,
     # not one row of scalars per direction

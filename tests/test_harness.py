@@ -1,6 +1,8 @@
 import copy
+import csv
 import dataclasses
 import functools
+import io
 import json
 import operator
 import os
@@ -165,6 +167,32 @@ def test_random_fourier_deterministic(circle):
 def test_fmt_roundtrips_floats():
     for x in (1 / 3, np.pi, 1e-300, -2.5e17):
         assert float(rp.fmt(x)) == x
+
+
+def test_csv_bytes_match_csv_writer_of_fmt():
+    # numeric rows take one %-format each, the rest csv.writer, and the bytes
+    # are csv.writer's of fmt of every cell, in row order
+    header = ["i", "x, y", 'say "q"', "flag"]
+    rows = [
+        [0, 1.5, np.float64(-2.25), True],
+        [-7, float("nan"), np.float64("inf"), False],
+        [2**70, -0.0, float("-inf"), np.float64(-0.0)],
+        ["a,b", 'say "hi"', 3, 1e-300],
+        [np.int64(4), np.float32(0.5), np.bool_(True), None],
+        ["", "line\nbreak", " padded ", 0.1],
+        [np.float64("nan"), 1 / 3, -5e-324, 12],
+        [],
+        [""],
+        [1.0],
+    ]
+    report = rp.Report("t")
+    report.add_table("t", header, rows)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([rp.fmt(v) for v in row])
+    assert report.csv_bytes("t") == buf.getvalue().encode("utf-8")
 
 
 def test_atomic_write_leaves_no_partial(tmp_path, monkeypatch):
@@ -558,6 +586,12 @@ MALFORMED = {
     "option_of_another_experiment":
         ("bracket", lambda d: d["options"].update(n_samples=3)),
     "option_where_none_exist": ("conserve", lambda d: d.update(options={"fast": True})),
+    # the top level and the lattice name only their own keys
+    "config_key_misspelled": ("jacobi", lambda d: d.update(optoins=d.pop("options"))),
+    "config_key_unknown": ("conserve", lambda d: d.update(comment="a note")),
+    "lattice_key_misspelled": ("conserve", lambda d: d["lattice"].update(n_tme=8)),
+    "lattice_key_of_another_block":
+        ("conserve", lambda d: d["lattice"].update(mass=1.0)),
     # profiles, Cauchy data and smearings name only their own keys
     "tangent_profile_key_misspelled":
         ("conserve", lambda d: d["tangents"][0]["phi"].update(widht=0.01)),
@@ -729,6 +763,21 @@ def test_cli_misspelled_option_names_the_key(tmp_path, capsys):
         "error: options: unknown jacobi option 'n_sample'; did you mean 'n_samples'?"]
 
 
+def test_cli_misspelled_config_and_lattice_keys_name_the_key(tmp_path, capsys):
+    # a top-level typo would otherwise drop the whole block, and a lattice
+    # typo run the lattice's own n_time
+    cases = [
+        ("jacobi", lambda d: d.update(optoins=d.pop("options")),
+         "unknown config key 'optoins'; did you mean 'options'?"),
+        ("conserve", lambda d: d["lattice"].update(n_tme=8),
+         "lattice: unknown lattice key 'n_tme'; did you mean 'n_time'?"),
+    ]
+    for command, edit, message in cases:
+        doc = _edited(BASES[command], edit)
+        assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def _perfbench_workloads():
     """The repository root and perfbench's workloads module."""
     root = os.path.join(os.path.dirname(__file__), "..")
@@ -754,11 +803,34 @@ def test_shipped_configs_and_workloads_name_known_options():
 
 
 def test_cli_misspelled_profile_key_names_the_key(tmp_path, capsys):
-    # the key would otherwise be ignored, and the run pass at width 0.5
-    doc = _edited(BASE_CONSERVE, lambda d: d["tangents"][0]["phi"].update(widht=0.01))
-    assert cli.main(["conserve", "--config", _write(tmp_path, doc)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: unknown gaussian profile key 'widht'; did you mean 'width'?"]
+    # the key would otherwise be ignored, and the run pass at width 0.5; the
+    # error names the key and the path of the descriptor that holds it
+    cases = [
+        ("conserve", lambda d: d["tangents"][0]["phi"].update(widht=0.01),
+         "tangents[0].phi: unknown gaussian profile key 'widht'; did you mean 'width'?"),
+        ("conserve", lambda d: d["initial_data"]["pi"].update(amplitued=2.0),
+         "initial_data.pi: unknown sine profile key 'amplitued'; did you mean 'amplitude'?"),
+        ("conserve", lambda d: d["tangents"][1].update(pii={}),
+         "tangents[1]: unknown Cauchy data key 'pii'; did you mean 'pi'?"),
+        ("jacobi", lambda d: d["observables"][1]["smearing"].update(wavenumbr=2),
+         "observables[1].smearing: unknown cosine profile key 'wavenumbr'; "
+         "did you mean 'wavenumber'?"),
+        ("jacobi", lambda d: d["observables"][2]["factors"][1]["smearing"].update(phse=1),
+         "observables[2].factors[1].smearing: unknown cosine profile key 'phse'; "
+         "did you mean 'phase'?"),
+        ("bracket", lambda d: d["observables"][1]["smearing"]["time"].update(centre=0.5),
+         "observables[1].smearing.time: unknown gaussian profile key 'centre'; "
+         "did you mean 'center'?"),
+        ("bracket", lambda d: d["observables"][0]["smearing"].update(spcae={}),
+         "observables[0].smearing: unknown spacetime smearing key 'spcae'; "
+         "did you mean 'space'?"),
+        ("jacobi", lambda d: d["observables"][2].update(factors=[d["observables"][0], 7]),
+         "observables[2].factors[1]: an observable must be a JSON object, got 7"),
+    ]
+    for command, edit, message in cases:
+        doc = _edited(BASES[command], edit)
+        assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_shipped_configs_and_workloads_name_known_profile_keys():

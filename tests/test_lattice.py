@@ -195,6 +195,11 @@ def test_stencils_bit_match_shifted_copies(topology, request, rng, dual):
     a, b = (WeilValue(dual, rng.standard_normal(shape)) for _ in range(2))
     assert np.array_equal(lt.d_dx(a, lat).coeffs, reference_d_dx(a.coeffs, lat))
     assert np.array_equal(lt.d2_dx2(a, lat).coeffs, reference_d2_dx2(a.coeffs, lat))
+    for view in (a.coeffs[1:-1:2], a.coeffs.swapaxes(0, 1), a.coeffs[:, :, :, ::-1]):
+        # strided inputs, as a block of slices is in the streamed fold
+        strided = WeilValue(dual, view)
+        assert np.array_equal(lt.d_dx(strided, lat).coeffs, reference_d_dx(view, lat))
+        assert np.array_equal(lt.d2_dx2(strided, lat).coeffs, reference_d2_dx2(view, lat))
     c = a.coeffs
     d_dt = np.concatenate([
         [(-11 * c[0] + 18 * c[1] - 9 * c[2] + 2 * c[3]) / (6 * lat.dt)],

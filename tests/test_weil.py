@@ -375,6 +375,15 @@ def test_scalar_part_homomorphism(rng):
     assert np.array_equal(out.scalar_part, np.sin(w.scalar_part))
 
 
+def test_trig_maps_take_their_value_at_x_itself():
+    # f(x), not f(x + 0): the same floats, and sin keeps the sign of -0.0
+    x = np.array([-0.0, 0.0, 0.3, -2.5])
+    assert np.array_equal(sin_map()(x), np.sin(x))
+    assert np.array_equal(np.signbit(sin_map()(x)), np.signbit(x))
+    assert np.array_equal(cos_map()(x), np.cos(x))
+    assert np.array_equal(sin_map().deriv(1, x), np.sin(x + np.pi / 2))
+
+
 def _sin_of_square() -> SmoothMap:
     # sin(x^2) with hand-derived derivatives up to order 4
     def nth(n, x):
