@@ -4,16 +4,17 @@ A config file is a single JSON object.  Required keys depend on the
 experiment kind; shared descriptors:
 
     lattice      {topology, n_space, dx | extent, dt | dt_factor, n_time, guard?}
-    interaction  {name, mass? , coupling?}
+    interaction  {name, mass? (mass), coupling? (phi4)}
     algebra      {generators, orders}
     profiles     {profile: zero|constant|gaussian|bump|cosine|sine|kink|
                   random_fourier|array, ...parameters}
 
 Spacetime smearings are separable:  {space: <profile>, time: <profile>}.
-The top level, the lattice, and the tolerances and options blocks take
-known keys only (DEFAULT_TOLERANCES, OPTIONS per experiment), and so do
-profiles (PROFILE_KEYS per kind), Cauchy data (initial_data and each
-tangent: phi, pi) and spacetime smearings.
+The top level, the lattice, the interaction (INTERACTION_KEYS per name),
+the algebra, and the tolerances and options blocks take known keys only
+(DEFAULT_TOLERANCES, OPTIONS per experiment), and so do observables
+(OBSERVABLE_KEYS per kind), profiles (PROFILE_KEYS per kind), Cauchy data
+(initial_data and each tangent: phi, pi) and spacetime smearings.
 
 Every error in a descriptor is a ConfigError; from_dict names the key.
 Profiles and the descriptors that hold them are checked when a run
@@ -26,6 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TypeAlias
 
 import numpy as np
 
@@ -54,6 +56,22 @@ OPTIONS = {
     "jacobi": ("n_samples", "sample_amplitude"),
 }
 
+# the keys of each interaction besides "name" itself
+INTERACTION_KEYS = {
+    "free": (),
+    "mass": ("mass",),
+    "phi4": ("coupling",),
+    "sine_gordon": (),
+}
+
+# the keys of each observable kind; a composite's name is built from its factors'
+OBSERVABLE_KEYS = {
+    "slice_phi": ("kind", "name", "smearing"),
+    "slice_pi": ("kind", "name", "smearing"),
+    "spacetime": ("kind", "name", "smearing"),
+    "poly_composite": ("kind", "factors", "power"),
+}
+
 # the keys of each profile kind besides "profile" itself
 PROFILE_KEYS = {
     "zero": (),
@@ -70,6 +88,29 @@ PROFILE_KEYS = {
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+class SeededDraws:
+    """The normal draws of np.random.default_rng(seed), in its order.
+
+    Only random_fourier profiles draw, and importing numpy.random adds about
+    2 MB to the peak memory of a run that draws nothing, so the generator is
+    built at the first draw and reused for every later one.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._seed = seed
+        self._generator = None
+
+    def standard_normal(self, size=None) -> np.ndarray:
+        if self._generator is None:
+            self._generator = np.random.default_rng(self._seed)
+        return self._generator.standard_normal(size)
+
+
+# what the profile builders draw from: a run's stream or a caller's own generator;
+# a string, so that defining the alias does not import numpy.random
+Draws: TypeAlias = "np.random.Generator | SeededDraws"
 
 
 def json_object(value, what: str) -> dict:
@@ -107,7 +148,7 @@ def count(desc: dict, key: str, default: int | None, least: int) -> int:
     return value
 
 
-def _profile_array(desc: dict, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _profile_array(desc: dict, x: np.ndarray, rng: Draws) -> np.ndarray:
     kind = json_object(desc, "a profile").get("profile", "zero")
     if not isinstance(kind, str) or kind not in PROFILE_KEYS:
         raise ConfigError(f"unknown profile {kind!r}")
@@ -168,17 +209,26 @@ def cauchy_profiles(desc: dict) -> tuple[dict, dict]:
     return desc.get("phi", zero), desc.get("pi", zero)
 
 
+def observable_kind(desc) -> str:
+    """The kind of an observable descriptor {kind, ...}, whose keys must be that kind's."""
+    kind = json_object(desc, "an observable").get("kind")
+    if not isinstance(kind, str) or kind not in OBSERVABLE_KEYS:
+        raise ConfigError(f"unknown observable kind {kind!r}")
+    _known_keys(desc, OBSERVABLE_KEYS[kind], f"{kind} observable key")
+    return kind
+
+
 def spatial_profile(desc: dict, lat: lt.LatticeSpacetime,
-                    rng: np.random.Generator) -> np.ndarray:
+                    rng: Draws) -> np.ndarray:
     return _profile_array(desc, lat.x, rng)
 
 
 def time_profile(desc: dict, lat: lt.LatticeSpacetime,
-                 rng: np.random.Generator) -> np.ndarray:
+                 rng: Draws) -> np.ndarray:
     return _profile_array(desc, lat.t, rng)
 
 
-def spacetime_profile(desc: dict, lat: lt.LatticeSpacetime, rng: np.random.Generator,
+def spacetime_profile(desc: dict, lat: lt.LatticeSpacetime, rng: Draws,
                       path: str = "smearing") -> np.ndarray:
     """Separable smearing g(t, x) = time_profile(t) * space_profile(x), found at path."""
     desc = located(path, _known_keys, desc, ("time", "space"), "spacetime smearing key")
@@ -233,9 +283,22 @@ def _lattice_from(desc: dict) -> lt.LatticeSpacetime:
 
 
 def _interaction_from(desc: dict) -> dyn.Interaction:
-    d = dict(desc)
+    d = dict(json_object(desc, "interaction"))
     name = d.pop("name")
+    if not isinstance(name, str) or name not in INTERACTION_KEYS:
+        raise ConfigError(f"unknown interaction {name!r}")
+    _known_keys(d, INTERACTION_KEYS[name], f"{name} interaction key")
     return dyn.interaction(name, **d)
+
+
+def _algebra_from(desc: dict) -> WeilAlgebra:
+    d = _known_keys(desc, ("generators", "orders"), "algebra key")
+    orders = d["orders"]
+    if not isinstance(orders, (list, tuple)):
+        raise ConfigError(f"orders must be a list of integers, got {orders!r}")
+    orders = [count({"order": o}, "order", None, 2) for o in orders]
+    return WeilAlgebra.from_descriptor(
+        {"generators": count(d, "generators", len(orders), 0), "orders": orders})
 
 
 def _known_keys(desc, known, what: str) -> dict:
@@ -321,7 +384,7 @@ class ExperimentConfig:
         lattice = _parsed("lattice", _lattice_from, doc["lattice"])
         inter = _parsed("interaction", _interaction_from,
                         doc.get("interaction", {"name": "free"}))
-        algebra = _parsed("algebra", WeilAlgebra.from_descriptor,
+        algebra = _parsed("algebra", _algebra_from,
                           doc.get("algebra", {"generators": 0, "orders": []}))
         tolerances = _parsed("tolerances", _tolerances_from, doc.get("tolerances", {}))
         ladder = _parsed("ladder", lambda rungs: tuple(count({"rung": n}, "rung", None, 1)
@@ -368,8 +431,9 @@ class ExperimentConfig:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
+    def rng(self) -> SeededDraws:
+        """A fresh stream of the draws of np.random.default_rng(seed); see SeededDraws."""
+        return SeededDraws(self.seed)
 
     def with_overrides(self, seed: int | None = None,
                        tol: float | None = None) -> "ExperimentConfig":

@@ -18,8 +18,8 @@ from .. import lattice as lt
 from .. import poisson as ps
 from .. import zuckerman as zk
 from ..weil import max_or_nan
-from .config import (ConfigError, ExperimentConfig, cauchy_profiles, count, json_object,
-                     located, number, spacetime_profile, spatial_profile)
+from .config import (ConfigError, Draws, ExperimentConfig, cauchy_profiles, count, located,
+                     number, observable_kind, spacetime_profile, spatial_profile)
 from .oracle import PauliJordanOracle
 from .report import Report, atomic_write_bytes, check, check_window, write_report
 
@@ -50,12 +50,12 @@ def run(config: ExperimentConfig, outdir: str | None = None) -> Report:
 # -- shared builders -----------------------------------------------------------
 
 
-def _build_data(config: ExperimentConfig, rng: np.random.Generator,
+def _build_data(config: ExperimentConfig, rng: Draws,
                 lat: lt.LatticeSpacetime | None = None) -> dyn.CauchyData:
     return _build_tangent(config.initial_data, config, rng, lat)
 
 
-def _build_tangent(desc: dict, config: ExperimentConfig, rng: np.random.Generator,
+def _build_tangent(desc: dict, config: ExperimentConfig, rng: Draws,
                    lat: lt.LatticeSpacetime | None = None,
                    path: str = "initial_data") -> dyn.CauchyData:
     """Cauchy data over the config's algebra from the {phi, pi} descriptor at path."""
@@ -65,10 +65,10 @@ def _build_tangent(desc: dict, config: ExperimentConfig, rng: np.random.Generato
     return dyn.data_from_arrays(phi, pi, config.algebra)
 
 
-def _build_observable(desc: dict, config: ExperimentConfig, rng: np.random.Generator,
+def _build_observable(desc: dict, config: ExperimentConfig, rng: Draws,
                       path: str = "observable") -> tuple[ps.Observable, dict]:
     """Build the observable whose descriptor sits at path; aux carries smearing grids."""
-    kind = located(path, json_object, desc, "an observable").get("kind")
+    kind = located(path, observable_kind, desc)
     lat = config.lattice
     smearing = f"{path}.smearing"
     if kind == "slice_phi":
@@ -82,20 +82,18 @@ def _build_observable(desc: dict, config: ExperimentConfig, rng: np.random.Gener
         obs = ps.spacetime_observable(g, config.interaction, lat,
                                       name=desc.get("name", ""))
         return obs, {"grid": g}
-    if kind == "poly_composite":
-        factors = desc.get("factors", [])
-        if not isinstance(factors, list) or not factors:
-            raise ConfigError(f"{path}: poly_composite needs a nonempty factors list")
-        built = [_build_observable(f, config, rng, f"{path}.factors[{k}]")[0]
-                 for k, f in enumerate(factors)]
-        obs = built[0]
-        for extra in built[1:]:
-            obs = ps.observable_product(obs, extra)
-        power = count(desc, "power", 1, 0)
-        if power != 1:
-            obs = ps.observable_power(obs, power)
-        return obs, {}
-    raise ConfigError(f"{path}: unknown observable kind {kind!r}")
+    factors = desc.get("factors", [])  # a poly_composite, the one kind left
+    if not isinstance(factors, list) or not factors:
+        raise ConfigError(f"{path}: poly_composite needs a nonempty factors list")
+    built = [_build_observable(f, config, rng, f"{path}.factors[{k}]")[0]
+             for k, f in enumerate(factors)]
+    obs = built[0]
+    for extra in built[1:]:
+        obs = ps.observable_product(obs, extra)
+    power = count(desc, "power", 1, 0)
+    if power != 1:
+        obs = ps.observable_power(obs, power)
+    return obs, {}
 
 
 def _scaled_lattice(lat: lt.LatticeSpacetime, n: int) -> lt.LatticeSpacetime:
@@ -128,7 +126,7 @@ def _oracle(config: ExperimentConfig) -> PauliJordanOracle:
     return PauliJordanOracle(config.lattice, mass)
 
 
-def _conservation(config: ExperimentConfig, rng: np.random.Generator,
+def _conservation(config: ExperimentConfig, rng: Draws,
                   lat: lt.LatticeSpacetime) -> tuple[np.ndarray, float]:
     """omega per slice and the closedness residual of the config's two tangents.
 

@@ -15,8 +15,8 @@ fixed conventions, chosen once so that the canonical bracket comes out as
 All stencils are centered second order (one-sided second order at ends),
 and all grid operations act coefficientwise on Weil values, so they commute
 exactly with coefficient extraction.  Stencils write into one output array
-through slices of their input, with no shifted copies; d_dx takes every row
-of a batch in one flat pass over a contiguous input.
+through slices of their input, with no shifted copies; d_dx and d2_dx2 take
+every row of a batch in one flat pass over a contiguous input.
 """
 
 from __future__ import annotations
@@ -155,18 +155,25 @@ def d_dx(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
 
 def d2_dx2(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
     """Centered second spatial derivative; one-sided second order at line edges."""
-    out = np.multiply(values.coeffs, -2.0)  # -2c[i] + c[i+1] rounds as c[i+1] - 2c[i]
-    c, o = values.coeffs.swapaxes(0, _SPACE_AXIS), out.swapaxes(0, _SPACE_AXIS)  # sites first
-    inner = o[1:-1]
-    inner += c[2:]
-    inner += c[:-2]
+    c = np.ascontiguousarray(values.coeffs)
+    out = np.multiply(c, -2.0)  # -2c[i] + c[i+1] rounds as c[i+1] - 2c[i]
+    # the stencil of every site of every row in one flat pass, as in d_dx; each
+    # row's end sites take the next or last row's sites and are set again below
+    flat, step = c.ravel(), c.shape[-1]
+    inner = out.ravel()[step:-step]
+    inner += flat[2 * step:]
+    inner += flat[:-2 * step]
+    c, o = c.swapaxes(0, _SPACE_AXIS), out.swapaxes(0, _SPACE_AXIS)  # sites first
+    n = len(c)
     if lat.topology == CIRCLE:  # both edges at once: right neighbours (1, 0), left (-1, -2)
-        edges = o[::len(o) - 1]
+        edges = o[::n - 1]
+        if c.ndim > 2:  # one row's end sites lie outside the flat pass and hold -2c
+            np.multiply(c[::n - 1], -2.0, edges)
         edges += c[1::-1]
         edges += c[:-3:-1]
-    else:
-        o[0] = 2 * c[0] - 5 * c[1] + 4 * c[2] - c[3]
-        o[-1] = 2 * c[-1] - 5 * c[-2] + 4 * c[-3] - c[-4]
+    else:  # both edges at once, from sites (0, n-1), (1, n-2), (2, n-3) and (3, n-4)
+        o[::n - 1] = (2 * c[::n - 1] - 5 * c[1:n - 1:n - 3] + 4 * c[2:n - 2:n - 5]
+                      - c[3:n - 3:n - 7])
     out /= lat.dx**2
     return WeilValue(values.algebra, out)
 

@@ -161,6 +161,20 @@ def test_random_fourier_deterministic(circle):
     assert np.array_equal(a, b)
 
 
+def test_config_draws_are_its_seeded_generator_draws(circle):
+    # the run's stream builds default_rng(seed) at its first draw and keeps it
+    conf = cfg.ExperimentConfig.from_dict(dict(TOY_JACOBI, seed=7))
+    descs = [{"profile": "random_fourier"}, {"profile": "gaussian"},
+             {"profile": "random_fourier", "amplitude": 0.5, "kmax": 9},
+             {"profile": "random_fourier", "kmax": 0}]
+    draws, generator = conf.rng(), np.random.default_rng(7)
+    for desc in descs:
+        assert np.array_equal(cfg.spatial_profile(desc, circle, draws),
+                              cfg.spatial_profile(desc, circle, generator))
+    assert np.array_equal(cfg.time_profile(descs[0], conf.lattice, draws),
+                          cfg.time_profile(descs[0], conf.lattice, generator))
+
+
 # -- report machinery ---------------------------------------------------------------
 
 
@@ -497,6 +511,24 @@ def test_importing_the_harness_leaves_numpy_fft_unloaded():
     assert out.strip() == "False"
 
 
+def test_runs_that_draw_nothing_never_load_numpy_random(tmp_path):
+    # only random_fourier profiles draw, and the run's generator is built at
+    # the first draw; a jacobi run draws its samples
+    root, workloads = _perfbench_workloads()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weilfield.__file__)))
+    code = ("import json, sys\n"
+            "from weilfield.harness import ExperimentConfig, run\n"
+            "run(ExperimentConfig.from_dict(json.loads(sys.argv[1])), sys.argv[2])\n"
+            "print('numpy.random' in sys.modules)")
+    loads = {}
+    for name in workloads.WORKLOADS:
+        doc = json.dumps(workloads.config_doc(root, name, 0, toy=True))
+        loads[name] = subprocess.run(
+            [sys.executable, "-c", code, doc, str(tmp_path / name)], check=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)).stdout.strip()
+    assert loads == {"bracket_oracle": "False", "conserve_sg": "False", "jacobi_triple": "True"}
+
+
 # -- the CLI ---------------------------------------------------------------------------------
 
 
@@ -608,6 +640,25 @@ MALFORMED = {
         "smearing"].update(centre=2.0)),
     "spacetime_smearing_key_misspelled": ("bracket", lambda d: d["observables"][0][
         "smearing"].update(tmie={"profile": "constant"})),
+    # so do the interaction (per name), the algebra and each observable kind
+    "interaction_key_of_another_interaction":
+        ("conserve", lambda d: d["interaction"].update(mass=1.0)),
+    "interaction_coupling_for_mass":
+        ("bracket", lambda d: d["interaction"].update(coupling=2.0)),
+    "interaction_name_not_a_string":
+        ("conserve", lambda d: d.update(interaction={"name": ["free"]})),
+    "algebra_key_unknown":
+        ("conserve", lambda d: d.update(algebra={"orders": [2], "order": [3]})),
+    "algebra_orders_a_string": ("conserve", lambda d: d.update(algebra={"orders": "22"})),
+    "algebra_order_fraction": ("conserve", lambda d: d.update(algebra={"orders": [2.5]})),
+    "algebra_generators_fraction":
+        ("conserve", lambda d: d.update(algebra={"generators": 1.5, "orders": [2]})),
+    "observable_key_misspelled":
+        ("bracket", lambda d: d["observables"][1].update(smaering={})),
+    "composite_smearing_ignored": ("jacobi", lambda d: d["observables"][2].update(
+        smearing={"profile": "cosine"})),
+    "composite_factor_key_misspelled":
+        ("jacobi", lambda d: d["observables"][2]["factors"][1].update(knid="slice_pi")),
     "array_values_not_numbers": ("conserve", lambda d: d["initial_data"].update(
         phi={"profile": "array", "values": ["a"] * 128})),
     "n_samples_not_a_number":
@@ -771,6 +822,30 @@ def test_cli_misspelled_config_and_lattice_keys_name_the_key(tmp_path, capsys):
          "unknown config key 'optoins'; did you mean 'options'?"),
         ("conserve", lambda d: d["lattice"].update(n_tme=8),
          "lattice: unknown lattice key 'n_tme'; did you mean 'n_time'?"),
+    ]
+    for command, edit, message in cases:
+        doc = _edited(BASES[command], edit)
+        assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_cli_misspelled_interaction_algebra_and_observable_keys_name_the_key(
+        tmp_path, capsys):
+    # each typo would otherwise give way to its key's default, and orders
+    # "22" would read as (2, 2)
+    cases = [
+        ("bracket", lambda d: d["interaction"].update(mas=3.0),
+         "interaction: unknown mass interaction key 'mas'; did you mean 'mass'?"),
+        ("conserve", lambda d: d.update(algebra={"generatros": 1, "orders": [2]}),
+         "algebra: unknown algebra key 'generatros'; did you mean 'generators'?"),
+        ("conserve", lambda d: d.update(algebra={"orders": "22"}),
+         "algebra: orders must be a list of integers, got '22'"),
+        ("jacobi", lambda d: d["observables"][2].update(powr=2),
+         "observables[2]: unknown poly_composite observable key 'powr'; "
+         "did you mean 'power'?"),
+        ("jacobi", lambda d: d["observables"][2]["factors"][0].update(nmae="f"),
+         "observables[2].factors[0]: unknown slice_phi observable key 'nmae'; "
+         "did you mean 'name'?"),
     ]
     for command, edit, message in cases:
         doc = _edited(BASES[command], edit)
@@ -944,11 +1019,15 @@ def _paths(node, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-def _replacements(value):
-    """Dropping the key, each type swap, and 0 and a negative value for a number."""
+def _replacements(holder, key):
+    """Dropping the key, each type swap, and 0 and a negative value for a number;
+    for an object's key, also renaming it by a typo (its last letter doubled)."""
+    value = holder[key]
     out = [("drop",), *(("set", s) for s in SWAPS)]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         out += [("set", 0), ("set", -abs(value) or -1)]
+    if isinstance(holder, dict):
+        out.append(("rename", key + key[-1]))
     return out
 
 
@@ -958,18 +1037,21 @@ def mutated_configs(draw):
     doc = copy.deepcopy(BASES[command])
     *parents, key = draw(st.sampled_from(list(_paths(doc))))
     holder = functools.reduce(operator.getitem, parents, doc)
-    mutation = draw(st.sampled_from(_replacements(holder[key])))
+    mutation = draw(st.sampled_from(_replacements(holder, key)))
     if mutation[0] == "drop":
         del holder[key]
+    elif mutation[0] == "rename":
+        holder[mutation[1]] = holder.pop(key)
     else:
         holder[key] = copy.deepcopy(mutation[1])
-    return command, doc
+    return command, doc, mutation[0] == "rename"
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(case=mutated_configs())
 def test_mutated_configs_never_raise(case, tmp_path_factory):
-    command, doc = case
+    # every key of every descriptor is known, so a renamed one is refused
+    command, doc, renamed = case
     try:
         cfg.ExperimentConfig.from_dict(copy.deepcopy(doc))
         rejected = False
@@ -978,8 +1060,23 @@ def test_mutated_configs_never_raise(case, tmp_path_factory):
     path = _write(tmp_path_factory.mktemp("mutated"), doc)
     code = cli.main([command, "--config", path])
     assert code in (0, 1, 2)
-    if rejected:
+    if rejected or renamed:
         assert code == 2
+
+
+def test_every_renamed_key_exits_2(tmp_path):
+    # the sampled renames above, made exhaustive: a typo in any key of any
+    # descriptor of the four bases is refused, never run with a default
+    ran = []
+    for command, base in BASES.items():
+        for *parents, key in _paths(base):
+            doc = copy.deepcopy(base)
+            holder = functools.reduce(operator.getitem, parents, doc)
+            if isinstance(holder, dict):
+                holder[key + key[-1]] = holder.pop(key)
+                path = _write(tmp_path, doc)
+                ran.append((command, *parents, key, cli.main([command, "--config", path])))
+    assert [case for case in ran if case[-1] != 2] == []
 
 
 def test_conserve_run_holds_less_than_one_history():

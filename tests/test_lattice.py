@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -195,11 +196,18 @@ def test_stencils_bit_match_shifted_copies(topology, request, rng, dual):
     a, b = (WeilValue(dual, rng.standard_normal(shape)) for _ in range(2))
     assert np.array_equal(lt.d_dx(a, lat).coeffs, reference_d_dx(a.coeffs, lat))
     assert np.array_equal(lt.d2_dx2(a, lat).coeffs, reference_d2_dx2(a.coeffs, lat))
-    for view in (a.coeffs[1:-1:2], a.coeffs.swapaxes(0, 1), a.coeffs[:, :, :, ::-1]):
-        # strided inputs, as a block of slices is in the streamed fold
+    for view in (a.coeffs[1:-1:2], a.coeffs.swapaxes(0, 1), a.coeffs[:, :, :, ::-1],
+                 a.coeffs[0], a.coeffs[0, 0]):
+        # strided inputs, as a block of slices is in the streamed fold, then one
+        # slice of the batch, as a batched march steps it, and one unbatched row
         strided = WeilValue(dual, view)
         assert np.array_equal(lt.d_dx(strided, lat).coeffs, reference_d_dx(view, lat))
         assert np.array_equal(lt.d2_dx2(strided, lat).coeffs, reference_d2_dx2(view, lat))
+    # the smallest lattice, where the line's two one-sided stencils meet
+    small, s = dataclasses.replace(lat, n_space=8), rng.standard_normal((3, 8, dual.dim))
+    assert np.array_equal(lt.d_dx(WeilValue(dual, s), small).coeffs, reference_d_dx(s, small))
+    assert np.array_equal(lt.d2_dx2(WeilValue(dual, s), small).coeffs,
+                          reference_d2_dx2(s, small))
     c = a.coeffs
     d_dt = np.concatenate([
         [(-11 * c[0] + 18 * c[1] - 9 * c[2] + 2 * c[3]) / (6 * lat.dt)],
