@@ -6,10 +6,11 @@ step is either linear (hence Weil-coefficientwise) or a lifted smooth map,
 so the solver runs verbatim over any Weil algebra: dual-number initial data
 yield the solution together with its exact directional derivative, the
 linearized solution, in the eps component.  For a smeared observable the
-transpose of that linearized scheme, run backward over one stored solve,
-gives the whole gradient at once (smeared_gradient).  Several tangents at
-one base ride one march over W (x) D(k), the base marched once with the k
-directions in its first-order tangent slots (tangent_slices).  One
+transpose of that linearized scheme, run backward over a stored solve that
+the caller supplies, gives the whole gradient at once (smeared_gradient),
+so observables smeared at one base point can share its solve.  Several
+tangents at one base ride one march over W (x) D(k), the base marched once
+with the k directions in its first-order tangent slots (tangent_slices).  One
 generator, leapfrog_slices, marches the scheme; solve_cauchy stores its
 slices, while solve_smeared and tangent_slices use each slice as it
 arrives and hold three.
@@ -274,7 +275,7 @@ def solve_cauchy(data: CauchyData, inter: Interaction,
     batch = data.phi.shape[:-1]
     out = np.zeros((lat.n_slices,) + batch + (lat.n_space, algebra.dim))
     for j, value in leapfrog_slices(data, inter, lat, check_support):
-        out[j] = np.broadcast_to(value.coeffs, out[j].shape)
+        out[j] = value.coeffs
     return FieldHistory(WeilValue(algebra, out), lat)
 
 
@@ -309,15 +310,17 @@ def _d2_dx2_transpose(mu: WeilValue, lat: lt.LatticeSpacetime) -> WeilValue:
     out = -2.0 * c
     out[..., 1:, :] += c[..., :-1, :]
     out[..., :-1, :] += c[..., 1:, :]
-    return WeilValue(mu.algebra, out / lat.dx**2)
+    out /= lat.dx**2
+    return WeilValue(mu.algebra, out)
 
 
-def smeared_gradient(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
+def smeared_gradient(data: CauchyData, history: FieldHistory, inter: Interaction,
                      weights: np.ndarray) -> tuple[WeilValue, WeilValue]:
     """(dF/dphi, dF/dpi) at data for F = solve_smeared(data, inter, lat, weights).
 
-    Reverse mode: one stored base solve, then one backward sweep of the
-    exact transpose of the linearized leapfrog.  With lam^j = dF/dphi^j
+    Reverse mode: one backward sweep of the exact transpose of the
+    linearized leapfrog over history, the caller's stored solve of data
+    (solve_cauchy), whose lattice is the sweep's.  With lam^j = dF/dphi^j
     seeded by weights[j] * dx * dt, and mu = lam^j with the line's clamped
     edge sites zeroed, step j (phi^j from phi^{j-1} and phi^{j-2}) transposes to
 
@@ -334,41 +337,48 @@ def smeared_gradient(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacet
         dF/dpi  = dt mu + (dt^3/6)(D^T mu - rho'(phi) mu).
 
     Every product is Weil multiplication, which is symmetric, so the sweep
-    runs unchanged at Weil-extended and batched base points.  The support
-    check applies to the base point only; the history of every batch row is
-    stored, so callers bound the batch.
+    runs unchanged at Weil-extended and batched base points.  Each step
+    builds lam^{j-1} in one new coefficient array (2 mu, then the seeded
+    row below, then the dt^2 force) and the row below it as seed - mu.
     """
+    lat = history.lattice
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (lat.n_slices, lat.n_space):
         raise SolverError("weights must cover the full grid")
-    history = solve_cauchy(data, inter, lat).values
-    phi, pi = data.phi, data.pi
-    seed = weights * (lat.dx * lat.dt)
-    dt2 = lat.dt**2
+    algebra, phi, pi = data.algebra, data.phi, data.pi
+    if history.algebra != algebra or history.values.shape[1:] != phi.shape:
+        raise SolverError("the history must be a solve of the data")
+    seeds = np.zeros(weights.shape + (algebra.dim,))  # unit slot only, as from_scalar
+    seeds[..., 0] = weights * (lat.dx * lat.dt)
+    slices, dt2 = history.values.coeffs, lat.dt**2
 
-    def seeded(j: int) -> WeilValue:
-        return WeilValue.from_scalar(phi.algebra, np.broadcast_to(seed[j], phi.shape))
+    def unclamp(lam: np.ndarray, below: np.ndarray) -> WeilValue:
+        """mu: lam, its line edge sites handed down to below and then zeroed in place."""
+        if lat.topology == lt.LINE:
+            edges = [0, -1]
+            below[..., edges, :] += lam[..., edges, :]
+            lam[..., edges, :] = 0.0
+        return WeilValue(algebra, lam)
 
-    def unclamp(lam: WeilValue, below: WeilValue) -> WeilValue:
-        if lat.topology != lt.LINE:
-            return lam
-        edges = [0, -1]
-        below.coeffs[..., edges, :] += lam.coeffs[..., edges, :]
-        mu = lam.copy()
-        mu.coeffs[..., edges, :] = 0.0
-        return mu
-
-    lam, below = seeded(lat.n_time), seeded(lat.n_time - 1)
+    # copies of the seed rows: zeros + seed would turn a -0.0 into +0.0
+    lam, below = (np.array(np.broadcast_to(seeds[j], phi.coeffs.shape))
+                  for j in (lat.n_time, lat.n_time - 1))
     for j in range(lat.n_time, 1, -1):
         mu = unclamp(lam, below)
-        rho1 = apply_smooth(inter.rho_prime, history[j - 1])
-        lam = below + 2.0 * mu + dt2 * (_d2_dx2_transpose(mu, lat) - rho1 * mu)
-        below = seeded(j - 2) - mu
+        rho1 = apply_smooth(inter.rho_prime, WeilValue(algebra, slices[j - 1]))
+        force = _d2_dx2_transpose(mu, lat).coeffs
+        force -= (rho1 * mu).coeffs
+        force *= dt2
+        lam = np.multiply(mu.coeffs, 2.0)
+        lam += below
+        lam += force
+        below = np.subtract(seeds[j - 2], mu.coeffs)
 
     mu = unclamp(lam, below)
     force = _d2_dx2_transpose(mu, lat) - apply_smooth(inter.rho_prime, phi) * mu
     rho2 = apply_smooth(inter.rho_prime.derivative(), phi)
-    grad_phi = below + mu + (0.5 * dt2) * force - (lat.dt**3 / 6.0) * (rho2 * pi * mu)
+    grad_phi = WeilValue(algebra, below) + mu + (0.5 * dt2) * force \
+        - (lat.dt**3 / 6.0) * (rho2 * pi * mu)
     grad_pi = lat.dt * mu + (lat.dt**3 / 6.0) * force
     return grad_phi, grad_pi
 

@@ -121,14 +121,24 @@ def json_object(value, what: str) -> dict:
 
 
 def number(desc: dict, key: str, default) -> float:
-    """desc[key] (default when absent) as a finite float, or a ConfigError naming key."""
-    value = desc.get(key, default)
+    """desc[key] (default when absent) as a finite float, or a ConfigError naming key.
+
+    A JSON number is the one kind accepted: a numeric string such as "2"
+    and a boolean are refused rather than converted, and so are NaN and
+    the infinities.
+    """
+    return _finite(desc.get(key, default), key)
+
+
+def _finite(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         out = float(value)
-    except (ArithmeticError, TypeError, ValueError):
-        out = math.nan
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return out
 
 
@@ -193,10 +203,10 @@ def _profile_array(desc: dict, x: np.ndarray, rng: Draws) -> np.ndarray:
     if kind == "array":
         if "values" not in desc:
             raise ConfigError("array profile needs values")
-        try:
-            arr = np.asarray(desc["values"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"array profile values must be numbers: {exc}") from exc
+        values = desc["values"]
+        if not isinstance(values, list):
+            raise ConfigError(f"array profile values must be a list, got {values!r}")
+        arr = np.array([_finite(v, f"values[{i}]") for i, v in enumerate(values)])
         if arr.shape != x.shape:
             raise ConfigError("array profile length must match n_space")
         return arr
@@ -288,7 +298,7 @@ def _interaction_from(desc: dict) -> dyn.Interaction:
     if not isinstance(name, str) or name not in INTERACTION_KEYS:
         raise ConfigError(f"unknown interaction {name!r}")
     _known_keys(d, INTERACTION_KEYS[name], f"{name} interaction key")
-    return dyn.interaction(name, **d)
+    return dyn.interaction(name, **{key: number(d, key, None) for key in d})
 
 
 def _algebra_from(desc: dict) -> WeilAlgebra:
@@ -323,11 +333,9 @@ def _tolerances_from(desc: dict) -> dict:
     for key, value in tolerances.items():
         if value is None and key == "solve_residual":
             continue  # scaled from the grid at run time
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{key} must be a number, got {value!r}")
-        if not math.isfinite(value) or value < 0:
-            # an infinite bound passes every value and a negative one none
-            raise ValueError(f"{key} must be finite and nonnegative, got {value!r}")
+        # an infinite bound passes every value and a negative one none
+        if _finite(value, key) < 0:
+            raise ConfigError(f"{key} must be nonnegative, got {value!r}")
     return tolerances
 
 

@@ -121,8 +121,7 @@ def _oracle(config: ExperimentConfig) -> PauliJordanOracle:
     name = config.interaction.name
     if name not in ("mass", "free"):
         raise ConfigError("the mode-sum oracle needs the free or mass interaction")
-    mass = float(config.raw.get("interaction", {}).get("mass", 1.0)) \
-        if name == "mass" else 0.0
+    mass = number(config.raw["interaction"], "mass", 1.0) if name == "mass" else 0.0
     return PauliJordanOracle(config.lattice, mass)
 
 

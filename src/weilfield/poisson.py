@@ -6,10 +6,11 @@ fields are Weil-polymorphic maps on CauchyData: they accept data over any
 algebra extension and commute with scalar-part extraction.  Differentials
 are exact and each observable carries its own: closed forms for slices and
 constants, the product rule, the discrete adjoint of the leapfrog for
-spacetime observables (dynamics.smeared_gradient), and forward-over-reverse
-Hessian-vector products for brackets.  Forward dual mode, the eps part of F
-at data + eps*e_site for every unit tangent, is the tests' oracle
-(forward_differential).
+spacetime observables (dynamics.smeared_gradient, swept over a base history
+solved here and, inside a sharing scope, held for the last point only), and
+forward-over-reverse Hessian-vector products for brackets.  Forward dual
+mode, the eps part of F at data + eps*e_site for every unit tangent, is the
+tests' oracle (forward_differential).
 
 Sign conventions, pinned once and used consistently:
 
@@ -38,6 +39,7 @@ import numpy as np
 from . import lattice as lt
 from .dynamics import (
     CauchyData,
+    FieldHistory,
     Interaction,
     lift_data,
     smeared_gradient,
@@ -72,11 +74,33 @@ def _once(fn: Callable) -> Callable:
     return call
 
 
+def _latest(fn: Callable) -> Callable:
+    """fn, whose result for the last argument tuple is kept while a sharing scope is open.
+
+    The scope holds one entry, keyed by fn itself, of (argument ids, result,
+    arguments), so the held arguments keep their ids from being reused.  A
+    new tuple drops the held result before fn runs on it.
+    """
+
+    def call(*args):
+        if (shared := _shared.get()) is None:
+            return fn(*args)
+        key = tuple(map(id, args))
+        if shared.get(fn, (None,))[0] != key:
+            shared.pop(fn, None)  # no reference to the held result survives fn's run
+            shared[fn] = (key, fn(*args), args)
+        return shared[fn][1]
+
+    return call
+
+
 @contextmanager
 def sharing():
     """A scope in which each _once function runs once per argument tuple.
 
-    It holds every result until it closes, so scope one base point: a single
+    It holds every result until it closes (each dF, field value and dual
+    lift), and beside them the base history of the last point that a
+    spacetime gradient swept (_latest).  So scope one base point: a single
     point, or one scope over the sample batch of verify_axioms, whose memory
     grows linearly with the batch.  Scopes do not nest: an inner one starts
     empty.
@@ -89,6 +113,13 @@ def sharing():
 
 
 _lift = _once(lift_data)
+
+
+@_latest
+def _base_history(d: CauchyData, inter: Interaction,
+                  lat: lt.LatticeSpacetime) -> FieldHistory:
+    """The stored solve at d that a spacetime gradient sweeps back over."""
+    return solve_cauchy(d, inter, lat)
 
 
 # -- observables and vector fields -------------------------------------------
@@ -163,8 +194,9 @@ def spacetime_observable(g: np.ndarray, inter: Interaction,
     """F(d) = sum over the grid of g * Phi * dt * dx, solving for Phi internally.
 
     Evaluation streams the solve slice by slice, in three slices of memory.
-    dF is the discrete adjoint (dynamics.smeared_gradient), which stores the
-    base history of every batch row.
+    dF is the discrete adjoint (dynamics.smeared_gradient) over the stored
+    base history of every batch row; inside a sharing scope the spacetime
+    observables at one point sweep over one such history (_base_history).
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (lat.n_slices, lat.n_space):
@@ -174,7 +206,7 @@ def spacetime_observable(g: np.ndarray, inter: Interaction,
         return solve_smeared(d, inter, lat, g)
 
     def grad(d: CauchyData) -> Covector:
-        return Covector(*smeared_gradient(d, inter, lat, g))
+        return Covector(*smeared_gradient(d, _base_history(d, inter, lat), inter, g))
 
     window = lt.causal_cone((np.abs(g) > 0).any(axis=0), lat.n_time, lat)
     return Observable(ev, grad, name or "int g*Phi vol", sc_window=window)

@@ -4,6 +4,8 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the verdict lines.
 Tolerances are pinned here, next to each criterion.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from weilfield import dynamics as dyn
 from weilfield import lattice as lt
 from weilfield import poisson as ps
 from weilfield import zuckerman as zk
+from weilfield.harness import config as cfg, experiments
 from weilfield.harness.oracle import PauliJordanOracle
 from weilfield.weil import WeilValue
 
@@ -361,3 +364,18 @@ def test_criterion_10_cauchy_roundtrip():
         f"phi error {worst_phi:.1e} vs {tol_phi:.0e}; pi restriction order "
         f"{order:.2f} vs 2 +/- {order_band}",
     )
+
+
+def test_shipped_spacetime_jacobi_config_passes():
+    """configs/jacobi_spacetime_sine_gordon.json: the axioms where brackets sweep.
+
+    Two spacetime sine-Gordon observables and a spacetime x slice_pi product:
+    each bracket's gradient sweeps the adjoint at dual and R[eps1, eps2] base
+    points.  The defects are divided by scales floored at 1.0, so they read
+    about 1e-17 here; the config's tolerance is criterion 6's 1e-9.
+    """
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "jacobi_spacetime_sine_gordon.json")
+    rep = experiments.run(cfg.ExperimentConfig.from_file(path))
+    verdict("shipped spacetime jacobi config", rep.all_passed(),
+            "; ".join(v.line() for v in rep.verdicts))

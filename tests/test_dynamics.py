@@ -264,14 +264,17 @@ def test_tangent_slices_bit_match_any_count(tangent_setup, topology, over, count
     _assert_slices_bit_match(*tangent_setup(topology, over, count))
 
 
-# rho, rho', rho'' of each interaction as plain numpy, in the registry's own
-# expressions: monomials as coeff * perm(power, n) * x**(power - n), sine-Gordon
-# as sin(x + n pi/2)
+# rho and its first four derivatives for each interaction as plain numpy, in the
+# registry's own expressions: monomials as coeff * perm(power, n) * x**(power - n),
+# sine-Gordon as sin(x + n pi/2)
 REFERENCE_RHO = {
-    "free": (np.zeros_like,) * 3,
-    "mass": (lambda x: 1.3 * 1.3 * x**1, lambda x: 1.3 * 1.3 * x**0, np.zeros_like),
-    "phi4": (lambda x: 0.8 * x**3, lambda x: 0.8 * 3 * x**2, lambda x: 0.8 * 6 * x**1),
-    "sine_gordon": (np.sin, lambda x: np.sin(x + np.pi / 2.0), lambda x: np.sin(x + np.pi)),
+    "free": (np.zeros_like,) * 5,
+    "mass": (lambda x: 1.3 * 1.3 * x**1, lambda x: 1.3 * 1.3 * x**0) + (np.zeros_like,) * 3,
+    "phi4": (lambda x: 0.8 * x**3, lambda x: 0.8 * 3 * x**2, lambda x: 0.8 * 6 * x**1,
+             lambda x: 0.8 * 6 * x**0, np.zeros_like),
+    "sine_gordon": (np.sin, lambda x: np.sin(x + np.pi / 2.0), lambda x: np.sin(x + np.pi),
+                    lambda x: np.sin(x + 3 * np.pi / 2.0),
+                    lambda x: np.sin(x + 4 * np.pi / 2.0)),
 }
 INTERACTION_PARAMS = {"mass": {"mass": 1.3}, "phi4": {"coupling": 0.8}}
 
@@ -285,7 +288,7 @@ def reference_slices(phi, pi, name, lat):
     -2c + c[i+1] + c[i-1] stencil over dx^2, (2 cur - prev) + dt^2 (D cur -
     rho(cur)), and the line's edge sites clamped to phi's.
     """
-    rho, rho1, rho2 = REFERENCE_RHO[name]
+    rho, rho1, rho2 = REFERENCE_RHO[name][:3]
     dt = lat.dt
 
     def d2(c):
@@ -344,6 +347,116 @@ def test_leapfrog_slices_bit_match_plain_numpy_recurrence(topology, algebra, nam
         assert np.array_equal(value.coeffs, expected[j]), f"slice {j}"
         seen += 1
     assert seen == lat.n_slices
+
+
+# the nonzero products basis_i * basis_j = basis_k of R[eps] and R[eps1, eps2]
+# as (k, [(i, j), ...]), in the order the library sums them into a zeroed slot
+REFERENCE_PRODUCTS = {
+    2: [(0, [(0, 0)]), (1, [(0, 1), (1, 0)])],
+    4: [(0, [(0, 0)]), (1, [(0, 1), (1, 0)]), (2, [(0, 2), (2, 0)]),
+        (3, [(0, 3), (1, 2), (2, 1), (3, 0)])],
+}
+
+
+def reference_gradient(phi, pi, history, weights, name, lat):
+    """The adjoint sweep of smeared_gradient in plain numpy, over R, R[eps] or R[eps1, eps2].
+
+    phi and pi are (*batch, n_space, dim) coefficient arrays and history the
+    base's (n_slices, *batch, n_space, dim) slices.  A product of dim > 1
+    sums its terms into zeros, and f lifts as f'(a) c, plus f''(a)/2 h h over
+    R[eps1, eps2], with f(a) written into the unit slot; the operation order
+    is the sweep's own, so a -0.0 keeps or loses its sign as it does there.
+    """
+    derivatives = REFERENCE_RHO[name]
+    dim, dt, dt2 = phi.shape[-1], lat.dt, lat.dt**2
+    nil_degree = {1: 0, 2: 1, 4: 2}[dim]
+
+    def times(x, y):
+        if dim == 1:
+            return x * y
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+        for k, pairs in REFERENCE_PRODUCTS[dim]:
+            for i, j in pairs:
+                out[..., k] += x[..., i] * y[..., j]
+        return out
+
+    def lift(order, c):  # the map derivatives[order] lifted to c
+        a = c[..., 0]
+        if nil_degree == 0:
+            out = np.empty_like(c)
+        else:
+            out = c * derivatives[order + 1](a)[..., None]
+        if nil_degree == 2:
+            h = c.copy()
+            h[..., 0] = 0.0
+            out += times(h, h) * (derivatives[order + 2](a) / 2)[..., None]
+        out[..., 0] = derivatives[order](a)
+        return out
+
+    def d_transpose(c):
+        if lat.topology == lt.CIRCLE:
+            return (-2.0 * c + np.roll(c, -1, axis=-2) + np.roll(c, 1, axis=-2)) / lat.dx**2
+        out = -2.0 * c
+        out[..., 1:, :] += c[..., :-1, :]
+        out[..., :-1, :] += c[..., 1:, :]
+        return out / lat.dx**2
+
+    seed = weights * (lat.dx * lat.dt)
+
+    def seeded(j):
+        out = np.zeros(phi.shape)
+        out[..., 0] = seed[j]
+        return out
+
+    def unclamp(lam, below):
+        if lat.topology == lt.CIRCLE:
+            return lam
+        below[..., [0, -1], :] += lam[..., [0, -1], :]
+        mu = lam.copy()
+        mu[..., [0, -1], :] = 0.0
+        return mu
+
+    lam, below = seeded(lat.n_time), seeded(lat.n_time - 1)
+    for j in range(lat.n_time, 1, -1):
+        mu = unclamp(lam, below)
+        lam = below + 2.0 * mu + dt2 * (d_transpose(mu) - times(lift(1, history[j - 1]), mu))
+        below = seeded(j - 2) - mu
+    mu = unclamp(lam, below)
+    force = d_transpose(mu) - times(lift(1, phi), mu)
+    grad_phi = (below + mu + (0.5 * dt2) * force
+                - (dt**3 / 6.0) * times(times(lift(2, phi), pi), mu))
+    return grad_phi, dt * mu + (dt**3 / 6.0) * force
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_RHO))
+@pytest.mark.parametrize("algebra,batch", [
+    (WeilAlgebra.real(), ()), (WeilAlgebra.dual(), ()),
+    (WeilAlgebra.dual().tensor(WeilAlgebra.dual()), ()), (WeilAlgebra.dual(), (2,))],
+    ids=["R", "dual", "R2", "dual-batch2"])
+@pytest.mark.parametrize("topology", ["circle", "line"])
+def test_smeared_gradient_bit_matches_plain_numpy_sweep(topology, algebra, batch, name, rng):
+    # both covector blocks equal a plain-numpy transcription of the sweep byte
+    # for byte, so signed zeros count: the weights vanish, with either sign,
+    # off a window, and the free interaction's rho' is zero
+    if topology == "circle":
+        lat = lt.LatticeSpacetime("circle", 48, 2 * np.pi / 48, np.pi / 48, 40)
+        window = np.ones(lat.n_space)
+    else:
+        lat = lt.LatticeSpacetime("line", 96, 0.1, 0.05, 24, guard=2)
+        window = np.zeros(lat.n_space)
+        window[36:60] = np.hanning(24)
+    phi, pi = (0.4 * rng.standard_normal(batch + (lat.n_space, algebra.dim))
+               * window[:, None] for _ in range(2))
+    weights = rng.standard_normal((lat.n_slices, lat.n_space))
+    weights[:, ::3] *= 0.0
+    data = dyn.CauchyData(WeilValue(algebra, phi), WeilValue(algebra, pi))
+    inter = dyn.interaction(name, **INTERACTION_PARAMS.get(name, {}))
+    history = dyn.solve_cauchy(data, inter, lat)
+    got = dyn.smeared_gradient(data, history, inter, weights)
+    expected = reference_gradient(phi, pi, history.values.coeffs, weights, name, lat)
+    for block, want in zip(got, expected):
+        assert block.algebra == algebra and block.coeffs.shape == want.shape
+        assert block.coeffs.tobytes() == want.tobytes()
 
 
 def test_tangent_march_lifts_rho_on_one_base_slice():

@@ -693,7 +693,7 @@ MALFORMED = {
     "bump_width_negative": ("conserve", lambda d: d["tangents"][0].update(
         phi={"profile": "bump", "width": -1})),
     "power_negative": ("jacobi", lambda d: d["observables"][2].update(power=-1)),
-    # non-finite numbers
+    # non-finite numbers; a string or a boolean for a number is in NOT_NUMBERS
     "sample_amplitude_nan":
         ("jacobi", lambda d: d["options"].update(sample_amplitude=float("nan"))),
     "sample_amplitude_inf":
@@ -756,6 +756,36 @@ def _assert_usage_error(command, doc, tmp_path, capsys):
 @pytest.mark.parametrize("command,edit", MALFORMED.values(), ids=MALFORMED.keys())
 def test_cli_malformed_config_exits_2(command, edit, tmp_path, capsys):
     _assert_usage_error(command, _edited(BASES[command], edit), tmp_path, capsys)
+
+
+# (command, edit, the start of its error line): a number must be a JSON number,
+# so a numeric string or a boolean is refused where it sits, never converted
+NOT_NUMBERS = {
+    "mass_a_string": ("bracket", lambda d: d["interaction"].update(mass="2"),
+                      "interaction: mass must be a number, got '2'"),
+    "mass_true": ("bracket", lambda d: d["interaction"].update(mass=True),
+                  "interaction: mass must be a number, got True"),
+    "mass_nan": ("bracket", lambda d: d["interaction"].update(mass=float("nan")),
+                 "interaction: mass must be a finite number, got nan"),
+    "coupling_a_string": ("conserve", lambda d: d.update(
+        interaction={"name": "phi4", "coupling": "1"}),
+        "interaction: coupling must be a number, got '1'"),
+    "smearing_amplitude_a_string": ("jacobi", lambda d: d["observables"][0][
+        "smearing"].update(amplitude="2"),
+        "observables[0].smearing: amplitude must be a number, got '2'"),
+    "array_value_true": ("conserve", lambda d: d["initial_data"].update(
+        phi={"profile": "array", "values": [0.0] * 127 + [True]}),
+        "initial_data.phi: values[127] must be a number, got True"),
+}
+
+
+@pytest.mark.parametrize("command,edit,message", NOT_NUMBERS.values(),
+                         ids=NOT_NUMBERS.keys())
+def test_cli_number_that_is_not_a_number_names_its_path(command, edit, message, tmp_path,
+                                                       capsys):
+    doc = _edited(BASES[command], edit)
+    assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -1020,12 +1050,13 @@ def _paths(node, prefix=()):
 
 
 def _replacements(holder, key):
-    """Dropping the key, each type swap, and 0 and a negative value for a number;
-    for an object's key, also renaming it by a typo (its last letter doubled)."""
+    """Dropping the key, each type swap, and 0, a negative value and its string
+    for a number; for an object's key, also renaming it by a typo (its last
+    letter doubled)."""
     value = holder[key]
     out = [("drop",), *(("set", s) for s in SWAPS)]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        out += [("set", 0), ("set", -abs(value) or -1)]
+        out += [("set", 0), ("set", -abs(value) or -1), ("stringify", str(value))]
     if isinstance(holder, dict):
         out.append(("rename", key + key[-1]))
     return out
@@ -1044,14 +1075,15 @@ def mutated_configs(draw):
         holder[mutation[1]] = holder.pop(key)
     else:
         holder[key] = copy.deepcopy(mutation[1])
-    return command, doc, mutation[0] == "rename"
+    return command, doc, mutation[0] in ("rename", "stringify")
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(case=mutated_configs())
 def test_mutated_configs_never_raise(case, tmp_path_factory):
-    # every key of every descriptor is known, so a renamed one is refused
-    command, doc, renamed = case
+    # every key of every descriptor is known, so a renamed one is refused, and
+    # every number must be a JSON number, so one turned into its string is too
+    command, doc, refused = case
     try:
         cfg.ExperimentConfig.from_dict(copy.deepcopy(doc))
         rejected = False
@@ -1060,7 +1092,7 @@ def test_mutated_configs_never_raise(case, tmp_path_factory):
     path = _write(tmp_path_factory.mktemp("mutated"), doc)
     code = cli.main([command, "--config", path])
     assert code in (0, 1, 2)
-    if rejected or renamed:
+    if rejected or refused:
         assert code == 2
 
 
@@ -1117,34 +1149,40 @@ TOY_SPACETIME_JACOBI = dict(TOY_JACOBI, observables=[
 
 
 def _adjoint_sweeps(doc, monkeypatch):
-    """smeared_gradient calls of one passing run of doc."""
-    sweeps = []
+    """(smeared_gradient calls, base solves) of one passing run of doc."""
+    sweeps, solves = [], []
 
-    def counted(*args):
-        sweeps.append(args)
-        return dyn.smeared_gradient(*args)
+    def counted(calls, fn):
+        def call(*args):
+            calls.append(args)
+            return fn(*args)
+        return call
 
-    monkeypatch.setattr(ps, "smeared_gradient", counted)
+    monkeypatch.setattr(ps, "smeared_gradient", counted(sweeps, dyn.smeared_gradient))
+    monkeypatch.setattr(ps, "solve_cauchy", counted(solves, dyn.solve_cauchy))
     assert experiments.run(cfg.ExperimentConfig.from_dict(copy.deepcopy(doc))).all_passed()
-    return len(sweeps)
+    return len(sweeps), len(solves)
 
 
 def test_spacetime_jacobi_run_checks_pairs_inside_the_sample_scope(monkeypatch):
     # 21 sweeps for the two-sample batch, all inside verify_axioms' one scope;
     # one scope per sample took 42, and pairs validated on their own and a
-    # revalidation bracket outside it took 60
-    assert _adjoint_sweeps(TOY_SPACETIME_JACOBI, monkeypatch) == 21
+    # revalidation bracket outside it took 60.  The scope holds the base
+    # history of the last point swept only, so 17 of the 21 sweeps solve
+    # their base, where a solve per sweep took 21
+    assert _adjoint_sweeps(TOY_SPACETIME_JACOBI, monkeypatch) == (21, 17)
 
 
 def test_bracket_run_takes_each_differential_once(monkeypatch):
-    # one sweep per observable at the single base point; pair checks and
-    # bracket values taken outside one sharing scope took 4
+    # one sweep per observable at the single base point, both over one base
+    # solve; pair checks and bracket values taken outside one sharing scope
+    # took 4 sweeps, and a solve per sweep took 2 solves
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "bracket_vs_oracle.json")
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["lattice"].update(n_space=32, n_time=16)
     doc["tolerances"]["bracket_oracle"] = 0.5  # scheme order at 32 sites
-    assert _adjoint_sweeps(doc, monkeypatch) == 2
+    assert _adjoint_sweeps(doc, monkeypatch) == (2, 1)
 
 
 def test_report_cites_tolerances():

@@ -611,6 +611,56 @@ def test_verify_axioms_shares_adjoint_sweeps_per_sample(small, rng, monkeypatch)
     assert shared == unshared
 
 
+def _counted_solves(monkeypatch):
+    """The base solves the spacetime gradients make, as a list of their arguments."""
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return dyn.solve_cauchy(*args)
+
+    monkeypatch.setattr(ps, "solve_cauchy", counted)
+    return solves
+
+
+def _held_histories():
+    """The base histories the open sharing scope holds."""
+    return [entry for entry in ps._shared.get().values()
+            if any(isinstance(item, dyn.FieldHistory) for item in entry)]
+
+
+def test_spacetime_gradients_share_one_base_solve_per_point(small, rng, monkeypatch):
+    lat = small[0]
+    F, G = (p.F for p in spacetime_triple(lat, rng)[:2])
+    at = random_data(lat, rng)
+    solves = _counted_solves(monkeypatch)
+    unshared = [F.gradient(at), G.gradient(at)]
+    assert len(solves) == 2  # outside a scope every gradient solves its base
+    solves.clear()
+    with ps.sharing():
+        shared = [F.gradient(at), G.gradient(at)]
+        assert len(solves) == 1
+    assert ps._shared.get() is None
+    for a, b in zip(unshared, shared):
+        assert a.phi.coeffs.tobytes() == b.phi.coeffs.tobytes()
+        assert a.pi.coeffs.tobytes() == b.pi.coeffs.tobytes()
+
+
+def test_sharing_scope_holds_the_last_base_history_only(small, rng, monkeypatch):
+    lat = small[0]
+    F, G = (p.F for p in spacetime_triple(lat, rng)[:2])
+    points = [random_data(lat, rng) for _ in range(2)]
+    solves = _counted_solves(monkeypatch)
+    with ps.sharing():
+        for obs in (F, G):
+            for at in points:  # the points alternate, so every sweep solves again
+                obs.gradient(at)
+                held = _held_histories()
+                assert len(held) == 1 and held[0][2][0] is at
+        assert len(solves) == 4
+    assert ps._shared.get() is None
+
+
 def line_spacetime_triple(lat):
     """spacetime_triple's kinds on the line, smeared on compact bumps."""
     sg = dyn.interaction("sine_gordon")
