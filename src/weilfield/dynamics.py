@@ -10,10 +10,10 @@ transpose of that linearized scheme, run backward over a stored solve that
 the caller supplies, gives the whole gradient at once (smeared_gradient),
 so observables smeared at one base point can share its solve.  Several
 tangents at one base ride one march over W (x) D(k), the base marched once
-with the k directions in its first-order tangent slots (tangent_slices).  One
-generator, leapfrog_slices, marches the scheme; solve_cauchy stores its
-slices, while solve_smeared and tangent_slices use each slice as it
-arrives and hold three.
+with the k directions in its first-order tangent slots (tangent_blocks).  One
+generator, leapfrog_blocks, marches the scheme in place in blocks of slices;
+solve_cauchy stores the blocks, while solve_smeared and tangent_blocks use
+each as it comes and hold one buffer of about 256 KiB (at least 3 slices).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .weil import (
     SmoothMap,
     WeilAlgebra,
     WeilValue,
+    _lift_into,
     append_dual,
     apply_smooth,
     constant_map,
@@ -197,69 +198,73 @@ def _check_line_support(data: CauchyData, lat: lt.LatticeSpacetime) -> None:
         )
 
 
-def leapfrog_slices(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
+_BLOCK_BYTES = 1 << 18  # a march yields as many slices as fit in 256 KiB, at least one
+
+
+def leapfrog_blocks(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
                     check_support: bool = True):
-    """Yield (slice index, field slice) marching the leapfrog forward.
+    """Yield (j, block): slices j, j+1, ... of the leapfrog, marching forward.
 
     This is the one leapfrog: solve_cauchy stores what it yields,
-    solve_smeared and tangent_slices fold it slice by slice.
+    solve_smeared and tangent_blocks fold it block by block.
 
     The first step is a Taylor start carried to third order,
     phi^1 = phi + dt*pi + (dt^2/2)(d_x^2 phi - rho(phi))
                  + (dt^3/6)(d_x^2 pi - rho'(phi) pi),
     so that the start-up error stays invisible to twice-differenced
     diagnostics (the conserved-current divergence) while global accuracy
-    remains O(dx^2 + dt^2).  Consumers must not mutate the yielded slices.
-    A slice that overflows or turns NaN raises a SolverError naming it.
+    remains O(dx^2 + dt^2).  Each later step writes (2 cur - prev) +
+    dt^2 (d_x^2 cur - rho(cur)) in place into one buffer, two carried slices
+    and a block of _BLOCK_BYTES, which block views until the next yield;
+    consumers must not write to it.  A block holding a slice that overflowed
+    or turned NaN is never yielded: the SolverError names the first one.
     """
     if data.n_space != lat.n_space:
         raise SolverError("data length does not match the lattice")
     if lat.topology == lt.LINE and check_support:
         _check_line_support(data, lat)
-
-    def accel(u: WeilValue) -> WeilValue:
-        a = lt.d2_dx2(u, lat)
-        np.subtract(a.coeffs, apply_smooth(inter.rho, u).coeffs, out=a.coeffs)
-        return a
-
-    phi0, pi0 = data.phi, data.pi
+    phi0, pi0, dt2 = data.phi, data.pi, lat.dt**2
+    shape = phi0.coeffs.shape
+    buf = np.empty((max(1, _BLOCK_BYTES // max(phi0.coeffs.nbytes, 1)) + 2,) + shape)
+    force = np.empty(shape)
+    slots = [WeilValue(data.algebra, row) for row in buf]
     # line boundary: edge sites frozen at their initial values, which
     # stands in for a static vacuum outside the slab
-    edge_left = phi0.coeffs[..., 0, :].copy()
-    edge_right = phi0.coeffs[..., -1, :].copy()
-
-    def clamp_guard(value: WeilValue) -> WeilValue:
-        if lat.topology == lt.LINE:
-            value.coeffs[..., 0, :] = edge_left
-            value.coeffs[..., -1, :] = edge_right
-        return value
-
-    def finite(j: int, value: WeilValue) -> WeilValue:
-        if not np.isfinite(value.coeffs).all():
-            raise SolverError(f"the field is not finite at slice {j} (t = {lat.t[j]:.6g})")
-        return value
-
-    yield 0, finite(0, phi0)
+    edge = slice(None, None, lat.n_space - 1)  # sites 0 and n_space - 1
+    edges = phi0.coeffs[..., edge, :].copy() if lat.topology == lt.LINE else None
     with np.errstate(over="ignore", invalid="ignore"):
         jerk = lt.d2_dx2(pi0, lat) - apply_smooth(inter.rho_prime, phi0) * pi0
-        cur = clamp_guard(
-            phi0 + lat.dt * pi0 + (0.5 * lat.dt**2) * accel(phi0)
-            + (lat.dt**3 / 6.0) * jerk
-        )
-    yield 1, finite(1, cur)
-    prev = phi0
-    dt2 = lat.dt**2
-    for j in range(2, lat.n_time + 1):
+        accel = lt.d2_dx2(phi0, lat)
+        np.subtract(accel.coeffs, apply_smooth(inter.rho, phi0).coeffs, out=accel.coeffs)
+        buf[1] = (phi0 + lat.dt * pi0 + (0.5 * dt2) * accel
+                  + (lat.dt**3 / 6.0) * jerk).coeffs
+    buf[0] = phi0.coeffs
+    if edges is not None:
+        buf[1][..., edge, :] = edges
+    j, lo = 0, 0  # the slice at buf[0], the first position to yield
+    while True:
+        end = min(len(buf), lat.n_slices - j)
         with np.errstate(over="ignore", invalid="ignore"):
-            # (2 cur - prev) + dt^2 accel(cur), one new slice, the rest in place
-            nxt = np.multiply(cur.coeffs, 2.0)
-            nxt -= prev.coeffs
-            force = accel(cur).coeffs
-            force *= dt2
-            nxt += force
-            nxt = clamp_guard(WeilValue(cur.algebra, nxt))
-        yield j, finite(j, nxt)
-        prev, cur = cur, nxt
+            for p in range(2, end):
+                prev, cur, nxt = buf[p - 2], buf[p - 1], buf[p]
+                _lift_into(inter.rho, slots[p - 1], nxt)  # rho(cur) where nxt will be
+                lt._d2_dx2_into(cur, force, lat)
+                force -= nxt
+                force *= dt2
+                np.multiply(cur, 2.0, out=nxt)
+                nxt -= prev
+                nxt += force
+                if edges is not None:
+                    nxt[..., edge, :] = edges
+        finite = np.isfinite(buf[lo:end]).reshape(end - lo, -1).all(axis=1)
+        if not finite.all():
+            k = j + lo + int(np.argmin(finite))
+            raise SolverError(f"the field is not finite at slice {k} (t = {lat.t[k]:.6g})")
+        yield j + lo, WeilValue(data.algebra, buf[lo:end])
+        if j + end == lat.n_slices:
+            return
+        buf[:2] = buf[end - 2:end]
+        j, lo = j + end - 2, 2
 
 
 def solve_cauchy(data: CauchyData, inter: Interaction,
@@ -274,8 +279,8 @@ def solve_cauchy(data: CauchyData, inter: Interaction,
     algebra = data.algebra
     batch = data.phi.shape[:-1]
     out = np.zeros((lat.n_slices,) + batch + (lat.n_space, algebra.dim))
-    for j, value in leapfrog_slices(data, inter, lat, check_support):
-        out[j] = value.coeffs
+    for j, block in leapfrog_blocks(data, inter, lat, check_support):
+        out[j:j + len(block.coeffs)] = block.coeffs
     return FieldHistory(WeilValue(algebra, out), lat)
 
 
@@ -283,18 +288,19 @@ def solve_smeared(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime
                   weights: np.ndarray) -> WeilValue:
     """The grid sum of weights * solution * dx * dt without storing the history.
 
-    Memory stays at three slices regardless of batch size, so one pass
-    carries a whole batch of directions (poisson.forward_differential).
+    Memory stays at the march's buffer, three slices for a large batch, so one
+    pass carries a whole batch of directions (poisson.forward_differential).
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (lat.n_slices, lat.n_space):
         raise SolverError("weights must cover the full grid")
-    acc: WeilValue | None = None
-    for j, value in leapfrog_slices(data, inter, lat):
-        term = (value * weights[j]).sum(axis=-1)
-        acc = term if acc is None else acc + term
-    assert acc is not None
-    return acc * (lat.dx * lat.dt)
+    acc = None
+    for j, block in leapfrog_blocks(data, inter, lat):
+        c = block.coeffs
+        w = weights[j:j + len(c)].reshape((len(c),) + (1,) * (c.ndim - 3) + (-1, 1))
+        for term in (c * w).sum(axis=-2):  # each slice's term, added in slice order
+            acc = term if acc is None else acc + term
+    return WeilValue(data.algebra, acc) * (lat.dx * lat.dt)
 
 
 def _d2_dx2_transpose(mu: WeilValue, lat: lt.LatticeSpacetime) -> WeilValue:
@@ -414,14 +420,16 @@ def tangent_lift(data: CauchyData, direction: CauchyData, inter: Interaction,
     return solve_cauchy(lift_data(data, direction), inter, lat)
 
 
-def tangent_slices(data: CauchyData, directions: list[CauchyData], inter: Interaction,
+def tangent_blocks(data: CauchyData, directions: list[CauchyData], inter: Interaction,
                    lat: lt.LatticeSpacetime):
-    """Yield (j, fibers): the linearized solutions along data, slice by slice.
+    """Yield (j, fibers): the linearized solutions along data, a block of slices at a time.
 
     data + sum_k t_k * directions[k] over W (x) D(len(directions)) marches
     once, so the base is lifted and stenciled once per step and nothing is
-    stored.  fibers holds the t_k parts of slice j on a leading axis:
-    fibers[k] is the same floats as slice j of
+    stored.  fibers holds the t_k parts of slices j, j+1, ... on a leading
+    axis, a view of the march's block that is valid until the next yield, so
+    a consumer copies what it keeps (zuckerman.conservation copies each block
+    into its fold buffer): fibers[k, i] is the same floats as slice j + i of
     fiber_history(tangent_lift(data, directions[k], inter, lat)).  On the
     line the support check sees the union of the directions' cones, so it
     refuses exactly when one of the separate lifts would.
@@ -430,8 +438,8 @@ def tangent_slices(data: CauchyData, directions: list[CauchyData], inter: Intera
         raise SolverError("data and direction must share an algebra")
     lifted = CauchyData(lift_tangents(data.phi, [d.phi for d in directions]),
                         lift_tangents(data.pi, [d.pi for d in directions]))
-    for j, value in leapfrog_slices(lifted, inter, lat):
-        yield j, tangent_parts(value, data.algebra)
+    for j, block in leapfrog_blocks(lifted, inter, lat):
+        yield j, tangent_parts(block, data.algebra)
 
 
 def base_history(lifted: FieldHistory) -> FieldHistory:

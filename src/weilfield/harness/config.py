@@ -142,6 +142,14 @@ def _finite(value, what: str) -> float:
     return out
 
 
+def boolean(desc: dict, key: str, default: bool) -> bool:
+    """desc[key] (default when absent) when it is true or false, else a ConfigError naming key."""
+    value = desc.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def count(desc: dict, key: str, default: int | None, least: int) -> int:
     """desc[key] (default when absent) as an integer of at least least, or a ConfigError.
 

@@ -18,8 +18,8 @@ from .. import lattice as lt
 from .. import poisson as ps
 from .. import zuckerman as zk
 from ..weil import max_or_nan
-from .config import (ConfigError, Draws, ExperimentConfig, cauchy_profiles, count, located,
-                     number, observable_kind, spacetime_profile, spatial_profile)
+from .config import (ConfigError, Draws, ExperimentConfig, boolean, cauchy_profiles, count,
+                     located, number, observable_kind, spacetime_profile, spatial_profile)
 from .oracle import PauliJordanOracle
 from .report import Report, atomic_write_bytes, check, check_window, write_report
 
@@ -130,7 +130,7 @@ def _conservation(config: ExperimentConfig, rng: Draws,
     """omega per slice and the closedness residual of the config's two tangents.
 
     Both come from one march of the two tangents over W (x) D(2), folded
-    slice by slice.
+    block by block.
     """
     if len(config.tangents) != 2:
         raise ConfigError(f"tangents: omega pairs exactly two, not {len(config.tangents)}")
@@ -140,7 +140,7 @@ def _conservation(config: ExperimentConfig, rng: Draws,
     supports = (None, None)
     if lat.topology == lt.LINE:
         supports = tuple(lt.support_mask(lat, d.phi, d.pi) for d in directions)
-    fibers = dyn.tangent_slices(base, directions, config.interaction, lat)
+    fibers = dyn.tangent_blocks(base, directions, config.interaction, lat)
     return zk.conservation(fibers, lat, supports)
 
 
@@ -202,7 +202,8 @@ def _run_bracket(config: ExperimentConfig, outdir: str | None) -> Report:
     base = _build_data(config, rng)
     pairs = [ps.make_pair(obs, lat) for obs, _ in built]
 
-    oracle = _oracle(config) if config.options.get("compare_oracle", False) else None
+    compare = located("options", boolean, config.options, "compare_oracle", False)
+    oracle = _oracle(config) if compare else None
     if oracle is not None and any("grid" not in aux for _, aux in built):
         raise ConfigError("oracle comparison needs spacetime observables")
 

@@ -156,7 +156,12 @@ def d_dx(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
 def d2_dx2(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
     """Centered second spatial derivative; one-sided second order at line edges."""
     c = np.ascontiguousarray(values.coeffs)
-    out = np.multiply(c, -2.0)  # -2c[i] + c[i+1] rounds as c[i+1] - 2c[i]
+    return WeilValue(values.algebra, _d2_dx2_into(c, np.empty(c.shape), lat))
+
+
+def _d2_dx2_into(c: np.ndarray, out: np.ndarray, lat: LatticeSpacetime) -> np.ndarray:
+    """d2_dx2 of the contiguous coefficients c, written into the contiguous out (not c)."""
+    np.multiply(c, -2.0, out=out)  # -2c[i] + c[i+1] rounds as c[i+1] - 2c[i]
     # the stencil of every site of every row in one flat pass, as in d_dx; each
     # row's end sites take the next or last row's sites and are set again below
     flat, step = c.ravel(), c.shape[-1]
@@ -175,7 +180,7 @@ def d2_dx2(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
         o[::n - 1] = (2 * c[::n - 1] - 5 * c[1:n - 1:n - 3] + 4 * c[2:n - 2:n - 5]
                       - c[3:n - 3:n - 7])
     out /= lat.dx**2
-    return WeilValue(values.algebra, out)
+    return out
 
 
 def d_dt(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:

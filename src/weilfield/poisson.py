@@ -193,7 +193,8 @@ def spacetime_observable(g: np.ndarray, inter: Interaction,
                          lat: lt.LatticeSpacetime, name: str = "") -> Observable:
     """F(d) = sum over the grid of g * Phi * dt * dx, solving for Phi internally.
 
-    Evaluation streams the solve slice by slice, in three slices of memory.
+    Evaluation streams the solve a block of slices at a time, in about 256 KiB
+    of memory and never fewer than three slices (dynamics.leapfrog_blocks).
     dF is the discrete adjoint (dynamics.smeared_gradient) over the stored
     base history of every batch row; inside a sharing scope the spacetime
     observables at one point sweep over one such history (_base_history).

@@ -435,13 +435,13 @@ def lift_tangents(base: WeilValue, directions: Sequence[WeilValue]) -> WeilValue
 
 
 def tangent_parts(w: WeilValue, base: WeilAlgebra) -> WeilValue:
-    """The t_1..t_n parts of a value over base (x) D(n), as base-values on a new leading axis."""
+    """The t_1..t_n parts of a value over base (x) D(n): a view, parts on a new leading axis."""
     c, n = w.coeffs, w.algebra.dim // base.dim - 1
     big = _with_tangents(base, n) if n > 0 else None
     if w.algebra is not big and w.algebra != big:
         raise AlgebraMismatchError(f"{w.algebra} is not {base} with a tangent block")
     parts = c.reshape(c.shape[:-1] + (base.dim, n + 1))[..., 1:]
-    return WeilValue(base, parts.transpose((c.ndim,) + tuple(range(c.ndim))).copy())
+    return WeilValue(base, parts.transpose((c.ndim,) + tuple(range(c.ndim))))
 
 
 # -- smooth maps and their lifts --------------------------------------------
@@ -552,16 +552,19 @@ def apply_smooth(f: SmoothMap, w: WeilValue) -> WeilValue:
     unit slot; only an algebra of nilpotency degree above 1 builds the
     powers h^n, n >= 2, by Weil multiplication.
     """
+    return WeilValue(w.algebra, _lift_into(f, w, np.empty(w.coeffs.shape)))
+
+
+def _lift_into(f: SmoothMap, w: WeilValue, out: np.ndarray) -> np.ndarray:
+    """apply_smooth(f, w) written into out, which must not share memory with w, and returned."""
     algebra, c = w.algebra, w.coeffs
     scalar = c[..., 0]
     if algebra.nil_degree:  # h is c off the unit slot, which is overwritten below
-        out = c * f.deriv(1, scalar)[..., None]
+        np.multiply(c, f.deriv(1, scalar)[..., None], out=out)
         if algebra.nil_degree > 1:
             h = p = w.nilpotent_part
             for n in range(2, algebra.nil_degree + 1):
                 p = p * h
                 out += p.coeffs * (f.deriv(n, scalar) / math.factorial(n))[..., None]
-    else:
-        out = np.empty(c.shape)
     out[..., 0] = f.deriv(0, scalar)  # h^n has no unit part for n >= 1
-    return WeilValue(algebra, out)
+    return out

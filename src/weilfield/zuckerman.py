@@ -11,11 +11,11 @@ as an independent oracle for the closed form used here.
 
 A run never builds u whole: conservation folds it into omega on every
 slice and into the closedness residual while the two fibers stream out of
-one march over W (x) D(2) (dynamics.tangent_slices).  It copies them into
-a block of 4 + BLOCK fiber slices and folds each BLOCK new slices in one
-vectorized pass, so it holds that block and the current on it, never a
-history.  current_u, theta and TangentSolution are the whole-grid forms
-the tests check the stream against.
+one march over W (x) D(2) in blocks of slices (dynamics.tangent_blocks).
+It copies them into a buffer of 4 + BLOCK fiber slices and folds each BLOCK
+new slices in one vectorized pass, so it holds that buffer and the current
+on it, never a history.  current_u, theta and TangentSolution are the
+whole-grid forms the tests check the stream against.
 
 Spacelike-compact bookkeeping: on the line, at least one factor of u must
 be spacelike compact for slice integrals to make sense over a noncompact
@@ -153,24 +153,24 @@ def _cross(fibers: WeilValue, d: np.ndarray, out: np.ndarray | None = None) -> n
 BLOCK = 6  # fiber slices a block takes in before one vectorized pass folds them
 
 
-def conservation(fiber_slices: Iterable[tuple[int, WeilValue]], lat: lt.LatticeSpacetime,
+def conservation(fiber_blocks: Iterable[tuple[int, WeilValue]], lat: lt.LatticeSpacetime,
                  supports: tuple[np.ndarray | None, np.ndarray | None]
                  ) -> tuple[np.ndarray, float]:
     """omega on every slice and the closedness residual of current_u, streamed.
 
-    fiber_slices yields (j, fibers) for j = 0..n_time in order, fibers
-    holding the two linearized solutions psi, psi' of slice j on a leading
-    axis of length 2 (dynamics.tangent_slices); supports are their
+    fiber_blocks yields (j, fibers) for consecutive blocks of slices j, j+1,
+    ... from 0 to n_time, fibers holding the two linearized solutions psi,
+    psi' on axes (2, slices) (dynamics.tangent_blocks); supports are their
     spacelike-compact site masks, or None, and on the line one must be a
-    mask (the rule current_u applies).  The slices are copied into one
-    preallocated block of 4 + BLOCK positions, and each time BLOCK new ones
-    have arrived one vectorized pass folds them: omega at j needs slices
-    j-1..j+1 (0..3 and n_time-3..n_time at the ends, where the time stencil
-    is one-sided) and the divergence at j needs j-2..j+2, so a block hands
-    the next its last four fiber slices and the current on the middle two of
-    them.  No other slice is kept, whatever n_time.  The stencils and products
-    are the ones current_u, lt.integrate_slice and lt.divergence apply to
-    whole histories, so the floats are theirs.
+    mask (the rule current_u applies).  However the blocks are cut, their
+    slices are copied into one buffer of 4 + BLOCK positions, and each time
+    BLOCK new ones have arrived one vectorized pass folds them: omega at j
+    needs slices j-1..j+1 (0..3 and n_time-3..n_time at the ends, where the
+    time stencil is one-sided) and the divergence at j needs j-2..j+2, so a
+    block hands the next its last four fiber slices and the current on the
+    middle two of them.  No other slice is kept, whatever n_time.  The
+    stencils and products are the ones current_u, lt.integrate_slice and
+    lt.divergence apply to whole histories, so the floats are theirs.
 
     The residual is the max norm of the divergence over the interior grid,
     where every stencil in the composition is centered: slices 2..n_time-2
@@ -208,21 +208,22 @@ def conservation(fiber_slices: Iterable[tuple[int, WeilValue]], lat: lt.LatticeS
         div = div[:, interior]  # a view or a copy, the pass's own either way
         closed = max_or_nan(closed, float(np.abs(div, out=div).max(initial=0.0)))
 
-    for j, fibers in fiber_slices:
+    for j, fibers in fiber_blocks:
+        c = fibers.coeffs
         if f is None:
             algebra = fibers.algebra
             f = np.empty((2, 4 + BLOCK, lat.n_space, algebra.dim))
             u = np.empty_like(f)
-            slice_shape = (2, lat.n_space, algebra.dim)
-        if j != s + m or fibers.coeffs.shape != slice_shape:
+        if j != s + m or c.shape[:1] + c.shape[2:] != f.shape[:1] + f.shape[2:]:
             raise lt.LatticeError(f"slice {j}: the current pairs two fibers of "
-                                  f"{lat.n_space} sites, slice by slice from 0")
-        f[:, m] = fibers.coeffs
-        m += 1
-        if m == f.shape[1]:
-            fold()
-            f[:, :4], u[:, 1:3] = f[:, -4:], u[:, -3:-1]
-            s, m, lo = s + m - 4, 4, 3
+                                  f"{lat.n_space} sites, in blocks of slices from 0")
+        while c.shape[1]:  # as many of the block's slices as the buffer takes
+            take = min(c.shape[1], f.shape[1] - m)
+            f[:, m:m + take], c, m = c[:, :take], c[:, take:], m + take
+            if m == f.shape[1]:
+                fold()
+                f[:, :4], u[:, 1:3] = f[:, -4:], u[:, -3:-1]
+                s, m, lo = s + m - 4, 4, 3
     if s + m != lat.n_slices:
         raise lt.LatticeError(f"the current needs {lat.n_slices} slices, got {s + m}")
     fold()

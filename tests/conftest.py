@@ -76,3 +76,24 @@ def tangent_setup(rng):
         return lat, data(0.3), [data(0.1) for _ in range(count)]
 
     return make
+
+
+@pytest.fixture(params=[1, 3, None], ids=["block1", "block3", "default"])
+def block_lengths(request, monkeypatch):
+    """fit(slice_bytes, n_slices) -> the lengths of the blocks a march will yield.
+
+    The march's byte budget is patched to hold 1 or 3 slices of slice_bytes,
+    or left at its default.  The first block also holds slices 0 and 1.
+    """
+
+    def fit(slice_bytes, n_slices):
+        size = request.param
+        if size is None:
+            size = max(1, dyn._BLOCK_BYTES // slice_bytes)
+        else:
+            monkeypatch.setattr(dyn, "_BLOCK_BYTES", size * slice_bytes)
+        first = min(size + 2, n_slices)
+        rest = n_slices - first
+        return [first] + [size] * (rest // size) + [rest % size] * (rest % size > 0)
+
+    return fit

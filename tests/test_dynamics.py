@@ -235,33 +235,39 @@ def test_tangent_lift_matches_finite_difference():
     assert np.max(np.abs(fiber - fd)) <= 1e-6 * np.max(np.abs(fiber))
 
 
-def _assert_slices_bit_match(lat, base, directions):
+def _assert_blocks_bit_match(block_lengths, lat, base, directions):
     sg = dyn.interaction("sine_gordon")
     stored = [dyn.fiber_history(dyn.tangent_lift(base, d, sg, lat)).values.coeffs
               for d in directions]
+    # the march is over base (x) D(len(directions)): len(directions) + 1 slots
+    lengths = block_lengths(8 * lat.n_space * base.algebra.dim * (len(directions) + 1),
+                            lat.n_slices)
     seen = []
-    for j, fibers in dyn.tangent_slices(base, directions, sg, lat):
+    for j, fibers in dyn.tangent_blocks(base, directions, sg, lat):
         assert fibers.algebra == base.algebra
-        assert fibers.shape == (len(directions), lat.n_space)
-        assert all(np.array_equal(fibers.coeffs[k], stored[k][j])
+        assert fibers.shape == (len(directions), lengths[len(seen)], lat.n_space)
+        assert j == sum(lengths[:len(seen)])
+        assert all(np.array_equal(fibers.coeffs[k], stored[k][j:j + fibers.shape[1]])
                    for k in range(len(directions)))
-        seen.append(j)
-    assert seen == list(range(lat.n_slices))
+        seen.append(fibers.shape[1])
+    assert seen == lengths
 
 
 @pytest.mark.parametrize("over", ["real", "dual"])
 @pytest.mark.parametrize("topology", ["circle", "line"])
-def test_tangent_slices_bit_match_separate_lifts(tangent_setup, topology, over):
+def test_tangent_blocks_bit_match_separate_lifts(tangent_setup, block_lengths, topology,
+                                                 over):
     # one march over W (x) D(2) streams the fibers two stored lifts would hold
-    _assert_slices_bit_match(*tangent_setup(topology, over))
+    _assert_blocks_bit_match(block_lengths, *tangent_setup(topology, over))
 
 
 @pytest.mark.parametrize("count", [1, 3])
 @pytest.mark.parametrize("over", ["real", "dual"])
 @pytest.mark.parametrize("topology", ["circle", "line"])
-def test_tangent_slices_bit_match_any_count(tangent_setup, topology, over, count):
+def test_tangent_blocks_bit_match_any_count(tangent_setup, block_lengths, topology, over,
+                                            count):
     # D(1) is one dual generator; D(3) carries three directions on one base
-    _assert_slices_bit_match(*tangent_setup(topology, over, count))
+    _assert_blocks_bit_match(block_lengths, *tangent_setup(topology, over, count))
 
 
 # rho and its first four derivatives for each interaction as plain numpy, in the
@@ -325,7 +331,8 @@ def reference_slices(phi, pi, name, lat):
 @pytest.mark.parametrize("algebra", [WeilAlgebra.real(), WeilAlgebra.dual(),
                                      WeilAlgebra.first_order(2)], ids=["R", "dual", "D2"])
 @pytest.mark.parametrize("topology", ["circle", "line"])
-def test_leapfrog_slices_bit_match_plain_numpy_recurrence(topology, algebra, name, rng):
+def test_leapfrog_blocks_bit_match_plain_numpy_recurrence(topology, algebra, name, rng,
+                                                          block_lengths):
     # every slice equals a plain-numpy recurrence bit for bit, so a change of
     # operation order anywhere in the step shows here and not only as a
     # drift that two paths through the one leapfrog share
@@ -341,12 +348,15 @@ def test_leapfrog_slices_bit_match_plain_numpy_recurrence(topology, algebra, nam
     data = dyn.CauchyData(WeilValue(algebra, phi), WeilValue(algebra, pi))
     inter = dyn.interaction(name, **INTERACTION_PARAMS.get(name, {}))
     expected = reference_slices(phi, pi, name, lat)
-    seen = 0
-    for j, value in dyn.leapfrog_slices(data, inter, lat):
-        assert value.algebra == algebra
-        assert np.array_equal(value.coeffs, expected[j]), f"slice {j}"
-        seen += 1
-    assert seen == lat.n_slices
+    lengths = block_lengths(phi.nbytes, lat.n_slices)
+    seen = []
+    for j, block in dyn.leapfrog_blocks(data, inter, lat):
+        assert block.algebra == algebra
+        assert j == sum(seen) and block.shape == (lengths[len(seen)], lat.n_space)
+        for i, value in enumerate(block.coeffs):
+            assert np.array_equal(value, expected[j + i]), f"slice {j + i}"
+        seen.append(len(block.coeffs))
+    assert seen == lengths
 
 
 # the nonzero products basis_i * basis_j = basis_k of R[eps] and R[eps1, eps2]
@@ -473,11 +483,12 @@ def test_tangent_march_lifts_rho_on_one_base_slice():
     base = dyn.data_from_arrays(0.3 * np.cos(lat.x), 0.1 * np.sin(lat.x))
     directions = [dyn.data_from_arrays(np.sin(k * lat.x), np.cos(k * lat.x))
                   for k in (1, 2)]
-    assert len(list(dyn.tangent_slices(base, directions, probe, lat))) == lat.n_slices
+    assert sum(fibers.shape[1] for _, fibers in
+               dyn.tangent_blocks(base, directions, probe, lat)) == lat.n_slices
     assert shapes == {(lat.n_space,)}
 
 
-def test_tangent_slices_refuse_when_one_cone_escapes():
+def test_tangent_blocks_refuse_when_one_cone_escapes():
     # the batch refuses exactly when one of the separate lifts would
     lat = lt.LatticeSpacetime("line", 64, 0.1, 0.05, 20, guard=2)
     free = dyn.interaction("free")
@@ -490,12 +501,13 @@ def test_tangent_slices_refuse_when_one_cone_escapes():
     dyn.tangent_lift(base, fits, free, lat)
     with pytest.raises(dyn.ConeEscapeError):
         dyn.tangent_lift(base, escapes, free, lat)
-    assert len(list(dyn.tangent_slices(base, [fits, fits], free, lat))) == lat.n_slices
+    assert sum(fibers.shape[1] for _, fibers in
+               dyn.tangent_blocks(base, [fits, fits], free, lat)) == lat.n_slices
     for pair in ([fits, escapes], [escapes, fits]):
         with pytest.raises(dyn.ConeEscapeError):
-            next(dyn.tangent_slices(base, pair, free, lat))
+            next(dyn.tangent_blocks(base, pair, free, lat))
     with pytest.raises(dyn.SolverError):
-        next(dyn.tangent_slices(base, [fits, dyn.lift_data(fits, fits)], free, lat))
+        next(dyn.tangent_blocks(base, [fits, dyn.lift_data(fits, fits)], free, lat))
 
 
 def test_finite_propagation_speed_exact():
@@ -556,3 +568,50 @@ def test_solve_smeared_matches_history_sum(rng):
     hist = dyn.solve_cauchy(data, sg, lat)
     direct = np.sum(hist.values.scalar_part * g) * lat.dx * lat.dt
     assert abs(float(streamed.scalar_part) - direct) < 1e-12 * max(1.0, abs(direct))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch3"])
+@pytest.mark.parametrize("algebra", [WeilAlgebra.real(), WeilAlgebra.dual()],
+                         ids=["R", "dual"])
+@pytest.mark.parametrize("topology", ["circle", "line"])
+def test_solve_smeared_bit_matches_slice_sums_of_stored_solve(topology, algebra, batch, rng,
+                                                              block_lengths):
+    # the streamed grid sum adds the stored history's slice terms in slice
+    # order, byte for byte, wherever the march cuts its blocks
+    if topology == "circle":
+        lat = lt.LatticeSpacetime("circle", 48, 2 * np.pi / 48, np.pi / 48, 40)
+        window = np.ones(lat.n_space)
+    else:
+        lat = lt.LatticeSpacetime("line", 96, 0.1, 0.05, 24, guard=2)
+        window = np.zeros(lat.n_space)
+        window[36:60] = np.hanning(24)
+    phi, pi = (0.4 * rng.standard_normal(batch + (lat.n_space, algebra.dim))
+               * window[:, None] for _ in range(2))
+    data = dyn.CauchyData(WeilValue(algebra, phi), WeilValue(algebra, pi))
+    weights = rng.standard_normal((lat.n_slices, lat.n_space))
+    sg = dyn.interaction("sine_gordon")
+    history = dyn.solve_cauchy(data, sg, lat).values.coeffs
+    block_lengths(phi.nbytes, lat.n_slices)
+    got = dyn.solve_smeared(data, sg, lat, weights)
+    want = (history[0] * weights[0][:, None]).sum(axis=-2)
+    for j in range(1, lat.n_slices):
+        want = want + (history[j] * weights[j][:, None]).sum(axis=-2)
+    want = want * (lat.dx * lat.dt)
+    assert got.algebra == algebra and got.coeffs.tobytes() == want.tobytes()
+
+
+def test_march_names_the_first_non_finite_slice_and_never_yields_it(block_lengths):
+    # phi4 at a large coupling and amplitude overflows at slice 6; a block is
+    # checked whole, so the blocks that end before slice 6 come out, finite,
+    # and the one holding it does not
+    lat = circle_lattice(64, 2000)
+    phi4 = dyn.interaction("phi4", coupling=50)
+    data = dyn.data_from_arrays(30 * np.cos(lat.x), np.zeros(lat.n_space))
+    ends = np.cumsum(block_lengths(8 * lat.n_space, lat.n_slices))
+    seen = 0
+    with pytest.raises(dyn.SolverError,
+                       match=r"^the field is not finite at slice 6 \(t = 0\.294524\)$"):
+        for j, block in dyn.leapfrog_blocks(data, phi4, lat):
+            assert j == seen and np.isfinite(block.coeffs).all()
+            seen += len(block.coeffs)
+    assert seen == ends[ends <= 6].max(initial=0)

@@ -27,10 +27,11 @@ def make_tangents(lat, inter, base_data, directions):
     return out
 
 
-def fiber_pairs(v, vp):
-    """Two stored fibers slice by slice, stacked as conservation takes them."""
-    pair = np.stack([v.fiber.values.coeffs, vp.fiber.values.coeffs], axis=1)
-    return ((j, WeilValue(v.fiber.algebra, pair[j])) for j in range(len(pair)))
+def fiber_pairs(v, vp, size=1):
+    """Two stored fibers in blocks of size slices, stacked as conservation takes them."""
+    pair = np.stack([v.fiber.values.coeffs, vp.fiber.values.coeffs])
+    return ((j, WeilValue(v.fiber.algebra, pair[:, j:j + size]))
+            for j in range(0, pair.shape[1], size))
 
 
 def streamed(v, vp):
@@ -256,8 +257,10 @@ def whole_grid_reference(v, vp):
 
 @pytest.mark.parametrize("over", ["real", "dual"])
 @pytest.mark.parametrize("topology", ["circle", "line"])
-def test_stream_bit_matches_whole_grid_current(tangent_setup, topology, over):
+def test_march_blocks_bit_match_whole_grid_current(tangent_setup, block_lengths, topology,
+                                                   over):
     lat, base, directions = tangent_setup(topology, over)
+    block_lengths(8 * lat.n_space * base.algebra.dim * 3, lat.n_slices)  # W (x) D(2)
     sg = dyn.interaction("sine_gordon")
     supports = (None, None)
     if topology == "line":
@@ -265,10 +268,11 @@ def test_stream_bit_matches_whole_grid_current(tangent_setup, topology, over):
     v1, v2 = (zk.TangentSolution(v.base, v.fiber, s) for v, s in
               zip(make_tangents(lat, sg, base, directions), supports))
     # on shell, straight from the dual march
-    series, closed = zk.conservation(dyn.tangent_slices(base, directions, sg, lat),
+    series, closed = zk.conservation(dyn.tangent_blocks(base, directions, sg, lat),
                                      lat, supports)
     ref_series, ref_closed = whole_grid_reference(v1, v2)
-    assert np.array_equal(series, ref_series) and closed == ref_closed
+    assert series.tobytes() == ref_series.tobytes()
+    assert np.float64(closed).tobytes() == np.float64(ref_closed).tobytes()
 
     # the negative control: a fiber off shell inside the slab
     bad = v2.fiber.values.coeffs.copy()
@@ -300,7 +304,7 @@ def test_blocks_bit_match_whole_grid_current_at_every_length(tangent_setup, topo
         supports = tuple(lt.support_mask(lat, d.phi, d.pi) for d in directions)
     v1, v2 = (zk.TangentSolution(v.base, v.fiber, s) for v, s in
               zip(make_tangents(lat, sg, base, directions), supports))
-    series, closed = zk.conservation(dyn.tangent_slices(base, directions, sg, lat),
+    series, closed = zk.conservation(dyn.tangent_blocks(base, directions, sg, lat),
                                      lat, supports)
     ref_series, ref_closed = whole_grid_reference(v1, v2)
     assert series.shape == (n_time + 1,)
@@ -331,6 +335,15 @@ def test_conservation_names_a_slice_skipped_anywhere_in_a_block(sg_setup, j):
         zk.conservation(iter(slices[:j] + slices[j + 1:]), lat, (None, None))
 
 
+@pytest.mark.parametrize("size", [2, zk.BLOCK - 1, zk.BLOCK + 4, 97])
+def test_conservation_is_the_same_however_the_stream_cuts_its_blocks(sg_setup, size):
+    # blocks shorter and longer than the fold buffer's, and the whole history at once
+    lat, sg, base, v1, v2 = sg_setup
+    want_series, want_closed = streamed(v1, v2)
+    series, closed = zk.conservation(fiber_pairs(v1, v2, size), lat, (None, None))
+    assert series.tobytes() == want_series.tobytes() and closed == want_closed
+
+
 def _traced_peak_of_conservation(n_time):
     """tracemalloc peak of the march streaming into conservation, on 1024 sites."""
     lat = circle_lattice(1024, n_time)
@@ -342,7 +355,7 @@ def _traced_peak_of_conservation(n_time):
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        zk.conservation(dyn.tangent_slices(base, directions, sg, lat), lat, (None, None))
+        zk.conservation(dyn.tangent_blocks(base, directions, sg, lat), lat, (None, None))
         return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -358,10 +371,13 @@ def test_conservation_holds_no_history():
 
 def test_conservation_refuses_malformed_streams(sg_setup):
     lat, sg, base, v1, v2 = sg_setup
-    three = np.stack([v1.fiber.values.coeffs] * 3, axis=1)
+    three = np.stack([v1.fiber.values.coeffs] * 3)
     with pytest.raises(lt.LatticeError, match="two fibers"):
-        zk.conservation(((j, WeilValue(v1.fiber.algebra, three[j]))
-                         for j in range(lat.n_slices)), lat, (None, None))
+        zk.conservation(iter([(0, WeilValue(v1.fiber.algebra, three))]), lat, (None, None))
+    pair = np.stack([v1.fiber.values.coeffs] * 2)
+    with pytest.raises(lt.LatticeError, match="two fibers"):  # a slice, not a block
+        zk.conservation(iter([(0, WeilValue(v1.fiber.algebra, pair[:, 0]))]), lat,
+                        (None, None))
     short = list(fiber_pairs(v1, v2))[:-1]
     with pytest.raises(lt.LatticeError, match="slices"):
         zk.conservation(iter(short), lat, (None, None))
