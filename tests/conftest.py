@@ -78,22 +78,34 @@ def tangent_setup(rng):
     return make
 
 
-@pytest.fixture(params=[1, 3, None], ids=["block1", "block3", "default"])
+# slices per block a march is cut into by the block tests; None keeps the budget
+BLOCK_SIZES = [1, 3, None]
+_DEFAULT_BLOCK_BYTES = dyn._BLOCK_BYTES
+
+
+def _block_fit(monkeypatch, size):
+    def fit(slice_bytes, n_slices):
+        budget = _DEFAULT_BLOCK_BYTES if size is None else size * slice_bytes
+        monkeypatch.setattr(dyn, "_BLOCK_BYTES", budget)
+        per = max(1, budget // slice_bytes)
+        first = min(per + 2, n_slices)
+        rest = n_slices - first
+        return [first] + [per] * (rest // per) + [rest % per] * (rest % per > 0)
+
+    return fit
+
+
+@pytest.fixture(params=BLOCK_SIZES, ids=["block1", "block3", "default"])
 def block_lengths(request, monkeypatch):
     """fit(slice_bytes, n_slices) -> the lengths of the blocks a march will yield.
 
     The march's byte budget is patched to hold 1 or 3 slices of slice_bytes,
     or left at its default.  The first block also holds slices 0 and 1.
     """
+    return _block_fit(monkeypatch, request.param)
 
-    def fit(slice_bytes, n_slices):
-        size = request.param
-        if size is None:
-            size = max(1, dyn._BLOCK_BYTES // slice_bytes)
-        else:
-            monkeypatch.setattr(dyn, "_BLOCK_BYTES", size * slice_bytes)
-        first = min(size + 2, n_slices)
-        rest = n_slices - first
-        return [first] + [size] * (rest // size) + [rest % size] * (rest % size > 0)
 
-    return fit
+@pytest.fixture
+def each_block_length(monkeypatch):
+    """The block_lengths fit for every one of BLOCK_SIZES, in turn, in one test."""
+    return [_block_fit(monkeypatch, size) for size in BLOCK_SIZES]

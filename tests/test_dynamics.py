@@ -255,19 +255,24 @@ def _assert_blocks_bit_match(block_lengths, lat, base, directions):
 
 @pytest.mark.parametrize("over", ["real", "dual"])
 @pytest.mark.parametrize("topology", ["circle", "line"])
-def test_tangent_blocks_bit_match_separate_lifts(tangent_setup, block_lengths, topology,
+def test_tangent_slices_bit_match_separate_lifts(tangent_setup, each_block_length, topology,
                                                  over):
-    # one march over W (x) D(2) streams the fibers two stored lifts would hold
-    _assert_blocks_bit_match(block_lengths, *tangent_setup(topology, over))
+    # one march over W (x) D(2) streams the fibers two stored lifts would hold,
+    # in blocks of 1, 3 and the default number of slices
+    setup = tangent_setup(topology, over)
+    for block_lengths in each_block_length:
+        _assert_blocks_bit_match(block_lengths, *setup)
 
 
 @pytest.mark.parametrize("count", [1, 3])
 @pytest.mark.parametrize("over", ["real", "dual"])
 @pytest.mark.parametrize("topology", ["circle", "line"])
-def test_tangent_blocks_bit_match_any_count(tangent_setup, block_lengths, topology, over,
+def test_tangent_slices_bit_match_any_count(tangent_setup, each_block_length, topology, over,
                                             count):
     # D(1) is one dual generator; D(3) carries three directions on one base
-    _assert_blocks_bit_match(block_lengths, *tangent_setup(topology, over, count))
+    setup = tangent_setup(topology, over, count)
+    for block_lengths in each_block_length:
+        _assert_blocks_bit_match(block_lengths, *setup)
 
 
 # rho and its first four derivatives for each interaction as plain numpy, in the
@@ -331,11 +336,12 @@ def reference_slices(phi, pi, name, lat):
 @pytest.mark.parametrize("algebra", [WeilAlgebra.real(), WeilAlgebra.dual(),
                                      WeilAlgebra.first_order(2)], ids=["R", "dual", "D2"])
 @pytest.mark.parametrize("topology", ["circle", "line"])
-def test_leapfrog_blocks_bit_match_plain_numpy_recurrence(topology, algebra, name, rng,
-                                                          block_lengths):
+def test_leapfrog_slices_bit_match_plain_numpy_recurrence(topology, algebra, name, rng,
+                                                          each_block_length):
     # every slice equals a plain-numpy recurrence bit for bit, so a change of
     # operation order anywhere in the step shows here and not only as a
-    # drift that two paths through the one leapfrog share
+    # drift that two paths through the one leapfrog share; the march is cut
+    # into blocks of 1, 3 and the default number of slices
     if topology == "circle":
         lat = lt.LatticeSpacetime("circle", 48, 2 * np.pi / 48, np.pi / 48, 40)
         window = np.ones(lat.n_space)
@@ -348,15 +354,16 @@ def test_leapfrog_blocks_bit_match_plain_numpy_recurrence(topology, algebra, nam
     data = dyn.CauchyData(WeilValue(algebra, phi), WeilValue(algebra, pi))
     inter = dyn.interaction(name, **INTERACTION_PARAMS.get(name, {}))
     expected = reference_slices(phi, pi, name, lat)
-    lengths = block_lengths(phi.nbytes, lat.n_slices)
-    seen = []
-    for j, block in dyn.leapfrog_blocks(data, inter, lat):
-        assert block.algebra == algebra
-        assert j == sum(seen) and block.shape == (lengths[len(seen)], lat.n_space)
-        for i, value in enumerate(block.coeffs):
-            assert np.array_equal(value, expected[j + i]), f"slice {j + i}"
-        seen.append(len(block.coeffs))
-    assert seen == lengths
+    for block_lengths in each_block_length:
+        lengths = block_lengths(phi.nbytes, lat.n_slices)
+        seen = []
+        for j, block in dyn.leapfrog_blocks(data, inter, lat):
+            assert block.algebra == algebra
+            assert j == sum(seen) and block.shape == (lengths[len(seen)], lat.n_space)
+            for i, value in enumerate(block.coeffs):
+                assert np.array_equal(value, expected[j + i]), f"slice {j + i}"
+            seen.append(len(block.coeffs))
+        assert seen == lengths
 
 
 # the nonzero products basis_i * basis_j = basis_k of R[eps] and R[eps1, eps2]
@@ -488,7 +495,7 @@ def test_tangent_march_lifts_rho_on_one_base_slice():
     assert shapes == {(lat.n_space,)}
 
 
-def test_tangent_blocks_refuse_when_one_cone_escapes():
+def test_tangent_slices_refuse_when_one_cone_escapes():
     # the batch refuses exactly when one of the separate lifts would
     lat = lt.LatticeSpacetime("line", 64, 0.1, 0.05, 20, guard=2)
     free = dyn.interaction("free")

@@ -257,22 +257,24 @@ def whole_grid_reference(v, vp):
 
 @pytest.mark.parametrize("over", ["real", "dual"])
 @pytest.mark.parametrize("topology", ["circle", "line"])
-def test_march_blocks_bit_match_whole_grid_current(tangent_setup, block_lengths, topology,
-                                                   over):
+def test_stream_bit_matches_whole_grid_current(tangent_setup, each_block_length, topology,
+                                               over):
     lat, base, directions = tangent_setup(topology, over)
-    block_lengths(8 * lat.n_space * base.algebra.dim * 3, lat.n_slices)  # W (x) D(2)
     sg = dyn.interaction("sine_gordon")
     supports = (None, None)
     if topology == "line":
         supports = tuple(lt.support_mask(lat, d.phi, d.pi) for d in directions)
     v1, v2 = (zk.TangentSolution(v.base, v.fiber, s) for v, s in
               zip(make_tangents(lat, sg, base, directions), supports))
-    # on shell, straight from the dual march
-    series, closed = zk.conservation(dyn.tangent_blocks(base, directions, sg, lat),
-                                     lat, supports)
     ref_series, ref_closed = whole_grid_reference(v1, v2)
-    assert series.tobytes() == ref_series.tobytes()
-    assert np.float64(closed).tobytes() == np.float64(ref_closed).tobytes()
+    # on shell, straight from the dual march, cut into blocks of 1, 3 and the
+    # default number of slices
+    for block_lengths in each_block_length:
+        block_lengths(8 * lat.n_space * base.algebra.dim * 3, lat.n_slices)  # W (x) D(2)
+        series, closed = zk.conservation(dyn.tangent_blocks(base, directions, sg, lat),
+                                         lat, supports)
+        assert series.tobytes() == ref_series.tobytes()
+        assert np.float64(closed).tobytes() == np.float64(ref_closed).tobytes()
 
     # the negative control: a fiber off shell inside the slab
     bad = v2.fiber.values.coeffs.copy()
