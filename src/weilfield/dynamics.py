@@ -8,9 +8,9 @@ yield the solution together with its exact directional derivative, the
 linearized solution, in the eps component.  For a smeared observable the
 transpose of that linearized scheme, run backward over a stored solve that
 the caller supplies, gives the whole gradient at once (smeared_gradient),
-so observables smeared at one base point can share its solve.  Several
-tangents at one base ride one march over W (x) D(k), the base marched once
-with the k directions in its first-order tangent slots (tangent_blocks).  One
+so observables smeared at one base point can share its solve.  lift_data is
+the one tangent lift, data + sum_k t_k * v_k over W (x) D(k), so several
+tangents at one base ride one march of the base (tangent_blocks).  One
 generator, leapfrog_blocks, marches the scheme in place in blocks of slices;
 solve_cauchy stores the blocks, while solve_smeared and tangent_blocks use
 each as it comes and hold one buffer of about 256 KiB (at least 3 slices).
@@ -29,10 +29,8 @@ from .weil import (
     WeilAlgebra,
     WeilValue,
     _lift_into,
-    append_dual,
     apply_smooth,
     constant_map,
-    embed,
     extract_top,
     lift_tangents,
     max_or_nan,
@@ -402,21 +400,17 @@ def restrict_data(history: FieldHistory, j: int) -> CauchyData:
 # -- tangent lifts --------------------------------------------------------------
 
 
-def lift_data(data: CauchyData, direction: CauchyData) -> CauchyData:
-    """Initial data over W (x) R[eps]: data + eps * direction."""
-    big = append_dual(data.algebra)
-    eps = WeilValue.generator(big, big.num_generators - 1)
-    return CauchyData(
-        embed(data.phi, big) + eps * embed(direction.phi, big),
-        embed(data.pi, big) + eps * embed(direction.pi, big),
-    )
+def lift_data(data: CauchyData, *directions: CauchyData) -> CauchyData:
+    """data + sum_k t_k * directions[k] over W (x) D(k); the directions broadcast against data."""
+    if any(d.algebra != data.algebra for d in directions):
+        raise SolverError("data and direction must share an algebra")
+    return CauchyData(lift_tangents(data.phi, [d.phi for d in directions]),
+                      lift_tangents(data.pi, [d.pi for d in directions]))
 
 
 def tangent_lift(data: CauchyData, direction: CauchyData, inter: Interaction,
                  lat: lt.LatticeSpacetime) -> FieldHistory:
     """Solve over W (x) R[eps] with data + eps*direction in one pass."""
-    if data.algebra != direction.algebra:
-        raise SolverError("data and direction must share an algebra")
     return solve_cauchy(lift_data(data, direction), inter, lat)
 
 
@@ -424,21 +418,17 @@ def tangent_blocks(data: CauchyData, directions: list[CauchyData], inter: Intera
                    lat: lt.LatticeSpacetime):
     """Yield (j, fibers): the linearized solutions along data, a block of slices at a time.
 
-    data + sum_k t_k * directions[k] over W (x) D(len(directions)) marches
-    once, so the base is lifted and stenciled once per step and nothing is
-    stored.  fibers holds the t_k parts of slices j, j+1, ... on a leading
-    axis, a view of the march's block that is valid until the next yield, so
-    a consumer copies what it keeps (zuckerman.conservation copies each block
-    into its fold buffer): fibers[k, i] is the same floats as slice j + i of
+    lift_data(data, *directions) marches once, so the base is lifted and
+    stenciled once per step and nothing is stored.  fibers holds the t_k
+    parts of slices j, j+1, ... on a leading axis, a view of the march's
+    block that is valid until the next yield, so a consumer copies what it
+    keeps (zuckerman.conservation copies each block into its fold buffer):
+    fibers[k, i] is the same floats as slice j + i of
     fiber_history(tangent_lift(data, directions[k], inter, lat)).  On the
     line the support check sees the union of the directions' cones, so it
     refuses exactly when one of the separate lifts would.
     """
-    if any(d.algebra != data.algebra for d in directions):
-        raise SolverError("data and direction must share an algebra")
-    lifted = CauchyData(lift_tangents(data.phi, [d.phi for d in directions]),
-                        lift_tangents(data.pi, [d.pi for d in directions]))
-    for j, block in leapfrog_blocks(lifted, inter, lat):
+    for j, block in leapfrog_blocks(lift_data(data, *directions), inter, lat):
         yield j, tangent_parts(block, data.algebra)
 
 

@@ -10,7 +10,8 @@ experiment kind; shared descriptors:
                   random_fourier|array, ...parameters}
 
 Spacetime smearings are separable:  {space: <profile>, time: <profile>}.
-The top level, the lattice, the interaction (INTERACTION_KEYS per name),
+The top level (COMMON_KEYS and CONFIG_KEYS per experiment: the keys its
+driver reads), the lattice, the interaction (INTERACTION_KEYS per name),
 the algebra, and the tolerances and options blocks take known keys only
 (DEFAULT_TOLERANCES, OPTIONS per experiment), and so do observables
 (OBSERVABLE_KEYS per kind), profiles (PROFILE_KEYS per kind), Cauchy data
@@ -35,9 +36,18 @@ from .. import dynamics as dyn
 from .. import lattice as lt
 from ..weil import WeilAlgebra
 
-EXPERIMENTS = (
-    "solve", "conserve", "bracket", "jacobi", "convergence", "roundtrip", "oracle_pj",
-)
+# the top-level keys every config takes, and those each experiment's driver reads besides
+COMMON_KEYS = ("experiment", "lattice", "interaction", "tolerances", "seed")
+CONFIG_KEYS = {
+    "solve": ("initial_data", "algebra"),
+    "conserve": ("initial_data", "tangents", "algebra"),
+    "bracket": ("observables", "initial_data", "algebra", "options"),
+    "jacobi": ("observables", "options"),
+    "convergence": ("study", "ladder", "initial_data", "tangents", "algebra"),
+    "roundtrip": ("ladder", "algebra"),
+    "oracle_pj": (),
+}
+EXPERIMENTS = tuple(CONFIG_KEYS)
 
 DEFAULT_TOLERANCES = {
     "solve_residual": None,      # None: scaled from the grid at run time
@@ -387,14 +397,12 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        _known_keys(doc, ("experiment", "lattice", "interaction", "algebra", "initial_data",
-                          "tangents", "observables", "tolerances", "seed", "ladder", "study",
-                          "options"), "config key")
         experiment = doc.get("experiment")
         if experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"experiment must be one of {EXPERIMENTS}, got {experiment!r}"
             )
+        _known_keys(doc, COMMON_KEYS + CONFIG_KEYS[experiment], f"{experiment} config key")
         if "lattice" not in doc:
             raise ConfigError("config needs a lattice descriptor")
         lattice = _parsed("lattice", _lattice_from, doc["lattice"])

@@ -251,10 +251,11 @@ def _run_bracket(config: ExperimentConfig, outdir: str | None) -> Report:
 def _run_jacobi(config: ExperimentConfig, outdir: str | None) -> Report:
     rng = config.rng()
     lat = config.lattice
-    if len(config.observables) < 3:
-        raise ConfigError("jacobi experiment needs three observables")
+    if len(config.observables) != 3:
+        raise ConfigError("observables: the axioms take exactly three, "
+                          f"not {len(config.observables)}")
     built = [_build_observable(d, config, rng, f"observables[{k}]")[0]
-             for k, d in enumerate(config.observables[:3])]
+             for k, d in enumerate(config.observables)]
     n_samples = count(config.options, "n_samples", 5, 1)
     amp = number(config.options, "sample_amplitude", 0.5)
     samples = []

@@ -22,9 +22,10 @@ Sign conventions, pinned once and used consistently:
 which reproduce {integral f*phi, integral g*pi} = + integral f*g.  Pairs
 (F, v) are algebra: bracket and product check nothing, and pair_defect alone
 compares dF with iota_v omega, per batch row of a base point.  The closed
-slice form of omega is used everywhere; the operator assembled from basis
-insertions into the current integral is retained as an oracle, and synthetic
-degenerate operators exercise the admissibility classification.
+slice form of omega is used everywhere: hamiltonian_field, the one Hamiltonian
+vector field, inverts it on dF.  The operator assembled from basis insertions
+into the current integral is retained as an oracle, and synthetic degenerate
+operators exercise the admissibility classification (OmegaOperator.solve).
 """
 
 from __future__ import annotations
@@ -432,51 +433,6 @@ class OmegaOperator:
         scale = max(float(np.linalg.norm(c)), 1e-300)
         residual = float(np.linalg.norm(self.matrix @ v - c)) / scale
         return v, residual
-
-
-def stack_covector(c: Covector) -> np.ndarray:
-    """Flatten a real covector into the stacked (phi-block, pi-block) vector."""
-    return np.concatenate([c.phi.scalar_part, c.pi.scalar_part], axis=-1)
-
-
-def unstack_tangent(vec: np.ndarray, algebra: WeilAlgebra) -> CauchyData:
-    n = vec.shape[-1] // 2
-    return CauchyData(
-        WeilValue.from_scalar(algebra, vec[..., :n]),
-        WeilValue.from_scalar(algebra, vec[..., n:]),
-    )
-
-
-def hamiltonian_vf(F: Observable, at: CauchyData, lat: lt.LatticeSpacetime, *,
-                   omega_op: OmegaOperator | None = None,
-                   sc_required: bool = False) -> tuple[CauchyData, float]:
-    """Solve the Hamiltonian equation for F at a base point.
-
-    With the closed-form omega the inversion is exact; with an explicit
-    (possibly degenerate) operator the minimal-norm least-squares solution
-    is returned together with its relative defect.  A defect above the
-    admissibility tolerance classifies F as not admissible at this base
-    point; that is a classification, not an error.
-    """
-    c = differential(F, at)
-    if omega_op is None:
-        v = hamiltonian_inversion(c, lat.dx)
-        residual = _equation_defect(c, v, lat.dx)
-    else:
-        if at.algebra.dim != 1:
-            raise ValueError("operator-based solve expects a real base point")
-        vec, residual = omega_op.solve(stack_covector(c))
-        v = unstack_tangent(vec, at.algebra)
-    if sc_required:
-        if lat.topology != lt.LINE:
-            raise ValueError("sc_required only applies to line topology")
-        leak = max_or_nan(
-            float(np.max(np.abs(v.phi.coeffs[..., lat.guard_band, :]), initial=0.0)),
-            float(np.max(np.abs(v.pi.coeffs[..., lat.guard_band, :]), initial=0.0)),
-        )
-        scale = max(v.max_abs(), 1e-300)
-        residual = max_or_nan(residual, leak / scale)
-    return v, residual
 
 
 # -- Lie bracket of vector fields ----------------------------------------------

@@ -57,8 +57,8 @@ class WeilAlgebra:
     monomials end in n tangent exponents, at most one of them 1, and its
     coefficients are stored as (W.dim, n + 1) row-major: slot 0 holds the
     base W-value, slot i its t_i part.  D(1) is one dual generator, so
-    tangents=1 is stored as orders + (2,), the same algebra append_dual makes.
-    Nothing tensors after a tangent block.
+    tangents=1 is stored as orders + (2,), the same algebra as
+    tensor(WeilAlgebra.dual()).  Nothing tensors after a tangent block.
     """
 
     orders: tuple[int, ...]
@@ -190,9 +190,9 @@ def _basis(algebra: WeilAlgebra) -> tuple[Monomial, ...]:
 def _products_by_target(algebra: WeilAlgebra):
     """The nonzero products basis_i * basis_j = basis_k as (k, ((i, j), ...)), k ascending.
 
-    Built once per algebra, as every append_dual makes a new instance.  The
-    pairs of each target come in (i, j) order, so a tangent block sums each
-    t_i slot in the order a dual generator sums its eps slot.
+    Built once per algebra, as every tensor and extract_top makes a new
+    instance.  The pairs of each target come in (i, j) order, so a tangent
+    block sums each t_i slot in the order a dual generator sums its eps slot.
     """
     index = {m: k for k, m in enumerate(algebra.basis)}
     grouped: dict[int, list[tuple[int, int]]] = {}
@@ -403,16 +403,6 @@ def extract_top(w: WeilValue, power: int) -> WeilValue:
     return WeilValue(parent, view[..., power].copy())
 
 
-def append_dual(algebra: WeilAlgebra) -> WeilAlgebra:
-    """Adjoin one fresh square-zero generator (the tangent direction)."""
-    return algebra.tensor(WeilAlgebra.dual())
-
-
-def dual_parts(w: WeilValue) -> tuple[WeilValue, WeilValue]:
-    """Split a value over W (x) R[eps] into (eps^0 part, eps^1 part) over W."""
-    return extract_top(w, 0), extract_top(w, 1)
-
-
 @cache
 def _with_tangents(base: WeilAlgebra, n: int) -> WeilAlgebra:
     """base (x) D(n), built once: a march reads its tangent parts every slice."""
@@ -420,18 +410,21 @@ def _with_tangents(base: WeilAlgebra, n: int) -> WeilAlgebra:
 
 
 def lift_tangents(base: WeilValue, directions: Sequence[WeilValue]) -> WeilValue:
-    """base + sum_i t_i * directions[i] over W (x) D(n), n = len(directions)."""
+    """base + sum_i t_i * directions[i] over W (x) D(n), n = len(directions).
+
+    The shapes broadcast, so one base carries a batch of directions.  Each
+    coefficient is added to a zero, as Weil arithmetic sums it (-0.0 lands as +0.0).
+    """
     if not directions:
         raise ValueError("a tangent block needs at least one direction")
     for d in directions:
         base._require_same_algebra(d)
-        if d.shape != base.shape:
-            raise ValueError(f"direction shape {d.shape} is not the base's {base.shape}")
+    shape = np.broadcast_shapes(base.shape, *(d.shape for d in directions))
     big = _with_tangents(base.algebra, len(directions))
-    coeffs = np.zeros(base.shape + (base.algebra.dim, len(directions) + 1))
+    coeffs = np.zeros(shape + (base.algebra.dim, len(directions) + 1))
     for slot, part in enumerate([base, *directions]):
         coeffs[..., slot] += part.coeffs
-    return WeilValue(big, coeffs.reshape(base.shape + (big.dim,)))
+    return WeilValue(big, coeffs.reshape(shape + (big.dim,)))
 
 
 def tangent_parts(w: WeilValue, base: WeilAlgebra) -> WeilValue:

@@ -3,7 +3,7 @@ import pytest
 
 from weilfield import dynamics as dyn
 from weilfield import lattice as lt
-from weilfield.weil import SmoothMap, WeilAlgebra, WeilValue, extract_top
+from weilfield.weil import SmoothMap, WeilAlgebra, WeilValue, embed, extract_top
 
 
 def circle_lattice(n, steps, dt_factor=0.5, extent=2 * np.pi):
@@ -233,6 +233,38 @@ def test_tangent_lift_matches_finite_difference():
     minus = dyn.solve_cauchy(data + (-delta) * v, phi4, lat).values.scalar_part
     fd = (plus - minus) / (2 * delta)
     assert np.max(np.abs(fiber - fd)) <= 1e-6 * np.max(np.abs(fiber))
+
+
+def _embedded_lift(data, direction):
+    """data + eps * direction: both embedded over W (x) R[eps], the direction times eps."""
+    big = data.algebra.tensor(WeilAlgebra.dual())
+    eps = WeilValue.generator(big, big.num_generators - 1)
+    return [embed(d, big) + eps * embed(v, big)
+            for d, v in ((data.phi, direction.phi), (data.pi, direction.pi))]
+
+
+@pytest.mark.parametrize("orders", [(), (2,), (2, 2)], ids=["real", "dual", "double_dual"])
+def test_lift_data_bit_matches_embed_times_generator(orders, rng):
+    # the placed coefficients are the floats of the Weil sum, a -0.0 included
+    W, n = WeilAlgebra(orders), 8
+
+    def data(shape):
+        phi, pi = (rng.standard_normal(shape + (n, W.dim)) for _ in range(2))
+        phi[..., 2, 0] = pi[..., 4, -1] = -0.0
+        return dyn.CauchyData(WeilValue(W, phi), WeilValue(W, pi))
+
+    # unit tangents as poisson._unit_lift batches them: (2n, 1, n) against a (3, n) base
+    units = np.eye(2 * n).reshape(2 * n, 1, 2, n)
+    unit_batch = dyn.CauchyData(*(WeilValue.from_scalar(W, units[..., b, :]) for b in (0, 1)))
+    cases = [(data(()), data(())), (data((3,)), data((3,))), (data((3,)), unit_batch)]
+    for base, direction in cases:
+        lifted = dyn.lift_data(base, direction)
+        for got, want in zip((lifted.phi, lifted.pi), _embedded_lift(base, direction)):
+            assert got.algebra == want.algebra == W.tensor(WeilAlgebra.dual())
+            assert got.shape == want.shape
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    with pytest.raises(dyn.SolverError, match="share an algebra"):
+        dyn.lift_data(data(()), dyn.zero_data(WeilAlgebra((3,)), circle_lattice(n, 2)))
 
 
 def _assert_blocks_bit_match(block_lengths, lat, base, directions):

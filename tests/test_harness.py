@@ -620,6 +620,19 @@ MALFORMED = {
     # the top level and the lattice name only their own keys
     "config_key_misspelled": ("jacobi", lambda d: d.update(optoins=d.pop("options"))),
     "config_key_unknown": ("conserve", lambda d: d.update(comment="a note")),
+    # and only the keys their experiment's driver reads
+    "jacobi_initial_data": ("jacobi", lambda d: d.update(
+        initial_data={"phi": {"profile": "gaussian", "widht": 0.3}})),
+    "jacobi_tangents": ("jacobi", lambda d: d.update(tangents=[{"phi": {"profile": "nonsense"}}])),
+    "jacobi_ladder": ("jacobi", lambda d: d.update(ladder=[16, 32])),
+    "jacobi_study": ("jacobi", lambda d: d.update(study="closedness")),
+    "jacobi_algebra": ("jacobi", lambda d: d.update(algebra={"orders": [2]})),
+    "conserve_observables": ("conserve", lambda d: d.update(observables=[])),
+    "conserve_ladder": ("conserve", lambda d: d.update(ladder=[16, 32])),
+    "bracket_tangents": ("bracket", lambda d: d.update(tangents=[{}, {}])),
+    "bracket_study": ("bracket", lambda d: d.update(study="omega_drift")),
+    "convergence_observables": ("convergence", lambda d: d.update(observables=[])),
+    "convergence_options": ("convergence", lambda d: d.update(options={})),
     "lattice_key_misspelled": ("conserve", lambda d: d["lattice"].update(n_tme=8)),
     "lattice_key_of_another_block":
         ("conserve", lambda d: d["lattice"].update(mass=1.0)),
@@ -715,6 +728,10 @@ MALFORMED = {
     "kmax_fraction": ("jacobi", lambda d: d["observables"][1].update(
         smearing={"profile": "random_fourier", "kmax": 2.5})),
     "ladder_rung_fraction": ("convergence", lambda d: d.update(ladder=[16.5, 32])),
+    # the axioms take exactly three observables
+    "observables_four": ("jacobi", lambda d: d["observables"].append(
+        {"kind": "slice_phi", "smearing": {"profile": "gaussian", "widht": 0.3}})),
+    "observables_two": ("jacobi", lambda d: d["observables"].pop()),
     # the current pairs exactly two tangents
     "tangents_one": ("conserve", lambda d: d["tangents"].pop()),
     "tangents_three": ("conserve", lambda d: d["tangents"].append(d["tangents"][0])),
@@ -859,11 +876,20 @@ def test_cli_misspelled_option_names_the_key(tmp_path, capsys):
 
 
 def test_cli_misspelled_config_and_lattice_keys_name_the_key(tmp_path, capsys):
-    # a top-level typo would otherwise drop the whole block, and a lattice
-    # typo run the lattice's own n_time
+    # a top-level typo would otherwise drop the whole block, a key of another
+    # experiment go unread and unchecked, and a lattice typo run the lattice's
+    # own n_time
     cases = [
         ("jacobi", lambda d: d.update(optoins=d.pop("options")),
-         "unknown config key 'optoins'; did you mean 'options'?"),
+         "unknown jacobi config key 'optoins'; did you mean 'options'?"),
+        ("jacobi", lambda d: d.update(initial_data={"phi": {"profile": "gaussian"}}),
+         "unknown jacobi config key 'initial_data'"),
+        ("conserve", lambda d: d.update(ladder=[16, 32]),
+         "unknown conserve config key 'ladder'"),
+        ("convergence", lambda d: d.update(tangent=d.pop("tangents")),
+         "unknown convergence config key 'tangent'; did you mean 'tangents'?"),
+        ("jacobi", lambda d: d["observables"].append({"kind": "slice_pi"}),
+         "observables: the axioms take exactly three, not 4"),
         ("conserve", lambda d: d["lattice"].update(n_tme=8),
          "lattice: unknown lattice key 'n_tme'; did you mean 'n_time'?"),
     ]
@@ -1031,6 +1057,8 @@ BLOW_UP = {
 @pytest.mark.parametrize("command", ["solve", "conserve"])
 def test_cli_non_finite_field_names_the_slice(command, tmp_path, capsys):
     doc = dict(BLOW_UP, experiment=command)
+    if command == "solve":
+        del doc["tangents"]  # a solve config takes no tangents
     assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()

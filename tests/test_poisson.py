@@ -7,7 +7,7 @@ import pytest
 from weilfield import dynamics as dyn
 from weilfield import lattice as lt
 from weilfield import poisson as ps
-from weilfield.weil import WeilAlgebra, WeilValue, max_or_nan
+from weilfield.weil import WeilAlgebra, WeilValue, extract_top, max_or_nan
 
 
 def circle_lattice(n, steps, extent=2 * np.pi):
@@ -268,9 +268,8 @@ def test_observable_affine_in_eps(small, rng):
     v = random_data(lat, rng)
     one = F.evaluate(dyn.lift_data(at, v))
     two = F.evaluate(dyn.lift_data(at, 2.0 * v))
-    from weilfield.weil import dual_parts
-    base1, eps1 = dual_parts(one)
-    base2, eps2 = dual_parts(two)
+    base1, eps1 = extract_top(one, 0), extract_top(one, 1)
+    base2, eps2 = extract_top(two, 0), extract_top(two, 1)
     assert (base1 - base2).max_abs() < 1e-14
     assert (eps2 - 2.0 * eps1).max_abs() < 1e-12
 
@@ -333,43 +332,33 @@ def test_assembled_operator_bit_matches_explicit_unit_tangents(name, monkeypatch
 
 
 def test_hamiltonian_vf_closed_form(small, rng):
+    # the field make_pair builds inverts dF in closed form; pair_defect checks it
     lat, f, g, h = small
     at = random_data(lat, rng)
-    v, res = ps.hamiltonian_vf(ps.slice_phi_observable(f, lat), at, lat)
-    assert res < 1e-14
+    p = ps.make_pair(ps.slice_phi_observable(f, lat), lat)
+    v = p.v.evaluate(at)
+    assert ps.pair_defect(p, at, lat) < 1e-14
     assert v.phi.max_abs() == 0.0
     assert np.max(np.abs(v.pi.scalar_part - f)) < 1e-14
-    w, res2 = ps.hamiltonian_vf(ps.slice_pi_observable(g, lat), at, lat)
-    assert res2 < 1e-14
+    q = ps.make_pair(ps.slice_pi_observable(g, lat), lat)
+    w = q.v.evaluate(at)
+    assert ps.pair_defect(q, at, lat) < 1e-14
     assert np.max(np.abs(w.phi.scalar_part + g)) < 1e-14
     assert w.pi.max_abs() == 0.0
 
 
 def test_hamiltonian_vf_with_operator(small, rng):
+    # the closed-form operator's least-squares solve of the stacked dF is that field
     lat, f, g, h = small
     at = random_data(lat, rng)
+    F = ps.slice_phi_observable(f, lat)
+    c = ps.differential(F, at)
     op = ps.OmegaOperator.closed_form(lat.n_space, lat.dx)
-    v, res = ps.hamiltonian_vf(ps.slice_phi_observable(f, lat), at, lat, omega_op=op)
+    vec, res = op.solve(np.concatenate([c.phi.scalar_part, c.pi.scalar_part]))
     assert res < 1e-12
-    assert np.max(np.abs(v.pi.scalar_part - f)) < 1e-10
-
-
-def test_degenerate_classification(small, rng):
-    lat, f, g, h = small
-    n = lat.n_space
-    op = ps.OmegaOperator.closed_form(n, lat.dx)
-    q = rng.standard_normal(2 * n)
-    degenerate = op.inject_null(q)
-    null = degenerate.null_space()
-    assert null.shape[1] == 2  # antisymmetric rank drops in pairs
-    for _ in range(50):
-        c0 = rng.standard_normal(2 * n)
-        c_ok = c0 - null @ (null.T @ c0)
-        _, res_ok = degenerate.solve(c_ok)
-        c_bad = c_ok + null @ (0.1 + np.abs(rng.standard_normal(null.shape[1])))
-        _, res_bad = degenerate.solve(c_bad)
-        assert res_ok < 1e-10
-        assert res_bad > 1e-6
+    v = ps.make_pair(F, lat).v.evaluate(at)
+    assert np.max(np.abs(vec - np.concatenate([v.phi.scalar_part, v.pi.scalar_part]))) < 1e-10
+    assert np.max(np.abs(vec[lat.n_space:] - f)) < 1e-10
 
 
 def test_minimal_norm_representative(small, rng):
@@ -387,17 +376,21 @@ def test_minimal_norm_representative(small, rng):
 
 
 def test_sc_required_reports_leak():
+    # on the line a field is spacelike compact only when it stays off the guard band
     lat = lt.LatticeSpacetime("line", 64, 0.1, 0.05, 8, guard=2)
-    f_wide = np.ones(64)
-    F = ps.slice_phi_observable(f_wide, lat)
     at = dyn.data_from_arrays(np.zeros(64), np.zeros(64))
-    _, res = ps.hamiltonian_vf(F, at, lat, sc_required=True)
-    assert res > 0.1  # the field leaks onto the guard band
+
+    def guard_band_max(v):
+        return max(np.max(np.abs(w.coeffs[..., lat.guard_band, :])) for w in (v.phi, v.pi))
+
+    wide = ps.make_pair(ps.slice_phi_observable(np.ones(64), lat), lat).v
+    assert not wide.sc
+    assert guard_band_max(wide.evaluate(at)) > 0.1  # the field leaks onto the guard band
     f_inner = np.zeros(64)
     f_inner[20:40] = 1.0
-    _, res2 = ps.hamiltonian_vf(ps.slice_phi_observable(f_inner, lat), at, lat,
-                                sc_required=True)
-    assert res2 < 1e-12
+    inner = ps.make_pair(ps.slice_phi_observable(f_inner, lat), lat).v
+    assert inner.sc
+    assert guard_band_max(inner.evaluate(at)) == 0.0
 
 
 # -- Lie bracket -----------------------------------------------------------------------------

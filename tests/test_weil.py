@@ -10,10 +10,8 @@ from weilfield.weil import (
     SmoothMap,
     WeilAlgebra,
     WeilValue,
-    append_dual,
     apply_smooth,
     cos_map,
-    dual_parts,
     embed,
     exp_map,
     extract_top,
@@ -100,12 +98,12 @@ def test_mult_table_commutative_associative(orders):
 
 
 def test_equal_algebras_share_one_multiplication_table():
-    # every append_dual and extract_top makes a new instance; the table is
+    # every tensor and extract_top makes a new instance; the table is
     # built once per orders tuple
     a, b = WeilAlgebra((2, 2)), WeilAlgebra((2, 2))
     assert a is not b
     assert a._mult_by_target is b._mult_by_target
-    assert append_dual(WeilAlgebra.dual())._mult_by_target is a._mult_by_target
+    assert WeilAlgebra.dual().tensor(WeilAlgebra.dual())._mult_by_target is a._mult_by_target
 
 
 @pytest.mark.parametrize("orders", [(2,), (3,), (2, 2), (2, 3, 2)])
@@ -207,10 +205,10 @@ def test_batched_shapes_and_sum():
 
 def test_embed_extract_roundtrip(rng):
     W = WeilAlgebra((2, 3))
-    big = append_dual(W)
+    big = W.tensor(WeilAlgebra.dual())
     w = WeilValue(W, rng.standard_normal((5, W.dim)))
     up = embed(w, big)
-    base, eps = dual_parts(up)
+    base, eps = extract_top(up, 0), extract_top(up, 1)
     assert weil_close(base, w, 0.0)
     assert eps.max_abs() == 0.0
     # multiplying by the new generator moves the value into the eps slot
@@ -265,9 +263,9 @@ def test_tangent_block_locality(orders, n):
 
 def test_first_order_one_is_the_dual_generator():
     for W in (WeilAlgebra.real(), WeilAlgebra.dual(), WeilAlgebra((2, 3))):
-        one = W.tensor(WeilAlgebra.first_order(1))
-        assert one == append_dual(W) and hash(one) == hash(append_dual(W))
-        assert one._mult_by_target is append_dual(W)._mult_by_target
+        one, dual = W.tensor(WeilAlgebra.first_order(1)), W.tensor(WeilAlgebra.dual())
+        assert one == dual and hash(one) == hash(dual)
+        assert one._mult_by_target is dual._mult_by_target
 
 
 def test_nothing_tensors_after_a_tangent_block():
@@ -277,7 +275,7 @@ def test_nothing_tensors_after_a_tangent_block():
         with pytest.raises(ValueError):
             big.tensor(other)
     with pytest.raises(ValueError):
-        append_dual(big)
+        lift_tangents(WeilValue.unit(big), [WeilValue.unit(big)])
     w = WeilValue.unit(big)
     with pytest.raises(ValueError):
         extract_top(w, 1)
@@ -301,11 +299,11 @@ def test_apply_smooth_on_tangent_block(orders, factory, rng):
     parts = tangent_parts(out, W)
     assert parts.algebra == W and parts.shape == (3, 5)
     assert np.array_equal(out.coeffs[..., ::4], apply_smooth(f, a).coeffs)
-    D = append_dual(W)
+    D = W.tensor(WeilAlgebra.dual())
     eps = WeilValue.generator(D, W.num_generators)
     h = 1e-5
     for v, part in zip(vs, parts.coeffs):
-        _, dual = dual_parts(apply_smooth(f, embed(a, D) + eps * embed(v, D)))
+        dual = extract_top(apply_smooth(f, embed(a, D) + eps * embed(v, D)), 1)
         assert np.array_equal(part, dual.coeffs)
         fd = (apply_smooth(f, a + h * v) - apply_smooth(f, a - h * v)) / (2 * h)
         assert (fd - WeilValue(W, part)).max_abs() < 1e-7 * max(1.0, fd.max_abs())
