@@ -2,9 +2,10 @@
 
     weilfield <command> --config cfg.json [--out DIR] [--seed N] [--tol X]
 
-Commands map one-to-one onto experiment kinds; --seed and --tol override
-the config.  Exit codes: 0 all verdicts pass, 1 any verdict fails,
-2 usage or validation error.
+There is one command per entry of config.EXPERIMENTS, its name with "-"
+for "_" (oracle-pj).  --seed overrides the config's seed and --tol its
+experiment's first tolerance.  Exit codes: 0 all verdicts pass, 1 any
+verdict fails, 2 usage or validation error.
 """
 
 from __future__ import annotations
@@ -14,19 +15,9 @@ import sys
 
 from .. import dynamics as dyn
 from .. import lattice as lt
-from .config import ConfigError, ExperimentConfig
+from .config import EXPERIMENTS, ConfigError, ExperimentConfig
 from .experiments import run
 from .oracle import OracleError
-
-_COMMANDS = {
-    "solve": "run the Cauchy solver and report residuals",
-    "conserve": "slice-by-slice conservation of the presymplectic form",
-    "bracket": "brackets of configured observables (optionally vs the mode-sum oracle)",
-    "jacobi": "Poisson axiom defects for an observable triple",
-    "convergence": "error vs resolution ladder with a fitted order",
-    "roundtrip": "Cauchy data round trip through solve and restrict",
-    "oracle-pj": "tabulate the free-field mode-sum commutator function",
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,13 +26,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="numerical experiments for nilpotent-valued lattice field theory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, spec in EXPERIMENTS.items():
+        p = sub.add_parser(name.replace("_", "-"), help=spec.help)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output directory for CSV/report")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--tol", type=float, default=None,
-                       help="override the experiment's primary tolerance")
+                       help="override the experiment's first tolerance")
     return parser
 
 

@@ -10,16 +10,17 @@ experiment kind; shared descriptors:
                   random_fourier|array, ...parameters}
 
 Spacetime smearings are separable:  {space: <profile>, time: <profile>}.
-The top level (COMMON_KEYS and CONFIG_KEYS per experiment: the keys its
-driver reads), the lattice, the interaction (INTERACTION_KEYS per name),
-the algebra, and the tolerances and options blocks take known keys only
-(DEFAULT_TOLERANCES, OPTIONS per experiment), and so do observables
+EXPERIMENTS declares each experiment once: its CLI help, the top-level
+keys its driver reads besides COMMON_KEYS, its options and its tolerances
+with their defaults.  Every block takes known keys only: the top level, the
+options and the tolerances those of its experiment, the lattice, the
+interaction (INTERACTION_KEYS per name), the algebra, observables
 (OBSERVABLE_KEYS per kind), profiles (PROFILE_KEYS per kind), Cauchy data
 (initial_data and each tangent: phi, pi) and spacetime smearings.
 
-Every error in a descriptor is a ConfigError; from_dict names the key.
-Profiles and the descriptors that hold them are checked when a run
-builds them, and their errors name the descriptor's path (located).
+Every error in a descriptor is a ConfigError that names the descriptor's
+path (located): from_dict checks the blocks it parses, and a run the
+profiles and the descriptors that hold them when it builds them.
 """
 
 from __future__ import annotations
@@ -36,34 +37,47 @@ from .. import dynamics as dyn
 from .. import lattice as lt
 from ..weil import WeilAlgebra
 
-# the top-level keys every config takes, and those each experiment's driver reads besides
+# the top-level keys every config takes; each experiment's driver reads others besides
 COMMON_KEYS = ("experiment", "lattice", "interaction", "tolerances", "seed")
-CONFIG_KEYS = {
-    "solve": ("initial_data", "algebra"),
-    "conserve": ("initial_data", "tangents", "algebra"),
-    "bracket": ("observables", "initial_data", "algebra", "options"),
-    "jacobi": ("observables", "options"),
-    "convergence": ("study", "ladder", "initial_data", "tangents", "algebra"),
-    "roundtrip": ("ladder", "algebra"),
-    "oracle_pj": (),
-}
-EXPERIMENTS = tuple(CONFIG_KEYS)
-
-DEFAULT_TOLERANCES = {
-    "solve_residual": None,      # None: scaled from the grid at run time
-    "omega_drift": 1e-3,
-    "order_band": 0.3,
-    "bracket_oracle": 1e-3,
-    "axiom_defect": 1e-9,
-    "roundtrip_phi": 1e-12,
-    "comb_defect": 1e-9,
-}
 
 
-# the keys of the options block, per experiment; the others take none
-OPTIONS = {
-    "bracket": ("compare_oracle",),
-    "jacobi": ("n_samples", "sample_amplitude"),
+@dataclass(frozen=True)
+class Experiment:
+    """What one experiment's driver reads, declared once.
+
+    help is its CLI help, config_keys its top-level keys besides COMMON_KEYS,
+    options the keys of its options block, and tolerances its tolerance keys
+    with their defaults; --tol sets the first.  A None default is scaled
+    from the grid at run time.
+    """
+
+    help: str
+    tolerances: dict
+    config_keys: tuple[str, ...] = ()
+    options: tuple[str, ...] = ()
+
+
+# every experiment, each run by experiments._run_<name>, its command <name> with - for _
+EXPERIMENTS = {
+    "solve": Experiment("run the Cauchy solver and report residuals",
+                        {"solve_residual": None}, ("initial_data", "algebra")),
+    "conserve": Experiment("slice-by-slice conservation of the presymplectic form",
+                           {"omega_drift": 1e-3}, ("initial_data", "tangents", "algebra")),
+    "bracket": Experiment(
+        "brackets of configured observables (optionally vs the mode-sum oracle)",
+        {"bracket_oracle": 1e-3}, ("observables", "initial_data", "algebra", "options"),
+        ("compare_oracle",)),
+    "jacobi": Experiment("Poisson axiom defects for an observable triple",
+                         {"axiom_defect": 1e-9}, ("observables", "options"),
+                         ("n_samples", "sample_amplitude")),
+    "convergence": Experiment(
+        "error vs resolution ladder with a fitted order", {"order_band": 0.3},
+        ("study", "ladder", "initial_data", "tangents", "algebra")),
+    "roundtrip": Experiment("Cauchy data round trip through solve and restrict",
+                            {"roundtrip_phi": 1e-12, "order_band": 0.3},
+                            ("ladder", "algebra")),
+    "oracle_pj": Experiment("tabulate the free-field mode-sum commutator function",
+                            {"comb_defect": 1e-9}),
 }
 
 # the keys of each interaction besides "name" itself
@@ -268,16 +282,18 @@ def spacetime_profile(desc: dict, lat: lt.LatticeSpacetime, rng: Draws,
 
 
 def located(path: str, build, *args):
-    """build(*args), a ConfigError it raises prefixed by path, the descriptor's place.
+    """build(*args), any error it raises turned into a ConfigError prefixed by path.
 
-    Profiles and the descriptors that hold them are checked when a run
-    builds them, so their errors say where in the config they sit, such as
-    tangents[0].phi or observables[1].smearing.
+    path is the descriptor's place in the config, such as lattice,
+    tangents[0].phi or observables[1].smearing: from_dict checks the blocks
+    it parses here, and a run the profiles it builds.  A missing key reads
+    "path: missing 'key'".
     """
     try:
         return build(*args)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+        missing = "missing " if isinstance(exc, KeyError) else ""
+        raise ConfigError(f"{path}: {missing}{exc}") from exc
 
 
 def _lattice_from(desc: dict) -> lt.LatticeSpacetime:
@@ -346,10 +362,10 @@ def _known_keys(desc, known, what: str) -> dict:
     return desc
 
 
-def _tolerances_from(desc: dict) -> dict:
-    tolerances = {**DEFAULT_TOLERANCES, **_known_keys(desc, DEFAULT_TOLERANCES, "tolerance")}
+def _tolerances_from(desc: dict, defaults: dict) -> dict:
+    tolerances = {**defaults, **_known_keys(desc, defaults, "tolerance")}
     for key, value in tolerances.items():
-        if value is None and key == "solve_residual":
+        if value is None and defaults[key] is None:
             continue  # scaled from the grid at run time
         # an infinite bound passes every value and a negative one none
         if _finite(value, key) < 0:
@@ -364,15 +380,6 @@ def _objects(what: str):
             raise ConfigError(f"must be a list, got {items!r}")
         return tuple(json_object(item, what) for item in items)
     return parse
-
-
-def _parsed(key: str, parse, desc):
-    """parse(desc), with any error it raises turned into a ConfigError naming key."""
-    try:
-        return parse(desc)
-    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
-        missing = "missing " if isinstance(exc, KeyError) else ""
-        raise ConfigError(f"{key}: {missing}{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -398,20 +405,23 @@ class ExperimentConfig:
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
         experiment = doc.get("experiment")
-        if experiment not in EXPERIMENTS:
+        # a list or an object is unhashable, so it must not reach the lookup
+        if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
             raise ConfigError(
-                f"experiment must be one of {EXPERIMENTS}, got {experiment!r}"
+                f"experiment must be one of {tuple(EXPERIMENTS)}, got {experiment!r}"
             )
-        _known_keys(doc, COMMON_KEYS + CONFIG_KEYS[experiment], f"{experiment} config key")
+        spec = EXPERIMENTS[experiment]
+        _known_keys(doc, COMMON_KEYS + spec.config_keys, f"{experiment} config key")
         if "lattice" not in doc:
             raise ConfigError("config needs a lattice descriptor")
-        lattice = _parsed("lattice", _lattice_from, doc["lattice"])
-        inter = _parsed("interaction", _interaction_from,
+        lattice = located("lattice", _lattice_from, doc["lattice"])
+        inter = located("interaction", _interaction_from,
                         doc.get("interaction", {"name": "free"}))
-        algebra = _parsed("algebra", _algebra_from,
+        algebra = located("algebra", _algebra_from,
                           doc.get("algebra", {"generators": 0, "orders": []}))
-        tolerances = _parsed("tolerances", _tolerances_from, doc.get("tolerances", {}))
-        ladder = _parsed("ladder", lambda rungs: tuple(count({"rung": n}, "rung", None, 1)
+        tolerances = located("tolerances", _tolerances_from, doc.get("tolerances", {}),
+                             spec.tolerances)
+        ladder = located("ladder", lambda rungs: tuple(count({"rung": n}, "rung", None, 1)
                                                        for n in rungs),
                          doc.get("ladder", ()))
         if len(set(ladder)) != len(ladder):
@@ -425,16 +435,15 @@ class ExperimentConfig:
                 doc.get("initial_data",
                         {"phi": {"profile": "zero"}, "pi": {"profile": "zero"}}),
                 "initial_data"),
-            tangents=_parsed("tangents", _objects("a tangent"), doc.get("tangents", ())),
-            observables=_parsed("observables", _objects("an observable"),
+            tangents=located("tangents", _objects("a tangent"), doc.get("tangents", ())),
+            observables=located("observables", _objects("an observable"),
                                 doc.get("observables", ())),
             tolerances=tolerances,
             seed=count(doc, "seed", 0, 0),
             ladder=ladder,
             study=doc.get("study", "solution_error"),
-            options=_parsed("options", lambda d: _known_keys(
-                d, OPTIONS.get(experiment, ()), f"{experiment} option"),
-                doc.get("options", {})),
+            options=located("options", _known_keys, doc.get("options", {}), spec.options,
+                            f"{experiment} option"),
             raw=doc,
         )
 
@@ -466,18 +475,7 @@ class ExperimentConfig:
             doc["seed"] = int(seed)
         if tol is not None:
             tols = dict(doc.get("tolerances", {}))
-            tols[_primary_tolerance_key(self.experiment)] = tol
+            tols[next(iter(EXPERIMENTS[self.experiment].tolerances))] = tol
             doc["tolerances"] = tols
         return ExperimentConfig.from_dict(doc)
 
-
-def _primary_tolerance_key(experiment: str) -> str:
-    return {
-        "solve": "solve_residual",
-        "conserve": "omega_drift",
-        "bracket": "bracket_oracle",
-        "jacobi": "axiom_defect",
-        "convergence": "order_band",
-        "roundtrip": "roundtrip_phi",
-        "oracle_pj": "comb_defect",
-    }[experiment]

@@ -1,14 +1,15 @@
 """Experiment drivers: build the objects a config describes, measure, report.
 
-Each driver returns a Report whose verdicts cite the tolerance they used;
-``run`` optionally persists it.  Runs are deterministic for a fixed config
-and seed (the only randomness is the config's seeded generator).
+Each experiment <name> of config.EXPERIMENTS is run by _run_<name>, which
+takes the config and returns a Report whose verdicts cite the tolerance
+they used; ``run`` dispatches to it and is the one writer of the outdir.
+Runs are deterministic for a fixed config and seed (the only randomness is
+the config's seeded generator).
 """
 
 from __future__ import annotations
 
 import io
-import os
 
 import numpy as np
 
@@ -21,21 +22,12 @@ from ..weil import max_or_nan
 from .config import (ConfigError, Draws, ExperimentConfig, boolean, cauchy_profiles, count,
                      located, number, observable_kind, spacetime_profile, spatial_profile)
 from .oracle import PauliJordanOracle
-from .report import Report, atomic_write_bytes, check, check_window, write_report
+from .report import Report, check, check_window, write_report
 
 
 def run(config: ExperimentConfig, outdir: str | None = None) -> Report:
-    """Dispatch a validated config to its driver and optionally persist."""
-    driver = {
-        "solve": _run_solve,
-        "conserve": _run_conserve,
-        "bracket": _run_bracket,
-        "jacobi": _run_jacobi,
-        "convergence": _run_convergence,
-        "roundtrip": _run_roundtrip,
-        "oracle_pj": _run_oracle_pj,
-    }[config.experiment]
-    report = driver(config, outdir)
+    """Run a validated config's experiment and, given an outdir, write its report there."""
+    report = globals()[f"_run_{config.experiment}"](config)
     report.provenance = {
         "config_sha256": config.config_hash(),
         "version": __version__,
@@ -155,7 +147,7 @@ def _omega_series(series: np.ndarray) -> np.ndarray:
 # -- drivers --------------------------------------------------------------------
 
 
-def _run_solve(config: ExperimentConfig, outdir: str | None) -> Report:
+def _run_solve(config: ExperimentConfig) -> Report:
     rng = config.rng()
     lat = config.lattice
     data = _build_data(config, rng)
@@ -163,27 +155,26 @@ def _run_solve(config: ExperimentConfig, outdir: str | None) -> Report:
     res = dyn.eom_residual(hist, config.interaction)
     per_slice = np.max(np.abs(res.coeffs), axis=tuple(range(1, res.coeffs.ndim)))
     rows = [[j + 1, lat.t[j + 1], float(per_slice[j])] for j in range(len(per_slice))]
-    report = Report("solve")
+    report = Report(config.experiment)
     report.add_table("residuals", ["slice", "t", "max_residual"], rows)
-    tol = config.tolerances.get("solve_residual")
+    tol = config.tolerances["solve_residual"]
     if tol is None:
         tol = 100.0 * (lat.dx**2 + lat.dt**2)
     report.add_verdict(check("eom_residual_max", float(per_slice.max()), tol,
                              note="scheme-order consistency"))
-    if outdir is not None:
-        buf = io.BytesIO()
-        lt.save_grid(buf, hist.values, lat)
-        atomic_write_bytes(os.path.join(outdir, "history.bin"), buf.getvalue())
+    buf = io.BytesIO()
+    lt.save_grid(buf, hist.values, lat)
+    report.files["history.bin"] = buf.getvalue()
     return report
 
 
-def _run_conserve(config: ExperimentConfig, outdir: str | None) -> Report:
+def _run_conserve(config: ExperimentConfig) -> Report:
     rng = config.rng()
     lat = config.lattice
     series, closed = _conservation(config, rng, lat)
     drift = zk.relative_drift(_omega_series(series))
     rows = zip(range(lat.n_slices), lat.t.tolist(), series.tolist(), drift.tolist())
-    report = Report("conserve")
+    report = Report(config.experiment)
     report.add_table("omega_series", ["slice", "t", "omega", "relative_drift"], rows)
     report.add_table("closedness", ["max_divergence"], [[closed]])
     report.add_verdict(check("omega_slice_drift", zk.slice_drift(series),
@@ -192,17 +183,20 @@ def _run_conserve(config: ExperimentConfig, outdir: str | None) -> Report:
     return report
 
 
-def _run_bracket(config: ExperimentConfig, outdir: str | None) -> Report:
+def _run_bracket(config: ExperimentConfig) -> Report:
     rng = config.rng()
     lat = config.lattice
     if len(config.observables) < 2:
         raise ConfigError("bracket experiment needs at least two observables")
+    compare = located("options", boolean, config.options, "compare_oracle", False)
+    if not compare and "bracket_oracle" in config.raw.get("tolerances", {}):
+        raise ConfigError("tolerances: bracket_oracle bounds the oracle comparison, "
+                          "which runs only with compare_oracle true")
     built = [_build_observable(d, config, rng, f"observables[{k}]")
              for k, d in enumerate(config.observables)]
     base = _build_data(config, rng)
     pairs = [ps.make_pair(obs, lat) for obs, _ in built]
 
-    compare = located("options", boolean, config.options, "compare_oracle", False)
     oracle = _oracle(config) if compare else None
     if oracle is not None and any("grid" not in aux for _, aux in built):
         raise ConfigError("oracle comparison needs spacetime observables")
@@ -235,7 +229,7 @@ def _run_bracket(config: ExperimentConfig, outdir: str | None) -> Report:
             row += [ref, rel]
             worst = max_or_nan(worst, rel)
         rows.append(row)
-    report = Report("bracket")
+    report = Report(config.experiment)
     report.add_table("brackets", header, rows)
     if oracle is not None:
         report.add_verdict(check("bracket_vs_oracle", worst,
@@ -248,7 +242,7 @@ def _run_bracket(config: ExperimentConfig, outdir: str | None) -> Report:
     return report
 
 
-def _run_jacobi(config: ExperimentConfig, outdir: str | None) -> Report:
+def _run_jacobi(config: ExperimentConfig) -> Report:
     rng = config.rng()
     lat = config.lattice
     if len(config.observables) != 3:
@@ -257,18 +251,15 @@ def _run_jacobi(config: ExperimentConfig, outdir: str | None) -> Report:
     built = [_build_observable(d, config, rng, f"observables[{k}]")[0]
              for k, d in enumerate(config.observables)]
     n_samples = count(config.options, "n_samples", 5, 1)
-    amp = number(config.options, "sample_amplitude", 0.5)
-    samples = []
-    for _ in range(n_samples):
-        phi = spatial_profile({"profile": "random_fourier", "amplitude": amp}, lat, rng)
-        pi = spatial_profile({"profile": "random_fourier", "amplitude": amp}, lat, rng)
-        samples.append(dyn.data_from_arrays(phi, pi))
+    rf = {"profile": "random_fourier",
+          "amplitude": number(config.options, "sample_amplitude", 0.5)}
+    samples = [_build_tangent({"phi": rf, "pi": rf}, config, rng) for _ in range(n_samples)]
     pairs = [ps.make_pair(F, lat) for F in built]
     rep = ps.verify_axioms(pairs[0], pairs[1], pairs[2], samples, lat)
     reval = max_or_nan(rep.pair_defects[0], rep.pair_defects[1], rep.closure)
     closure_bound = max_or_nan(*rep.pair_defects) + 10.0 * lat.dx**2
 
-    report = Report("jacobi")
+    report = Report(config.experiment)
     report.add_table(
         "axiom_defects",
         ["axiom", "relative_defect"],
@@ -291,7 +282,7 @@ def _run_jacobi(config: ExperimentConfig, outdir: str | None) -> Report:
     return report
 
 
-def _run_convergence(config: ExperimentConfig, outdir: str | None) -> Report:
+def _run_convergence(config: ExperimentConfig) -> Report:
     lat0 = config.lattice
     ladder = config.ladder or (64, 128, 256)
     if len(ladder) < 2:
@@ -320,7 +311,7 @@ def _run_convergence(config: ExperimentConfig, outdir: str | None) -> Report:
         errs.append(err)
         dxs.append(lat.dx)
     order = _fit_order(dxs, errs)
-    report = Report("convergence")
+    report = Report(config.experiment)
     report.add_table("ladder", ["n_space", "dx", "error"], rows)
     report.add_table("order", ["study", "measured_order"], [[study, order]])
     report.add_verdict(check_window(f"{study}_order", order, 2.0,
@@ -328,18 +319,16 @@ def _run_convergence(config: ExperimentConfig, outdir: str | None) -> Report:
     return report
 
 
-def _run_roundtrip(config: ExperimentConfig, outdir: str | None) -> Report:
+def _run_roundtrip(config: ExperimentConfig) -> Report:
     lat0 = config.lattice
     ladder = config.ladder or (lat0.n_space,)
+    rf = {"profile": "random_fourier", "amplitude": 1.0}
     rows = []
     errs_pi, dts = [], []
     worst_phi = 0.0
     for n in ladder:
         lat = _scaled_lattice(lat0, n)
-        rng = config.rng()
-        phi = spatial_profile({"profile": "random_fourier", "amplitude": 1.0}, lat, rng)
-        pi = spatial_profile({"profile": "random_fourier", "amplitude": 1.0}, lat, rng)
-        data = dyn.data_from_arrays(phi, pi, config.algebra)
+        data = _build_tangent({"phi": rf, "pi": rf}, config, config.rng(), lat)
         hist = dyn.solve_cauchy(data, config.interaction, lat)
         back = dyn.restrict_data(hist, 0)
         err_phi = (back.phi - data.phi).max_abs()
@@ -348,7 +337,7 @@ def _run_roundtrip(config: ExperimentConfig, outdir: str | None) -> Report:
         worst_phi = max_or_nan(worst_phi, err_phi)
         errs_pi.append(err_pi)
         dts.append(lat.dt)
-    report = Report("roundtrip")
+    report = Report(config.experiment)
     report.add_table("roundtrip", ["n_space", "dt", "err_phi", "err_pi"], rows)
     report.add_verdict(check("phi_roundtrip", worst_phi,
                              config.tolerances["roundtrip_phi"],
@@ -361,7 +350,7 @@ def _run_roundtrip(config: ExperimentConfig, outdir: str | None) -> Report:
     return report
 
 
-def _run_oracle_pj(config: ExperimentConfig, outdir: str | None) -> Report:
+def _run_oracle_pj(config: ExperimentConfig) -> Report:
     lat = config.lattice
     oracle = _oracle(config)
     rows = []
@@ -373,7 +362,7 @@ def _run_oracle_pj(config: ExperimentConfig, outdir: str | None) -> Report:
     comb_defect = float(np.max(np.abs(oracle.d_dt_commutator(0.0)
                                       - oracle.delta_comb())))
     zero_defect = float(np.max(np.abs(oracle.commutator(0.0))))
-    report = Report("oracle_pj")
+    report = Report(config.experiment)
     report.add_table("commutator", ["slice", "t", "site", "separation", "G"], rows)
     tol = config.tolerances["comb_defect"]
     report.add_verdict(check("equal_time_commutator", zero_defect, tol,

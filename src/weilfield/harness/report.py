@@ -78,6 +78,7 @@ class Report:
     tables: dict[str, tuple[list[str], list[list]]] = field(default_factory=dict)
     verdicts: list[Verdict] = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
+    files: dict[str, bytes] = field(default_factory=dict)  # written as they are, by name
 
     def add_table(self, name: str, header: Sequence[str],
                   rows: Iterable[Sequence]) -> None:
@@ -136,11 +137,15 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def write_report(report: Report, outdir: str) -> list[str]:
-    """Persist all tables and the verdict/provenance document; returns paths."""
+    """Persist all tables, the files and the verdict/provenance document; returns paths."""
     paths = []
     for name in sorted(report.tables):
         path = os.path.join(outdir, f"{name}.csv")
         atomic_write_bytes(path, report.csv_bytes(name))
+        paths.append(path)
+    for name, data in sorted(report.files.items()):
+        path = os.path.join(outdir, name)
+        atomic_write_bytes(path, data)
         paths.append(path)
     doc = {
         "experiment": report.experiment,

@@ -134,6 +134,16 @@ def test_overrides_and_hash():
         copy.deepcopy(BASE_CONSERVE)).config_hash()
 
 
+@pytest.mark.parametrize("name", cfg.EXPERIMENTS)
+def test_tol_override_sets_the_first_tolerance(name):
+    doc = {"experiment": name, "lattice": BASE_DRIFT["lattice"]}
+    defaults = cfg.EXPERIMENTS[name].tolerances
+    first = next(iter(defaults))
+    conf = cfg.ExperimentConfig.from_dict(doc).with_overrides(tol=0.25)
+    assert conf.tolerances == {**defaults, first: 0.25}
+    assert conf.raw["tolerances"] == {first: 0.25}
+
+
 def test_profiles(circle, rng):
     g = cfg.spatial_profile({"profile": "gaussian", "center": 1.0, "width": 0.3,
                              "amplitude": 2.0}, circle, rng)
@@ -562,6 +572,14 @@ def test_cli_infinite_tolerance_override_exits_2(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: tolerances: omega_drift"), err
 
 
+@pytest.mark.parametrize("name", cfg.EXPERIMENTS)
+def test_cli_has_a_command_and_a_driver_per_experiment(name):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name.replace("_", "-"), "--help"])
+    assert exc.value.code == 0
+    assert callable(getattr(experiments, f"_run_{name}"))
+
+
 def test_cli_command_config_mismatch(tmp_path, capsys):
     path = _write(tmp_path, copy.deepcopy(BASE_CONSERVE))
     code = cli.main(["solve", "--config", path])
@@ -617,6 +635,16 @@ MALFORMED = {
     "option_of_another_experiment":
         ("bracket", lambda d: d["options"].update(n_samples=3)),
     "option_where_none_exist": ("conserve", lambda d: d.update(options={"fast": True})),
+    # each experiment takes only the tolerances its driver reads
+    "tolerance_of_conserve_on_jacobi": ("jacobi", lambda d: d.update(
+        tolerances={"axiom_defect": 1e-9, "omega_drift": 1e-30})),
+    "tolerance_of_jacobi_on_conserve":
+        ("conserve", lambda d: d.update(tolerances={"axiom_defect": 1e-30})),
+    "tolerance_of_conserve_on_convergence":
+        ("convergence", lambda d: d.update(tolerances={"omega_drift": 1e-30})),
+    "bracket_oracle_tolerance_without_the_oracle": ("bracket", lambda d: (
+        d["options"].update(compare_oracle=False),
+        d.update(tolerances={"bracket_oracle": 1e-30}))),
     # the top level and the lattice name only their own keys
     "config_key_misspelled": ("jacobi", lambda d: d.update(optoins=d.pop("options"))),
     "config_key_unknown": ("conserve", lambda d: d.update(comment="a note")),
@@ -860,11 +888,37 @@ def test_cli_poly_composite_power_zero_passes(tmp_path):
 
 
 def test_cli_misspelled_tolerance_names_the_key(tmp_path, capsys):
-    # the default 1e-3 would otherwise judge a run that asked for 1e-12
-    doc = _edited(BASE_CONSERVE, lambda d: d.update(tolerances={"omega_drfit": 1e-12}))
-    assert cli.main(["conserve", "--config", _write(tmp_path, doc)]) == 2
+    # the default 1e-3 would otherwise judge a run that asked for 1e-12, and a
+    # tolerance that only another experiment reads would judge nothing
+    cases = [
+        ("conserve", "omega_drfit", "; did you mean 'omega_drift'?"),
+        ("jacobi", "omega_drift", ""),
+        ("conserve", "axiom_defect", ""),
+        ("convergence", "omega_drift", ""),
+    ]
+    for command, key, hint in cases:
+        doc = _edited(BASES[command], lambda d: d.update(tolerances={key: 1e-12}))
+        assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: tolerances: unknown tolerance {key!r}{hint}"]
+
+
+@pytest.mark.parametrize("tolerances,argv", [({"bracket_oracle": 1e-30}, []),
+                                             ({}, ["--tol", "1e-30"])],
+                         ids=["config", "tol"])
+def test_cli_bracket_oracle_tolerance_needs_the_oracle(tolerances, argv, tmp_path, capsys,
+                                                       monkeypatch):
+    # without the oracle the verdict is the pairs' admissibility, which this
+    # bound does not judge; it is refused before any solve
+    solves = []
+    monkeypatch.setattr(ps, "solve_cauchy", lambda *a, **k: solves.append(a))
+    doc = _edited(TOY_BRACKET, lambda d: (d["options"].update(compare_oracle=False),
+                                          d.update(tolerances=tolerances)))
+    assert cli.main(["bracket", "--config", _write(tmp_path, doc), *argv]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: tolerances: unknown tolerance 'omega_drfit'; did you mean 'omega_drift'?"]
+        "error: tolerances: bracket_oracle bounds the oracle comparison, "
+        "which runs only with compare_oracle true"]
+    assert solves == []
 
 
 def test_cli_misspelled_option_names_the_key(tmp_path, capsys):
@@ -944,7 +998,7 @@ def test_shipped_configs_and_workloads_name_known_options():
              for name in workloads.WORKLOADS for toy in (False, True)]
     for doc in docs:
         conf = cfg.ExperimentConfig.from_dict(doc)
-        assert set(conf.options) <= set(cfg.OPTIONS.get(conf.experiment, ()))
+        assert set(conf.options) <= set(cfg.EXPERIMENTS[conf.experiment].options)
 
 
 def test_cli_misspelled_profile_key_names_the_key(tmp_path, capsys):
