@@ -54,6 +54,7 @@ class Interaction:
 
     name: str
     rho: SmoothMap
+    mass: float = 0.0  # the m of rho(x) = m^2 * x as built; 0 for every other rho
 
     @cached_property
     def rho_prime(self) -> SmoothMap:
@@ -72,7 +73,7 @@ def interaction(name: str, **params) -> Interaction:
         return Interaction("free", constant_map(0.0))
     if name == "mass":
         m = float(params.get("mass", 1.0))
-        return Interaction("mass", monomial_map(m * m, 1, name=f"{m * m:g}*x"))
+        return Interaction("mass", monomial_map(m * m, 1, name=f"{m * m:g}*x"), m)
     if name == "phi4":
         lam = float(params.get("coupling", 1.0))
         return Interaction("phi4", monomial_map(lam, 3, name=f"{lam:g}*x^3"))

@@ -5,18 +5,18 @@ experiment kind; shared descriptors:
 
     lattice      {topology, n_space, dx | extent, dt | dt_factor, n_time, guard?}
     interaction  {name, mass? (mass), coupling? (phi4)}
-    algebra      {generators, orders}
     profiles     {profile: zero|constant|gaussian|bump|cosine|sine|kink|
                   random_fourier|array, ...parameters}
 
 Spacetime smearings are separable:  {space: <profile>, time: <profile>}.
 EXPERIMENTS declares each experiment once: its CLI help, the top-level
 keys its driver reads besides COMMON_KEYS, its options and its tolerances
-with their defaults.  Every block takes known keys only: the top level, the
-options and the tolerances those of its experiment, the lattice, the
-interaction (INTERACTION_KEYS per name), the algebra, observables
-(OBSERVABLE_KEYS per kind), profiles (PROFILE_KEYS per kind), Cauchy data
-(initial_data and each tangent: phi, pi) and spacetime smearings.
+with their defaults; STUDY_KEYS narrows a convergence config's keys to
+those its study reads.  Every block takes known keys only: the top level,
+the options and the tolerances those of its experiment, the lattice, the
+interaction (INTERACTION_KEYS per name), observables (OBSERVABLE_KEYS per
+kind), profiles (PROFILE_KEYS per kind), Cauchy data (initial_data and each
+tangent: phi, pi) and spacetime smearings.
 
 Every error in a descriptor is a ConfigError that names the descriptor's
 path (located): from_dict checks the blocks it parses, and a run the
@@ -35,7 +35,6 @@ import numpy as np
 
 from .. import dynamics as dyn
 from .. import lattice as lt
-from ..weil import WeilAlgebra
 
 # the top-level keys every config takes; each experiment's driver reads others besides
 COMMON_KEYS = ("experiment", "lattice", "interaction", "tolerances", "seed")
@@ -60,25 +59,30 @@ class Experiment:
 # every experiment, each run by experiments._run_<name>, its command <name> with - for _
 EXPERIMENTS = {
     "solve": Experiment("run the Cauchy solver and report residuals",
-                        {"solve_residual": None}, ("initial_data", "algebra")),
+                        {"solve_residual": None}, ("initial_data",)),
     "conserve": Experiment("slice-by-slice conservation of the presymplectic form",
-                           {"omega_drift": 1e-3}, ("initial_data", "tangents", "algebra")),
+                           {"omega_drift": 1e-3}, ("initial_data", "tangents")),
     "bracket": Experiment(
         "brackets of configured observables (optionally vs the mode-sum oracle)",
-        {"bracket_oracle": 1e-3}, ("observables", "initial_data", "algebra", "options"),
+        {"bracket_oracle": 1e-3}, ("observables", "initial_data", "options"),
         ("compare_oracle",)),
     "jacobi": Experiment("Poisson axiom defects for an observable triple",
                          {"axiom_defect": 1e-9}, ("observables", "options"),
                          ("n_samples", "sample_amplitude")),
     "convergence": Experiment(
         "error vs resolution ladder with a fitted order", {"order_band": 0.3},
-        ("study", "ladder", "initial_data", "tangents", "algebra")),
+        ("study", "ladder", "initial_data", "tangents")),
     "roundtrip": Experiment("Cauchy data round trip through solve and restrict",
                             {"roundtrip_phi": 1e-12, "order_band": 0.3},
-                            ("ladder", "algebra")),
+                            ("ladder",)),
     "oracle_pj": Experiment("tabulate the free-field mode-sum commutator function",
                             {"comb_defect": 1e-9}),
 }
+
+# the top-level keys besides COMMON_KEYS that each convergence study reads
+STUDY_KEYS = {"solution_error": ("study", "ladder"),
+              "omega_drift": ("study", "ladder", "initial_data", "tangents"),
+              "closedness": ("study", "ladder", "initial_data", "tangents")}
 
 # the keys of each interaction besides "name" itself
 INTERACTION_KEYS = {
@@ -335,16 +339,6 @@ def _interaction_from(desc: dict) -> dyn.Interaction:
     return dyn.interaction(name, **{key: number(d, key, None) for key in d})
 
 
-def _algebra_from(desc: dict) -> WeilAlgebra:
-    d = _known_keys(desc, ("generators", "orders"), "algebra key")
-    orders = d["orders"]
-    if not isinstance(orders, (list, tuple)):
-        raise ConfigError(f"orders must be a list of integers, got {orders!r}")
-    orders = [count({"order": o}, "order", None, 2) for o in orders]
-    return WeilAlgebra.from_descriptor(
-        {"generators": count(d, "generators", len(orders), 0), "orders": orders})
-
-
 def _known_keys(desc, known, what: str) -> dict:
     """desc when it is a JSON object whose keys are all in known, else a ConfigError.
 
@@ -360,6 +354,16 @@ def _known_keys(desc, known, what: str) -> dict:
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise ConfigError(f"unknown {what} {key!r}{hint}")
     return desc
+
+
+def _study_from(doc: dict) -> str:
+    """A convergence config's study, refusing the blocks that study does not read."""
+    study = doc.get("study", "solution_error")
+    # a list or an object is unhashable, so it must not reach the lookup
+    if not isinstance(study, str) or study not in STUDY_KEYS:
+        raise ConfigError(f"study must be one of {tuple(STUDY_KEYS)}, got {study!r}")
+    _known_keys(doc, COMMON_KEYS + STUDY_KEYS[study], f"{study} study config key")
+    return study
 
 
 def _tolerances_from(desc: dict, defaults: dict) -> dict:
@@ -389,7 +393,6 @@ class ExperimentConfig:
     experiment: str
     lattice: lt.LatticeSpacetime
     interaction: dyn.Interaction
-    algebra: WeilAlgebra
     initial_data: dict
     tangents: tuple[dict, ...]
     observables: tuple[dict, ...]
@@ -412,13 +415,12 @@ class ExperimentConfig:
             )
         spec = EXPERIMENTS[experiment]
         _known_keys(doc, COMMON_KEYS + spec.config_keys, f"{experiment} config key")
+        study = _study_from(doc) if experiment == "convergence" else "solution_error"
         if "lattice" not in doc:
             raise ConfigError("config needs a lattice descriptor")
         lattice = located("lattice", _lattice_from, doc["lattice"])
         inter = located("interaction", _interaction_from,
                         doc.get("interaction", {"name": "free"}))
-        algebra = located("algebra", _algebra_from,
-                          doc.get("algebra", {"generators": 0, "orders": []}))
         tolerances = located("tolerances", _tolerances_from, doc.get("tolerances", {}),
                              spec.tolerances)
         ladder = located("ladder", lambda rungs: tuple(count({"rung": n}, "rung", None, 1)
@@ -430,7 +432,6 @@ class ExperimentConfig:
             experiment=experiment,
             lattice=lattice,
             interaction=inter,
-            algebra=algebra,
             initial_data=json_object(
                 doc.get("initial_data",
                         {"phi": {"profile": "zero"}, "pi": {"profile": "zero"}}),
@@ -441,7 +442,7 @@ class ExperimentConfig:
             tolerances=tolerances,
             seed=count(doc, "seed", 0, 0),
             ladder=ladder,
-            study=doc.get("study", "solution_error"),
+            study=study,
             options=located("options", _known_keys, doc.get("options", {}), spec.options,
                             f"{experiment} option"),
             raw=doc,

@@ -44,36 +44,34 @@ def run(config: ExperimentConfig, outdir: str | None = None) -> Report:
 
 def _build_data(config: ExperimentConfig, rng: Draws,
                 lat: lt.LatticeSpacetime | None = None) -> dyn.CauchyData:
-    return _build_tangent(config.initial_data, config, rng, lat)
+    return _build_tangent(config.initial_data, lat or config.lattice, rng)
 
 
-def _build_tangent(desc: dict, config: ExperimentConfig, rng: Draws,
-                   lat: lt.LatticeSpacetime | None = None,
+def _build_tangent(desc: dict, lat: lt.LatticeSpacetime, rng: Draws,
                    path: str = "initial_data") -> dyn.CauchyData:
-    """Cauchy data over the config's algebra from the {phi, pi} descriptor at path."""
-    lat = lat or config.lattice
+    """Real Cauchy data on lat from the {phi, pi} descriptor at path."""
     phi, pi = (located(f"{path}.{name}", spatial_profile, p, lat, rng)
                for name, p in zip(("phi", "pi"), located(path, cauchy_profiles, desc)))
-    return dyn.data_from_arrays(phi, pi, config.algebra)
+    return dyn.data_from_arrays(phi, pi)
 
 
 def _build_observable(desc: dict, config: ExperimentConfig, rng: Draws,
-                      path: str = "observable") -> tuple[ps.Observable, dict]:
-    """Build the observable whose descriptor sits at path; aux carries smearing grids."""
+                      path: str = "observable") -> tuple[ps.Observable, np.ndarray | None]:
+    """The observable whose descriptor sits at path and its smearing grid if spacetime."""
     kind = located(path, observable_kind, desc)
     lat = config.lattice
     smearing = f"{path}.smearing"
     if kind == "slice_phi":
         f = located(smearing, spatial_profile, desc.get("smearing", {}), lat, rng)
-        return ps.slice_phi_observable(f, lat, name=desc.get("name", "")), {"profile": f}
+        return ps.slice_phi_observable(f, lat, name=desc.get("name", "")), None
     if kind == "slice_pi":
         g = located(smearing, spatial_profile, desc.get("smearing", {}), lat, rng)
-        return ps.slice_pi_observable(g, lat, name=desc.get("name", "")), {"profile": g}
+        return ps.slice_pi_observable(g, lat, name=desc.get("name", "")), None
     if kind == "spacetime":
         g = spacetime_profile(desc.get("smearing", {}), lat, rng, smearing)
         obs = ps.spacetime_observable(g, config.interaction, lat,
                                       name=desc.get("name", ""))
-        return obs, {"grid": g}
+        return obs, g
     factors = desc.get("factors", [])  # a poly_composite, the one kind left
     if not isinstance(factors, list) or not factors:
         raise ConfigError(f"{path}: poly_composite needs a nonempty factors list")
@@ -85,7 +83,7 @@ def _build_observable(desc: dict, config: ExperimentConfig, rng: Draws,
     power = count(desc, "power", 1, 0)
     if power != 1:
         obs = ps.observable_power(obs, power)
-    return obs, {}
+    return obs, None
 
 
 def _scaled_lattice(lat: lt.LatticeSpacetime, n: int) -> lt.LatticeSpacetime:
@@ -110,11 +108,9 @@ def _fit_order(dxs, errs) -> float:
 
 def _oracle(config: ExperimentConfig) -> PauliJordanOracle:
     """The mode-sum oracle for the config's lattice and free or mass interaction."""
-    name = config.interaction.name
-    if name not in ("mass", "free"):
+    if config.interaction.name not in ("mass", "free"):
         raise ConfigError("the mode-sum oracle needs the free or mass interaction")
-    mass = number(config.raw["interaction"], "mass", 1.0) if name == "mass" else 0.0
-    return PauliJordanOracle(config.lattice, mass)
+    return PauliJordanOracle(config.lattice, config.interaction.mass)
 
 
 def _conservation(config: ExperimentConfig, rng: Draws,
@@ -127,7 +123,7 @@ def _conservation(config: ExperimentConfig, rng: Draws,
     if len(config.tangents) != 2:
         raise ConfigError(f"tangents: omega pairs exactly two, not {len(config.tangents)}")
     base = _build_data(config, rng, lat)
-    directions = [_build_tangent(desc, config, rng, lat, f"tangents[{k}]")
+    directions = [_build_tangent(desc, lat, rng, f"tangents[{k}]")
                   for k, desc in enumerate(config.tangents)]
     supports = (None, None)
     if lat.topology == lt.LINE:
@@ -198,13 +194,13 @@ def _run_bracket(config: ExperimentConfig) -> Report:
     pairs = [ps.make_pair(obs, lat) for obs, _ in built]
 
     oracle = _oracle(config) if compare else None
-    if oracle is not None and any("grid" not in aux for _, aux in built):
+    if oracle is not None and any(grid is None for _, grid in built):
         raise ConfigError("oracle comparison needs spacetime observables")
 
     index = [(i, j) for i in range(len(pairs)) for j in range(i + 1, len(pairs))]
     refs = []
     if oracle is not None:  # each grid transformed once, a zero refused before any sweep
-        moments = oracle.moments(*(aux["grid"] for _, aux in built))
+        moments = oracle.moments(*(grid for _, grid in built))
         for i, j in index:
             refs.append(oracle.smeared_bracket(moments[i], moments[j]))
             if refs[-1] == 0:
@@ -253,7 +249,7 @@ def _run_jacobi(config: ExperimentConfig) -> Report:
     n_samples = count(config.options, "n_samples", 5, 1)
     rf = {"profile": "random_fourier",
           "amplitude": number(config.options, "sample_amplitude", 0.5)}
-    samples = [_build_tangent({"phi": rf, "pi": rf}, config, rng) for _ in range(n_samples)]
+    samples = [_build_tangent({"phi": rf, "pi": rf}, lat, rng) for _ in range(n_samples)]
     pairs = [ps.make_pair(F, lat) for F in built]
     rep = ps.verify_axioms(pairs[0], pairs[1], pairs[2], samples, lat)
     reval = max_or_nan(rep.pair_defects[0], rep.pair_defects[1], rep.closure)
@@ -288,8 +284,7 @@ def _run_convergence(config: ExperimentConfig) -> Report:
     if len(ladder) < 2:
         raise ConfigError("a convergence ladder needs at least two rungs")
     study = config.study
-    rows = []
-    errs, dxs = [], []
+    rows, errs, dxs = [], [], []
     for n in ladder:
         lat = _scaled_lattice(lat0, n)
         rng = config.rng()  # same seed per rung: identical continuum problem
@@ -303,10 +298,8 @@ def _run_convergence(config: ExperimentConfig) -> Report:
             err = float(np.max(np.abs(hist.values.scalar_part - exact)))
         elif study == "omega_drift":
             err = zk.slice_drift(_omega_series(_conservation(config, rng, lat)[0]))
-        elif study == "closedness":
+        else:  # closedness, the one study left
             err = _conservation(config, rng, lat)[1]
-        else:
-            raise ConfigError(f"unknown convergence study {study!r}")
         rows.append([n, lat.dx, err])
         errs.append(err)
         dxs.append(lat.dx)
@@ -323,12 +316,11 @@ def _run_roundtrip(config: ExperimentConfig) -> Report:
     lat0 = config.lattice
     ladder = config.ladder or (lat0.n_space,)
     rf = {"profile": "random_fourier", "amplitude": 1.0}
-    rows = []
-    errs_pi, dts = [], []
+    rows, errs_pi, dts = [], [], []
     worst_phi = 0.0
     for n in ladder:
         lat = _scaled_lattice(lat0, n)
-        data = _build_tangent({"phi": rf, "pi": rf}, config, config.rng(), lat)
+        data = _build_tangent({"phi": rf, "pi": rf}, lat, config.rng())
         hist = dyn.solve_cauchy(data, config.interaction, lat)
         back = dyn.restrict_data(hist, 0)
         err_phi = (back.phi - data.phi).max_abs()

@@ -71,6 +71,11 @@ class LatticeSpacetime:
         if not (0 < self.dx < np.inf and 0 < self.dt < np.inf):
             raise LatticeError(f"grid spacings must be finite and positive, "
                                f"got dx={self.dx}, dt={self.dt}")
+        try:  # the leapfrog's Taylor start takes dt^3; a float power overflows by raising
+            float(self.dx) ** 3, float(self.dt) ** 3
+        except OverflowError:
+            raise LatticeError(f"grid spacings must have a finite cube, "
+                               f"got dx={self.dx}, dt={self.dt}") from None
         if self.dt > self.dx * (1 + 1e-12):
             raise LatticeError(
                 f"CFL violation: dt={self.dt} exceeds dx={self.dx} (lightcone speed 1)"

@@ -610,7 +610,6 @@ MALFORMED = {
         ("conserve", lambda d: d["initial_data"].update(phi={"profile": "array"})),
     "n_space_not_a_number": ("conserve", lambda d: d["lattice"].update(n_space="abc")),
     "n_space_zero": ("conserve", lambda d: d["lattice"].update(n_space=0)),
-    "algebra_order_below_two": ("conserve", lambda d: d.update(algebra={"orders": [1]})),
     "tolerance_not_a_number":
         ("conserve", lambda d: d.update(tolerances={"omega_drift": "abc"})),
     "tolerance_null": ("conserve", lambda d: d.update(tolerances={"omega_drift": None})),
@@ -654,7 +653,6 @@ MALFORMED = {
     "jacobi_tangents": ("jacobi", lambda d: d.update(tangents=[{"phi": {"profile": "nonsense"}}])),
     "jacobi_ladder": ("jacobi", lambda d: d.update(ladder=[16, 32])),
     "jacobi_study": ("jacobi", lambda d: d.update(study="closedness")),
-    "jacobi_algebra": ("jacobi", lambda d: d.update(algebra={"orders": [2]})),
     "conserve_observables": ("conserve", lambda d: d.update(observables=[])),
     "conserve_ladder": ("conserve", lambda d: d.update(ladder=[16, 32])),
     "bracket_tangents": ("bracket", lambda d: d.update(tangents=[{}, {}])),
@@ -680,19 +678,13 @@ MALFORMED = {
         "smearing"].update(centre=2.0)),
     "spacetime_smearing_key_misspelled": ("bracket", lambda d: d["observables"][0][
         "smearing"].update(tmie={"profile": "constant"})),
-    # so do the interaction (per name), the algebra and each observable kind
+    # so do the interaction (per name) and each observable kind
     "interaction_key_of_another_interaction":
         ("conserve", lambda d: d["interaction"].update(mass=1.0)),
     "interaction_coupling_for_mass":
         ("bracket", lambda d: d["interaction"].update(coupling=2.0)),
     "interaction_name_not_a_string":
         ("conserve", lambda d: d.update(interaction={"name": ["free"]})),
-    "algebra_key_unknown":
-        ("conserve", lambda d: d.update(algebra={"orders": [2], "order": [3]})),
-    "algebra_orders_a_string": ("conserve", lambda d: d.update(algebra={"orders": "22"})),
-    "algebra_order_fraction": ("conserve", lambda d: d.update(algebra={"orders": [2.5]})),
-    "algebra_generators_fraction":
-        ("conserve", lambda d: d.update(algebra={"generators": 1.5, "orders": [2]})),
     "observable_key_misspelled":
         ("bracket", lambda d: d["observables"][1].update(smaering={})),
     "composite_smearing_ignored": ("jacobi", lambda d: d["observables"][2].update(
@@ -740,6 +732,8 @@ MALFORMED = {
         ("jacobi", lambda d: d["options"].update(sample_amplitude=float("inf"))),
     "dt_factor_nan": ("jacobi", lambda d: d["lattice"].update(dt_factor=float("nan"))),
     "extent_inf": ("conserve", lambda d: d["lattice"].update(extent=float("inf"))),
+    # a spacing whose cube overflows: the leapfrog's Taylor start takes dt^3
+    "extent_cube_overflows": ("conserve", lambda d: d["lattice"].update(extent=3.2e121)),
     "dx_nan": ("jacobi", lambda d: d.update(lattice={
         "topology": "circle", "n_space": 32, "dx": float("nan"), "dt": 0.01, "n_time": 8})),
     "smearing_center_nan":
@@ -921,6 +915,49 @@ def test_cli_bracket_oracle_tolerance_needs_the_oracle(tolerances, argv, tmp_pat
     assert solves == []
 
 
+@pytest.mark.parametrize("name", cfg.EXPERIMENTS)
+def test_cli_algebra_block_is_an_unknown_key(name, tmp_path, capsys):
+    # a run's data is real, so a Weil algebra for it could change no result
+    doc = {"experiment": name, "lattice": BASE_DRIFT["lattice"],
+           "algebra": {"generators": 1, "orders": [2]}}
+    assert cli.main([name.replace("_", "-"), "--config", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: unknown {name} config key 'algebra'"]
+
+
+def _no_solve(monkeypatch) -> list:
+    """The calls made to the solvers a convergence study runs, recorded in place of them."""
+    solves = []
+    monkeypatch.setattr(dyn, "solve_cauchy", lambda *a, **k: solves.append(a))
+    monkeypatch.setattr(dyn, "tangent_blocks", lambda *a, **k: solves.append(a))
+    return solves
+
+
+@pytest.mark.parametrize("key", ["initial_data", "tangents"])
+def test_cli_solution_error_study_refuses_blocks_it_does_not_read(key, monkeypatch, tmp_path,
+                                                                  capsys):
+    # the study solves its own cosine, so Cauchy data and tangents would go unread
+    solves = _no_solve(monkeypatch)
+    doc = _edited(BASE_DRIFT, lambda d: (
+        d.update(study="solution_error", interaction={"name": "free"}),
+        d.pop("tangents"), d.update({key: BASE_CONSERVE[key]})))
+    assert cli.main(["convergence", "--config", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: unknown solution_error study config key {key!r}"]
+    assert solves == []
+
+
+@pytest.mark.parametrize("study", ["nonsense", ["closedness"]], ids=["unknown", "a_list"])
+def test_cli_unknown_study_exits_2_before_any_solve(study, monkeypatch, tmp_path, capsys):
+    solves = _no_solve(monkeypatch)
+    doc = _edited(BASE_DRIFT, lambda d: d.update(study=study))
+    assert cli.main(["convergence", "--config", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: study must be one of ('solution_error', 'omega_drift', 'closedness'), "
+        f"got {study!r}"]
+    assert solves == []
+
+
 def test_cli_misspelled_option_names_the_key(tmp_path, capsys):
     # the default 5 samples would otherwise run where 50 were asked for
     doc = _edited(TOY_JACOBI, lambda d: d["options"].update(n_sample=50))
@@ -955,15 +992,10 @@ def test_cli_misspelled_config_and_lattice_keys_name_the_key(tmp_path, capsys):
 
 def test_cli_misspelled_interaction_algebra_and_observable_keys_name_the_key(
         tmp_path, capsys):
-    # each typo would otherwise give way to its key's default, and orders
-    # "22" would read as (2, 2)
+    # each typo would otherwise give way to its key's default
     cases = [
         ("bracket", lambda d: d["interaction"].update(mas=3.0),
          "interaction: unknown mass interaction key 'mas'; did you mean 'mass'?"),
-        ("conserve", lambda d: d.update(algebra={"generatros": 1, "orders": [2]}),
-         "algebra: unknown algebra key 'generatros'; did you mean 'generators'?"),
-        ("conserve", lambda d: d.update(algebra={"orders": "22"}),
-         "algebra: orders must be a list of integers, got '22'"),
         ("jacobi", lambda d: d["observables"][2].update(powr=2),
          "observables[2]: unknown poly_composite observable key 'powr'; "
          "did you mean 'power'?"),
@@ -1040,7 +1072,7 @@ def test_shipped_configs_and_workloads_name_known_profile_keys():
         conf = cfg.ExperimentConfig.from_file(os.path.join(root, "configs", name))
         rng = conf.rng()
         for desc in (conf.initial_data, *conf.tangents):
-            experiments._build_tangent(desc, conf, rng)
+            experiments._build_tangent(desc, conf.lattice, rng)
         for desc in conf.observables:
             experiments._build_observable(desc, conf, rng)
     for name in workloads.WORKLOADS:

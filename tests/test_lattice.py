@@ -39,6 +39,13 @@ def test_spacings_must_be_finite_and_positive(dx, dt):
         lt.LatticeSpacetime("circle", 32, dx, dt, 8)
 
 
+@pytest.mark.parametrize("dx,dt", [(1e120, 5e119), (1e200, 1e-3), (np.float64(1e120), 0.1)])
+def test_spacings_must_have_a_finite_cube(dx, dt):
+    # the leapfrog's Taylor start takes dt^3, which would raise OverflowError mid-run
+    with pytest.raises(lt.LatticeError, match="finite cube"):
+        lt.LatticeSpacetime("circle", 32, dx, dt, 8)
+
+
 def test_descriptor_roundtrip(circle):
     assert lt.LatticeSpacetime.from_descriptor(circle.descriptor()) == circle
 

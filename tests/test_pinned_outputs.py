@@ -14,6 +14,7 @@ import os
 import pytest
 
 import pin_outputs
+from weilfield.harness.config import EXPERIMENTS
 
 REL = 1e-12
 
@@ -46,3 +47,12 @@ def test_shipped_config_reproduces_its_pinned_outputs(name):
         pytest.skip(f"hashes recorded with numpy {recorded[0]} on {recorded[1]}, "
                     f"not numpy {got['numpy']} on {got['machine']}")
     assert got["sha256"] == pinned["sha256"]
+
+
+def test_every_experiment_has_a_pinned_config():
+    # so the pins, and CI's twice-run loop over configs/, cover every command
+    found = set()
+    for name in pin_outputs.shipped():
+        with open(os.path.join(pin_outputs.CONFIGS, f"{name}.json"), encoding="utf-8") as fh:
+            found.add(json.load(fh)["experiment"])
+    assert found == set(EXPERIMENTS)
