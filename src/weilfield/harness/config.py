@@ -25,9 +25,9 @@ profiles and the descriptors that hold them when it builds them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TypeAlias
 
@@ -122,8 +122,9 @@ class SeededDraws:
     """The normal draws of np.random.default_rng(seed), in its order.
 
     Only random_fourier profiles draw, and importing numpy.random adds about
-    2 MB to the peak memory of a run that draws nothing, so the generator is
-    built at the first draw and reused for every later one.
+    5 MB to the peak memory of a run that draws nothing (it loads OpenSSL
+    through secrets and hmac), so the generator is built at the first draw
+    and reused for every later one.
     """
 
     def __init__(self, seed: int) -> None:
@@ -452,18 +453,36 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
+        return cls.from_json(text)
 
     def config_hash(self) -> str:
+        """The SHA-256 hex digest of the raw document as canonical JSON (sorted keys).
+
+        It is computed with CPython's built-in SHA-256, which hashlib itself
+        falls back to, because importing hashlib loads OpenSSL: about 3.5 MB of
+        peak memory for a digest of under 1 KB.  An interpreter built without
+        the built-in hashes uses hashlib.
+        """
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        try:  # the built-in SHA-256 moved from _sha256 to _sha2 in CPython 3.12
+            if sys.version_info >= (3, 12):
+                from _sha2 import sha256
+            else:
+                from _sha256 import sha256
+        except ImportError:  # an interpreter built without the built-in hashes
+            from hashlib import sha256
+        return sha256(canonical.encode("utf-8")).hexdigest()
 
     def rng(self) -> SeededDraws:
         """A fresh stream of the draws of np.random.default_rng(seed); see SeededDraws."""

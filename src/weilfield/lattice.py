@@ -73,9 +73,13 @@ class LatticeSpacetime:
                                f"got dx={self.dx}, dt={self.dt}")
         try:  # the leapfrog's Taylor start takes dt^3; a float power overflows by raising
             float(self.dx) ** 3, float(self.dt) ** 3
+            # and the stencils divide by dx^2 and dt^2, which may underflow to 0
+            in_range = float(self.dx) ** 2 > 0 and float(self.dt) ** 2 > 0
         except OverflowError:
-            raise LatticeError(f"grid spacings must have a finite cube, "
-                               f"got dx={self.dx}, dt={self.dt}") from None
+            in_range = False
+        if not in_range:
+            raise LatticeError(f"grid spacings must have a finite cube and a nonzero square, "
+                               f"got dx={self.dx}, dt={self.dt}")
         if self.dt > self.dx * (1 + 1e-12):
             raise LatticeError(
                 f"CFL violation: dt={self.dt} exceeds dx={self.dx} (lightcone speed 1)"

@@ -2,6 +2,8 @@ import copy
 import csv
 import dataclasses
 import functools
+import hashlib
+import importlib.util
 import io
 import json
 import operator
@@ -132,6 +134,21 @@ def test_overrides_and_hash():
     assert conf.config_hash() != conf2.config_hash()
     assert conf.config_hash() == cfg.ExperimentConfig.from_dict(
         copy.deepcopy(BASE_CONSERVE)).config_hash()
+
+
+# None in sys.modules makes an import of that name fail, so the second case
+# takes the hashlib fallback of an interpreter without a built-in SHA-256
+@pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")], ids=["built_in", "hashlib"])
+def test_config_hash_is_the_sha256_of_the_canonical_json(blocked, monkeypatch):
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)
+    configs = os.path.join(os.path.dirname(__file__), "..", "configs")
+    for name in sorted(os.listdir(configs)):
+        with open(os.path.join(configs, name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert cfg.ExperimentConfig.from_dict(doc).config_hash() == \
+            hashlib.sha256(canonical).hexdigest(), name
 
 
 @pytest.mark.parametrize("name", cfg.EXPERIMENTS)
@@ -520,22 +537,49 @@ def test_importing_the_harness_leaves_numpy_fft_unloaded():
     assert out.strip() == "False"
 
 
+def _loaded_after_runs(docs, modules, tmp_path) -> list[str]:
+    """Which of modules a fresh interpreter holds after running the config documents."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weilfield.__file__)))
+    code = ("import json, sys\n"
+            "from weilfield.harness import ExperimentConfig, run\n"
+            "for i, doc in enumerate(json.loads(sys.argv[1])):\n"
+            "    run(ExperimentConfig.from_dict(doc), f'{sys.argv[2]}/{i}')\n"
+            "print(*(name for name in sys.argv[3:] if name in sys.modules))")
+    return subprocess.run(
+        [sys.executable, "-c", code, json.dumps(docs), str(tmp_path), *modules], check=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)).stdout.split()
+
+
 def test_runs_that_draw_nothing_never_load_numpy_random(tmp_path):
     # only random_fourier profiles draw, and the run's generator is built at
     # the first draw; a jacobi run draws its samples
     root, workloads = _perfbench_workloads()
-    src = os.path.dirname(os.path.dirname(os.path.abspath(weilfield.__file__)))
-    code = ("import json, sys\n"
-            "from weilfield.harness import ExperimentConfig, run\n"
-            "run(ExperimentConfig.from_dict(json.loads(sys.argv[1])), sys.argv[2])\n"
-            "print('numpy.random' in sys.modules)")
-    loads = {}
-    for name in workloads.WORKLOADS:
-        doc = json.dumps(workloads.config_doc(root, name, 0, toy=True))
-        loads[name] = subprocess.run(
-            [sys.executable, "-c", code, doc, str(tmp_path / name)], check=True,
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)).stdout.strip()
-    assert loads == {"bracket_oracle": "False", "conserve_sg": "False", "jacobi_triple": "True"}
+    loads = {name: "numpy.random" in _loaded_after_runs(
+                 [workloads.config_doc(root, name, 0, toy=True)], ("numpy.random",),
+                 tmp_path / name)
+             for name in workloads.WORKLOADS}
+    assert loads == {"bracket_oracle": False, "conserve_sg": False, "jacobi_triple": True}
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="without a built-in SHA-256 the config hash loads OpenSSL "
+                           "through hashlib")
+def test_runs_that_draw_nothing_never_load_openssl(tmp_path):
+    # hashlib loads OpenSSL as _hashlib, and numpy.random loads it through
+    # secrets and hmac; a jacobi or roundtrip run draws, and so does a
+    # random_fourier profile
+    root, workloads = _perfbench_workloads()
+    docs = [workloads.config_doc(root, name, 0, toy=True)
+            for name in ("bracket_oracle", "conserve_sg")]
+    for name in sorted(os.listdir(os.path.join(root, "configs"))):
+        with open(os.path.join(root, "configs", name), encoding="utf-8") as fh:
+            text = fh.read()
+        doc = json.loads(text)
+        if doc["experiment"] not in ("jacobi", "roundtrip") and "random_fourier" not in text:
+            docs.append(doc)
+    assert {doc["experiment"] for doc in docs} == {"bracket", "conserve", "convergence",
+                                                   "oracle_pj", "solve"}
+    assert _loaded_after_runs(docs, ("_hashlib", "numpy.random"), tmp_path) == []
 
 
 # -- the CLI ---------------------------------------------------------------------------------
@@ -593,6 +637,18 @@ def test_cli_invalid_config(tmp_path):
 
 def test_cli_missing_file(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize("text,message", [
+    (b"\xff\xfe", "error: config is not UTF-8 text: "),
+    (b"[" * 100_000, "error: config is not valid JSON: maximum recursion depth exceeded"),
+], ids=["not_utf8", "nested_100000_deep"])
+def test_cli_unreadable_config_file_exits_2(text, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert cli.main(["conserve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), err
 
 
 def _edited(doc, edit):
@@ -734,6 +790,7 @@ MALFORMED = {
     "extent_inf": ("conserve", lambda d: d["lattice"].update(extent=float("inf"))),
     # a spacing whose cube overflows: the leapfrog's Taylor start takes dt^3
     "extent_cube_overflows": ("conserve", lambda d: d["lattice"].update(extent=3.2e121)),
+    "extent_square_underflows": ("conserve", lambda d: d["lattice"].update(extent=1e-300)),
     "dx_nan": ("jacobi", lambda d: d.update(lattice={
         "topology": "circle", "n_space": 32, "dx": float("nan"), "dt": 0.01, "n_time": 8})),
     "smearing_center_nan":
@@ -1150,6 +1207,14 @@ def test_cli_non_finite_field_names_the_slice(command, tmp_path, capsys):
     err = captured.err.splitlines()
     assert err == ["error: the field is not finite at slice 6 (t = 0.294524)"]
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_spacing_with_a_subnormal_square_runs(tmp_path):
+    # dx^2 and dt^2 are subnormal but not 0, so no stencil divides by 0
+    doc = copy.deepcopy(BASE_CONSERVE)
+    doc["lattice"].update(n_space=32, n_time=16, extent=3e-160)
+    assert cli.main(["conserve", "--config", _write(tmp_path, doc)]) == 0
 
 
 @pytest.mark.filterwarnings("error")

@@ -39,9 +39,11 @@ def test_spacings_must_be_finite_and_positive(dx, dt):
         lt.LatticeSpacetime("circle", 32, dx, dt, 8)
 
 
-@pytest.mark.parametrize("dx,dt", [(1e120, 5e119), (1e200, 1e-3), (np.float64(1e120), 0.1)])
+@pytest.mark.parametrize("dx,dt", [(1e120, 5e119), (1e200, 1e-3), (np.float64(1e120), 0.1),
+                                   (1e-300, 5e-301), (0.1, 1e-170), (np.float64(1e-170), 1e-171)])
 def test_spacings_must_have_a_finite_cube(dx, dt):
-    # the leapfrog's Taylor start takes dt^3, which would raise OverflowError mid-run
+    # the leapfrog's Taylor start takes dt^3, which would raise OverflowError mid-run,
+    # and the stencils divide by dx^2 and dt^2, which would underflow to 0
     with pytest.raises(lt.LatticeError, match="finite cube"):
         lt.LatticeSpacetime("circle", 32, dx, dt, 8)
 
