@@ -8,7 +8,8 @@ yield the solution together with its exact directional derivative, the
 linearized solution, in the eps component.  For a smeared observable the
 transpose of that linearized scheme, run backward over a stored solve that
 the caller supplies, gives the whole gradient at once (smeared_gradient),
-so observables smeared at one base point can share its solve.  lift_data is
+so observables smeared at one base point can share its solve, and, as the
+transpose is linear in its seed, one backward march too.  lift_data is
 the one tangent lift, data + sum_k t_k * v_k over W (x) D(k), so several
 tangents at one base ride one march of the base (tangent_blocks).  One
 generator, leapfrog_blocks, marches the scheme in place in blocks of slices;
@@ -29,6 +30,7 @@ from .weil import (
     WeilAlgebra,
     WeilValue,
     _lift_into,
+    _mul_into,
     apply_smooth,
     constant_map,
     extract_top,
@@ -302,25 +304,8 @@ def solve_smeared(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime
     return WeilValue(data.algebra, acc) * (lat.dx * lat.dt)
 
 
-def _d2_dx2_transpose(mu: WeilValue, lat: lt.LatticeSpacetime) -> WeilValue:
-    """D^T mu for the Laplacian D as the clamped leapfrog uses it.
-
-    D is symmetric on the circle.  On the line the clamp overwrites the
-    one-sided edge rows, so they drop out and D^T is the zero-padded
-    3-point stencil (mu itself vanishes on the edges).
-    """
-    if lat.topology == lt.CIRCLE:
-        return lt.d2_dx2(mu, lat)
-    c = mu.coeffs
-    out = -2.0 * c
-    out[..., 1:, :] += c[..., :-1, :]
-    out[..., :-1, :] += c[..., 1:, :]
-    out /= lat.dx**2
-    return WeilValue(mu.algebra, out)
-
-
 def smeared_gradient(data: CauchyData, history: FieldHistory, inter: Interaction,
-                     weights: np.ndarray) -> tuple[WeilValue, WeilValue]:
+                     weights: np.ndarray | list[np.ndarray]) -> tuple[WeilValue, WeilValue]:
     """(dF/dphi, dF/dpi) at data for F = solve_smeared(data, inter, lat, weights).
 
     Reverse mode: one backward sweep of the exact transpose of the
@@ -341,46 +326,70 @@ def smeared_gradient(data: CauchyData, history: FieldHistory, inter: Interaction
                   - (dt^3/6) rho''(phi) pi mu
         dF/dpi  = dt mu + (dt^3/6)(D^T mu - rho'(phi) mu).
 
-    Every product is Weil multiplication, which is symmetric, so the sweep
-    runs unchanged at Weil-extended and batched base points.  Each step
-    builds lam^{j-1} in one new coefficient array (2 mu, then the seeded
-    row below, then the dt^2 force) and the row below it as seed - mu.
+    The sweep is linear in its seed, so weights may also be k grids, as a
+    list or stacked on a leading axis: one march carries all k seeds and
+    both blocks gain a leading axis of k rows, each the same floats as a
+    sweep of its own grid.  Every product is Weil multiplication, which is
+    symmetric, so the sweep runs unchanged at Weil-extended and batched base
+    points.  It lifts rho' over slices 1..n_time-1 of history a block of
+    _BLOCK_BYTES at a time, one call for a history of that size, and steps
+    in place in four contiguous buffers: lam^j, lam^{j-1} (2 mu, then the
+    row below, then the dt^2 force), the row below it (seed - mu) and the
+    force.  Each step writes its seed rows into one zeroed row buffer, so
+    the grids are never stacked into one new array.
     """
     lat = history.lattice
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (lat.n_slices, lat.n_space):
-        raise SolverError("weights must cover the full grid")
     algebra, phi, pi = data.algebra, data.phi, data.pi
     if history.algebra != algebra or history.values.shape[1:] != phi.shape:
         raise SolverError("the history must be a solve of the data")
-    seeds = np.zeros(weights.shape + (algebra.dim,))  # unit slot only, as from_scalar
-    seeds[..., 0] = weights * (lat.dx * lat.dt)
-    slices, dt2 = history.values.coeffs, lat.dt**2
+    stacked = isinstance(weights, (list, tuple)) or np.ndim(weights) == 3
+    grids = [np.asarray(g, dtype=np.float64) for g in (weights if stacked else [weights])]
+    if any(g.shape != (lat.n_slices, lat.n_space) for g in grids):
+        raise SolverError("weights must cover the full grid")
+    seeds, dt2 = (len(grids),) if stacked else (), lat.dt**2
+    # each grid's seed row of a step, unit slot only as from_scalar, and a
+    # view of them that broadcasts over the batch
+    row = np.zeros((len(grids), lat.n_space, algebra.dim))
+    rows = row.reshape(seeds + (1,) * (len(phi.shape) - 1) + row.shape[1:])
 
-    def unclamp(lam: np.ndarray, below: np.ndarray) -> WeilValue:
-        """mu: lam, its line edge sites handed down to below and then zeroed in place."""
+    def seed(j: int) -> np.ndarray:
+        for unit, g in zip(row[..., 0], grids):
+            np.multiply(g[j], lat.dx * lat.dt, out=unit)
+        return rows
+
+    # rho'(phi^i) for the slices i in [lo, j) of the current block
+    per_block = max(1, _BLOCK_BYTES // max(history.values.coeffs[0].nbytes, 1))
+    rho1, lo = None, lat.n_time
+    lam, nxt, below, force = (np.empty(seeds + phi.coeffs.shape) for _ in range(4))
+    # copies of the seed rows: zeros + seed would turn a -0.0 into +0.0
+    np.copyto(lam, seed(lat.n_time))
+    np.copyto(below, seed(lat.n_time - 1))
+    edges = slice(None, None, lat.n_space - 1)  # sites 0 and n_space - 1
+
+    def unclamp(lam: np.ndarray) -> None:
+        """lam becomes mu: its line edge sites handed down to below, then zeroed."""
         if lat.topology == lt.LINE:
-            edges = [0, -1]
             below[..., edges, :] += lam[..., edges, :]
             lam[..., edges, :] = 0.0
-        return WeilValue(algebra, lam)
 
-    # copies of the seed rows: zeros + seed would turn a -0.0 into +0.0
-    lam, below = (np.array(np.broadcast_to(seeds[j], phi.coeffs.shape))
-                  for j in (lat.n_time, lat.n_time - 1))
     for j in range(lat.n_time, 1, -1):
-        mu = unclamp(lam, below)
-        rho1 = apply_smooth(inter.rho_prime, WeilValue(algebra, slices[j - 1]))
-        force = _d2_dx2_transpose(mu, lat).coeffs
-        force -= (rho1 * mu).coeffs
+        if j - 1 < lo:
+            lo = max(1, j - per_block)
+            rho1 = apply_smooth(inter.rho_prime, history.values[lo:j]).coeffs
+        unclamp(lam)
+        lt._d2_dx2_transpose_into(lam, force, lat)
+        force -= _mul_into(algebra, rho1[j - 1 - lo], lam, nxt)  # rho'(phi^{j-1}) mu
         force *= dt2
-        lam = np.multiply(mu.coeffs, 2.0)
-        lam += below
-        lam += force
-        below = np.subtract(seeds[j - 2], mu.coeffs)
+        np.multiply(lam, 2.0, out=nxt)
+        nxt += below
+        nxt += force
+        np.subtract(seed(j - 2), lam, out=below)
+        lam, nxt = nxt, lam
 
-    mu = unclamp(lam, below)
-    force = _d2_dx2_transpose(mu, lat) - apply_smooth(inter.rho_prime, phi) * mu
+    unclamp(lam)
+    mu = WeilValue(algebra, lam)
+    force = WeilValue(algebra, lt._d2_dx2_transpose_into(lam, force, lat)) \
+        - apply_smooth(inter.rho_prime, phi) * mu
     rho2 = apply_smooth(inter.rho_prime.derivative(), phi)
     grad_phi = WeilValue(algebra, below) + mu + (0.5 * dt2) * force \
         - (lat.dt**3 / 6.0) * (rho2 * pi * mu)

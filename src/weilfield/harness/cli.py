@@ -15,7 +15,7 @@ import sys
 
 from .. import dynamics as dyn
 from .. import lattice as lt
-from .config import EXPERIMENTS, ConfigError, ExperimentConfig
+from .config import EXPERIMENTS, ConfigError, ExperimentConfig, _shown
 from .experiments import run
 from .oracle import OracleError
 
@@ -43,8 +43,8 @@ def main(argv: list[str] | None = None) -> int:
         config = ExperimentConfig.from_file(args.config)
         if config.experiment != experiment:
             raise ConfigError(
-                f"config describes experiment {config.experiment!r}, "
-                f"but the {args.command!r} command was invoked"
+                f"config describes experiment {_shown(config.experiment)}, "
+                f"but the {_shown(args.command)} command was invoked"
             )
         config = config.with_overrides(seed=args.seed, tol=args.tol)
         report = run(config, outdir=args.out)

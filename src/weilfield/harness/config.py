@@ -118,6 +118,17 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _shown(value) -> str:
+    """repr(value) for a one-line error message, at most 100 characters long.
+
+    reprlib elides deep nesting, long containers and long strings, and a
+    repr still longer is cut, so a huge value cannot flood the line.
+    """
+    import reprlib  # only an error pays for the import
+    text = reprlib.repr(value)
+    return text if len(text) <= 100 else text[:97] + "..."
+
+
 class SeededDraws:
     """The normal draws of np.random.default_rng(seed), in its order.
 
@@ -145,7 +156,7 @@ Draws: TypeAlias = "np.random.Generator | SeededDraws"
 def json_object(value, what: str) -> dict:
     """value itself when it is a JSON object, else a ConfigError naming what."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+        raise ConfigError(f"{what} must be a JSON object, got {_shown(value)}")
     return value
 
 
@@ -161,13 +172,13 @@ def number(desc: dict, key: str, default) -> float:
 
 def _finite(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+        raise ConfigError(f"{what} must be a number, got {_shown(value)}")
     try:
         out = float(value)
     except OverflowError:  # an integer beyond the float range
         out = math.inf
     if not math.isfinite(out):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+        raise ConfigError(f"{what} must be a finite number, got {_shown(value)}")
     return out
 
 
@@ -175,7 +186,7 @@ def boolean(desc: dict, key: str, default: bool) -> bool:
     """desc[key] (default when absent) when it is true or false, else a ConfigError naming key."""
     value = desc.get(key, default)
     if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
+        raise ConfigError(f"{key} must be true or false, got {_shown(value)}")
     return value
 
 
@@ -189,16 +200,16 @@ def count(desc: dict, key: str, default: int | None, least: int) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{key} must be an integer, got {_shown(value)}")
     if value < least:
-        raise ConfigError(f"{key} must be at least {least}, got {value}")
+        raise ConfigError(f"{key} must be at least {least}, got {_shown(value)}")
     return value
 
 
 def _profile_array(desc: dict, x: np.ndarray, rng: Draws) -> np.ndarray:
     kind = json_object(desc, "a profile").get("profile", "zero")
     if not isinstance(kind, str) or kind not in PROFILE_KEYS:
-        raise ConfigError(f"unknown profile {kind!r}")
+        raise ConfigError(f"unknown profile {_shown(kind)}")
     _known_keys(desc, ("profile",) + PROFILE_KEYS[kind], f"{kind} profile key")
     amp = number(desc, "amplitude", 1.0)
     if kind == "zero":
@@ -242,7 +253,7 @@ def _profile_array(desc: dict, x: np.ndarray, rng: Draws) -> np.ndarray:
             raise ConfigError("array profile needs values")
         values = desc["values"]
         if not isinstance(values, list):
-            raise ConfigError(f"array profile values must be a list, got {values!r}")
+            raise ConfigError(f"array profile values must be a list, got {_shown(values)}")
         arr = np.array([_finite(v, f"values[{i}]") for i, v in enumerate(values)])
         if arr.shape != x.shape:
             raise ConfigError("array profile length must match n_space")
@@ -260,7 +271,7 @@ def observable_kind(desc) -> str:
     """The kind of an observable descriptor {kind, ...}, whose keys must be that kind's."""
     kind = json_object(desc, "an observable").get("kind")
     if not isinstance(kind, str) or kind not in OBSERVABLE_KEYS:
-        raise ConfigError(f"unknown observable kind {kind!r}")
+        raise ConfigError(f"unknown observable kind {_shown(kind)}")
     _known_keys(desc, OBSERVABLE_KEYS[kind], f"{kind} observable key")
     return kind
 
@@ -335,7 +346,7 @@ def _interaction_from(desc: dict) -> dyn.Interaction:
     d = dict(json_object(desc, "interaction"))
     name = d.pop("name")
     if not isinstance(name, str) or name not in INTERACTION_KEYS:
-        raise ConfigError(f"unknown interaction {name!r}")
+        raise ConfigError(f"unknown interaction {_shown(name)}")
     _known_keys(d, INTERACTION_KEYS[name], f"{name} interaction key")
     return dyn.interaction(name, **{key: number(d, key, None) for key in d})
 
@@ -347,13 +358,13 @@ def _known_keys(desc, known, what: str) -> dict:
     error names it and the closest known key.
     """
     if not isinstance(desc, dict):
-        raise ConfigError(f"must be a JSON object, got {desc!r}")
+        raise ConfigError(f"must be a JSON object, got {_shown(desc)}")
     for key in desc:
         if key not in known:
             import difflib  # only a misspelled key pays for the import
             close = difflib.get_close_matches(key, known, n=1)
-            hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ConfigError(f"unknown {what} {key!r}{hint}")
+            hint = f"; did you mean {_shown(close[0])}?" if close else ""
+            raise ConfigError(f"unknown {what} {_shown(key)}{hint}")
     return desc
 
 
@@ -362,7 +373,7 @@ def _study_from(doc: dict) -> str:
     study = doc.get("study", "solution_error")
     # a list or an object is unhashable, so it must not reach the lookup
     if not isinstance(study, str) or study not in STUDY_KEYS:
-        raise ConfigError(f"study must be one of {tuple(STUDY_KEYS)}, got {study!r}")
+        raise ConfigError(f"study must be one of {tuple(STUDY_KEYS)}, got {_shown(study)}")
     _known_keys(doc, COMMON_KEYS + STUDY_KEYS[study], f"{study} study config key")
     return study
 
@@ -374,7 +385,7 @@ def _tolerances_from(desc: dict, defaults: dict) -> dict:
             continue  # scaled from the grid at run time
         # an infinite bound passes every value and a negative one none
         if _finite(value, key) < 0:
-            raise ConfigError(f"{key} must be nonnegative, got {value!r}")
+            raise ConfigError(f"{key} must be nonnegative, got {_shown(value)}")
     return tolerances
 
 
@@ -382,7 +393,7 @@ def _objects(what: str):
     """A parser of a JSON list whose items must each be an object."""
     def parse(items) -> tuple[dict, ...]:
         if not isinstance(items, (list, tuple)):
-            raise ConfigError(f"must be a list, got {items!r}")
+            raise ConfigError(f"must be a list, got {_shown(items)}")
         return tuple(json_object(item, what) for item in items)
     return parse
 
@@ -412,7 +423,7 @@ class ExperimentConfig:
         # a list or an object is unhashable, so it must not reach the lookup
         if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
             raise ConfigError(
-                f"experiment must be one of {tuple(EXPERIMENTS)}, got {experiment!r}"
+                f"experiment must be one of {tuple(EXPERIMENTS)}, got {_shown(experiment)}"
             )
         spec = EXPERIMENTS[experiment]
         _known_keys(doc, COMMON_KEYS + spec.config_keys, f"{experiment} config key")
@@ -428,7 +439,7 @@ class ExperimentConfig:
                                                        for n in rungs),
                          doc.get("ladder", ()))
         if len(set(ladder)) != len(ladder):
-            raise ConfigError(f"ladder rungs must be distinct, got {list(ladder)}")
+            raise ConfigError(f"ladder rungs must be distinct, got {_shown(list(ladder))}")
         return cls(
             experiment=experiment,
             lattice=lattice,

@@ -206,7 +206,8 @@ def _run_bracket(config: ExperimentConfig) -> Report:
             if refs[-1] == 0:
                 raise ConfigError(f"observables {i} and {j}: the oracle bracket is 0, "
                                   "so a relative error against it would measure nothing")
-    with ps.sharing():  # one base point: each dF is taken once
+    with ps.sharing():  # one base point: each dF is taken once, all in one sweep
+        ps.differentials([p.F for p in pairs], base)
         defects = [ps.pair_defect(p, base, lat) for p in pairs]
         values = [float(ps.bracket(pairs[i], pairs[j], lat).F.evaluate(base).scalar_part)
                   for i, j in index]

@@ -22,6 +22,7 @@ every row of a batch in one flat pass over a contiguous input.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import BinaryIO
@@ -73,12 +74,14 @@ class LatticeSpacetime:
                                f"got dx={self.dx}, dt={self.dt}")
         try:  # the leapfrog's Taylor start takes dt^3; a float power overflows by raising
             float(self.dx) ** 3, float(self.dt) ** 3
-            # and the stencils divide by dx^2 and dt^2, which may underflow to 0
-            in_range = float(self.dx) ** 2 > 0 and float(self.dt) ** 2 > 0
+            # and the stencils divide by dx^2 and dt^2, which may underflow to 0 or
+            # to a subnormal of a few significant bits
+            tiny = sys.float_info.min
+            in_range = float(self.dx) ** 2 >= tiny and float(self.dt) ** 2 >= tiny
         except OverflowError:
             in_range = False
         if not in_range:
-            raise LatticeError(f"grid spacings must have a finite cube and a nonzero square, "
+            raise LatticeError(f"grid spacings must have a finite cube and a normal square, "
                                f"got dx={self.dx}, dt={self.dt}")
         if self.dt > self.dx * (1 + 1e-12):
             raise LatticeError(
@@ -188,6 +191,23 @@ def _d2_dx2_into(c: np.ndarray, out: np.ndarray, lat: LatticeSpacetime) -> np.nd
     else:  # both edges at once, from sites (0, n-1), (1, n-2), (2, n-3) and (3, n-4)
         o[::n - 1] = (2 * c[::n - 1] - 5 * c[1:n - 1:n - 3] + 4 * c[2:n - 2:n - 5]
                       - c[3:n - 3:n - 7])
+    out /= lat.dx**2
+    return out
+
+
+def _d2_dx2_transpose_into(c: np.ndarray, out: np.ndarray,
+                           lat: LatticeSpacetime) -> np.ndarray:
+    """D^T c for the Laplacian D as the clamped leapfrog uses it, written into out (not c).
+
+    D is symmetric on the circle, so this is _d2_dx2_into there.  On the line
+    the clamp overwrites the one-sided edge rows, so they drop out and D^T is
+    the zero-padded 3-point stencil.  c and out must be contiguous.
+    """
+    if lat.topology == CIRCLE:
+        return _d2_dx2_into(c, out, lat)
+    np.multiply(c, -2.0, out=out)
+    out[..., 1:, :] += c[..., :-1, :]
+    out[..., :-1, :] += c[..., 1:, :]
     out /= lat.dx**2
     return out
 

@@ -7,8 +7,10 @@ algebra extension and commute with scalar-part extraction.  Differentials
 are exact and each observable carries its own: closed forms for slices and
 constants, the product rule, the discrete adjoint of the leapfrog for
 spacetime observables (dynamics.smeared_gradient, swept over a base history
-solved here and, inside a sharing scope, held for the last point only), and
-forward-over-reverse Hessian-vector products for brackets.  Forward dual
+solved here and, inside a sharing scope, held for the last point only; as
+the sweep is linear in its seed, differentials sweeps the spacetime
+observables a point needs in one march), and forward-over-reverse
+Hessian-vector products for brackets.  Forward dual
 mode, the eps part of F at data + eps*e_site for every unit tangent, is the
 tests' oracle (forward_differential).
 
@@ -75,36 +77,17 @@ def _once(fn: Callable) -> Callable:
     return call
 
 
-def _latest(fn: Callable) -> Callable:
-    """fn, whose result for the last argument tuple is kept while a sharing scope is open.
-
-    The scope holds one entry, keyed by fn itself, of (argument ids, result,
-    arguments), so the held arguments keep their ids from being reused.  A
-    new tuple drops the held result before fn runs on it.
-    """
-
-    def call(*args):
-        if (shared := _shared.get()) is None:
-            return fn(*args)
-        key = tuple(map(id, args))
-        if shared.get(fn, (None,))[0] != key:
-            shared.pop(fn, None)  # no reference to the held result survives fn's run
-            shared[fn] = (key, fn(*args), args)
-        return shared[fn][1]
-
-    return call
-
-
 @contextmanager
 def sharing():
     """A scope in which each _once function runs once per argument tuple.
 
     It holds every result until it closes (each dF, field value and dual
-    lift), and beside them the base history of the last point that a
-    spacetime gradient swept (_latest).  So scope one base point: a single
-    point, or one scope over the sample batch of verify_axioms, whose memory
-    grows linearly with the batch.  Scopes do not nest: an inner one starts
-    empty.
+    lift), and beside them a record per base point of spacetime gradients
+    (_Point): the dF swept there and, at the point that last needed one
+    only, the stored solve the sweeps march back over.  So scope one base
+    point: a single point, or one scope over the sample batch of
+    verify_axioms, whose memory grows linearly with the batch.  Scopes do
+    not nest: an inner one starts empty.
     """
     token = _shared.set({})
     try:
@@ -116,11 +99,61 @@ def sharing():
 _lift = _once(lift_data)
 
 
-@_latest
-def _base_history(d: CauchyData, inter: Interaction,
-                  lat: lt.LatticeSpacetime) -> FieldHistory:
-    """The stored solve at d that a spacetime gradient sweeps back over."""
-    return solve_cauchy(d, inter, lat)
+@dataclass(frozen=True, eq=False)
+class _Smearing:
+    """What a spacetime observable's dF sweeps: its grid weights, interaction and lattice."""
+
+    weights: np.ndarray
+    inter: Interaction
+    lat: lt.LatticeSpacetime
+
+
+class _Point:
+    """A sharing scope's record of one base point, interaction and lattice.
+
+    args holds them, so that their ids are not reused while the scope holds
+    the record; swept maps each smearing swept at the point to its dF; and
+    history is the stored solve of the point, which the scope holds at the
+    point that last needed a solve only.
+    """
+
+    def __init__(self, *args) -> None:
+        self.args, self.swept = args, {}
+        self.history: FieldHistory | None = None
+
+
+def _swept(smearings: Sequence[_Smearing], at: CauchyData) -> list["Covector"]:
+    """dF at at of each smearing, by the discrete adjoint over the stored solve at at.
+
+    Those not yet swept there share one march per interaction and lattice
+    (dynamics.smeared_gradient over a stack of seeds).  Inside a sharing
+    scope the point's record keeps what is swept, and a new solve drops the
+    one the scope held before it runs; outside a scope nothing is kept.
+    """
+    shared = _shared.get()
+    groups: dict = {}
+    for s in smearings:
+        groups.setdefault((id(s.inter), id(s.lat)), []).append(s)
+    out = {}
+    for group in groups.values():
+        inter, lat = group[0].inter, group[0].lat
+        key = (_Point, id(at), id(inter), id(lat))
+        if shared is None:
+            point = _Point(at, inter, lat)
+        elif (point := shared.get(key)) is None:
+            point = shared[key] = _Point(at, inter, lat)
+        todo = [s for s in dict.fromkeys(group) if s not in point.swept]
+        if todo:
+            if point.history is None:
+                if shared is not None:
+                    if (last := shared.pop(_Point, None)) is not None:
+                        last.history = None  # no reference to it survives the solve
+                    shared[_Point] = point
+                point.history = solve_cauchy(at, inter, lat)
+            phi, pi = smeared_gradient(at, point.history, inter, [s.weights for s in todo])
+            point.swept.update((s, Covector(phi[k], pi[k])) for k, s in enumerate(todo))
+        out.update(point.swept)
+    return [out[s] for s in smearings]
 
 
 # -- observables and vector fields -------------------------------------------
@@ -134,12 +167,15 @@ class Observable:
     W' (batch axes pass through), and gradient maps it to the exact dF at
     that base point, equally Weil-polymorphic.  sc_window, when set, is a
     site mask bounding the spatial support the observable can feel.
+    smearing is set on spacetime observables only, whose dF is an adjoint
+    sweep that differentials can share.
     """
 
     evaluate: Callable[[CauchyData], WeilValue]
     gradient: Callable[[CauchyData], "Covector"]
     name: str = ""
     sc_window: np.ndarray | None = None
+    smearing: _Smearing | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "evaluate", _once(self.evaluate))
@@ -198,20 +234,23 @@ def spacetime_observable(g: np.ndarray, inter: Interaction,
     of memory and never fewer than three slices (dynamics.leapfrog_blocks).
     dF is the discrete adjoint (dynamics.smeared_gradient) over the stored
     base history of every batch row; inside a sharing scope the spacetime
-    observables at one point sweep over one such history (_base_history).
+    observables at one point sweep over one such history, and those passed
+    to differentials together in one march (_swept).
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (lat.n_slices, lat.n_space):
         raise ValueError("spacetime smearing must cover the full grid")
+    smearing = _Smearing(g, inter, lat)
 
     def ev(d: CauchyData) -> WeilValue:
         return solve_smeared(d, inter, lat, g)
 
     def grad(d: CauchyData) -> Covector:
-        return Covector(*smeared_gradient(d, _base_history(d, inter, lat), inter, g))
+        return _swept([smearing], d)[0]
 
     window = lt.causal_cone((np.abs(g) > 0).any(axis=0), lat.n_time, lat)
-    return Observable(ev, grad, name or "int g*Phi vol", sc_window=window)
+    return Observable(ev, grad, name or "int g*Phi vol", sc_window=window,
+                      smearing=smearing)
 
 
 def constant_observable(c: float, name: str = "") -> Observable:
@@ -282,9 +321,23 @@ def _constant_covector(at: CauchyData, phi, pi) -> Covector:
     return Covector(block(phi), block(pi))
 
 
+def differentials(Fs: Sequence[Observable], at: CauchyData) -> list[Covector]:
+    """Exact dF at a base point for each F of Fs: the observable's own gradient.
+
+    Inside a sharing scope the spacetime observables among Fs that are not
+    yet swept at the point and share an interaction and a lattice are swept
+    in one march first, so a caller that needs the dF of several of them at
+    one point passes them here together.  Outside a scope nothing is kept,
+    and each gradient sweeps on its own.
+    """
+    if _shared.get() is not None:
+        _swept([F.smearing for F in Fs if F.smearing is not None], at)
+    return [F.gradient(at) for F in Fs]
+
+
 def differential(F: Observable, at: CauchyData) -> Covector:
-    """Exact dF at a base point: the observable's own gradient."""
-    return F.gradient(at)
+    """Exact dF at a base point: differentials of F alone."""
+    return differentials([F], at)[0]
 
 
 def _unit_lift(at: CauchyData) -> CauchyData:
@@ -660,7 +713,10 @@ def verify_axioms(p1: HamiltonianPair, p2: HamiltonianPair, p3: HamiltonianPair,
         return _row_max_abs(v.phi, v.pi)
 
     with sharing():
-        pair_defects = tuple(_sup(pair_defect(p, at, lat)) for p in (p1, p2, p3))
+        inputs = (p1, p2, p3)
+        dFs = differentials([p.F for p in inputs], at)  # the spacetime ones in one sweep
+        pair_defects = tuple(_sup(_equation_defect(dF, p.v.evaluate(at), lat.dx))
+                             for p, dF in zip(inputs, dFs))
         closure = _sup(pair_defect(b12, at, lat))
 
         a, b = fval(b12), fval(b21)

@@ -338,13 +338,8 @@ class WeilValue:
             a, b = self.coeffs, other.coeffs
             if self.algebra.dim == 1:
                 return WeilValue(self.algebra, a * b)
-            shape = np.broadcast_shapes(a.shape, b.shape)
-            out = np.zeros(shape)
-            for k, pairs in self.algebra._mult_by_target:
-                slot = out[..., k]
-                for i, j in pairs:
-                    slot += a[..., i] * b[..., j]
-            return WeilValue(self.algebra, out)
+            out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+            return WeilValue(self.algebra, _mul_into(self.algebra, a, b, out))
         arr = np.asarray(other, dtype=np.float64)
         return WeilValue(self.algebra, self.coeffs * arr[..., None])
 
@@ -364,6 +359,23 @@ class WeilValue:
 
     def __repr__(self) -> str:
         return f"WeilValue(orders={self.algebra.orders}, shape={self.shape})"
+
+
+def _mul_into(algebra: WeilAlgebra, a: np.ndarray, b: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """The product of coefficient arrays a * b, written into out (shared with neither).
+
+    Each slot is zeroed and then sums its terms a_i b_j in table order, so a
+    -0.0 term leaves a +0.0 slot.
+    """
+    if algebra.dim == 1:
+        return np.multiply(a, b, out=out)
+    out.fill(0.0)
+    for k, pairs in algebra._mult_by_target:
+        slot = out[..., k]
+        for i, j in pairs:
+            slot += a[..., i] * b[..., j]
+    return out
 
 
 def max_or_nan(*values: float) -> float:
@@ -513,8 +525,9 @@ def monomial_map(coeff: float, power: int, name: str | None = None) -> SmoothMap
     def nth(n, x):
         if n > power:
             return np.zeros(np.shape(x))
-        c = coeff * math.perm(power, n)
-        return c * x ** (power - n)
+        out = x ** (power - n)
+        out *= coeff * math.perm(power, n)  # in place: one grid-sized temporary, not two
+        return out
 
     return SmoothMap(name or f"{coeff}*x^{power}", nth)
 

@@ -483,10 +483,14 @@ def reference_gradient(phi, pi, history, weights, name, lat):
     (WeilAlgebra.dual().tensor(WeilAlgebra.dual()), ()), (WeilAlgebra.dual(), (2,))],
     ids=["R", "dual", "R2", "dual-batch2"])
 @pytest.mark.parametrize("topology", ["circle", "line"])
-def test_smeared_gradient_bit_matches_plain_numpy_sweep(topology, algebra, batch, name, rng):
+def test_smeared_gradient_bit_matches_plain_numpy_sweep(topology, algebra, batch, name, rng,
+                                                         each_block_length):
     # both covector blocks equal a plain-numpy transcription of the sweep byte
     # for byte, so signed zeros count: the weights vanish, with either sign,
-    # off a window, and the free interaction's rho' is zero
+    # off a window, and the free interaction's rho' is zero.  A stack of k
+    # weight grids (an array of one, a list of three) sweeps in one march,
+    # and each of its rows is the transcription of its own weights.  The
+    # sweep lifts rho' in blocks of 1, 3 and the default number of slices
     if topology == "circle":
         lat = lt.LatticeSpacetime("circle", 48, 2 * np.pi / 48, np.pi / 48, 40)
         window = np.ones(lat.n_space)
@@ -496,16 +500,24 @@ def test_smeared_gradient_bit_matches_plain_numpy_sweep(topology, algebra, batch
         window[36:60] = np.hanning(24)
     phi, pi = (0.4 * rng.standard_normal(batch + (lat.n_space, algebra.dim))
                * window[:, None] for _ in range(2))
-    weights = rng.standard_normal((lat.n_slices, lat.n_space))
-    weights[:, ::3] *= 0.0
+    stack = rng.standard_normal((3, lat.n_slices, lat.n_space))
+    stack[:, :, ::3] *= 0.0
+    stack[1, ::2] *= -1.0  # the second grid's zeros are -0.0 on every other slice
     data = dyn.CauchyData(WeilValue(algebra, phi), WeilValue(algebra, pi))
     inter = dyn.interaction(name, **INTERACTION_PARAMS.get(name, {}))
     history = dyn.solve_cauchy(data, inter, lat)
-    got = dyn.smeared_gradient(data, history, inter, weights)
-    expected = reference_gradient(phi, pi, history.values.coeffs, weights, name, lat)
-    for block, want in zip(got, expected):
-        assert block.algebra == algebra and block.coeffs.shape == want.shape
-        assert block.coeffs.tobytes() == want.tobytes()
+    expected = [reference_gradient(phi, pi, history.values.coeffs, w, name, lat)
+                for w in stack]
+    cases = ((stack[0], expected[0]), (stack[:1], expected[:1]), (list(stack), expected))
+    for block_lengths in each_block_length:
+        block_lengths(history.values.coeffs[0].nbytes, lat.n_slices)
+        for weights, want_rows in cases:
+            got = dyn.smeared_gradient(data, history, inter, weights)
+            for b, block in enumerate(got):
+                want = want_rows[b] if isinstance(want_rows, tuple) \
+                    else np.array([rows[b] for rows in want_rows])
+                assert block.algebra == algebra and block.coeffs.shape == want.shape
+                assert block.coeffs.tobytes() == want.tobytes()
 
 
 def test_tangent_march_lifts_rho_on_one_base_slice():

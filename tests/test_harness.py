@@ -791,6 +791,8 @@ MALFORMED = {
     # a spacing whose cube overflows: the leapfrog's Taylor start takes dt^3
     "extent_cube_overflows": ("conserve", lambda d: d["lattice"].update(extent=3.2e121)),
     "extent_square_underflows": ("conserve", lambda d: d["lattice"].update(extent=1e-300)),
+    "extent_square_subnormal": ("conserve", lambda d: d["lattice"].update(
+        n_space=32, n_time=16, extent=3e-160)),
     "dx_nan": ("jacobi", lambda d: d.update(lattice={
         "topology": "circle", "n_space": 32, "dx": float("nan"), "dt": 0.01, "n_time": 8})),
     "smearing_center_nan":
@@ -1210,11 +1212,46 @@ def test_cli_non_finite_field_names_the_slice(command, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_cli_spacing_with_a_subnormal_square_runs(tmp_path):
-    # dx^2 and dt^2 are subnormal but not 0, so no stencil divides by 0
-    doc = copy.deepcopy(BASE_CONSERVE)
+@pytest.mark.parametrize("command", ["solve", "conserve"])
+def test_cli_spacing_with_a_subnormal_square_exits_2(command, tmp_path, capsys):
+    # dx^2 = 9e-323 and dt^2 = 2e-323 are subnormal, with two or three
+    # significant bits, so a solve's residual bound of 100 (dx^2 + dt^2) would
+    # be 1e-320: the lattice refuses them before any run
+    doc = copy.deepcopy(dict(BASE_CONSERVE, experiment=command))
+    if command == "solve":
+        del doc["tangents"]  # a solve config takes no tangents
     doc["lattice"].update(n_space=32, n_time=16, extent=3e-160)
-    assert cli.main(["conserve", "--config", _write(tmp_path, doc)]) == 0
+    assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: lattice: grid spacings must have a finite cube and a normal square, "
+        "got dx=9.375e-162, dt=4.6875e-162"]
+    assert captured.out == ""
+
+
+def _nested(depth):
+    """A list nested depth deep, built without recursion."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+# values whose whole repr would flood the one error line
+HUGE_VALUES = {
+    "tolerances_nested_500_deep": ("conserve", lambda d: d.update(tolerances=_nested(500))),
+    "profile_name_5000_long": ("conserve", lambda d: d["initial_data"].update(
+        phi={"profile": "x" * 5000})),
+    "n_time_4001_digits": ("conserve", lambda d: d["lattice"].update(n_time=-10 ** 4000)),
+    "ladder_of_2000_repeated_rungs": ("convergence", lambda d: d.update(ladder=[16] * 2000)),
+}
+
+
+@pytest.mark.parametrize("command,edit", HUGE_VALUES.values(), ids=HUGE_VALUES.keys())
+def test_cli_error_caps_the_value_it_shows(command, edit, tmp_path, capsys):
+    assert cli.main([command, "--config", _write(tmp_path, _edited(BASES[command], edit))]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and len(err[0]) < 200, err[0][:300]
 
 
 @pytest.mark.filterwarnings("error")
@@ -1341,7 +1378,7 @@ TOY_SPACETIME_JACOBI = dict(TOY_JACOBI, observables=[
 
 
 def _adjoint_sweeps(doc, monkeypatch):
-    """(smeared_gradient calls, base solves) of one passing run of doc."""
+    """(smeared_gradient calls, seeds they carry, base solves) of one passing run of doc."""
     sweeps, solves = [], []
 
     def counted(calls, fn):
@@ -1353,28 +1390,31 @@ def _adjoint_sweeps(doc, monkeypatch):
     monkeypatch.setattr(ps, "smeared_gradient", counted(sweeps, dyn.smeared_gradient))
     monkeypatch.setattr(ps, "solve_cauchy", counted(solves, dyn.solve_cauchy))
     assert experiments.run(cfg.ExperimentConfig.from_dict(copy.deepcopy(doc))).all_passed()
-    return len(sweeps), len(solves)
+    seeds = sum(int(np.prod(np.shape(weights)[:-2])) for *_, weights in sweeps)
+    return len(sweeps), seeds, len(solves)
 
 
 def test_spacetime_jacobi_run_checks_pairs_inside_the_sample_scope(monkeypatch):
-    # 21 sweeps for the two-sample batch, all inside verify_axioms' one scope;
-    # one scope per sample took 42, and pairs validated on their own and a
-    # revalidation bracket outside it took 60.  The scope holds the base
-    # history of the last point swept only, so 17 of the 21 sweeps solve
-    # their base, where a solve per sweep took 21
-    assert _adjoint_sweeps(TOY_SPACETIME_JACOBI, monkeypatch) == (21, 17)
+    # 21 seeds swept for the two-sample batch, all inside verify_axioms' one
+    # scope; one scope per sample took 42, and pairs validated on their own
+    # and a revalidation bracket outside it took 60.  The two spacetime input
+    # observables share one sweep, so the 21 seeds take 20 sweeps.  The scope
+    # holds the base history of the last point that needed one only, so the
+    # sweeps solve their base 17 times, where a solve per seed took 21
+    assert _adjoint_sweeps(TOY_SPACETIME_JACOBI, monkeypatch) == (20, 21, 17)
 
 
 def test_bracket_run_takes_each_differential_once(monkeypatch):
-    # one sweep per observable at the single base point, both over one base
-    # solve; pair checks and bracket values taken outside one sharing scope
-    # took 4 sweeps, and a solve per sweep took 2 solves
+    # one sweep carrying both observables' seeds at the single base point,
+    # over one base solve; a sweep per observable took 2 sweeps, pair checks
+    # and bracket values taken outside one sharing scope took 4, and a solve
+    # per sweep took 2 solves
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "bracket_vs_oracle.json")
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["lattice"].update(n_space=32, n_time=16)
     doc["tolerances"]["bracket_oracle"] = 0.5  # scheme order at 32 sites
-    assert _adjoint_sweeps(doc, monkeypatch) == (2, 1)
+    assert _adjoint_sweeps(doc, monkeypatch) == (1, 2, 1)
 
 
 def test_report_cites_tolerances():

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -40,12 +41,20 @@ def test_spacings_must_be_finite_and_positive(dx, dt):
 
 
 @pytest.mark.parametrize("dx,dt", [(1e120, 5e119), (1e200, 1e-3), (np.float64(1e120), 0.1),
-                                   (1e-300, 5e-301), (0.1, 1e-170), (np.float64(1e-170), 1e-171)])
+                                   (1e-300, 5e-301), (0.1, 1e-170), (np.float64(1e-170), 1e-171),
+                                   (9.375e-162, 4.6875e-162), (0.1, 1e-155)])
 def test_spacings_must_have_a_finite_cube(dx, dt):
     # the leapfrog's Taylor start takes dt^3, which would raise OverflowError mid-run,
-    # and the stencils divide by dx^2 and dt^2, which would underflow to 0
+    # and the stencils divide by dx^2 and dt^2, which would underflow to 0 or to a
+    # subnormal of a few significant bits
     with pytest.raises(lt.LatticeError, match="finite cube"):
         lt.LatticeSpacetime("circle", 32, dx, dt, 8)
+
+
+def test_spacings_with_the_smallest_normal_square_are_accepted():
+    dx = 1.5e-154  # dx^2 = 2.25e-308, just above the smallest normal float
+    assert dx**2 >= sys.float_info.min > (dx / 2) ** 2
+    assert lt.LatticeSpacetime("circle", 32, dx, dx, 8).dt == dx
 
 
 def test_descriptor_roundtrip(circle):

@@ -580,10 +580,8 @@ def spacetime_triple(lat, rng):
     return [ps.make_pair(F, lat) for F in (st[0], st[1], third)]
 
 
-def test_verify_axioms_shares_adjoint_sweeps_per_sample(small, rng, monkeypatch):
-    lat = small[0]
-    pairs = spacetime_triple(lat, rng)
-    samples = [random_data(lat, rng) for _ in range(2)]
+def _counted_sweeps(monkeypatch):
+    """The adjoint sweeps the spacetime gradients make, as a list of their arguments."""
     sweeps = []
 
     def counted(*args):
@@ -591,17 +589,50 @@ def test_verify_axioms_shares_adjoint_sweeps_per_sample(small, rng, monkeypatch)
         return dyn.smeared_gradient(*args)
 
     monkeypatch.setattr(ps, "smeared_gradient", counted)
+    return sweeps
+
+
+def _seeds(sweeps):
+    """The number of seeds each sweep carried."""
+    return [int(np.prod(np.shape(weights)[:-2])) for *_, weights in sweeps]
+
+
+def test_verify_axioms_shares_adjoint_sweeps_per_sample(small, rng, monkeypatch):
+    lat = small[0]
+    pairs = spacetime_triple(lat, rng)
+    samples = [random_data(lat, rng) for _ in range(2)]
+    sweeps = _counted_sweeps(monkeypatch)
     shared = ps.verify_axioms(*pairs, samples, lat)
-    # 21 sweeps in all, 2 of them for the closure's pair defect: the samples
-    # ride one batch, so every sweep's base carries both of them
-    assert len(sweeps) == 21
+    # 21 seeds in all, 2 of them for the closure's pair defect: the samples
+    # ride one batch, so every sweep's base carries both of them, and the two
+    # spacetime inputs ride one sweep, so the 21 seeds take 20 sweeps
+    assert sorted(_seeds(sweeps)) == [1] * 19 + [2]
     assert all(args[0].phi.shape == (2, lat.n_space) for args in sweeps)
     assert ps._shared.get() is None
     sweeps.clear()
     monkeypatch.setattr(ps, "sharing", contextlib.nullcontext)
     unshared = ps.verify_axioms(*pairs, samples, lat)
-    assert len(sweeps) == 98
+    assert _seeds(sweeps) == [1] * 98
     assert shared == unshared
+
+
+def test_differentials_sweep_the_spacetime_observables_at_a_point_in_one_march(
+        small, rng, monkeypatch):
+    lat = small[0]
+    F, G, H = (p.F for p in spacetime_triple(lat, rng))
+    at = random_data(lat, rng)
+    alone = [ps.differential(X, at) for X in (F, G, H)]
+    sweeps = _counted_sweeps(monkeypatch)
+    with ps.sharing():
+        together = ps.differentials([F, G, H], at)
+        # F and G share one march; H is a product, whose spacetime factor
+        # sweeps by itself when H's gradient asks for it
+        assert _seeds(sweeps) == [2, 1]
+        assert ps.differentials([G, F], at) == together[1::-1]
+        assert ps.differential(F, at) is together[0] and len(sweeps) == 2
+    for a, b in zip(alone, together):
+        assert a.phi.coeffs.tobytes() == b.phi.coeffs.tobytes()
+        assert a.pi.coeffs.tobytes() == b.pi.coeffs.tobytes()
 
 
 def _counted_solves(monkeypatch):
@@ -616,10 +647,10 @@ def _counted_solves(monkeypatch):
     return solves
 
 
-def _held_histories():
-    """The base histories the open sharing scope holds."""
-    return [entry for entry in ps._shared.get().values()
-            if any(isinstance(item, dyn.FieldHistory) for item in entry)]
+def _records():
+    """The point records the open sharing scope holds, each once."""
+    return list({id(v): v for v in ps._shared.get().values()
+                 if isinstance(v, ps._Point)}.values())
 
 
 def test_spacetime_gradients_share_one_base_solve_per_point(small, rng, monkeypatch):
@@ -644,13 +675,20 @@ def test_sharing_scope_holds_the_last_base_history_only(small, rng, monkeypatch)
     F, G = (p.F for p in spacetime_triple(lat, rng)[:2])
     points = [random_data(lat, rng) for _ in range(2)]
     solves = _counted_solves(monkeypatch)
+    sweeps = _counted_sweeps(monkeypatch)
     with ps.sharing():
         for obs in (F, G):
             for at in points:  # the points alternate, so every sweep solves again
                 obs.gradient(at)
-                held = _held_histories()
-                assert len(held) == 1 and held[0][2][0] is at
+                held = [r for r in _records() if r.history is not None]
+                assert len(held) == 1 and held[0].args[0] is at
         assert len(solves) == 4
+        # each point's record keeps the dF swept there after its solve is
+        # dropped, so asking for both at either point sweeps nothing more
+        assert [len(r.swept) for r in _records()] == [2, 2]
+        for at in points:
+            ps.differentials([F, G], at)
+        assert len(solves) == 4 and len(sweeps) == 4
     assert ps._shared.get() is None
 
 
