@@ -9,7 +9,9 @@ linearized solution, in the eps component.  For a smeared observable the
 transpose of that linearized scheme, run backward over a stored solve that
 the caller supplies, gives the whole gradient at once (smeared_gradient),
 so observables smeared at one base point can share its solve, and, as the
-transpose is linear in its seed, one backward march too.  lift_data is
+transpose is linear in its seed, one backward march too.  An affine
+interaction (free, mass) has a constant rho', so its transpose is the same
+at every base point and marches over no solve at all.  lift_data is
 the one tangent lift, data + sum_k t_k * v_k over W (x) D(k), so several
 tangents at one base ride one march of the base (tangent_blocks).  One
 generator, leapfrog_blocks, marches the scheme in place in blocks of slices;
@@ -57,6 +59,7 @@ class Interaction:
     name: str
     rho: SmoothMap
     mass: float = 0.0  # the m of rho(x) = m^2 * x as built; 0 for every other rho
+    affine: bool = False  # rho' is a constant, so the linearization is the same at every phi
 
     @cached_property
     def rho_prime(self) -> SmoothMap:
@@ -72,10 +75,10 @@ def interaction(name: str, **params) -> Interaction:
     sine_gordon   rho(x) = sin(x)
     """
     if name == "free":
-        return Interaction("free", constant_map(0.0))
+        return Interaction("free", constant_map(0.0), affine=True)
     if name == "mass":
         m = float(params.get("mass", 1.0))
-        return Interaction("mass", monomial_map(m * m, 1, name=f"{m * m:g}*x"), m)
+        return Interaction("mass", monomial_map(m * m, 1, name=f"{m * m:g}*x"), m, affine=True)
     if name == "phi4":
         lam = float(params.get("coupling", 1.0))
         return Interaction("phi4", monomial_map(lam, 3, name=f"{lam:g}*x^3"))
@@ -304,13 +307,18 @@ def solve_smeared(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime
     return WeilValue(data.algebra, acc) * (lat.dx * lat.dt)
 
 
-def smeared_gradient(data: CauchyData, history: FieldHistory, inter: Interaction,
-                     weights: np.ndarray | list[np.ndarray]) -> tuple[WeilValue, WeilValue]:
+@np.errstate(over="ignore", invalid="ignore")  # require_finite names the slice instead
+def smeared_gradient(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
+                     weights: np.ndarray | list[np.ndarray],
+                     history: FieldHistory | None = None) -> tuple[WeilValue, WeilValue]:
     """(dF/dphi, dF/dpi) at data for F = solve_smeared(data, inter, lat, weights).
 
     Reverse mode: one backward sweep of the exact transpose of the
-    linearized leapfrog over history, the caller's stored solve of data
-    (solve_cauchy), whose lattice is the sweep's.  With lam^j = dF/dphi^j
+    linearized leapfrog over history, the caller's stored solve of data on
+    lat (solve_cauchy).  An affine inter needs none: its rho' is a constant,
+    so the one row rho'(phi) stands for every slice, and on the line the
+    sweep refuses data whose cone reaches the guard band, as the solve
+    would.  With lam^j = dF/dphi^j
     seeded by weights[j] * dx * dt, and mu = lam^j with the line's clamped
     edge sites zeroed, step j (phi^j from phi^{j-1} and phi^{j-2}) transposes to
 
@@ -331,17 +339,22 @@ def smeared_gradient(data: CauchyData, history: FieldHistory, inter: Interaction
     both blocks gain a leading axis of k rows, each the same floats as a
     sweep of its own grid.  Every product is Weil multiplication, which is
     symmetric, so the sweep runs unchanged at Weil-extended and batched base
-    points.  It lifts rho' over slices 1..n_time-1 of history a block of
-    _BLOCK_BYTES at a time, one call for a history of that size, and steps
-    in place in four contiguous buffers: lam^j, lam^{j-1} (2 mu, then the
-    row below, then the dt^2 force), the row below it (seed - mu) and the
-    force.  Each step writes its seed rows into one zeroed row buffer, so
-    the grids are never stacked into one new array.
+    points.  It lifts rho' over history a block of _BLOCK_BYTES of slices at
+    a time, checks lam before each block and dF at the end for an overflow
+    or NaN, which a SolverError names by slice, and steps in place in four
+    contiguous buffers: lam^j, lam^{j-1} (2 mu, then the row below, then the
+    dt^2 force), the row below it (seed - mu) and the force.  Each step
+    writes its seed rows into one zeroed row buffer, so the grids are never
+    stacked into one new array.
     """
-    lat = history.lattice
     algebra, phi, pi = data.algebra, data.phi, data.pi
-    if history.algebra != algebra or history.values.shape[1:] != phi.shape:
-        raise SolverError("the history must be a solve of the data")
+    if history is None and not inter.affine:
+        raise SolverError(f"the {inter.name} sweep needs a stored solve of the data")
+    if data.n_space != lat.n_space or history is not None and (history.lattice != lat
+            or history.algebra != algebra or history.values.shape[1:] != phi.shape):
+        raise SolverError("the history must be a solve of the data on the lattice")
+    if history is None and lat.topology == lt.LINE:
+        _check_line_support(data, lat)
     stacked = isinstance(weights, (list, tuple)) or np.ndim(weights) == 3
     grids = [np.asarray(g, dtype=np.float64) for g in (weights if stacked else [weights])]
     if any(g.shape != (lat.n_slices, lat.n_space) for g in grids):
@@ -357,9 +370,13 @@ def smeared_gradient(data: CauchyData, history: FieldHistory, inter: Interaction
             np.multiply(g[j], lat.dx * lat.dt, out=unit)
         return rows
 
+    def require_finite(j: int, *values: np.ndarray) -> None:
+        if not all(np.isfinite(v).all() for v in values):
+            raise SolverError(f"the adjoint is not finite at slice {j} (t = {lat.t[j]:.6g})")
+
     # rho'(phi^i) for the slices i in [lo, j) of the current block
-    per_block = max(1, _BLOCK_BYTES // max(history.values.coeffs[0].nbytes, 1))
-    rho1, lo = None, lat.n_time
+    per_block = max(1, _BLOCK_BYTES // max(phi.coeffs.nbytes, 1))
+    rho1, lo, at_phi = None, lat.n_time, apply_smooth(inter.rho_prime, phi)
     lam, nxt, below, force = (np.empty(seeds + phi.coeffs.shape) for _ in range(4))
     # copies of the seed rows: zeros + seed would turn a -0.0 into +0.0
     np.copyto(lam, seed(lat.n_time))
@@ -374,8 +391,10 @@ def smeared_gradient(data: CauchyData, history: FieldHistory, inter: Interaction
 
     for j in range(lat.n_time, 1, -1):
         if j - 1 < lo:
+            require_finite(j, lam)
             lo = max(1, j - per_block)
-            rho1 = apply_smooth(inter.rho_prime, history.values[lo:j]).coeffs
+            rho1 = apply_smooth(inter.rho_prime, history.values[lo:j]).coeffs if history \
+                else np.broadcast_to(at_phi.coeffs, (j - lo,) + phi.coeffs.shape)
         unclamp(lam)
         lt._d2_dx2_transpose_into(lam, force, lat)
         force -= _mul_into(algebra, rho1[j - 1 - lo], lam, nxt)  # rho'(phi^{j-1}) mu
@@ -388,12 +407,12 @@ def smeared_gradient(data: CauchyData, history: FieldHistory, inter: Interaction
 
     unclamp(lam)
     mu = WeilValue(algebra, lam)
-    force = WeilValue(algebra, lt._d2_dx2_transpose_into(lam, force, lat)) \
-        - apply_smooth(inter.rho_prime, phi) * mu
+    force = WeilValue(algebra, lt._d2_dx2_transpose_into(lam, force, lat)) - at_phi * mu
     rho2 = apply_smooth(inter.rho_prime.derivative(), phi)
     grad_phi = WeilValue(algebra, below) + mu + (0.5 * dt2) * force \
         - (lat.dt**3 / 6.0) * (rho2 * pi * mu)
     grad_pi = lat.dt * mu + (lat.dt**3 / 6.0) * force
+    require_finite(0, grad_phi.coeffs, grad_pi.coeffs)
     return grad_phi, grad_pi
 
 

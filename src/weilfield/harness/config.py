@@ -464,7 +464,7 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
             doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
+        except (ValueError, RecursionError) as exc:  # bad JSON, too long an int, too deep a nest
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 

@@ -7,9 +7,9 @@ algebra extension and commute with scalar-part extraction.  Differentials
 are exact and each observable carries its own: closed forms for slices and
 constants, the product rule, the discrete adjoint of the leapfrog for
 spacetime observables (dynamics.smeared_gradient, swept over a base history
-solved here and, inside a sharing scope, held for the last point only; as
-the sweep is linear in its seed, differentials sweeps the spacetime
-observables a point needs in one march), and forward-over-reverse
+solved here unless the interaction is affine and, inside a sharing scope, held
+for the last point only; as the sweep is linear in its seed, differentials
+sweeps the spacetime observables a point needs in one march), and forward-over-reverse
 Hessian-vector products for brackets.  Forward dual
 mode, the eps part of F at data + eps*e_site for every unit tangent, is the
 tests' oracle (forward_differential).
@@ -123,12 +123,13 @@ class _Point:
 
 
 def _swept(smearings: Sequence[_Smearing], at: CauchyData) -> list["Covector"]:
-    """dF at at of each smearing, by the discrete adjoint over the stored solve at at.
+    """dF at at of each smearing, by the discrete adjoint of the leapfrog at at.
 
     Those not yet swept there share one march per interaction and lattice
-    (dynamics.smeared_gradient over a stack of seeds).  Inside a sharing
-    scope the point's record keeps what is swept, and a new solve drops the
-    one the scope held before it runs; outside a scope nothing is kept.
+    (dynamics.smeared_gradient over a stack of seeds), over no solve for an
+    affine interaction.  Inside a sharing scope the point's record keeps what
+    is swept, and a new solve drops the one the scope held before it runs;
+    outside a scope nothing is kept.
     """
     shared = _shared.get()
     groups: dict = {}
@@ -144,13 +145,14 @@ def _swept(smearings: Sequence[_Smearing], at: CauchyData) -> list["Covector"]:
             point = shared[key] = _Point(at, inter, lat)
         todo = [s for s in dict.fromkeys(group) if s not in point.swept]
         if todo:
-            if point.history is None:
+            if point.history is None and not inter.affine:
                 if shared is not None:
                     if (last := shared.pop(_Point, None)) is not None:
                         last.history = None  # no reference to it survives the solve
                     shared[_Point] = point
                 point.history = solve_cauchy(at, inter, lat)
-            phi, pi = smeared_gradient(at, point.history, inter, [s.weights for s in todo])
+            phi, pi = smeared_gradient(at, inter, lat, [s.weights for s in todo],
+                                       history=point.history)
             point.swept.update((s, Covector(phi[k], pi[k])) for k, s in enumerate(todo))
         out.update(point.swept)
     return [out[s] for s in smearings]
@@ -233,9 +235,9 @@ def spacetime_observable(g: np.ndarray, inter: Interaction,
     Evaluation streams the solve a block of slices at a time, in about 256 KiB
     of memory and never fewer than three slices (dynamics.leapfrog_blocks).
     dF is the discrete adjoint (dynamics.smeared_gradient) over the stored
-    base history of every batch row; inside a sharing scope the spacetime
-    observables at one point sweep over one such history, and those passed
-    to differentials together in one march (_swept).
+    base history of every batch row, or none for an affine inter; inside a
+    sharing scope the spacetime observables at one point sweep over one such
+    history, and those passed to differentials together in one march (_swept).
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (lat.n_slices, lat.n_space):

@@ -512,12 +512,75 @@ def test_smeared_gradient_bit_matches_plain_numpy_sweep(topology, algebra, batch
     for block_lengths in each_block_length:
         block_lengths(history.values.coeffs[0].nbytes, lat.n_slices)
         for weights, want_rows in cases:
-            got = dyn.smeared_gradient(data, history, inter, weights)
+            got = dyn.smeared_gradient(data, inter, lat, weights, history=history)
             for b, block in enumerate(got):
                 want = want_rows[b] if isinstance(want_rows, tuple) \
                     else np.array([rows[b] for rows in want_rows])
                 assert block.algebra == algebra and block.coeffs.shape == want.shape
                 assert block.coeffs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,params", [("free", {}), ("mass", {"mass": 0.0}),
+                                         ("mass", {"mass": 1.7})],
+                         ids=["free", "mass0", "mass1.7"])
+@pytest.mark.parametrize("algebra,batch", [
+    (WeilAlgebra.real(), ()), (WeilAlgebra.dual(), ()),
+    (WeilAlgebra.dual().tensor(WeilAlgebra.dual()), ()), (WeilAlgebra.real(), (3,)),
+    (WeilAlgebra.dual(), (2,))],
+    ids=["R", "dual", "R2", "R-batch3", "dual-batch2"])
+@pytest.mark.parametrize("topology", ["circle", "line"])
+def test_affine_sweep_without_history_bit_matches_the_stored_history_sweep(
+        topology, algebra, batch, name, params, rng, each_block_length):
+    # under free and mass rho' is a constant, so the sweep reads the one row
+    # rho'(phi) for every slice and solves no base: both covector blocks are
+    # the sweep over solve_cauchy's history byte for byte, for one grid and
+    # a stack of three, with -0.0 in the data and in the weights
+    if topology == "circle":
+        lat = lt.LatticeSpacetime("circle", 48, 2 * np.pi / 48, np.pi / 48, 40)
+        window = np.ones(lat.n_space)
+    else:
+        lat = lt.LatticeSpacetime("line", 96, 0.1, 0.05, 24, guard=2)
+        window = np.zeros(lat.n_space)
+        window[36:60] = np.hanning(24)
+    phi, pi = (0.4 * rng.standard_normal(batch + (lat.n_space, algebra.dim))
+               * window[:, None] for _ in range(2))
+    phi[..., 40, :] = -0.0
+    pi[..., 41, 0] = -0.0
+    stack = rng.standard_normal((3, lat.n_slices, lat.n_space))
+    stack[:, :, ::3] *= 0.0
+    stack[1, ::2] *= -1.0
+    data = dyn.CauchyData(WeilValue(algebra, phi), WeilValue(algebra, pi))
+    inter = dyn.interaction(name, **params)
+    assert inter.affine
+    history = dyn.solve_cauchy(data, inter, lat)
+    for block_lengths in each_block_length:
+        block_lengths(history.values.coeffs[0].nbytes, lat.n_slices)
+        for weights in (stack[0], stack[:1], list(stack)):
+            want = dyn.smeared_gradient(data, inter, lat, weights, history=history)
+            got = dyn.smeared_gradient(data, inter, lat, weights)
+            for g, w in zip(got, want):
+                assert g.algebra == algebra and g.coeffs.shape == w.coeffs.shape
+                assert g.coeffs.tobytes() == w.coeffs.tobytes()
+
+
+def test_only_an_affine_sweep_goes_without_a_history(rng):
+    # rho' depends on phi unless rho is affine, so a sine-Gordon or phi^4
+    # sweep needs the stored solve; free and mass are the affine ones
+    lat = lt.LatticeSpacetime("circle", 16, 2 * np.pi / 16, np.pi / 16, 8)
+    data = dyn.data_from_arrays(*(0.1 * rng.standard_normal((2, lat.n_space))))
+    weights = np.ones((lat.n_slices, lat.n_space))
+    for name in ("free", "mass", "phi4", "sine_gordon"):
+        inter = dyn.interaction(name)
+        assert inter.affine == (name in ("free", "mass"))
+        if not inter.affine:
+            with pytest.raises(dyn.SolverError, match="needs a stored solve"):
+                dyn.smeared_gradient(data, inter, lat, weights)
+            dyn.smeared_gradient(data, inter, lat, weights,
+                                 history=dyn.solve_cauchy(data, inter, lat))
+    other = lt.LatticeSpacetime("circle", 16, 2 * np.pi / 16, np.pi / 16, 9)
+    with pytest.raises(dyn.SolverError, match="must be a solve of the data"):
+        dyn.smeared_gradient(data, inter, other, np.ones((other.n_slices, lat.n_space)),
+                             history=dyn.solve_cauchy(data, inter, lat))
 
 
 def test_tangent_march_lifts_rho_on_one_base_slice():

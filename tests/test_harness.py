@@ -639,10 +639,21 @@ def test_cli_missing_file(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+def _shipped_with_seed(name: str, seed: bytes) -> bytes:
+    """The bytes of a shipped config with its "seed": 0 replaced by seed."""
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
+    with open(path, "rb") as fh:
+        text = fh.read()
+    assert text.count(b'"seed": 0') == 1
+    return text.replace(b'"seed": 0', b'"seed": ' + seed)
+
+
 @pytest.mark.parametrize("text,message", [
     (b"\xff\xfe", "error: config is not UTF-8 text: "),
     (b"[" * 100_000, "error: config is not valid JSON: maximum recursion depth exceeded"),
-], ids=["not_utf8", "nested_100000_deep"])
+    (_shipped_with_seed("conserve_sine_gordon.json", b"7" * 5000),
+     "error: config is not valid JSON: Exceeds the limit (4300"),
+], ids=["not_utf8", "nested_100000_deep", "seed_of_5000_digits"])
 def test_cli_unreadable_config_file_exits_2(text, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_bytes(text)
@@ -1382,9 +1393,9 @@ def _adjoint_sweeps(doc, monkeypatch):
     sweeps, solves = [], []
 
     def counted(calls, fn):
-        def call(*args):
+        def call(*args, **kwargs):
             calls.append(args)
-            return fn(*args)
+            return fn(*args, **kwargs)
         return call
 
     monkeypatch.setattr(ps, "smeared_gradient", counted(sweeps, dyn.smeared_gradient))
@@ -1405,16 +1416,43 @@ def test_spacetime_jacobi_run_checks_pairs_inside_the_sample_scope(monkeypatch):
 
 
 def test_bracket_run_takes_each_differential_once(monkeypatch):
-    # one sweep carrying both observables' seeds at the single base point,
-    # over one base solve; a sweep per observable took 2 sweeps, pair checks
-    # and bracket values taken outside one sharing scope took 4, and a solve
-    # per sweep took 2 solves
+    # one sweep carrying both observables' seeds at the single base point;
+    # a sweep per observable took 2 sweeps, pair checks and bracket values
+    # taken outside one sharing scope took 4.  The mass interaction is
+    # affine, so the sweep reads a constant rho' and solves no base, where
+    # a solve per sweep took 2 solves and one shared solve took 1
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "bracket_vs_oracle.json")
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["lattice"].update(n_space=32, n_time=16)
     doc["tolerances"]["bracket_oracle"] = 0.5  # scheme order at 32 sites
+    assert _adjoint_sweeps(doc, monkeypatch) == (1, 2, 0)
+
+
+def test_sine_gordon_bracket_run_shares_one_base_solve(monkeypatch):
+    # sine-Gordon's rho' depends on phi, so the one sweep of both
+    # observables' seeds marches over one stored solve of the base point
+    doc = _edited(TOY_BRACKET, lambda d: d.update(interaction={"name": "sine_gordon"},
+                                                  options={"compare_oracle": False}))
     assert _adjoint_sweeps(doc, monkeypatch) == (1, 2, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_unstable_mass_bracket_exits_2_naming_a_slice(tmp_path, capsys, monkeypatch):
+    # at mass 3000 the leapfrog is unstable; with no base solve to find the
+    # overflow, the adjoint sweep refuses its non-finite lam, naming a slice
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "bracket_vs_oracle.json")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["lattice"].update(n_space=64, n_time=128)
+    doc["interaction"]["mass"] = 3000
+    doc["initial_data"] = {"phi": {"profile": "cosine", "amplitude": 0.1}}
+    solves = []
+    monkeypatch.setattr(ps, "solve_cauchy", lambda *a, **k: solves.append(a))
+    assert cli.main(["bracket", "--config", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the adjoint is not finite at slice "), err
+    assert solves == []
 
 
 def test_report_cites_tolerances():

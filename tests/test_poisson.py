@@ -225,6 +225,38 @@ def test_bracket_of_spacetime_differential_on_the_line(monkeypatch):
     assert (c - ref).max_abs() <= 1e-12 * ref.max_abs()
 
 
+def test_mass_bracket_on_the_line_refuses_an_escaping_base_without_a_solve(monkeypatch):
+    # a mass sweep solves no base, so the sweep itself refuses a base whose
+    # cone reaches the guard band within n_time steps, as the solve did
+    lat = lt.LatticeSpacetime("line", 96, 0.1, 0.05, 12)
+    inter = dyn.interaction("mass", mass=1.3)
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return dyn.solve_cauchy(*args, **kwargs)
+
+    monkeypatch.setattr(ps, "solve_cauchy", counted)
+
+    def pair(center, t0):
+        space = np.where(np.abs(lat.x - center) < 0.8,
+                         np.cos(np.pi * (lat.x - center) / 1.6) ** 2, 0.0)
+        g = np.outer(np.exp(-0.5 * ((lat.t - t0) / 0.2) ** 2), space)
+        return ps.make_pair(ps.spacetime_observable(g, inter, lat), lat)
+
+    F = ps.bracket(pair(-0.2, 0.2), pair(0.2, 0.4), lat).F
+
+    def base(center):
+        bump = np.where(np.abs(lat.x - center) < 0.3,
+                        np.cos(np.pi * (lat.x - center) / 0.6) ** 2, 0.0)
+        return dyn.data_from_arrays(bump, 0.3 * bump)
+
+    assert np.isfinite(float(F.evaluate(base(0.0)).scalar_part))
+    with pytest.raises(dyn.ConeEscapeError):
+        F.evaluate(base(-4.0))  # 12 sites of cone from x = -4.3 reach the band
+    assert solves == []
+
+
 def test_lie_bracket_of_spacetime_fields_matches_tau_bracket():
     # the tau bracket runs the adjoint at dual (x) dual base points
     lat = circle_lattice(32, 16)
@@ -584,9 +616,9 @@ def _counted_sweeps(monkeypatch):
     """The adjoint sweeps the spacetime gradients make, as a list of their arguments."""
     sweeps = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         sweeps.append(args)
-        return dyn.smeared_gradient(*args)
+        return dyn.smeared_gradient(*args, **kwargs)
 
     monkeypatch.setattr(ps, "smeared_gradient", counted)
     return sweeps
