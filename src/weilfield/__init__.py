@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .weil import (
     AlgebraMismatchError,
-    DerivativeOrderError,
     SmoothMap,
     WeilAlgebra,
     WeilValue,
@@ -23,7 +22,6 @@ from .weil import (
 
 __all__ = [
     "AlgebraMismatchError",
-    "DerivativeOrderError",
     "SmoothMap",
     "WeilAlgebra",
     "WeilValue",

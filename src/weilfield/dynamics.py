@@ -307,20 +307,21 @@ def solve_smeared(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime
     return WeilValue(data.algebra, acc) * (lat.dx * lat.dt)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # require_finite names the slice instead
 def smeared_gradient(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
                      weights: np.ndarray | list[np.ndarray],
                      history: FieldHistory | None = None) -> tuple[WeilValue, WeilValue]:
-    """(dF/dphi, dF/dpi) at data for F = solve_smeared(data, inter, lat, weights).
+    """(dF_k/dphi, dF_k/dpi) at data for F_k = solve_smeared(data, inter, lat, weights[k]).
 
-    Reverse mode: one backward sweep of the exact transpose of the
-    linearized leapfrog over history, the caller's stored solve of data on
-    lat (solve_cauchy).  An affine inter needs none: its rho' is a constant,
-    so the one row rho'(phi) stands for every slice, and on the line the
-    sweep refuses data whose cone reaches the guard band, as the solve
-    would.  With lam^j = dF/dphi^j
-    seeded by weights[j] * dx * dt, and mu = lam^j with the line's clamped
-    edge sites zeroed, step j (phi^j from phi^{j-1} and phi^{j-2}) transposes to
+    weights holds k grids, as a list or stacked on a leading axis, and both
+    blocks carry them on a leading axis of k rows.  Reverse mode: one
+    backward sweep of the exact transpose of the linearized leapfrog over
+    history, the caller's stored solve of data on lat (solve_cauchy).  An
+    affine inter needs none: its rho' is a constant, so the one row
+    rho'(phi) stands for every slice, and on the line the sweep refuses
+    data whose cone reaches the guard band, as the solve would.  With
+    lam^j = dF/dphi^j seeded by weights[k][j] * dx * dt, and mu = lam^j with
+    the line's clamped edge sites zeroed, step j (phi^j from phi^{j-1} and
+    phi^{j-2}) transposes to
 
         lam^{j-1} += 2 mu + dt^2 (D^T mu - rho'(phi^{j-1}) mu)
         lam^{j-2} -= mu
@@ -334,36 +335,46 @@ def smeared_gradient(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacet
                   - (dt^3/6) rho''(phi) pi mu
         dF/dpi  = dt mu + (dt^3/6)(D^T mu - rho'(phi) mu).
 
-    The sweep is linear in its seed, so weights may also be k grids, as a
-    list or stacked on a leading axis: one march carries all k seeds and
-    both blocks gain a leading axis of k rows, each the same floats as a
-    sweep of its own grid.  Every product is Weil multiplication, which is
-    symmetric, so the sweep runs unchanged at Weil-extended and batched base
-    points.  It lifts rho' over history a block of _BLOCK_BYTES of slices at
-    a time, checks lam before each block and dF at the end for an overflow
-    or NaN, which a SolverError names by slice, and steps in place in four
+    The sweep is linear in its seed, so one march carries all k seeds, each
+    row the same floats as a sweep of its own grid.  Every product is Weil
+    multiplication, which is symmetric, so the sweep runs unchanged at
+    Weil-extended and batched base points.  It lifts rho' over history a
+    block of _BLOCK_BYTES of slices at a time, checks lam before each block
+    and dF at the end for an overflow or NaN, and steps in place in four
     contiguous buffers: lam^j, lam^{j-1} (2 mu, then the row below, then the
     dt^2 force), the row below it (seed - mu) and the force.  Each step
     writes its seed rows into one zeroed row buffer, so the grids are never
-    stacked into one new array.
+    stacked into one new array.  When a check fails, the sweep marches again
+    with a check before every step, so the SolverError names the first slice
+    that is not finite whatever the block.
     """
-    algebra, phi, pi = data.algebra, data.phi, data.pi
     if history is None and not inter.affine:
         raise SolverError(f"the {inter.name} sweep needs a stored solve of the data")
     if data.n_space != lat.n_space or history is not None and (history.lattice != lat
-            or history.algebra != algebra or history.values.shape[1:] != phi.shape):
+            or history.algebra != data.algebra or history.values.shape[1:] != data.phi.shape):
         raise SolverError("the history must be a solve of the data on the lattice")
     if history is None and lat.topology == lt.LINE:
         _check_line_support(data, lat)
-    stacked = isinstance(weights, (list, tuple)) or np.ndim(weights) == 3
-    grids = [np.asarray(g, dtype=np.float64) for g in (weights if stacked else [weights])]
+    grids = [np.asarray(g, dtype=np.float64) for g in weights]
     if any(g.shape != (lat.n_slices, lat.n_space) for g in grids):
         raise SolverError("weights must cover the full grid")
-    seeds, dt2 = (len(grids),) if stacked else (), lat.dt**2
+    try:
+        return _sweep(data, inter, lat, grids, history,
+                      max(1, _BLOCK_BYTES // max(data.phi.coeffs.nbytes, 1)))
+    except SolverError:
+        return _sweep(data, inter, lat, grids, history, 1)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # require_finite names the slice instead
+def _sweep(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
+           grids: list[np.ndarray], history: FieldHistory | None,
+           per_block: int) -> tuple[WeilValue, WeilValue]:
+    """smeared_gradient's march, lifting rho' and checking lam every per_block slices."""
+    algebra, phi, pi, dt2 = data.algebra, data.phi, data.pi, lat.dt**2
     # each grid's seed row of a step, unit slot only as from_scalar, and a
     # view of them that broadcasts over the batch
     row = np.zeros((len(grids), lat.n_space, algebra.dim))
-    rows = row.reshape(seeds + (1,) * (len(phi.shape) - 1) + row.shape[1:])
+    rows = row.reshape(row.shape[:1] + (1,) * (len(phi.shape) - 1) + row.shape[1:])
 
     def seed(j: int) -> np.ndarray:
         for unit, g in zip(row[..., 0], grids):
@@ -375,9 +386,8 @@ def smeared_gradient(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacet
             raise SolverError(f"the adjoint is not finite at slice {j} (t = {lat.t[j]:.6g})")
 
     # rho'(phi^i) for the slices i in [lo, j) of the current block
-    per_block = max(1, _BLOCK_BYTES // max(phi.coeffs.nbytes, 1))
     rho1, lo, at_phi = None, lat.n_time, apply_smooth(inter.rho_prime, phi)
-    lam, nxt, below, force = (np.empty(seeds + phi.coeffs.shape) for _ in range(4))
+    lam, nxt, below, force = (np.empty(row.shape[:1] + phi.coeffs.shape) for _ in range(4))
     # copies of the seed rows: zeros + seed would turn a -0.0 into +0.0
     np.copyto(lam, seed(lat.n_time))
     np.copyto(below, seed(lat.n_time - 1))

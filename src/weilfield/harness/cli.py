@@ -5,7 +5,7 @@
 There is one command per entry of config.EXPERIMENTS, its name with "-"
 for "_" (oracle-pj).  --seed overrides the config's seed and --tol its
 experiment's first tolerance.  Exit codes: 0 all verdicts pass, 1 any
-verdict fails, 2 usage or validation error.
+verdict fails, 2 usage or validation error or arrays too large to allocate.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         config = config.with_overrides(seed=args.seed, tol=args.tol)
         report = run(config, outdir=args.out)
     except (ConfigError, OracleError, dyn.SolverError, lt.LatticeError,
-            OSError) as exc:
+            OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in report.summary_lines():

@@ -56,26 +56,24 @@ def _build_tangent(desc: dict, lat: lt.LatticeSpacetime, rng: Draws,
 
 
 def _build_observable(desc: dict, config: ExperimentConfig, rng: Draws,
-                      path: str = "observable") -> tuple[ps.Observable, np.ndarray | None]:
-    """The observable whose descriptor sits at path and its smearing grid if spacetime."""
+                      path: str = "observable") -> ps.Observable:
+    """The observable whose descriptor sits at path."""
     kind = located(path, observable_kind, desc)
     lat = config.lattice
     smearing = f"{path}.smearing"
     if kind == "slice_phi":
         f = located(smearing, spatial_profile, desc.get("smearing", {}), lat, rng)
-        return ps.slice_phi_observable(f, lat, name=desc.get("name", "")), None
+        return ps.slice_phi_observable(f, lat, name=desc.get("name", ""))
     if kind == "slice_pi":
         g = located(smearing, spatial_profile, desc.get("smearing", {}), lat, rng)
-        return ps.slice_pi_observable(g, lat, name=desc.get("name", "")), None
+        return ps.slice_pi_observable(g, lat, name=desc.get("name", ""))
     if kind == "spacetime":
         g = spacetime_profile(desc.get("smearing", {}), lat, rng, smearing)
-        obs = ps.spacetime_observable(g, config.interaction, lat,
-                                      name=desc.get("name", ""))
-        return obs, g
+        return ps.spacetime_observable(g, config.interaction, lat, name=desc.get("name", ""))
     factors = desc.get("factors", [])  # a poly_composite, the one kind left
     if not isinstance(factors, list) or not factors:
         raise ConfigError(f"{path}: poly_composite needs a nonempty factors list")
-    built = [_build_observable(f, config, rng, f"{path}.factors[{k}]")[0]
+    built = [_build_observable(f, config, rng, f"{path}.factors[{k}]")
              for k, f in enumerate(factors)]
     obs = built[0]
     for extra in built[1:]:
@@ -83,7 +81,7 @@ def _build_observable(desc: dict, config: ExperimentConfig, rng: Draws,
     power = count(desc, "power", 1, 0)
     if power != 1:
         obs = ps.observable_power(obs, power)
-    return obs, None
+    return obs
 
 
 def _scaled_lattice(lat: lt.LatticeSpacetime, n: int) -> lt.LatticeSpacetime:
@@ -191,23 +189,23 @@ def _run_bracket(config: ExperimentConfig) -> Report:
     built = [_build_observable(d, config, rng, f"observables[{k}]")
              for k, d in enumerate(config.observables)]
     base = _build_data(config, rng)
-    pairs = [ps.make_pair(obs, lat) for obs, _ in built]
+    pairs = [ps.make_pair(F, lat) for F in built]
 
     oracle = _oracle(config) if compare else None
-    if oracle is not None and any(grid is None for _, grid in built):
+    if oracle is not None and any(F.smearing is None for F in built):
         raise ConfigError("oracle comparison needs spacetime observables")
 
     index = [(i, j) for i in range(len(pairs)) for j in range(i + 1, len(pairs))]
     refs = []
     if oracle is not None:  # each grid transformed once, a zero refused before any sweep
-        moments = oracle.moments(*(grid for _, grid in built))
+        moments = oracle.moments(*(F.smearing.weights for F in built))
         for i, j in index:
             refs.append(oracle.smeared_bracket(moments[i], moments[j]))
             if refs[-1] == 0:
                 raise ConfigError(f"observables {i} and {j}: the oracle bracket is 0, "
                                   "so a relative error against it would measure nothing")
     with ps.sharing():  # one base point: each dF is taken once, all in one sweep
-        ps.differentials([p.F for p in pairs], base)
+        ps.differential([p.F for p in pairs], base)
         defects = [ps.pair_defect(p, base, lat) for p in pairs]
         values = [float(ps.bracket(pairs[i], pairs[j], lat).F.evaluate(base).scalar_part)
                   for i, j in index]
@@ -218,7 +216,7 @@ def _run_bracket(config: ExperimentConfig) -> Report:
     rows = []
     worst = 0.0
     for k, ((i, j), value) in enumerate(zip(index, values)):
-        row = [i, j, built[i][0].name, built[j][0].name, value,
+        row = [i, j, built[i].name, built[j].name, value,
                max_or_nan(defects[i], defects[j])]
         if oracle is not None:
             ref = refs[k]
@@ -245,7 +243,7 @@ def _run_jacobi(config: ExperimentConfig) -> Report:
     if len(config.observables) != 3:
         raise ConfigError("observables: the axioms take exactly three, "
                           f"not {len(config.observables)}")
-    built = [_build_observable(d, config, rng, f"observables[{k}]")[0]
+    built = [_build_observable(d, config, rng, f"observables[{k}]")
              for k, d in enumerate(config.observables)]
     n_samples = count(config.options, "n_samples", 5, 1)
     rf = {"profile": "random_fourier",

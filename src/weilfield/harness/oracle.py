@@ -56,24 +56,16 @@ class PauliJordanOracle:
             raise OracleError("mass must be nonnegative")
 
     @cached_property
-    def _modes(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.lattice.n_space
-        L = self.lattice.circumference
-        j = np.arange(-(n // 2), n // 2 + 1)
-        k = 2 * np.pi * j / L
-        omega = np.sqrt(k**2 + self.mass**2)
-        if np.any(omega == 0):
-            raise OracleError("massless zero mode: give the field a mass")
-        return k, omega
-
-    @cached_property
     def _folded(self) -> tuple[np.ndarray, np.ndarray]:
         """omega over |j| = 0..n//2, and how many of the modes j = +-|j| each stands for.
 
         The count is 1 for j = 0 and 2 otherwise; for even n both j = +-n/2
         are modes, so the last |j| counts twice as well.
         """
-        omega = self._modes[1][self.lattice.n_space // 2:]
+        k = 2 * np.pi * np.arange(self.lattice.n_space // 2 + 1) / self.lattice.circumference
+        omega = np.sqrt(k**2 + self.mass**2)
+        if omega[0] == 0:
+            raise OracleError("massless zero mode: give the field a mass")
         pairs = np.full(omega.size, 2.0)
         pairs[0] = 1.0
         return omega, pairs
@@ -137,14 +129,13 @@ class PauliJordanOracle:
             ))
         return out
 
-    def smeared_bracket(self, f: np.ndarray | Moments, g: np.ndarray | Moments) -> float:
+    def smeared_bracket(self, fm: Moments, gm: Moments) -> float:
         """The bracket of int f*Phi*vol and int g*Phi*vol by factorized mode sums.
 
-        f and g are two smearing grids, or the moments of two; a grid in
-        several brackets is transformed once when its moments are passed.
+        fm and gm are the moments of the smearing grids f and g, so a grid
+        in several brackets is transformed once.
         """
         lat = self.lattice
-        fm, gm = (f, g) if isinstance(f, Moments) else self.moments(f, g)
         omega, pairs = self._folded
         # sin(w(t'-t)) cos(k(x-x')) expanded over the mode moments
         per_mode = (

@@ -345,6 +345,12 @@ def window_is_interior(mask: np.ndarray | None, lat: LatticeSpacetime) -> bool:
     return mask is not None and not (mask & lat.guard_band).any()
 
 
+def require_compact_factor(lat: LatticeSpacetime, *compact: bool) -> None:
+    """On the line omega pairs two factors only when one of them is spacelike compact."""
+    if lat.topology == LINE and not any(compact):
+        raise SupportError("line topology: at least one factor must be spacelike compact")
+
+
 # -- binary snapshots ---------------------------------------------------------
 
 _MAGIC = "weilfield-grid-v1"

@@ -8,7 +8,7 @@ are exact and each observable carries its own: closed forms for slices and
 constants, the product rule, the discrete adjoint of the leapfrog for
 spacetime observables (dynamics.smeared_gradient, swept over a base history
 solved here unless the interaction is affine and, inside a sharing scope, held
-for the last point only; as the sweep is linear in its seed, differentials
+for the last point only; as the sweep is linear in its seed, differential
 sweeps the spacetime observables a point needs in one march), and forward-over-reverse
 Hessian-vector products for brackets.  Forward dual
 mode, the eps part of F at data + eps*e_site for every unit tangent, is the
@@ -170,7 +170,7 @@ class Observable:
     that base point, equally Weil-polymorphic.  sc_window, when set, is a
     site mask bounding the spatial support the observable can feel.
     smearing is set on spacetime observables only, whose dF is an adjoint
-    sweep that differentials can share.
+    sweep that differential can share.
     """
 
     evaluate: Callable[[CauchyData], WeilValue]
@@ -237,7 +237,7 @@ def spacetime_observable(g: np.ndarray, inter: Interaction,
     dF is the discrete adjoint (dynamics.smeared_gradient) over the stored
     base history of every batch row, or none for an affine inter; inside a
     sharing scope the spacetime observables at one point sweep over one such
-    history, and those passed to differentials together in one march (_swept).
+    history, and those passed to differential together in one march (_swept).
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (lat.n_slices, lat.n_space):
@@ -323,7 +323,7 @@ def _constant_covector(at: CauchyData, phi, pi) -> Covector:
     return Covector(block(phi), block(pi))
 
 
-def differentials(Fs: Sequence[Observable], at: CauchyData) -> list[Covector]:
+def differential(Fs: Sequence[Observable], at: CauchyData) -> list[Covector]:
     """Exact dF at a base point for each F of Fs: the observable's own gradient.
 
     Inside a sharing scope the spacetime observables among Fs that are not
@@ -335,11 +335,6 @@ def differentials(Fs: Sequence[Observable], at: CauchyData) -> list[Covector]:
     if _shared.get() is not None:
         _swept([F.smearing for F in Fs if F.smearing is not None], at)
     return [F.gradient(at) for F in Fs]
-
-
-def differential(F: Observable, at: CauchyData) -> Covector:
-    """Exact dF at a base point: differentials of F alone."""
-    return differentials([F], at)[0]
 
 
 def _unit_lift(at: CauchyData) -> CauchyData:
@@ -405,7 +400,7 @@ def hamiltonian_field(F: Observable, lat: lt.LatticeSpacetime) -> SolVectorField
     """
 
     def ev(d: CauchyData) -> CauchyData:
-        return hamiltonian_inversion(differential(F, d), lat.dx)
+        return hamiltonian_inversion(differential([F], d)[0], lat.dx)
 
     sc = lt.window_is_interior(F.sc_window, lat)
     return SolVectorField(ev, sc=sc)
@@ -569,7 +564,7 @@ def pair_defect(p: HamiltonianPair, at: CauchyData,
 
     An unbatched point is a single row, and its defect a numpy scalar.
     """
-    return _equation_defect(differential(p.F, at), p.v.evaluate(at), lat.dx)
+    return _equation_defect(differential([p.F], at)[0], p.v.evaluate(at), lat.dx)
 
 
 def make_pair(F: Observable, lat: lt.LatticeSpacetime) -> HamiltonianPair:
@@ -577,19 +572,10 @@ def make_pair(F: Observable, lat: lt.LatticeSpacetime) -> HamiltonianPair:
     return HamiltonianPair(F, hamiltonian_field(F, lat))
 
 
-def _require_bracket_sc(v: SolVectorField, vp: SolVectorField,
-                        lat: lt.LatticeSpacetime) -> None:
-    if lat.topology == lt.LINE and not (v.sc or vp.sc):
-        raise lt.SupportError(
-            "line topology: inserting two non-spacelike-compact vector fields "
-            "into omega is not defined"
-        )
-
-
 def bracket(p: HamiltonianPair, pp: HamiltonianPair,
             lat: lt.LatticeSpacetime) -> HamiltonianPair:
     """{ (F,v), (F',v') } = ( omega(v, v'), [v, v'] )."""
-    _require_bracket_sc(p.v, pp.v, lat)
+    lt.require_compact_factor(lat, p.v.sc, pp.v.sc)
 
     def ev(d: CauchyData) -> WeilValue:
         return omega_pairing(p.v.evaluate(d), pp.v.evaluate(d), lat.dx)
@@ -715,10 +701,8 @@ def verify_axioms(p1: HamiltonianPair, p2: HamiltonianPair, p3: HamiltonianPair,
         return _row_max_abs(v.phi, v.pi)
 
     with sharing():
-        inputs = (p1, p2, p3)
-        dFs = differentials([p.F for p in inputs], at)  # the spacetime ones in one sweep
-        pair_defects = tuple(_sup(_equation_defect(dF, p.v.evaluate(at), lat.dx))
-                             for p, dF in zip(inputs, dFs))
+        differential([p1.F, p2.F, p3.F], at)  # the spacetime ones in one sweep
+        pair_defects = tuple(_sup(pair_defect(p, at, lat)) for p in (p1, p2, p3))
         closure = _sup(pair_defect(b12, at, lat))
 
         a, b = fval(b12), fval(b21)

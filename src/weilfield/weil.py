@@ -38,10 +38,6 @@ class AlgebraMismatchError(ValueError):
     """Operands live in different algebras."""
 
 
-class DerivativeOrderError(ValueError):
-    """A smooth map cannot supply a derivative of the requested order."""
-
-
 @dataclass(frozen=True)
 class WeilAlgebra:
     """Structure constants of R[g_1..g_k]/(g_i^orders[i]), times D(tangents).
@@ -464,16 +460,9 @@ class SmoothMap:
 
     name: str
     nth: Callable[[int, np.ndarray], np.ndarray]
-    max_order: int | None = None
 
     def deriv(self, n: int, x) -> np.ndarray:
-        n = int(n)
-        if self.max_order is not None and n > self.max_order:
-            raise DerivativeOrderError(
-                f"{self.name}: derivative order {n} unavailable "
-                f"(max order {self.max_order})"
-            )
-        return np.asarray(self.nth(n, np.asarray(x, dtype=np.float64)), dtype=np.float64)
+        return np.asarray(self.nth(int(n), np.asarray(x, dtype=np.float64)), dtype=np.float64)
 
     def __call__(self, x) -> np.ndarray:
         return self.deriv(0, x)
@@ -481,8 +470,7 @@ class SmoothMap:
     def derivative(self) -> "SmoothMap":
         """The derivative map x -> f'(x)."""
         nth = self.nth
-        max_order = None if self.max_order is None else self.max_order - 1
-        return SmoothMap(f"d({self.name})", lambda n, x: nth(n + 1, x), max_order)
+        return SmoothMap(f"d({self.name})", lambda n, x: nth(n + 1, x))
 
 
 def _phase_shifted(trig: np.ufunc) -> Callable[[int, np.ndarray], np.ndarray]:

@@ -91,18 +91,11 @@ def theta(v: TangentSolution) -> lt.Current:
     )
 
 
-def _require_sc_rule(lat: lt.LatticeSpacetime, supports) -> None:
-    if lat.topology == lt.LINE and all(s is None for s in supports):
-        raise lt.SupportError(
-            "line topology: at least one factor must be spacelike compact"
-        )
-
-
 def current_u(v: TangentSolution, vp: TangentSolution) -> lt.Current:
     """The conserved current psi *d(psi') - psi' *d(psi) of two fibers."""
     if v.lattice != vp.lattice:
         raise lt.LatticeError("tangent solutions must share a lattice")
-    _require_sc_rule(v.lattice, (v.support, vp.support))
+    lt.require_compact_factor(v.lattice, v.is_sc, vp.is_sc)
     lat = v.lattice
     psi, psip = v.fiber.values, vp.fiber.values
 
@@ -178,7 +171,7 @@ def conservation(fiber_blocks: Iterable[tuple[int, WeilValue]], lat: lt.LatticeS
     differencing across the seam costs an order), and on the line the sites
     off the guard band.
     """
-    _require_sc_rule(lat, supports)
+    lt.require_compact_factor(lat, *(s is not None for s in supports))
     if lat.n_time < 3:
         raise lt.LatticeError("the current's one-sided time stencil needs at least "
                               f"3 time steps, not {lat.n_time}")

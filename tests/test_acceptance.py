@@ -178,12 +178,13 @@ def test_criterion_5_free_field_bracket_vs_pauli_jordan():
         g2 = np.outer(np.exp(-0.5 * ((lat.t - 2 * T / 3) / (T / 10)) ** 2),
                       np.exp(-0.5 * ((lat.x - 4.0) / 0.4) ** 2))
         base = dyn.data_from_arrays(np.zeros(n), np.zeros(n))
-        c1 = ps.differential(ps.spacetime_observable(g1, inter, lat), base)
-        c2 = ps.differential(ps.spacetime_observable(g2, inter, lat), base)
+        c1, c2 = ps.differential([ps.spacetime_observable(g, inter, lat) for g in (g1, g2)],
+                                 base)
         v1 = ps.hamiltonian_inversion(c1, lat.dx)
         v2 = ps.hamiltonian_inversion(c2, lat.dx)
         value = float(ps.omega_pairing(v1, v2, lat.dx).scalar_part)
-        ref = PauliJordanOracle(lat, 1.0).smeared_bracket(g1, g2)
+        pj = PauliJordanOracle(lat, 1.0)
+        ref = pj.smeared_bracket(*pj.moments(g1, g2))
         rels.append(abs(value - ref) / abs(ref))
         dxs.append(lat.dx)
     order = fitted_order(dxs, rels)

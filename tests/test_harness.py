@@ -461,7 +461,8 @@ def test_oracle_smeared_antisymmetry(circle, rng):
     pj = oracle.PauliJordanOracle(circle, 1.0)
     f = rng.standard_normal((circle.n_slices, circle.n_space))
     g = rng.standard_normal((circle.n_slices, circle.n_space))
-    assert abs(pj.smeared_bracket(f, g) + pj.smeared_bracket(g, f)) < 1e-12
+    fm, gm = pj.moments(f, g)
+    assert abs(pj.smeared_bracket(fm, gm) + pj.smeared_bracket(gm, fm)) < 1e-12
 
 
 def dense_pauli_jordan(lat, mass):
@@ -508,7 +509,7 @@ def test_oracle_matches_dense_mode_sums(n_space, rng):
         f = rng.standard_normal((lat.n_slices, n_space))
         g = rng.standard_normal((lat.n_slices, n_space))
         ref = smeared_bracket(f, g)
-        assert abs(pj.smeared_bracket(f, g) - ref) <= 1e-12 * abs(ref)
+        assert abs(pj.smeared_bracket(*pj.moments(f, g)) - ref) <= 1e-12 * abs(ref)
 
 
 def test_oracle_smeared_bracket_holds_less_than_four_grids(rng):
@@ -520,7 +521,7 @@ def test_oracle_smeared_bracket_holds_less_than_four_grids(rng):
     g = rng.standard_normal((lat.n_slices, lat.n_space))
     tracemalloc.start()
     try:
-        pj.smeared_bracket(f, g)
+        pj.smeared_bracket(*pj.moments(f, g))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1079,15 +1080,28 @@ def test_cli_misspelled_interaction_algebra_and_observable_keys_name_the_key(
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
-def _perfbench_workloads():
-    """The repository root and perfbench's workloads module."""
+def _perfbench_workloads(module="workloads"):
+    """The repository root and perfbench's module of that name."""
     root = os.path.join(os.path.dirname(__file__), "..")
     sys.path.insert(0, os.path.join(root, "perfbench"))
     try:
-        import workloads
+        return root, importlib.import_module(module)
     finally:
         sys.path.pop(0)
-    return root, workloads
+
+
+def test_adjoint_sweep_runs_inside_the_traced_differential(monkeypatch):
+    # perfbench times dF through its span around poisson.differential, so
+    # the bracket run's one sweep of both observables runs inside that span;
+    # installing the tracer fails when a function it wraps is renamed away
+    root, workloads = _perfbench_workloads()
+    tracer = _perfbench_workloads("spans")[1].Tracer()
+    tops, real = [], ps.smeared_gradient
+    monkeypatch.setattr(ps, "smeared_gradient",
+                        lambda *a, **k: tops.append(tracer.top) or real(*a, **k))
+    with tracer.installed():
+        assert all(_passed(workloads.config_doc(root, "bracket_oracle", 0, toy=True)).values())
+    assert tops == ["poisson.differential"]
 
 
 def test_shipped_configs_and_workloads_name_known_options():
@@ -1435,6 +1449,18 @@ def test_sine_gordon_bracket_run_shares_one_base_solve(monkeypatch):
     doc = _edited(TOY_BRACKET, lambda d: d.update(interaction={"name": "sine_gordon"},
                                                   options={"compare_oracle": False}))
     assert _adjoint_sweeps(doc, monkeypatch) == (1, 2, 1)
+
+
+def test_cli_unallocatable_run_exits_2(tmp_path, capsys):
+    # a 10^12-step history cannot be allocated, which numpy finds at once,
+    # so the run asks for no memory and exits 2 with one error line
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "solve_sine_gordon.json")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["lattice"]["n_time"] = 10**12
+    assert cli.main(["solve", "--config", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate"), err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from weilfield.weil import (
     AlgebraMismatchError,
-    DerivativeOrderError,
     SmoothMap,
     WeilAlgebra,
     WeilValue,
@@ -398,7 +397,7 @@ def _sin_of_square() -> SmoothMap:
             return -12 * s - 48 * x**2 * c + 16 * x**4 * s
         raise AssertionError
 
-    return SmoothMap("sin(x^2)", nth, max_order=4)
+    return SmoothMap("sin(x^2)", nth)
 
 
 @pytest.mark.parametrize("orders", [(2,), (2, 2), (3,), (2, 2, 2)])
@@ -415,14 +414,6 @@ def test_identity_map_is_identity(rng):
     W = WeilAlgebra((3,))
     w = WeilValue(W, rng.standard_normal(W.dim))
     assert weil_close(apply_smooth(identity_map(), w), w, 0.0)
-
-
-def test_derivative_order_unavailable():
-    m = SmoothMap("stub", lambda n, x: np.zeros(np.shape(x)), max_order=1)
-    W = WeilAlgebra((4,))  # needs derivatives up to order 3
-    w = WeilValue.generator(W, 0) + 0.3
-    with pytest.raises(DerivativeOrderError):
-        apply_smooth(m, w)
 
 
 def test_smooth_map_derivative_shift():
