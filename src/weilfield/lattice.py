@@ -150,7 +150,11 @@ class LatticeSpacetime:
 def d_dx(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
     """Centered spatial derivative; one-sided second order at line edges."""
     c = np.ascontiguousarray(values.coeffs)
-    out = np.empty(c.shape)
+    return WeilValue(values.algebra, _d_dx_into(c, np.empty(c.shape), lat))
+
+
+def _d_dx_into(c: np.ndarray, out: np.ndarray, lat: LatticeSpacetime) -> np.ndarray:
+    """d_dx of the contiguous coefficients c, written into the contiguous out (not c)."""
     # the centered difference of every site of every row in one flat pass
     # (neighbouring sites lie step floats apart); each row's end sites are set below
     flat, step = c.reshape(-1), c.shape[-1]
@@ -162,54 +166,63 @@ def d_dx(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
         o[0] = -3 * c[0] + 4 * c[1] - c[2]
         o[-1] = 3 * c[-1] - 4 * c[-2] + c[-3]
     out /= 2 * lat.dx
-    return WeilValue(values.algebra, out)
+    return out
 
 
 def d2_dx2(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
     """Centered second spatial derivative; one-sided second order at line edges."""
     c = np.ascontiguousarray(values.coeffs)
-    return WeilValue(values.algebra, _d2_dx2_into(c, np.empty(c.shape), lat))
+    return WeilValue(values.algebra, _d2_dx2_bound(c, np.empty(c.shape), lat)())
 
 
-def _d2_dx2_into(c: np.ndarray, out: np.ndarray, lat: LatticeSpacetime) -> np.ndarray:
-    """d2_dx2 of the contiguous coefficients c, written into the contiguous out (not c)."""
-    np.multiply(c, -2.0, out=out)  # -2c[i] + c[i+1] rounds as c[i+1] - 2c[i]
+def _d2_dx2_bound(c: np.ndarray, out: np.ndarray, lat: LatticeSpacetime):
+    """A call writing d2_dx2 of contiguous c into contiguous out (not c); views bound once."""
     # the stencil of every site of every row in one flat pass, as in d_dx; each
     # row's end sites take the next or last row's sites and are set again below
-    flat, step = c.ravel(), c.shape[-1]
-    inner = out.ravel()[step:-step]
-    inner += flat[2 * step:]
-    inner += flat[:-2 * step]
-    c, o = c.swapaxes(0, _SPACE_AXIS), out.swapaxes(0, _SPACE_AXIS)  # sites first
-    n = len(c)
-    if lat.topology == CIRCLE:  # both edges at once: right neighbours (1, 0), left (-1, -2)
-        edges = o[::n - 1]
-        if c.ndim > 2:  # one row's end sites lie outside the flat pass and hold -2c
-            np.multiply(c[::n - 1], -2.0, edges)
-        edges += c[1::-1]
-        edges += c[:-3:-1]
-    else:  # both edges at once, from sites (0, n-1), (1, n-2), (2, n-3) and (3, n-4)
-        o[::n - 1] = (2 * c[::n - 1] - 5 * c[1:n - 1:n - 3] + 4 * c[2:n - 2:n - 5]
-                      - c[3:n - 3:n - 7])
-    out /= lat.dx**2
-    return out
+    flat, step, scale = c.ravel(), c.shape[-1], lat.dx**2
+    inner, right, left = out.ravel()[step:-step], flat[2 * step:], flat[:-2 * step]
+    cs, o = c.swapaxes(0, _SPACE_AXIS), out.swapaxes(0, _SPACE_AXIS)  # sites first
+    n, wraps = len(cs), lat.topology == CIRCLE
+    # both edges at once: on the circle right neighbours (1, 0) and left (-1, -2),
+    # on the line from sites (0, n-1), (1, n-2), (2, n-3) and (3, n-4)
+    edges, ends = o[::n - 1], cs[::n - 1]
+    near = (cs[1::-1], cs[:-3:-1]) if wraps else \
+        (cs[1:n - 1:n - 3], cs[2:n - 2:n - 5], cs[3:n - 3:n - 7])
+
+    def apply() -> np.ndarray:
+        np.multiply(c, -2.0, out=out)  # -2c[i] + c[i+1] rounds as c[i+1] - 2c[i]
+        np.add(inner, right, out=inner)
+        np.add(inner, left, out=inner)
+        if wraps:
+            if c.ndim > 2:  # one row's end sites lie outside the flat pass and hold -2c
+                np.multiply(ends, -2.0, edges)
+            np.add(edges, near[0], out=edges)
+            np.add(edges, near[1], out=edges)
+        else:
+            edges[...] = 2 * ends - 5 * near[0] + 4 * near[1] - near[2]
+        return np.divide(out, scale, out=out)
+
+    return apply
 
 
-def _d2_dx2_transpose_into(c: np.ndarray, out: np.ndarray,
-                           lat: LatticeSpacetime) -> np.ndarray:
-    """D^T c for the Laplacian D as the clamped leapfrog uses it, written into out (not c).
+def _d2_dx2_transpose_bound(c: np.ndarray, out: np.ndarray, lat: LatticeSpacetime):
+    """As _d2_dx2_bound, for D^T of the Laplacian D as the clamped leapfrog uses it.
 
-    D is symmetric on the circle, so this is _d2_dx2_into there.  On the line
+    D is symmetric on the circle, so this is _d2_dx2_bound there.  On the line
     the clamp overwrites the one-sided edge rows, so they drop out and D^T is
-    the zero-padded 3-point stencil.  c and out must be contiguous.
+    the zero-padded 3-point stencil.
     """
     if lat.topology == CIRCLE:
-        return _d2_dx2_into(c, out, lat)
-    np.multiply(c, -2.0, out=out)
-    out[..., 1:, :] += c[..., :-1, :]
-    out[..., :-1, :] += c[..., 1:, :]
-    out /= lat.dx**2
-    return out
+        return _d2_dx2_bound(c, out, lat)
+    right, left, below, above = out[..., 1:, :], out[..., :-1, :], c[..., :-1, :], c[..., 1:, :]
+
+    def apply() -> np.ndarray:
+        np.multiply(c, -2.0, out=out)
+        np.add(right, below, out=right)
+        np.add(left, above, out=left)
+        return np.divide(out, lat.dx**2, out=out)
+
+    return apply
 
 
 def d_dt(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
@@ -304,10 +317,18 @@ def divergence(current: Current, lat: LatticeSpacetime) -> WeilValue:
     zero exactly and divergence(hodge_d(psi)) is the discrete wave operator.
     """
     a = current.t_component.coeffs
-    out = np.subtract(a[2:], a[:-2])
-    out /= 2 * lat.dt
-    out -= d_dx(current.x_component[1:-1], lat).coeffs
+    b = np.ascontiguousarray(current.x_component.coeffs[1:-1])
+    out = _divergence_into(a, b, np.empty(b.shape), np.empty(b.shape), lat)
     return WeilValue(current.t_component.algebra, out)
+
+
+def _divergence_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                     lat: LatticeSpacetime) -> np.ndarray:
+    """divergence into out from a on slices 0..T and contiguous b on 1..T-1, d_x b in scratch."""
+    np.subtract(a[2:], a[:-2], out=out)
+    out /= 2 * lat.dt
+    out -= _d_dx_into(b, scratch, lat)
+    return out
 
 
 # -- support masks and causal cones ------------------------------------------

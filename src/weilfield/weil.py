@@ -541,24 +541,38 @@ def apply_smooth(f: SmoothMap, w: WeilValue) -> WeilValue:
     With w = a + h (scalar part a, nilpotent part h) the lift is the sum of
     f^(n)(a)/n! * h^n up to the algebra's nilpotency degree; since higher
     powers of h vanish in the quotient ring the result is exact, with no
-    truncation error.  The lift allocates its result once, as the n = 1
-    term, sums any higher terms into it in place and writes f(a) into its
+    truncation error.  The lift allocates its result once, writes f'(a) h
+    into it, sums any higher terms into it in place and writes f(a) into its
     unit slot; only an algebra of nilpotency degree above 1 builds the
     powers h^n, n >= 2, by Weil multiplication.
     """
-    return WeilValue(w.algebra, _lift_into(f, w, np.empty(w.coeffs.shape)))
+    c, out = w.coeffs, np.empty(w.coeffs.shape)
+    return WeilValue(w.algebra, _lift_into(f, w.algebra, c, out, _slots(c), _slots(out)))
 
 
-def _lift_into(f: SmoothMap, w: WeilValue, out: np.ndarray) -> np.ndarray:
-    """apply_smooth(f, w) written into out, which must not share memory with w, and returned."""
-    algebra, c = w.algebra, w.coeffs
-    scalar = c[..., 0]
-    if algebra.nil_degree:  # h is c off the unit slot, which is overwritten below
-        np.multiply(c, f.deriv(1, scalar)[..., None], out=out)
-        if algebra.nil_degree > 1:
-            h = p = w.nilpotent_part
-            for n in range(2, algebra.nil_degree + 1):
-                p = p * h
-                out += p.coeffs * (f.deriv(n, scalar) / math.factorial(n))[..., None]
-    out[..., 0] = f.deriv(0, scalar)  # h^n has no unit part for n >= 1
+def _slots(c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The views c[..., k] of each Weil slot k, which a march binds once per buffer row."""
+    return tuple(c[..., k] for k in range(c.shape[-1]))
+
+
+def _lift_into(f: SmoothMap, algebra: WeilAlgebra, c: np.ndarray, out: np.ndarray,
+               c_slots: tuple[np.ndarray, ...], out_slots: tuple[np.ndarray, ...]) -> np.ndarray:
+    """apply_smooth(f, .) of coefficients c written into out (not sharing c's memory).
+
+    c_slots and out_slots are their _slots.  Each term f^(n)(a)/n! h^n is
+    formed one non-unit slot at a time, so the unit slot is only written, last.
+    """
+    scalar = c_slots[0]
+    if algebra.nil_degree:
+        slope = f.deriv(1, scalar)
+        for k in range(1, algebra.dim):
+            np.multiply(c_slots[k], slope, out=out_slots[k])
+    if algebra.nil_degree > 1:  # the powers h^n, n >= 2, by Weil multiplication
+        h = p = WeilValue(algebra, c).nilpotent_part
+        for n in range(2, algebra.nil_degree + 1):
+            p = p * h
+            term = f.deriv(n, scalar) / math.factorial(n)
+            for k in range(1, algebra.dim):
+                np.add(out_slots[k], p.coeffs[..., k] * term, out=out_slots[k])
+    out_slots[0][...] = f.deriv(0, scalar)  # h^n has no unit part for n >= 1
     return out

@@ -937,6 +937,15 @@ def test_cli_vanishing_omega_exits_2(command, tangents, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: tangents"), err
 
 
+def test_interior_drift_refuses_omega_vanishing_on_slice_1():
+    # omega_interior_drift measures against slice 1 as omega_slice_drift does
+    # against slice 0, so a zero there is refused the same way
+    series = np.array([1.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(experiments._omega_series(series), series)
+    with pytest.raises(cfg.ConfigError, match="omega vanishes on slice 1"):
+        experiments._omega_series(series, 1)
+
+
 @pytest.mark.filterwarnings("error")
 def test_cli_integral_float_counts_pass(tmp_path):
     doc = _edited(TOY_JACOBI, lambda d: (d["lattice"].update(n_space=32.0, n_time=8.0),

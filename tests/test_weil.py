@@ -308,6 +308,29 @@ def test_apply_smooth_on_tangent_block(orders, factory, rng):
         assert (fd - WeilValue(W, part)).max_abs() < 1e-7 * max(1.0, fd.max_abs())
 
 
+@pytest.mark.parametrize("algebra", [
+    WeilAlgebra.dual(), *(WeilAlgebra.first_order(n) for n in range(1, 5)),
+    WeilAlgebra.dual().tensor(WeilAlgebra.first_order(2))],
+    ids=["dual", "D1", "D2", "D3", "D4", "dual_x_D2"])
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+@pytest.mark.parametrize("factory", [sin_map, lambda: monomial_map(0.8, 3)])
+def test_lift_bit_matches_one_broadcast_product(algebra, shape, factory, rng):
+    # the lift forms each term one non-unit slot at a time; its bytes are
+    # those of the one product c * f'(a) broadcast over every slot, -0.0
+    # signs included, plus the broadcast h^2 term above degree 1
+    f = factory()
+    c = rng.standard_normal(shape + (algebra.dim,))
+    c.reshape(-1)[::3] = -0.0
+    a = c[..., 0]
+    expected = c * f.deriv(1, a)[..., None]
+    if algebra.nil_degree > 1:
+        h = WeilValue(algebra, c.copy())
+        h.coeffs[..., 0] = 0.0
+        expected += (h * h).coeffs * (f.deriv(2, a) / 2)[..., None]
+    expected[..., 0] = f(a)
+    assert apply_smooth(f, WeilValue(algebra, c)).coeffs.tobytes() == expected.tobytes()
+
+
 def test_lift_tangents_refuses_mismatched_directions():
     a = WeilValue.unit(WeilAlgebra.dual(), (4,))
     with pytest.raises(ValueError):

@@ -407,6 +407,52 @@ def test_omega_slice_independent(sg_setup):
     assert zk.slice_drift(streamed(v1, v2)[0]) < 10 * lat.dx**2
 
 
+@pytest.mark.parametrize("name", ["free", "mass", "phi4", "sine_gordon"])
+@pytest.mark.parametrize("topology", ["circle", "line"])
+def test_leapfrog_fibers_obey_the_discrete_cell_law(tangent_setup, topology, name):
+    # the multisymplectic form formula of the leapfrog: with the time flux
+    # T^{j+1/2}_i = psi^j_i chi^{j+1}_i - psi^{j+1}_i chi^j_i and the space
+    # flux X^j_{i+1/2} = psi^j_i chi^j_{i+1} - psi^j_{i+1} chi^j_i, every
+    # interior node has T^{j+1/2} - T^{j-1/2} = (dt/dx)^2 (X_{i+1/2} - X_{i-1/2})
+    # in exact arithmetic; the rho'(phi) terms cancel, so it holds for every
+    # interaction, and the Wronskian W = sum_i T_i dx/dt is conserved
+    lat, base, directions = tangent_setup(topology, "real")
+    inter = dyn.interaction(name, **{"mass": {"mass": 1.3}, "phi4": {"coupling": 0.8}}
+                            .get(name, {}))
+    psi, chi = np.concatenate([fibers.coeffs[..., 0].copy() for _, fibers in
+                               dyn.tangent_blocks(base, directions, inter, lat)], axis=1)
+    time_flux = psi[:-1] * chi[1:] - psi[1:] * chi[:-1]
+    space_flux = psi * np.roll(chi, -1, axis=1) - np.roll(psi, -1, axis=1) * chi
+    law = (time_flux[1:] - time_flux[:-1]) \
+        - (lat.dt / lat.dx) ** 2 * (space_flux - np.roll(space_flux, 1, axis=1))[1:-1]
+    sites = slice(None) if topology == "circle" else slice(1, -1)  # the line clamps its edges
+    scale = np.abs(time_flux).max()
+    assert scale > 0 and np.abs(law[:, sites]).max() <= 1e-12 * scale
+    wronskian = time_flux.sum(axis=1) * lat.dx / lat.dt
+    assert np.abs(wronskian - wronskian[0]).max() <= 1e-12 * np.abs(wronskian).max()
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-6])
+def test_interior_omega_holds_to_the_rounding_of_its_terms(eps):
+    # omega_interior_drift is relative to |omega_1|, which assumes a
+    # well-conditioned omega: for a pair whose omega nearly cancels, slices
+    # 1..N-1 still agree to the rounding of the terms psi chi' and psi' chi,
+    # which |omega_1| no longer bounds (at eps 1e-3 the drift reads 3e-12
+    # relative to |omega_1|, past the default tolerance, on a correct march)
+    lat = circle_lattice(64, 96)
+    bump = [np.exp(-0.5 * ((lat.x - c) / w) ** 2) for c, w in ((np.pi, 0.5), (2.0, 0.7))]
+    v1, v2 = make_tangents(lat, dyn.interaction("sine_gordon"),
+                           dyn.data_from_arrays(0.5 * np.cos(lat.x), 0.2 * np.sin(lat.x)),
+                           [dyn.data_from_arrays(bump[0] + s * bump[1], 0.3 * bump[1])
+                            for s in (0.0, eps)])
+    interior = streamed(v1, v2)[0][1:-1]
+    psi, chi = (v.fiber.values.coeffs[..., 0] for v in (v1, v2))
+    d_psi, d_chi = ((f[2:] - f[:-2]) / (2 * lat.dt) for f in (psi, chi))
+    terms = lat.dx * (np.abs(psi[1:-1] * d_chi) + np.abs(d_psi * chi[1:-1])).sum(axis=1)
+    assert abs(interior[0]) < eps * terms.max()  # omega cancels by about eps
+    assert np.abs(interior - interior[0]).max() <= 1e-13 * terms.max()
+
+
 def test_omega_sign_convention():
     # fibers from data (f, 0) and (0, g): omega = + sum f g dx at slice 0
     lat = circle_lattice(64, 16)
