@@ -69,6 +69,9 @@ class LatticeSpacetime:
             raise LatticeError("need at least 8 spatial sites")
         if self.n_time < 2:
             raise LatticeError("need at least 2 time steps")
+        if 8 * self.n_slices * self.n_space > np.iinfo(np.intp).max:
+            raise LatticeError(f"a grid of {self.n_slices} x {self.n_space} float64 sites "
+                               f"has more bytes than numpy can size")
         if not (0 < self.dx < np.inf and 0 < self.dt < np.inf):
             raise LatticeError(f"grid spacings must be finite and positive, "
                                f"got dx={self.dx}, dt={self.dt}")

@@ -7,12 +7,12 @@ algebra extension and commute with scalar-part extraction.  Differentials
 are exact and each observable carries its own: closed forms for slices and
 constants, the product rule, the discrete adjoint of the leapfrog for
 spacetime observables (dynamics.smeared_gradient, swept over a base history
-solved here unless the interaction is affine and, inside a sharing scope, held
-for the last point only; as the sweep is linear in its seed, differential
-sweeps the spacetime observables a point needs in one march), and forward-over-reverse
-Hessian-vector products for brackets.  Forward dual
-mode, the eps part of F at data + eps*e_site for every unit tangent, is the
-tests' oracle (forward_differential).
+solved here unless the interaction is affine; as the sweep is linear in its
+seed, differential sweeps the spacetime observables a point needs in one
+march, and a sharing scope keeps each dF and holds the last point's solve
+only), and forward-over-reverse Hessian-vector products for brackets.
+Forward dual mode, the eps part of F at data + eps*e_site for every unit
+tangent, is the tests' oracle (forward_differential).
 
 Sign conventions, pinned once and used consistently:
 
@@ -81,13 +81,12 @@ def _once(fn: Callable) -> Callable:
 def sharing():
     """A scope in which each _once function runs once per argument tuple.
 
-    It holds every result until it closes (each dF, field value and dual
-    lift), and beside them a record per base point of spacetime gradients
-    (_Point): the dF swept there and, at the point that last needed one
-    only, the stored solve the sweeps march back over.  So scope one base
-    point: a single point, or one scope over the sample batch of
-    verify_axioms, whose memory grows linearly with the batch.  Scopes do
-    not nest: an inner one starts empty.
+    Its one dict holds every result until it closes (each dF, field value
+    and dual lift), each swept spacetime dF (_swept), and one stored solve,
+    that of the point that last needed one, which the sweeps march back
+    over.  So scope one base point: a single point, or one scope over the
+    sample batch of verify_axioms, whose memory grows linearly with the
+    batch.  Scopes do not nest: an inner one starts empty.
     """
     token = _shared.set({})
     try:
@@ -108,54 +107,32 @@ class _Smearing:
     lat: lt.LatticeSpacetime
 
 
-class _Point:
-    """A sharing scope's record of one base point, interaction and lattice.
-
-    args holds them, so that their ids are not reused while the scope holds
-    the record; swept maps each smearing swept at the point to its dF; and
-    history is the stored solve of the point, which the scope holds at the
-    point that last needed a solve only.
-    """
-
-    def __init__(self, *args) -> None:
-        self.args, self.swept = args, {}
-        self.history: FieldHistory | None = None
-
-
 def _swept(smearings: Sequence[_Smearing], at: CauchyData) -> list["Covector"]:
     """dF at at of each smearing, by the discrete adjoint of the leapfrog at at.
 
     Those not yet swept there share one march per interaction and lattice
     (dynamics.smeared_gradient over a stack of seeds), over no solve for an
-    affine interaction.  Inside a sharing scope the point's record keeps what
-    is swept, and a new solve drops the one the scope held before it runs;
-    outside a scope nothing is kept.
+    affine interaction.  The store is the open sharing scope, or a throwaway
+    dict outside one.  It keeps each dF under (smearing, id(at)), with at
+    pinned in the value, and under FieldHistory the solve of the last point
+    that needed one, which is dropped before the next solve runs.
     """
-    shared = _shared.get()
+    store = {} if (shared := _shared.get()) is None else shared
     groups: dict = {}
-    for s in smearings:
-        groups.setdefault((id(s.inter), id(s.lat)), []).append(s)
-    out = {}
-    for group in groups.values():
-        inter, lat = group[0].inter, group[0].lat
-        key = (_Point, id(at), id(inter), id(lat))
-        if shared is None:
-            point = _Point(at, inter, lat)
-        elif (point := shared.get(key)) is None:
-            point = shared[key] = _Point(at, inter, lat)
-        todo = [s for s in dict.fromkeys(group) if s not in point.swept]
-        if todo:
-            if point.history is None and not inter.affine:
-                if shared is not None:
-                    if (last := shared.pop(_Point, None)) is not None:
-                        last.history = None  # no reference to it survives the solve
-                    shared[_Point] = point
-                point.history = solve_cauchy(at, inter, lat)
-            phi, pi = smeared_gradient(at, inter, lat, [s.weights for s in todo],
-                                       history=point.history)
-            point.swept.update((s, Covector(phi[k], pi[k])) for k, s in enumerate(todo))
-        out.update(point.swept)
-    return [out[s] for s in smearings]
+    for s in dict.fromkeys(smearings):
+        groups.setdefault((id(at), id(s.inter), id(s.lat)), []).append(s)
+    for point, group in groups.items():
+        if not (todo := [s for s in group if (s, id(at)) not in store]):
+            continue
+        inter, lat = todo[0].inter, todo[0].lat
+        held = store.get(FieldHistory)
+        if not inter.affine and (held is None or held[0] != point):
+            held = store[FieldHistory] = None  # no reference to the last solve survives the next
+            held = store[FieldHistory] = (point, solve_cauchy(at, inter, lat), (at, inter, lat))
+        phi, pi = smeared_gradient(at, inter, lat, [s.weights for s in todo],
+                                   history=None if inter.affine else held[1])
+        store.update(((s, id(at)), (Covector(phi[k], pi[k]), at)) for k, s in enumerate(todo))
+    return [store[s, id(at)][0] for s in smearings]
 
 
 # -- observables and vector fields -------------------------------------------
@@ -235,9 +212,10 @@ def spacetime_observable(g: np.ndarray, inter: Interaction,
     Evaluation streams the solve a block of slices at a time, in about 256 KiB
     of memory and never fewer than three slices (dynamics.leapfrog_blocks).
     dF is the discrete adjoint (dynamics.smeared_gradient) over the stored
-    base history of every batch row, or none for an affine inter; inside a
-    sharing scope the spacetime observables at one point sweep over one such
-    history, and those passed to differential together in one march (_swept).
+    base history of every batch row, or none for an affine inter; those
+    passed to differential together sweep in one march, and inside a
+    sharing scope the spacetime observables at one point sweep over one
+    such history (_swept).
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (lat.n_slices, lat.n_space):
@@ -326,15 +304,13 @@ def _constant_covector(at: CauchyData, phi, pi) -> Covector:
 def differential(Fs: Sequence[Observable], at: CauchyData) -> list[Covector]:
     """Exact dF at a base point for each F of Fs: the observable's own gradient.
 
-    Inside a sharing scope the spacetime observables among Fs that are not
-    yet swept at the point and share an interaction and a lattice are swept
-    in one march first, so a caller that needs the dF of several of them at
-    one point passes them here together.  Outside a scope nothing is kept,
-    and each gradient sweeps on its own.
+    The spacetime observables among Fs that share an interaction and a
+    lattice are swept in one march (_swept), so a caller that needs the dF
+    of several of them at one point passes them here together; inside a
+    sharing scope those already swept there are not swept again.
     """
-    if _shared.get() is not None:
-        _swept([F.smearing for F in Fs if F.smearing is not None], at)
-    return [F.gradient(at) for F in Fs]
+    swept = iter(_swept([F.smearing for F in Fs if F.smearing is not None], at))
+    return [F.gradient(at) if F.smearing is None else next(swept) for F in Fs]
 
 
 def _unit_lift(at: CauchyData) -> CauchyData:

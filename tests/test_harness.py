@@ -8,6 +8,7 @@ import io
 import json
 import operator
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -1460,16 +1461,37 @@ def test_sine_gordon_bracket_run_shares_one_base_solve(monkeypatch):
     assert _adjoint_sweeps(doc, monkeypatch) == (1, 2, 1)
 
 
-def test_cli_unallocatable_run_exits_2(tmp_path, capsys):
+def _lattice_update(**keys):
+    return lambda doc: doc["lattice"].update(keys)
+
+
+_TOO_BIG = r"(lattice: )?a grid of \d+ x \d+ float64 sites has more bytes than numpy can size$"
+
+
+@pytest.mark.parametrize("name, change, message", [
     # a 10^12-step history cannot be allocated, which numpy finds at once,
     # so the run asks for no memory and exits 2 with one error line
-    path = os.path.join(os.path.dirname(__file__), "..", "configs", "solve_sine_gordon.json")
+    pytest.param("solve_sine_gordon", _lattice_update(n_time=10**12), "Unable to allocate",
+                 id="solve-n_time-1e12"),
+    # a grid numpy cannot even size is refused when the lattice is built
+    *(pytest.param(name, _lattice_update(n_time=10**19), _TOO_BIG,
+                   id=f"{name.split('_')[0]}-n_time-1e19")
+      for name in ("solve_sine_gordon", "conserve_sine_gordon", "roundtrip_phi4",
+                   "oracle_pj_mass", "convergence_free_field")),
+    pytest.param("oracle_pj_mass", _lattice_update(n_space=10**19), _TOO_BIG,
+                 id="oracle-n_space-1e19"),
+    pytest.param("convergence_free_field", lambda doc: doc.update(ladder=[64, 10**20]),
+                 _TOO_BIG, id="convergence-rung-1e20"),
+])
+def test_cli_unallocatable_run_exits_2(tmp_path, capsys, name, change, message):
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.json")
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["lattice"]["n_time"] = 10**12
-    assert cli.main(["solve", "--config", _write(tmp_path, doc)]) == 2
+    change(doc)
+    command = doc["experiment"].replace("_", "-")
+    assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: Unable to allocate"), err
+    assert len(err) == 1 and re.match(f"error: {message}", err[0]), err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

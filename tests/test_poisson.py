@@ -645,8 +645,10 @@ def test_verify_axioms_shares_adjoint_sweeps_per_sample(small, rng, monkeypatch)
     monkeypatch.setattr(ps, "sharing", contextlib.nullcontext)
     unshared = ps.verify_axioms(*pairs, samples, lat)
     # with no scope nothing is kept, so pair_defect sweeps each of the three
-    # spacetime gradients of the inputs again after the call that shares them
-    assert _seeds(sweeps) == [1] * 101
+    # spacetime gradients of the inputs again after the first differential,
+    # which still sweeps the two spacetime inputs in one march
+    assert len(sweeps) == 100 and sum(_seeds(sweeps)) == 101
+    assert _seeds(sweeps)[0] == 2
     assert shared == unshared
 
 
@@ -657,6 +659,10 @@ def test_differentials_sweep_the_spacetime_observables_at_a_point_in_one_march(
     at = random_data(lat, rng)
     alone = [ps.differential([X], at)[0] for X in (F, G, H)]
     sweeps = _counted_sweeps(monkeypatch)
+    # outside a scope the same marches run and nothing is kept
+    unshared = ps.differential([F, G, H], at)
+    assert _seeds(sweeps) == [2, 1]
+    sweeps.clear()
     with ps.sharing():
         together = ps.differential([F, G, H], at)
         # F and G share one march; H is a product, whose spacetime factor
@@ -664,9 +670,9 @@ def test_differentials_sweep_the_spacetime_observables_at_a_point_in_one_march(
         assert _seeds(sweeps) == [2, 1]
         assert ps.differential([G, F], at) == together[1::-1]
         assert ps.differential([F], at)[0] is together[0] and len(sweeps) == 2
-    for a, b in zip(alone, together):
-        assert a.phi.coeffs.tobytes() == b.phi.coeffs.tobytes()
-        assert a.pi.coeffs.tobytes() == b.pi.coeffs.tobytes()
+    for a, b, c in zip(alone, together, unshared):
+        assert a.phi.coeffs.tobytes() == b.phi.coeffs.tobytes() == c.phi.coeffs.tobytes()
+        assert a.pi.coeffs.tobytes() == b.pi.coeffs.tobytes() == c.pi.coeffs.tobytes()
 
 
 def _counted_solves(monkeypatch):
@@ -681,10 +687,17 @@ def _counted_solves(monkeypatch):
     return solves
 
 
-def _records():
-    """The point records the open sharing scope holds, each once."""
-    return list({id(v): v for v in ps._shared.get().values()
-                 if isinstance(v, ps._Point)}.values())
+def _held_solves():
+    """The base solves the open sharing scope holds, each with the point it was solved at."""
+    return [(v[1], v[2][0]) for v in ps._shared.get().values()
+            if isinstance(v[1], dyn.FieldHistory)]
+
+
+def _kept_gradients(*points):
+    """The number of spacetime dF the open sharing scope keeps at each of the points."""
+    keys = [k for k in ps._shared.get()
+            if isinstance(k, tuple) and isinstance(k[0], ps._Smearing)]
+    return [sum(k[1] == id(at) for k in keys) for at in points]
 
 
 def test_spacetime_gradients_share_one_base_solve_per_point(small, rng, monkeypatch):
@@ -714,12 +727,12 @@ def test_sharing_scope_holds_the_last_base_history_only(small, rng, monkeypatch)
         for obs in (F, G):
             for at in points:  # the points alternate, so every sweep solves again
                 obs.gradient(at)
-                held = [r for r in _records() if r.history is not None]
-                assert len(held) == 1 and held[0].args[0] is at
+                held = _held_solves()
+                assert len(held) == 1 and held[0][1] is at
         assert len(solves) == 4
-        # each point's record keeps the dF swept there after its solve is
+        # the scope keeps the dF swept at each point after its solve is
         # dropped, so asking for both at either point sweeps nothing more
-        assert [len(r.swept) for r in _records()] == [2, 2]
+        assert _kept_gradients(*points) == [2, 2]
         for at in points:
             ps.differential([F, G], at)
         assert len(solves) == 4 and len(sweeps) == 4

@@ -430,6 +430,21 @@ def test_leapfrog_fibers_obey_the_discrete_cell_law(tangent_setup, topology, nam
     assert scale > 0 and np.abs(law[:, sites]).max() <= 1e-12 * scale
     wronskian = time_flux.sum(axis=1) * lat.dx / lat.dt
     assert np.abs(wronskian - wronskian[0]).max() <= 1e-12 * np.abs(wronskian).max()
+    # the multisymplectic form formula (Marsden, Patrick & Shkoller, CMP 199,
+    # 1998) on staircase surfaces: with heights h_i in [0, n_time), omega_S =
+    # (dx/dt) [sum_i T^{h_i+1/2}_i + (dt/dx)^2 sum_i S_i], where S_i sums
+    # X^j_{i+1/2} over j = h_i+1 .. h_{i+1}, or minus the sum over
+    # j = h_{i+1}+1 .. h_i when the step goes down, and equals W
+    heights = np.random.default_rng(7).integers(0, lat.n_time, size=(200, lat.n_space))
+    i = np.arange(lat.n_space)
+    climbed = np.cumsum(space_flux, axis=0)  # S_i is the difference of two partial sums
+    steps = climbed[np.roll(heights, -1, axis=1), i] - climbed[heights, i]
+    if topology == "line":
+        steps = steps[:, :-1]  # no seam between the last site and the first
+    surfaces = (time_flux[heights, i].sum(axis=1)
+                + (lat.dt / lat.dx) ** 2 * steps.sum(axis=1)) * lat.dx / lat.dt
+    largest = (np.abs(time_flux).sum(axis=1) * lat.dx / lat.dt).max()
+    assert np.abs(surfaces - wronskian[0]).max() <= 1e-12 * largest
 
 
 @pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-6])
