@@ -207,58 +207,62 @@ def count(desc: dict, key: str, default: int | None, least: int) -> int:
     return value
 
 
-def _profile_array(desc: dict, x: np.ndarray, rng: Draws) -> np.ndarray:
+def _profile_array(desc: dict, x: np.ndarray, rng: Draws,
+                   lead: tuple[int, ...] = ()) -> np.ndarray:
+    """The profile desc on the sites x, one per index of the leading shape lead.
+
+    random_fourier draws all of lead in one call, filled in C order, so each
+    profile equals, bit for bit, that of one call per profile in that order.
+    The kinds that draw nothing broadcast their one profile to a nonempty lead
+    as a read-only view.
+    """
     kind = json_object(desc, "a profile").get("profile", "zero")
     if not isinstance(kind, str) or kind not in PROFILE_KEYS:
         raise ConfigError(f"unknown profile {_shown(kind)}")
     _known_keys(desc, ("profile",) + PROFILE_KEYS[kind], f"{kind} profile key")
     amp = number(desc, "amplitude", 1.0)
+    if kind == "random_fourier":
+        kmax = count(desc, "kmax", 4, 0)
+        coeffs = rng.standard_normal(lead + (2, kmax + 1)) / np.arange(1, kmax + 2) ** 2
+        span = x[-1] - x[0] + (x[1] - x[0])
+        out = np.zeros(lead + x.shape)
+        for k in range(kmax + 1):
+            w = 2 * np.pi * k / span
+            out += (coeffs[..., 0, k, None] * np.cos(w * x)
+                    + coeffs[..., 1, k, None] * np.sin(w * x))
+        return amp * out
     if kind == "zero":
-        return np.zeros_like(x)
-    if kind == "constant":
-        return np.full_like(x, amp)
-    if kind in ("gaussian", "bump"):
+        one = np.zeros_like(x)
+    elif kind == "constant":
+        one = np.full_like(x, amp)
+    elif kind in ("gaussian", "bump"):
         c = number(desc, "center", 0.0)
         w = number(desc, "width", 1.0)
         if not w > 0:
             raise ConfigError(f"width must be positive, got {w}")
         s = (x - c) / w
         if kind == "gaussian":
-            return amp * np.exp(-0.5 * s ** 2)
-        out = np.zeros_like(x)
-        inside = np.abs(s) < 1.0
-        out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
-        return out
-    if kind == "cosine":
+            one = amp * np.exp(-0.5 * s ** 2)
+        else:
+            one = np.zeros_like(x)
+            inside = np.abs(s) < 1.0
+            one[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
+    elif kind in ("cosine", "sine"):
         k = number(desc, "wavenumber", 1.0)
         ph = number(desc, "phase", 0.0)
-        return amp * np.cos(k * x + ph)
-    if kind == "sine":
-        k = number(desc, "wavenumber", 1.0)
-        ph = number(desc, "phase", 0.0)
-        return amp * np.sin(k * x + ph)
-    if kind == "kink":
-        c = number(desc, "center", 0.0)
-        return 4.0 * np.arctan(np.exp(x - c))
-    if kind == "random_fourier":
-        kmax = count(desc, "kmax", 4, 0)
-        coeffs = rng.standard_normal((2, kmax + 1)) / np.arange(1, kmax + 2) ** 2
-        span = x[-1] - x[0] + (x[1] - x[0])
-        out = np.zeros_like(x)
-        for k in range(kmax + 1):
-            w = 2 * np.pi * k / span
-            out += coeffs[0, k] * np.cos(w * x) + coeffs[1, k] * np.sin(w * x)
-        return amp * out
-    if kind == "array":
+        one = amp * (np.cos if kind == "cosine" else np.sin)(k * x + ph)
+    elif kind == "kink":
+        one = 4.0 * np.arctan(np.exp(x - number(desc, "center", 0.0)))
+    else:  # an array, the one kind left
         if "values" not in desc:
             raise ConfigError("array profile needs values")
         values = desc["values"]
         if not isinstance(values, list):
             raise ConfigError(f"array profile values must be a list, got {_shown(values)}")
-        arr = np.array([_finite(v, f"values[{i}]") for i, v in enumerate(values)])
-        if arr.shape != x.shape:
+        one = np.array([_finite(v, f"values[{i}]") for i, v in enumerate(values)])
+        if one.shape != x.shape:
             raise ConfigError("array profile length must match n_space")
-        return arr
+    return np.broadcast_to(one, lead + x.shape) if lead else one
 
 
 def cauchy_profiles(desc: dict) -> tuple[dict, dict]:
@@ -277,9 +281,10 @@ def observable_kind(desc) -> str:
     return kind
 
 
-def spatial_profile(desc: dict, lat: lt.LatticeSpacetime,
-                    rng: Draws) -> np.ndarray:
-    return _profile_array(desc, lat.x, rng)
+def spatial_profile(desc: dict, lat: lt.LatticeSpacetime, rng: Draws,
+                    lead: tuple[int, ...] = ()) -> np.ndarray:
+    """The profile desc on lat's sites, with the leading shape lead (see _profile_array)."""
+    return _profile_array(desc, lat.x, rng, lead)
 
 
 def time_profile(desc: dict, lat: lt.LatticeSpacetime,

@@ -252,9 +252,19 @@ def _run_jacobi(config: ExperimentConfig) -> Report:
     built = [_build_observable(d, config, rng, f"observables[{k}]")
              for k, d in enumerate(config.observables)]
     n_samples = count(config.options, "n_samples", 5, 1)
-    rf = {"profile": "random_fourier",
-          "amplitude": number(config.options, "sample_amplitude", 0.5)}
-    samples = [_build_tangent({"phi": rf, "pi": rf}, lat, rng) for _ in range(n_samples)]
+    amp = number(config.options, "sample_amplitude", 0.5)
+    # each profile draws 10 normals (kmax 4) and fills n_space sites
+    if 8 * n_samples * 2 * max(lat.n_space, 10) > np.iinfo(np.intp).max:
+        raise ConfigError(f"options: {n_samples} samples of 2 x {lat.n_space} float64 "
+                          "sites have more bytes than numpy can size")
+    # one draw, phi then pi of each sample in turn; the check below names an overflow
+    with np.errstate(over="ignore"):
+        draws = spatial_profile({"profile": "random_fourier", "amplitude": amp}, lat, rng,
+                                (n_samples, 2))
+    if not (finite := np.isfinite(draws).all(axis=(1, 2))).all():
+        raise ConfigError(f"options: sample_amplitude {amp!r} makes sample "
+                          f"{int(np.argmin(finite))} non-finite")
+    samples = dyn.data_from_arrays(draws[:, 0], draws[:, 1])
     pairs = [ps.make_pair(F, lat) for F in built]
     rep = ps.verify_axioms(pairs[0], pairs[1], pairs[2], samples, lat)
     reval = max_or_nan(rep.pair_defects[0], rep.pair_defects[1], rep.closure)
@@ -325,7 +335,7 @@ def _run_roundtrip(config: ExperimentConfig) -> Report:
     worst_phi = 0.0
     for n in ladder:
         lat = _scaled_lattice(lat0, n)
-        data = _build_tangent({"phi": rf, "pi": rf}, lat, config.rng())
+        data = dyn.data_from_arrays(*spatial_profile(rf, lat, config.rng(), (2,)))
         hist = dyn.solve_cauchy(data, config.interaction, lat)
         back = dyn.restrict_data(hist, 0)
         err_phi = (back.phi - data.phi).max_abs()

@@ -290,12 +290,14 @@ class Covector:
 def _constant_covector(at: CauchyData, phi, pi) -> Covector:
     """The covector with the given real site weights at every batch row of at.
 
-    Each block is one (n_space, dim) row broadcast over the batch, a
-    read-only view, so no caller can mutate a shared result through it.
+    Each block is one (n_space, dim) row of zeros with the weights in its
+    unit slot, broadcast over the batch: a read-only view, so no caller can
+    mutate a shared result through it.
     """
 
     def block(w) -> WeilValue:
-        row = WeilValue.from_scalar(at.algebra, np.broadcast_to(w, at.n_space)).coeffs
+        row = np.zeros((at.n_space, at.algebra.dim))
+        row[:, 0] = w
         return WeilValue(at.algebra, np.broadcast_to(row, at.phi.shape + row.shape[-1:]))
 
     return Covector(block(phi), block(pi))
@@ -354,9 +356,13 @@ def hamiltonian_inversion(c: Covector, dx: float) -> CauchyData:
 def _row_max_abs(*values: WeilValue) -> np.ndarray:
     """max |coefficient| over the site and coefficient axes, per batch row.
 
-    np.max keeps a NaN, so a row with one NaN coefficient reads NaN.
+    Each value's rows are folded in with np.maximum; it and np.max keep a
+    NaN, so a row with one NaN coefficient reads NaN.
     """
-    return np.max([np.max(np.abs(v.coeffs), axis=(-2, -1)) for v in values], axis=0)
+    out = np.max(np.abs(values[0].coeffs), axis=(-2, -1))
+    for v in values[1:]:
+        out = np.maximum(out, np.max(np.abs(v.coeffs), axis=(-2, -1)))
+    return out
 
 
 def _equation_defect(c: Covector, fiber: CauchyData, dx: float) -> np.ndarray:
@@ -630,33 +636,20 @@ def _sup(*rows) -> float:
     return float(max_or_nan(*(np.max(r) for r in rows)))
 
 
-def _stack(samples: Sequence[CauchyData]) -> CauchyData:
-    """The samples as one CauchyData with a leading sample axis."""
-    if not samples:
-        raise ValueError("verify_axioms needs at least one sample")
-    first = samples[0]
-    for d in samples[1:]:
-        if d.algebra != first.algebra or d.phi.shape != first.phi.shape:
-            raise ValueError(
-                f"samples must share an algebra and a shape: {first.algebra} "
-                f"{first.phi.shape} vs {d.algebra} {d.phi.shape}")
-    return CauchyData(*(WeilValue(first.algebra, np.stack([v.coeffs for v in block]))
-                        for block in ([d.phi for d in samples], [d.pi for d in samples])))
-
-
 def verify_axioms(p1: HamiltonianPair, p2: HamiltonianPair, p3: HamiltonianPair,
-                  samples: Sequence[CauchyData], lat: lt.LatticeSpacetime
-                  ) -> AxiomReport:
+                  at: CauchyData, lat: lt.LatticeSpacetime) -> AxiomReport:
     """Evaluate antisymmetry, Jacobi, Leibniz and pair defects at the sampled points.
 
-    The samples ride one batch, and every check runs in one sharing scope over
-    the sample batch: each observable value, gradient, field value and dual
-    lift runs once for all samples, however many terms ask for it.  Each term
-    is reduced per sample (max |coefficient| over sites and coefficients),
-    then over the samples; a NaN in any sample fails.  Memory grows linearly
-    with the number of samples.  Samples must share an algebra and a shape.
+    at holds the samples on its leading axis, one batch row each, and every
+    check runs in one sharing scope over it: each observable value,
+    gradient, field value and dual lift runs once for all samples, however
+    many terms ask for it.  Each term is reduced per sample (max
+    |coefficient| over sites and coefficients), then over the samples; a
+    NaN in any sample fails.  Memory grows linearly with the number of
+    samples.
     """
-    at = _stack(samples)
+    if not at.phi.coeffs.size:
+        raise ValueError("verify_axioms needs at least one sample")
     b12 = bracket(p1, p2, lat)
     b21 = bracket(p2, p1, lat)
     b13 = bracket(p1, p3, lat)

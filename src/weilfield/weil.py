@@ -406,9 +406,15 @@ def extract_top(w: WeilValue, power: int) -> WeilValue:
         raise ValueError("the trivial algebra has no generator to extract")
     if power < 0 or power >= orders[-1]:
         raise ValueError(f"power {power} outside truncation {orders[-1]}")
-    parent = WeilAlgebra(orders[:-1])
+    parent = _algebra(orders[:-1])
     view = w.coeffs.reshape(w.shape + (parent.dim, orders[-1]))
     return WeilValue(parent, view[..., power].copy())
+
+
+@cache
+def _algebra(orders: tuple[int, ...]) -> WeilAlgebra:
+    """The box algebra of orders, built once: extract_top reads its parent on every call."""
+    return WeilAlgebra(orders)
 
 
 @cache

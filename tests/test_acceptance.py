@@ -209,11 +209,9 @@ def test_criterion_6_poisson_axioms():
     F2 = ps.slice_pi_observable(g, lat)
     F3 = ps.observable_product(ps.slice_phi_observable(h, lat),
                                ps.slice_pi_observable(g, lat))
-    samples = [
-        dyn.data_from_arrays(0.5 * rng.standard_normal(lat.n_space),
-                             0.5 * rng.standard_normal(lat.n_space))
-        for _ in range(5)
-    ]
+    # five samples, phi then pi of each in turn: the draws of one call per profile
+    draws = 0.5 * rng.standard_normal((5, 2, lat.n_space))
+    samples = dyn.data_from_arrays(draws[:, 0], draws[:, 1])
     pairs = [ps.make_pair(F, lat) for F in (F1, F2, F3)]
     rep = ps.verify_axioms(pairs[0], pairs[1], pairs[2], samples, lat)
     reval = max(rep.pair_defects[0], rep.pair_defects[1], rep.closure)

@@ -202,6 +202,38 @@ def test_config_draws_are_its_seeded_generator_draws(circle):
                           cfg.time_profile(descs[0], conf.lattice, generator))
 
 
+@pytest.mark.parametrize("lead", [(), (2,), (20, 2)])
+@pytest.mark.parametrize("kmax", [0, 4, 9])
+@pytest.mark.parametrize("amplitude", [0.5, 3.0])
+def test_batched_random_fourier_is_the_stack_of_single_draws(circle, lead, kmax, amplitude):
+    desc = {"profile": "random_fourier", "amplitude": amplitude, "kmax": kmax}
+    batched = cfg.spatial_profile(desc, circle, np.random.default_rng(5), lead)
+    generator = np.random.default_rng(5)
+    singles = [cfg.spatial_profile(desc, circle, generator)
+               for _ in range(int(np.prod(lead)))]
+    assert batched.shape == lead + (circle.n_space,)
+    assert np.array_equal(batched, np.reshape(singles, batched.shape))
+    # the kinds that draw nothing broadcast their one profile
+    cosine = {"profile": "cosine", "amplitude": amplitude}
+    assert np.array_equal(cfg.spatial_profile(cosine, circle, generator, lead),
+                          np.broadcast_to(cfg.spatial_profile(cosine, circle, generator),
+                                          lead + (circle.n_space,)))
+
+
+def test_jacobi_run_draws_its_samples_in_one_call(monkeypatch):
+    calls = []
+    real = cfg.SeededDraws.standard_normal
+
+    def counted(self, size=None):
+        calls.append(size)
+        return real(self, size)
+
+    monkeypatch.setattr(cfg.SeededDraws, "standard_normal", counted)
+    doc = _edited(TOY_JACOBI, lambda d: d.update(options={"n_samples": 20}))
+    experiments.run(cfg.ExperimentConfig.from_dict(doc))
+    assert calls == [(20, 2, 2, 5)]
+
+
 # -- report machinery ---------------------------------------------------------------
 
 
@@ -1482,6 +1514,21 @@ _TOO_BIG = r"(lattice: )?a grid of \d+ x \d+ float64 sites has more bytes than n
                  id="oracle-n_space-1e19"),
     pytest.param("convergence_free_field", lambda doc: doc.update(ladder=[64, 10**20]),
                  _TOO_BIG, id="convergence-rung-1e20"),
+    # the jacobi samples are drawn in one call: refused before it when numpy
+    # cannot size the batch, and an unallocatable one is numpy's error
+    pytest.param("jacobi_polynomial_triple",
+                 lambda doc: doc["options"].update(n_samples=10**19),
+                 r"options: \d+ samples of 2 x 32 float64 sites have more bytes than "
+                 r"numpy can size$", id="jacobi-n_samples-1e19"),
+    # on 8 sites the draw, 10 normals a profile, is the larger array
+    pytest.param("jacobi_polynomial_triple",
+                 lambda doc: (doc["lattice"].update(n_space=8),
+                              doc["options"].update(n_samples=6 * 10**16)),
+                 r"options: \d+ samples of 2 x 8 float64 sites have more bytes than "
+                 r"numpy can size$", id="jacobi-n_samples-6e16-on-8-sites"),
+    pytest.param("jacobi_polynomial_triple",
+                 lambda doc: doc["options"].update(n_samples=10**12), "Unable to allocate",
+                 id="jacobi-n_samples-1e12"),
 ])
 def test_cli_unallocatable_run_exits_2(tmp_path, capsys, name, change, message):
     path = os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.json")
@@ -1492,6 +1539,20 @@ def test_cli_unallocatable_run_exits_2(tmp_path, capsys, name, change, message):
     assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and re.match(f"error: {message}", err[0]), err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_overflowing_jacobi_samples_exit_2_naming_the_first(tmp_path, capsys):
+    # at this amplitude the second of the five samples overflows to inf, and
+    # the batch is checked before any bracket, so no NaN verdict is reached
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "jacobi_polynomial_triple.json")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["options"]["sample_amplitude"] = 1.7e308
+    assert cli.main(["jacobi", "--config", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: options: sample_amplitude 1.7e+308 makes sample 1 non-finite"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
