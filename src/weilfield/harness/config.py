@@ -73,9 +73,6 @@ EXPERIMENTS = {
     "convergence": Experiment(
         "error vs resolution ladder with a fitted order", {"order_band": 0.3},
         ("study", "ladder", "initial_data", "tangents")),
-    "roundtrip": Experiment("Cauchy data round trip through solve and restrict",
-                            {"roundtrip_phi": 1e-12, "order_band": 0.3},
-                            ("ladder",)),
     "oracle_pj": Experiment("tabulate the free-field mode-sum commutator function",
                             {"comb_defect": 1e-9}),
 }

@@ -387,19 +387,6 @@ def test_jacobi_experiment():
     assert rep.all_passed()
 
 
-def test_roundtrip_experiment():
-    doc = {
-        "experiment": "roundtrip",
-        "lattice": {"topology": "circle", "n_space": 128,
-                    "extent": 2 * np.pi, "dt_factor": 0.5, "n_time": 16},
-        "interaction": {"name": "phi4", "coupling": 1.0},
-        "ladder": [64, 128, 256],
-        "seed": 5,
-    }
-    rep = experiments.run(cfg.ExperimentConfig.from_dict(doc))
-    assert rep.all_passed()
-
-
 # -- a verdict value that turns NaN fails (the builtin max drops a NaN after the first)
 
 
@@ -448,24 +435,6 @@ def test_bracket_nan_pair_residual_fails(monkeypatch):
     assert _passed(doc) == {"pair_residual_max": True}
     _nan_on_call(monkeypatch, ps, "pair_defect", 2)
     assert _passed(doc) == {"pair_residual_max": False}
-
-
-def test_roundtrip_nan_phi_error_fails(monkeypatch):
-    doc = {"experiment": "roundtrip",
-           "lattice": {"topology": "circle", "n_space": 16,
-                       "extent": 2 * np.pi, "dt_factor": 0.5, "n_time": 4},
-           "ladder": [16, 32]}
-    assert _passed(doc)["phi_roundtrip"]
-    real = dyn.restrict_data
-    calls = []
-
-    def nan_phi_on_second_rung(hist, j):
-        calls.append(None)
-        back = real(hist, j)
-        return dyn.CauchyData(back.phi * np.nan, back.pi) if len(calls) == 2 else back
-
-    monkeypatch.setattr(dyn, "restrict_data", nan_phi_on_second_rung)
-    assert not _passed(doc)["phi_roundtrip"]
 
 
 # -- the mode-sum oracle -----------------------------------------------------------------
@@ -600,8 +569,7 @@ def test_runs_that_draw_nothing_never_load_numpy_random(tmp_path):
                            "through hashlib")
 def test_runs_that_draw_nothing_never_load_openssl(tmp_path):
     # hashlib loads OpenSSL as _hashlib, and numpy.random loads it through
-    # secrets and hmac; a jacobi or roundtrip run draws, and so does a
-    # random_fourier profile
+    # secrets and hmac; a jacobi run draws, and so does a random_fourier profile
     root, workloads = _perfbench_workloads()
     docs = [workloads.config_doc(root, name, 0, toy=True)
             for name in ("bracket_oracle", "conserve_sg")]
@@ -609,7 +577,7 @@ def test_runs_that_draw_nothing_never_load_openssl(tmp_path):
         with open(os.path.join(root, "configs", name), encoding="utf-8") as fh:
             text = fh.read()
         doc = json.loads(text)
-        if doc["experiment"] not in ("jacobi", "roundtrip") and "random_fourier" not in text:
+        if doc["experiment"] != "jacobi" and "random_fourier" not in text:
             docs.append(doc)
     assert {doc["experiment"] for doc in docs} == {"bracket", "conserve", "convergence",
                                                    "oracle_pj", "solve"}
@@ -1508,8 +1476,8 @@ _TOO_BIG = r"(lattice: )?a grid of \d+ x \d+ float64 sites has more bytes than n
     # a grid numpy cannot even size is refused when the lattice is built
     *(pytest.param(name, _lattice_update(n_time=10**19), _TOO_BIG,
                    id=f"{name.split('_')[0]}-n_time-1e19")
-      for name in ("solve_sine_gordon", "conserve_sine_gordon", "roundtrip_phi4",
-                   "oracle_pj_mass", "convergence_free_field")),
+      for name in ("solve_sine_gordon", "conserve_sine_gordon", "oracle_pj_mass",
+                   "convergence_free_field")),
     pytest.param("oracle_pj_mass", _lattice_update(n_space=10**19), _TOO_BIG,
                  id="oracle-n_space-1e19"),
     pytest.param("convergence_free_field", lambda doc: doc.update(ladder=[64, 10**20]),
@@ -1553,6 +1521,25 @@ def test_cli_overflowing_jacobi_samples_exit_2_naming_the_first(tmp_path, capsys
     assert cli.main(["jacobi", "--config", _write(tmp_path, doc)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: options: sample_amplitude 1.7e+308 makes sample 1 non-finite"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("amplitude, where", [(1e160, "multiply"), (1e308, "reduce")])
+def test_cli_overflowing_jacobi_axiom_terms_exit_2(amplitude, where, tmp_path, capsys):
+    # the samples stay finite, but the Leibniz terms, cubic in them, pass 1e308
+    # (at 1e308 already the sum of a sample's squares), so the run stops at
+    # the first overflow rather than reading NaN verdicts
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "jacobi_polynomial_triple.json")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["options"]["sample_amplitude"] = amplitude
+    assert cli.main(["jacobi", "--config", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: options: sample_amplitude {amplitude!r} makes the axiom terms overflow "
+        f"(overflow encountered in {where})"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
