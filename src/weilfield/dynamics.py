@@ -151,11 +151,6 @@ class CauchyData:
         return max_or_nan(self.phi.max_abs(), self.pi.max_abs())
 
 
-def zero_data(algebra: WeilAlgebra, lat: lt.LatticeSpacetime) -> CauchyData:
-    shape = (lat.n_space,)
-    return CauchyData(WeilValue.zeros(algebra, shape), WeilValue.zeros(algebra, shape))
-
-
 def data_from_arrays(phi: np.ndarray, pi: np.ndarray,
                      algebra: WeilAlgebra | None = None) -> CauchyData:
     algebra = algebra or WeilAlgebra.real()
@@ -184,10 +179,6 @@ def linearize_residual(base: FieldHistory, fiber: FieldHistory,
     box = lt.d2_dt2_interior(fiber.values, lat) - lt.d2_dx2(fiber.values, lat)[1:-1]
     mass_term = apply_smooth(inter.rho_prime, base.values[1:-1]) * fiber.values[1:-1]
     return box + mass_term
-
-
-def max_residual(history: FieldHistory, inter: Interaction) -> float:
-    return eom_residual(history, inter).max_abs()
 
 
 # -- the Cauchy solver ---------------------------------------------------------

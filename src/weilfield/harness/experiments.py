@@ -152,8 +152,8 @@ def _run_solve(config: ExperimentConfig) -> Report:
     report = Report(config.experiment)
     report.add_table("residuals", ["slice", "t", "max_residual"], rows)
     tol = config.tolerances["solve_residual"]
-    if tol is None:
-        tol = 100.0 * (lat.dx**2 + lat.dt**2)
+    if tol is None:  # rounding of the residual's terms, which scale as max|phi| / dt^2
+        tol = 1e-12 * max(1.0, hist.values.max_abs()) / lat.dt**2
     report.add_verdict(check("eom_residual_max", float(per_slice.max()), tol,
                              note="scheme-order consistency"))
     buf = io.BytesIO()

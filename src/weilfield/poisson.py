@@ -24,8 +24,10 @@ Sign conventions, pinned once and used consistently:
 which reproduce {integral f*phi, integral g*pi} = + integral f*g.  Pairs
 (F, v) are algebra: bracket and product check nothing, and pair_defect alone
 compares dF with iota_v omega, per batch row of a base point.  The closed
-slice form of omega is used everywhere: hamiltonian_field, the one Hamiltonian
-vector field, inverts it on dF.  The operator assembled from basis insertions
+slice form of omega is used everywhere: _field_at, the one Hamiltonian
+vector field X_F, inverts it on dF once per observable and point; both
+hamiltonian_field and a bracket's dF'' read it, so in a sharing scope dF''
+and [v, v'] share their lifts.  The operator assembled from basis insertions
 into the current integral is retained as an oracle, and synthetic degenerate
 operators exercise the admissibility classification (OmegaOperator.solve).
 """
@@ -373,6 +375,12 @@ def _equation_defect(c: Covector, fiber: CauchyData, dx: float) -> np.ndarray:
     return _row_max_abs(diff.phi, diff.pi) / scale
 
 
+@_once
+def _field_at(F: Observable, at: CauchyData, lat: lt.LatticeSpacetime) -> CauchyData:
+    """X_F at at: dF inverted through the closed-form omega, once per scope."""
+    return hamiltonian_inversion(differential([F], at)[0], lat.dx)
+
+
 def hamiltonian_field(F: Observable, lat: lt.LatticeSpacetime) -> SolVectorField:
     """The Hamiltonian vector field of F under the closed-form omega.
 
@@ -382,7 +390,7 @@ def hamiltonian_field(F: Observable, lat: lt.LatticeSpacetime) -> SolVectorField
     """
 
     def ev(d: CauchyData) -> CauchyData:
-        return hamiltonian_inversion(differential([F], d)[0], lat.dx)
+        return _field_at(F, d, lat)
 
     sc = lt.window_is_interior(F.sc_window, lat)
     return SolVectorField(ev, sc=sc)
@@ -567,9 +575,9 @@ def bracket(p: HamiltonianPair, pp: HamiltonianPair,
         return Covector(extract_top(c.phi, 1), extract_top(c.pi, 1))
 
     def grad(d: CauchyData) -> Covector:
-        # dF'' = H_G X_F - H_F X_G, with fields from the gradients, not p.v, pp.v
-        x_f = hamiltonian_inversion(p.F.gradient(d), lat.dx)
-        x_g = hamiltonian_inversion(pp.F.gradient(d), lat.dx)
+        # dF'' = H_G X_F - H_F X_G, with X_F and X_G from the gradients, not p.v and
+        # pp.v: for a made pair they are the same objects, so their lifts are shared
+        x_f, x_g = _field_at(p.F, d, lat), _field_at(pp.F, d, lat)
         return hessian_times(pp.F, d, x_f) - hessian_times(p.F, d, x_g)
 
     F2 = Observable(ev, grad, name=f"{{{p.F.name},{pp.F.name}}}")

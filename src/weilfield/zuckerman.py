@@ -1,4 +1,4 @@
-"""Presymplectic current on the solution space and its slice integrals.
+"""Presymplectic current on the solution space and omega on every slice.
 
 For a pair of linearized solutions psi, psi' along the same on-shell base,
 the conserved current is u = psi *d(psi') - psi' *d(psi).  Its divergence
@@ -15,8 +15,10 @@ one march over W (x) D(2) in blocks of slices (dynamics.tangent_blocks).
 It copies them into a buffer of 4 + BLOCK fiber slices and folds each BLOCK
 new slices in one vectorized pass into scratch allocated once per call: it
 holds that buffer, the current and the scratch (about 1 MB and 20 us a slice
-at 1024 real sites on a shared 2-core Xeon), never a history.  current_u,
-theta and TangentSolution are the whole-grid forms the tests check it against.
+at 1024 real sites on a shared 2-core Xeon), never a history.  Its omega
+series is the one slice integral of omega in the library.  TangentSolution
+(a stored base and fiber history), current_u and theta are the whole-grid
+forms the tests check it against, with lt.integrate_slice and lt.divergence.
 
 Spacelike-compact bookkeeping: on the line, at least one factor of u must
 be spacelike compact for slice integrals to make sense over a noncompact
@@ -32,7 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from . import lattice as lt
-from .dynamics import FieldHistory, Interaction, linearize_residual
+from .dynamics import FieldHistory
 from .weil import WeilValue, _mul_into, max_or_nan
 
 
@@ -60,25 +62,6 @@ class TangentSolution:
     def lattice(self) -> lt.LatticeSpacetime:
         return self.base.lattice
 
-    @property
-    def is_sc(self) -> bool:
-        return self.support is not None
-
-    def validate(self, inter: Interaction, tol: float) -> float:
-        """Max linearized residual; raises if above tol or support leaks."""
-        res = linearize_residual(self.base, self.fiber, inter).max_abs()
-        if res > tol:
-            raise lt.LatticeError(
-                f"fiber is off shell: linearized residual {res:.3e} > {tol:.3e}"
-            )
-        if self.support is not None:
-            for j in range(self.lattice.n_slices):
-                outside = ~lt.causal_cone(self.support, j, self.lattice)
-                leak = np.abs(self.fiber.values.coeffs[j][..., outside, :])
-                if leak.size and leak.max() > 0.0:
-                    raise lt.SupportError(f"fiber leaks outside its cone on slice {j}")
-        return res
-
 
 def theta(v: TangentSolution) -> lt.Current:
     """Boundary 1-form evaluated on a tangent vector: -psi *d(phi)."""
@@ -96,7 +79,7 @@ def current_u(v: TangentSolution, vp: TangentSolution) -> lt.Current:
     """The conserved current psi *d(psi') - psi' *d(psi) of two fibers."""
     if v.lattice != vp.lattice:
         raise lt.LatticeError("tangent solutions must share a lattice")
-    lt.require_compact_factor(v.lattice, v.is_sc, vp.is_sc)
+    lt.require_compact_factor(v.lattice, v.support is not None, vp.support is not None)
     lat = v.lattice
     psi, psip = v.fiber.values, vp.fiber.values
 
@@ -107,35 +90,6 @@ def current_u(v: TangentSolution, vp: TangentSolution) -> lt.Current:
         return u
 
     return lt.Current(component(lt.d_dt), component(lt.d_dx), lat)
-
-
-def current_windows(v: TangentSolution, vp: TangentSolution
-                    ) -> tuple[np.ndarray, ...] | None:
-    """Per-slice support masks of current_u: intersection of the factors' cones.
-
-    The derivative stencil widens each factor's cone by one site, so slice j
-    takes the cones at j + 1.  Returns None when neither factor is spacelike
-    compact (full support).
-    """
-    if not (v.is_sc or vp.is_sc):
-        return None
-    lat = v.lattice
-    full = np.ones(lat.n_space, dtype=bool)
-    return tuple(
-        (lt.causal_cone(v.support, j + 1, lat) if v.is_sc else full)
-        & (lt.causal_cone(vp.support, j + 1, lat) if vp.is_sc else full)
-        for j in range(lat.n_slices)
-    )
-
-
-def presymplectic_form(v: TangentSolution, vp: TangentSolution,
-                       slice_index: int) -> WeilValue:
-    """Slice integral of the current density: omega at one Cauchy slice."""
-    u = current_u(v, vp)
-    lat = v.lattice
-    if not 0 <= slice_index <= lat.n_time:
-        raise lt.LatticeError(f"slice {slice_index} out of range")
-    return lt.integrate_slice(u.slice_density(slice_index))
 
 
 BLOCK = 12  # fiber slices a block takes in before one vectorized pass folds them

@@ -642,10 +642,13 @@ def test_verify_axioms_shares_adjoint_sweeps_per_sample(small, rng, monkeypatch)
     samples = batch([random_data(lat, rng) for _ in range(2)])
     sweeps = _counted_sweeps(monkeypatch)
     shared = ps.verify_axioms(*pairs, samples, lat)
-    # 21 seeds in all, 2 of them for the closure's pair defect: the samples
-    # ride one batch, so every sweep's base carries both of them, and the two
-    # spacetime inputs ride one sweep, so the 21 seeds take 20 sweeps
-    assert sorted(_seeds(sweeps)) == [1] * 19 + [2]
+    # 19 seeds in all: the samples ride one batch, so every sweep's base
+    # carries both of them, and the two spacetime inputs ride one sweep, so
+    # the 19 seeds take 18 sweeps.  The closure's pair defect sweeps nothing
+    # of its own: dF'' of {p1, p2} takes its Hessian-vector products along
+    # the same field objects, so at the same lifts, as [v1, v2] (21 seeds
+    # when the bracket inverted each dF again)
+    assert sorted(_seeds(sweeps)) == [1] * 17 + [2]
     assert all(args[0].phi.shape == (2, lat.n_space) for args in sweeps)
     assert ps._shared.get() is None
     sweeps.clear()
@@ -657,6 +660,28 @@ def test_verify_axioms_shares_adjoint_sweeps_per_sample(small, rng, monkeypatch)
     assert len(sweeps) == 100 and sum(_seeds(sweeps)) == 101
     assert _seeds(sweeps)[0] == 2
     assert shared == unshared
+
+
+def test_verify_axioms_lifts_the_pairs_fields_once_per_point(small, rng, monkeypatch):
+    # the polynomial triple of configs/jacobi_polynomial_triple.json
+    lat, f, g, h = small
+    pairs = [ps.make_pair(F, lat) for F in (
+        ps.slice_phi_observable(f, lat), ps.slice_pi_observable(g, lat),
+        ps.observable_product(ps.slice_phi_observable(h, lat),
+                              ps.slice_pi_observable(g, lat)))]
+    lifts = []
+
+    def counted(at, direction):
+        lifts.append(direction)
+        return dyn.lift_data(at, direction)
+
+    monkeypatch.setattr(ps, "_lift", ps._once(counted))
+    ps.verify_axioms(*pairs, batch([random_data(lat, rng) for _ in range(2)]), lat)
+    # dF'' of {p1, p2} takes its Hessian-vector products along X_F1 and X_F2,
+    # the same objects v1 and v2 return, so it lifts along no field that
+    # [v1, v2] has not lifted along already (15 lifts when the bracket
+    # inverted each dF again)
+    assert len(lifts) == 13
 
 
 def test_differentials_sweep_the_spacetime_observables_at_a_point_in_one_march(
