@@ -9,7 +9,9 @@ linearized solution, in the eps component.  For a smeared observable the
 transpose of that linearized scheme, run backward over a stored solve that
 the caller supplies, gives the whole gradient at once (smeared_gradient),
 so observables smeared at one base point can share its solve, and, as the
-transpose is linear in its seed, one backward march too.  An affine
+transpose is linear in its seed, one backward march too.  The spatial
+Laplacian D reads zero beyond the line's ends, so it is symmetric on both
+topologies and the transpose applies D itself.  An affine
 interaction (free, mass) has a constant rho', so its transpose is the same
 at every base point and marches over no solve at all.  lift_data is
 the one tangent lift, data + sum_k t_k * v_k over W (x) D(k), so several
@@ -162,23 +164,28 @@ def data_from_arrays(phi: np.ndarray, pi: np.ndarray,
 # -- residuals ----------------------------------------------------------------
 
 
+def _residual(values: WeilValue, term: WeilValue, lat: lt.LatticeSpacetime) -> WeilValue:
+    """box(values) + term on the time slices 1..n_time-1, at the sites the leapfrog steps.
+
+    That is every site on the circle, and 1..n_space-2 on the line, whose clamp holds the ends.
+    """
+    res = lt.d2_dt2_interior(values, lat) - lt.d2_dx2(values, lat)[1:-1] + term
+    return res if lat.topology == lt.CIRCLE else res[..., 1:-1, :]
+
+
 def eom_residual(history: FieldHistory, inter: Interaction) -> WeilValue:
-    """P(phi) = box(phi) + rho(phi) on the interior time slices 1..n_time-1."""
-    lat = history.lattice
-    box = lt.d2_dt2_interior(history.values, lat) - \
-        lt.d2_dx2(history.values, lat)[1:-1]
-    return box + apply_smooth(inter.rho, history.values[1:-1])
+    """P(phi) = box(phi) + rho(phi) at the stepped sites of the time slices 1..n_time-1."""
+    phi = history.values
+    return _residual(phi, apply_smooth(inter.rho, phi[1:-1]), history.lattice)
 
 
 def linearize_residual(base: FieldHistory, fiber: FieldHistory,
                        inter: Interaction) -> WeilValue:
-    """box(psi) + rho'(phi) * psi on the interior time slices."""
+    """box(psi) + rho'(phi) * psi at the stepped sites of the time slices 1..n_time-1."""
     if base.lattice != fiber.lattice:
         raise SolverError("base and fiber must share a lattice")
-    lat = base.lattice
-    box = lt.d2_dt2_interior(fiber.values, lat) - lt.d2_dx2(fiber.values, lat)[1:-1]
     mass_term = apply_smooth(inter.rho_prime, base.values[1:-1]) * fiber.values[1:-1]
-    return box + mass_term
+    return _residual(fiber.values, mass_term, base.lattice)
 
 
 # -- the Cauchy solver ---------------------------------------------------------
@@ -322,17 +329,19 @@ def smeared_gradient(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacet
     the line's clamped edge sites zeroed, step j (phi^j from phi^{j-1} and
     phi^{j-2}) transposes to
 
-        lam^{j-1} += 2 mu + dt^2 (D^T mu - rho'(phi^{j-1}) mu)
+        lam^{j-1} += 2 mu + dt^2 (D mu - rho'(phi^{j-1}) mu)
         lam^{j-2} -= mu
+
+    with D = D^T the Laplacian of lattice.d2_dx2, symmetric on both topologies.
 
     On the line the edge sites of phi^j are frozen copies of phi^0's, so
     lam^j at the edges passes down to lam^{j-1} and ends in dF/dphi at the
     edge sites.  The third-order Taylor start transposes, with
     mu = lam^1 edge-zeroed, to
 
-        dF/dphi = lam^0 + mu + (dt^2/2)(D^T mu - rho'(phi) mu)
+        dF/dphi = lam^0 + mu + (dt^2/2)(D mu - rho'(phi) mu)
                   - (dt^3/6) rho''(phi) pi mu
-        dF/dpi  = dt mu + (dt^3/6)(D^T mu - rho'(phi) mu).
+        dF/dpi  = dt mu + (dt^3/6)(D mu - rho'(phi) mu).
 
     The sweep is linear in its seed, so one march carries all k seeds, each
     row the same floats as a sweep of its own grid.  Every product is Weil
@@ -391,8 +400,8 @@ def _sweep(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
     np.copyto(lam, seed(lat.n_time))
     np.copyto(below, seed(lat.n_time - 1))
     edges = slice(None, None, lat.n_space - 1)  # sites 0 and n_space - 1
-    # D^T of each of the two buffers lam alternates between, bound once
-    lam_laplacian, nxt_laplacian = (lt._d2_dx2_transpose_bound(b, force, lat) for b in (lam, nxt))
+    # D (symmetric, so D^T) of each of the two buffers lam alternates between, bound once
+    lam_laplacian, nxt_laplacian = (lt._d2_dx2_bound(b, force, lat) for b in (lam, nxt))
 
     def unclamp(lam: np.ndarray) -> None:
         """lam becomes mu: its line edge sites handed down to below, then zeroed."""

@@ -155,7 +155,7 @@ def _run_solve(config: ExperimentConfig) -> Report:
     if tol is None:  # rounding of the residual's terms, which scale as max|phi| / dt^2
         tol = 1e-12 * max(1.0, hist.values.max_abs()) / lat.dt**2
     report.add_verdict(check("eom_residual_max", float(per_slice.max()), tol,
-                             note="scheme-order consistency"))
+                             note="the leapfrog's own recursion, to rounding"))
     buf = io.BytesIO()
     lt.save_grid(buf, hist.values, lat)
     report.files["history.bin"] = buf.getvalue()

@@ -12,11 +12,13 @@ fixed conventions, chosen once so that the canonical bracket comes out as
 * ``hodge_d`` realizes *d(psi) as t_component = d_t psi, x_component = d_x psi,
   hence divergence(hodge_d(psi)) is the wave operator d_t^2 - d_x^2.
 
-All stencils are centered second order (one-sided second order at ends),
-and all grid operations act coefficientwise on Weil values, so they commute
-exactly with coefficient extraction.  Stencils write into one output array
-through slices of their input, with no shifted copies; d_dx and d2_dx2 take
-every row of a batch in one flat pass over a contiguous input.
+Spatial stencils are centered second order and read the line's field as
+zero beyond its two ends, so the Laplacian is symmetric on both topologies;
+time stencils are one-sided on the end slices.  All grid operations act
+coefficientwise on Weil values, so they commute exactly with coefficient
+extraction.  Stencils write into one output array through slices of their
+input, with no shifted copies; d_dx and d2_dx2 take every row of a batch in
+one flat pass over a contiguous input.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ class LatticeSpacetime:
 
 
 def d_dx(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
-    """Centered spatial derivative; one-sided second order at line edges."""
+    """Centered spatial derivative; on the line the field reads zero beyond the ends."""
     c = np.ascontiguousarray(values.coeffs)
     return WeilValue(values.algebra, _d_dx_into(c, np.empty(c.shape), lat))
 
@@ -165,15 +167,14 @@ def _d_dx_into(c: np.ndarray, out: np.ndarray, lat: LatticeSpacetime) -> np.ndar
     c, o = c.swapaxes(0, _SPACE_AXIS), out.swapaxes(0, _SPACE_AXIS)  # sites first
     if lat.topology == CIRCLE:  # both edges at once: sites (1, 0) - sites (-1, -2)
         np.subtract(c[1::-1], c[:-3:-1], out=o[::len(o) - 1])
-    else:
-        o[0] = -3 * c[0] + 4 * c[1] - c[2]
-        o[-1] = 3 * c[-1] - 4 * c[-2] + c[-3]
+    else:  # zero beyond the ends: site 1 - 0 and 0 - site n-2
+        o[0], o[-1] = c[1], 0.0 - c[-2]
     out /= 2 * lat.dx
     return out
 
 
 def d2_dx2(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
-    """Centered second spatial derivative; one-sided second order at line edges."""
+    """Centered second spatial derivative; on the line the field reads zero beyond the ends."""
     c = np.ascontiguousarray(values.coeffs)
     return WeilValue(values.algebra, _d2_dx2_bound(c, np.empty(c.shape), lat)())
 
@@ -186,44 +187,21 @@ def _d2_dx2_bound(c: np.ndarray, out: np.ndarray, lat: LatticeSpacetime):
     inner, right, left = out.ravel()[step:-step], flat[2 * step:], flat[:-2 * step]
     cs, o = c.swapaxes(0, _SPACE_AXIS), out.swapaxes(0, _SPACE_AXIS)  # sites first
     n, wraps = len(cs), lat.topology == CIRCLE
-    # both edges at once: on the circle right neighbours (1, 0) and left (-1, -2),
-    # on the line from sites (0, n-1), (1, n-2), (2, n-3) and (3, n-4)
+    # both edges at once, right neighbours then left: on the circle (1, 0) and
+    # (-1, -2), on the line only the inner (1, n-2), as it reads zero beyond the ends
     edges, ends = o[::n - 1], cs[::n - 1]
-    near = (cs[1::-1], cs[:-3:-1]) if wraps else \
-        (cs[1:n - 1:n - 3], cs[2:n - 2:n - 5], cs[3:n - 3:n - 7])
+    near = (cs[1::-1], cs[:-3:-1]) if wraps else (cs[1:n - 1:n - 3],)
 
     def apply() -> np.ndarray:
         np.multiply(c, -2.0, out=out)  # -2c[i] + c[i+1] rounds as c[i+1] - 2c[i]
         np.add(inner, right, out=inner)
         np.add(inner, left, out=inner)
+        if c.ndim > 2:  # one row's end sites lie outside the flat pass and hold -2c
+            np.multiply(ends, -2.0, edges)
+        np.add(edges, near[0], out=edges)
         if wraps:
-            if c.ndim > 2:  # one row's end sites lie outside the flat pass and hold -2c
-                np.multiply(ends, -2.0, edges)
-            np.add(edges, near[0], out=edges)
             np.add(edges, near[1], out=edges)
-        else:
-            edges[...] = 2 * ends - 5 * near[0] + 4 * near[1] - near[2]
         return np.divide(out, scale, out=out)
-
-    return apply
-
-
-def _d2_dx2_transpose_bound(c: np.ndarray, out: np.ndarray, lat: LatticeSpacetime):
-    """As _d2_dx2_bound, for D^T of the Laplacian D as the clamped leapfrog uses it.
-
-    D is symmetric on the circle, so this is _d2_dx2_bound there.  On the line
-    the clamp overwrites the one-sided edge rows, so they drop out and D^T is
-    the zero-padded 3-point stencil.
-    """
-    if lat.topology == CIRCLE:
-        return _d2_dx2_bound(c, out, lat)
-    right, left, below, above = out[..., 1:, :], out[..., :-1, :], c[..., :-1, :], c[..., 1:, :]
-
-    def apply() -> np.ndarray:
-        np.multiply(c, -2.0, out=out)
-        np.add(right, below, out=right)
-        np.add(left, above, out=left)
-        return np.divide(out, lat.dx**2, out=out)
 
     return apply
 

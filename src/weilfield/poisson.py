@@ -419,10 +419,6 @@ class OmegaOperator:
             raise ValueError("omega operator must be antisymmetric")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def n_space(self) -> int:
-        return self.matrix.shape[0] // 2
-
     @classmethod
     def closed_form(cls, n: int, dx: float) -> "OmegaOperator":
         eye = np.eye(n)

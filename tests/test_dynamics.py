@@ -111,6 +111,26 @@ def test_dual_residual_splits_into_base_and_linearized(rng):
     assert (eps_part - lin).max_abs() < 1e-14
 
 
+@pytest.mark.parametrize("topology", ["circle", "line"])
+def test_residuals_cover_the_stepped_sites(topology, rng):
+    # the line's clamp holds its two edge sites, so the residuals report sites
+    # 1..n-2 there; a solve whose wave reaches them holds its recursion to rounding
+    lat = lt.LatticeSpacetime(topology, 48, 0.1, 0.1, 40, guard=2)
+    sg = dyn.interaction("sine_gordon")
+    bump = np.exp(-lat.x**2)
+    data = dyn.data_from_arrays(0.5 * bump, 0.2 * bump)
+    direction = dyn.data_from_arrays(*(0.3 * rng.standard_normal((2, lat.n_space)) * bump))
+    lifted = dyn.solve_cauchy(dyn.lift_data(data, direction), sg, lat, check_support=False)
+    assert np.abs(lifted.values.coeffs[-1, [1, -2]]).min() > 1e-3  # the wave reached both
+    sites = lat.n_space if topology == "circle" else lat.n_space - 2
+    res = dyn.eom_residual(lifted, sg)
+    lin = dyn.linearize_residual(dyn.base_history(lifted), dyn.fiber_history(lifted), sg)
+    bound = 1e-12 * max(1.0, lifted.values.max_abs()) / lat.dt**2
+    for r in (res, lin):
+        assert r.shape == (lat.n_time - 1, sites)
+        assert r.max_abs() < bound
+
+
 # -- the Cauchy solver ----------------------------------------------------------------
 
 
@@ -138,7 +158,9 @@ def test_static_kink_preserved():
     hist = dyn.solve_cauchy(data, sg, lat, check_support=False)
     drift = np.max(np.abs(hist.values.scalar_part - kink[None, :]))
     assert drift < 5 * lat.dx**2
-    assert dyn.eom_residual(hist, sg).max_abs() < lat.dx**2
+    # the stepped sites hold the leapfrog's recursion to rounding, the solve's own bound
+    bound = 1e-12 * max(1.0, hist.values.max_abs()) / lat.dt**2
+    assert dyn.eom_residual(hist, sg).max_abs() < bound
 
 
 def test_cfl_and_support_errors():
@@ -443,12 +465,12 @@ def reference_gradient(phi, pi, history, weights, name, lat):
         out[..., 0] = derivatives[order](a)
         return out
 
-    def d_transpose(c):
+    def d_transpose(c):  # the right neighbour added before the left, as the march adds them
         if lat.topology == lt.CIRCLE:
             return (-2.0 * c + np.roll(c, -1, axis=-2) + np.roll(c, 1, axis=-2)) / lat.dx**2
         out = -2.0 * c
-        out[..., 1:, :] += c[..., :-1, :]
         out[..., :-1, :] += c[..., 1:, :]
+        out[..., 1:, :] += c[..., :-1, :]
         return out / lat.dx**2
 
     seed = weights * (lat.dx * lat.dt)

@@ -641,6 +641,18 @@ def test_cli_missing_file(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+def test_line_solve_whose_wave_reaches_the_guard_band_passes(tmp_path, capsys):
+    # on its last slice the shipped line solve's wave reaches the site next to
+    # the guard band; the residual judges only the sites the leapfrog steps
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "solve_sine_gordon_line.json")
+    assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("PASS eom_residual_max")
+    with open(tmp_path / "history.bin", "rb") as fh:
+        values, lat = lt.load_grid(fh)
+    last = values.coeffs[-1, :, 0]
+    assert not last[lat.guard_band].any() and last[lat.guard] != 0
+
+
 def _shipped_with_seed(name: str, seed: bytes) -> bytes:
     """The bytes of a shipped config with its "seed": 0 replaced by seed."""
     path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
