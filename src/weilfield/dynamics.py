@@ -71,25 +71,34 @@ class Interaction:
         return self.rho.derivative()
 
 
+# each registered interaction's parameters and their defaults
+INTERACTION_PARAMS = {"free": {}, "mass": {"mass": 1.0}, "phi4": {"coupling": 1.0},
+                      "sine_gordon": {}}
+
+
 def interaction(name: str, **params) -> Interaction:
-    """Factory for the registered interactions.
+    """Factory for the registered interactions; a parameter it does not take is refused.
 
     free          rho(x) = 0
     mass          rho(x) = mass^2 * x          (param mass, default 1)
     phi4          rho(x) = coupling * x^3      (param coupling, default 1)
     sine_gordon   rho(x) = sin(x)
     """
+    if name not in INTERACTION_PARAMS:
+        raise SolverError(f"unknown interaction {name!r}")
+    for key in params:
+        if key not in INTERACTION_PARAMS[name]:
+            raise SolverError(f"the {name} interaction takes no parameter {key!r}")
+    p = {**INTERACTION_PARAMS[name], **params}
     if name == "free":
         return Interaction("free", constant_map(0.0), affine=True)
     if name == "mass":
-        m = float(params.get("mass", 1.0))
+        m = float(p["mass"])
         return Interaction("mass", monomial_map(m * m, 1, name=f"{m * m:g}*x"), m, affine=True)
     if name == "phi4":
-        lam = float(params.get("coupling", 1.0))
+        lam = float(p["coupling"])
         return Interaction("phi4", monomial_map(lam, 3, name=f"{lam:g}*x^3"))
-    if name == "sine_gordon":
-        return Interaction("sine_gordon", sin_map())
-    raise SolverError(f"unknown interaction {name!r}")
+    return Interaction("sine_gordon", sin_map())
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"config describes experiment {_shown(config.experiment)}, "
                 f"but the {_shown(args.command)} command was invoked"
             )
-        config = config.with_overrides(seed=args.seed, tol=args.tol)
+        if args.seed is not None or args.tol is not None:
+            config = config.with_overrides(seed=args.seed, tol=args.tol)
         report = run(config, outdir=args.out)
     except (ConfigError, OracleError, dyn.SolverError, lt.LatticeError,
             OSError, MemoryError) as exc:

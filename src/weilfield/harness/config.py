@@ -14,9 +14,9 @@ keys its driver reads besides COMMON_KEYS, its options and its tolerances
 with their defaults; STUDY_KEYS narrows a convergence config's keys to
 those its study reads.  Every block takes known keys only: the top level,
 the options and the tolerances those of its experiment, the lattice, the
-interaction (INTERACTION_KEYS per name), observables (OBSERVABLE_KEYS per
-kind), profiles (PROFILE_KEYS per kind), Cauchy data (initial_data and each
-tangent: phi, pi) and spacetime smearings.
+interaction (the parameters dynamics.INTERACTION_PARAMS gives its name),
+observables (OBSERVABLE_KEYS per kind), profiles (PROFILE_KEYS per kind),
+Cauchy data (initial_data and each tangent: phi, pi) and spacetime smearings.
 
 Every error in a descriptor is a ConfigError that names the descriptor's
 path (located): from_dict checks the blocks it parses, and a run the
@@ -81,14 +81,6 @@ EXPERIMENTS = {
 STUDY_KEYS = {"solution_error": ("study", "ladder"),
               "omega_drift": ("study", "ladder", "initial_data", "tangents"),
               "closedness": ("study", "ladder", "initial_data", "tangents")}
-
-# the keys of each interaction besides "name" itself
-INTERACTION_KEYS = {
-    "free": (),
-    "mass": ("mass",),
-    "phi4": ("coupling",),
-    "sine_gordon": (),
-}
 
 # the keys of each observable kind; a composite's name is built from its factors'
 OBSERVABLE_KEYS = {
@@ -348,9 +340,9 @@ def _lattice_from(desc: dict) -> lt.LatticeSpacetime:
 def _interaction_from(desc: dict) -> dyn.Interaction:
     d = dict(json_object(desc, "interaction"))
     name = d.pop("name")
-    if not isinstance(name, str) or name not in INTERACTION_KEYS:
+    if not isinstance(name, str) or name not in dyn.INTERACTION_PARAMS:
         raise ConfigError(f"unknown interaction {_shown(name)}")
-    _known_keys(d, INTERACTION_KEYS[name], f"{name} interaction key")
+    _known_keys(d, dyn.INTERACTION_PARAMS[name], f"{name} interaction key")
     return dyn.interaction(name, **{key: number(d, key, None) for key in d})
 
 

@@ -106,7 +106,7 @@ def _fit_order(dxs, errs) -> float:
 
 def _oracle(config: ExperimentConfig) -> PauliJordanOracle:
     """The mode-sum oracle for the config's lattice and free or mass interaction."""
-    if config.interaction.name not in ("mass", "free"):
+    if not config.interaction.affine:
         raise ConfigError("the mode-sum oracle needs the free or mass interaction")
     return PauliJordanOracle(config.lattice, config.interaction.mass)
 

@@ -153,7 +153,11 @@ class LatticeSpacetime:
 
 
 def d_dx(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
-    """Centered spatial derivative; on the line the field reads zero beyond the ends."""
+    """Centered spatial derivative; on the line the field reads zero beyond the ends.
+
+    So the line's edge rows are a derivative only where the field vanishes at
+    the ends: the kink 4 arctan(e^x) on 256 sites of dx 0.1 reads -31.4 at n-1.
+    """
     c = np.ascontiguousarray(values.coeffs)
     return WeilValue(values.algebra, _d_dx_into(c, np.empty(c.shape), lat))
 
@@ -174,7 +178,10 @@ def _d_dx_into(c: np.ndarray, out: np.ndarray, lat: LatticeSpacetime) -> np.ndar
 
 
 def d2_dx2(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
-    """Centered second spatial derivative; on the line the field reads zero beyond the ends."""
+    """Centered second spatial derivative; on the line the field reads zero beyond the ends.
+
+    So, as with d_dx, the line's edge rows are a derivative only where the field vanishes.
+    """
     c = np.ascontiguousarray(values.coeffs)
     return WeilValue(values.algebra, _d2_dx2_bound(c, np.empty(c.shape), lat)())
 
@@ -250,18 +257,6 @@ def time_derivative_at(values: WeilValue, j: int, lat: LatticeSpacetime) -> Weil
 
 
 @dataclass(frozen=True)
-class SliceDensity:
-    """Pullback of an (m-1)-form to a Cauchy slice: one value per site."""
-
-    values: WeilValue
-    lattice: LatticeSpacetime
-
-    def __post_init__(self) -> None:
-        if self.values.coeffs.shape[_SPACE_AXIS] != self.lattice.n_space:
-            raise LatticeError("slice density length must equal n_space")
-
-
-@dataclass(frozen=True)
 class Current:
     """An (m-1)-form on the grid: density (dx component) and flux (dt component)."""
 
@@ -275,31 +270,32 @@ class Current:
         if self.t_component.coeffs.shape[_SPACE_AXIS] != self.lattice.n_space:
             raise LatticeError("current components must span the spatial grid")
 
-    def slice_density(self, j: int) -> SliceDensity:
-        """Pullback to the constant-time slice j (the dx component)."""
-        return SliceDensity(self.t_component[j], self.lattice)
 
-
-def integrate_slice(density: SliceDensity) -> WeilValue:
-    """Riemann sum over the slice; exact for the uniform grid's midpoint rule."""
-    values = density.values
-    return WeilValue(values.algebra, values.coeffs.sum(axis=-2) * density.lattice.dx)
+def integrate_slice(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
+    """Riemann sum over a slice of site values, such as a current's t_component[j]."""
+    if values.coeffs.shape[_SPACE_AXIS] != lat.n_space:
+        raise LatticeError("slice density length must equal n_space")
+    return WeilValue(values.algebra, values.coeffs.sum(axis=-2) * lat.dx)
 
 
 def hodge_d(values: WeilValue, lat: LatticeSpacetime) -> Current:
-    """The current *d(psi) of a scalar history psi."""
+    """The current *d(psi) of a scalar history psi.
+
+    Its x_component is d_dx(psi), whose line edge rows hold only where psi vanishes.
+    """
     return Current(d_dt(values, lat), d_dx(values, lat), lat)
 
 
-def divergence(current: Current, lat: LatticeSpacetime) -> WeilValue:
+def divergence(current: Current) -> WeilValue:
     """Discrete exterior derivative d(J)/vol on interior slices 1..n_time-1.
 
-    For J = a*dx + b*dt this is d_t(a) - d_x(b); constant currents map to
-    zero exactly and divergence(hodge_d(psi)) is the discrete wave operator.
+    For J = a*dx + b*dt this is d_t(a) - d_x(b), with the spacings and the
+    topology of the current's own lattice; constant currents map to zero
+    exactly and divergence(hodge_d(psi)) is the discrete wave operator.
     """
     a = current.t_component.coeffs
     b = np.ascontiguousarray(current.x_component.coeffs[1:-1])
-    out = _divergence_into(a, b, np.empty(b.shape), np.empty(b.shape), lat)
+    out = _divergence_into(a, b, np.empty(b.shape), np.empty(b.shape), current.lattice)
     return WeilValue(current.t_component.algebra, out)
 
 

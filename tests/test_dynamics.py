@@ -20,6 +20,11 @@ def test_interaction_registry():
     assert abs(float(dyn.interaction("sine_gordon").rho(0.7)) - np.sin(0.7)) < 1e-15
     with pytest.raises(dyn.SolverError):
         dyn.interaction("quartic_oscillator")
+    # a parameter the name does not take would be ignored and its default used
+    for name, key in [("mass", "coupling"), ("free", "mass"), ("sine_gordon", "mass")]:
+        message = f"the {name} interaction takes no parameter '{key}'"
+        with pytest.raises(dyn.SolverError, match=message):
+            dyn.interaction(name, **{key: 2.0})
 
 
 def test_rho_prime_matches_finite_differences():

@@ -140,6 +140,15 @@ def test_each_verdict_fails_on_its_mutant(verdict, config, owner, name, old, new
     assert any(line.startswith(f"FAIL {verdict}: ") for line in lines), lines
 
 
+def test_spacetime_triple_fails_a_lie_bracket_sign_slip(tmp_path, capsys, monkeypatch):
+    # the shipped polynomial triple cannot see this defect: its {p1, p2} brackets
+    # two linear slice observables, so both Lie brackets it sums are 0
+    mutant(monkeypatch, ps, "lie_bracket", "at) -", "at) +")
+    code, lines = _run("jacobi_spacetime", tmp_path, capsys)
+    assert code == 1, lines
+    assert any(line.startswith(("FAIL antisymmetry: ", "FAIL jacobi: ")) for line in lines), lines
+
+
 def test_every_verdict_has_a_mutant():
     # the verdicts the drivers can report: each check("name", ...) call, and
     # check_window's f"{study}_order" for each convergence study

@@ -603,6 +603,22 @@ def test_cli_pass_and_outputs(tmp_path, capsys):
     assert (tmp_path / "out" / "omega_series.csv").exists()
 
 
+def test_cli_validates_the_config_again_only_for_an_override(tmp_path, monkeypatch):
+    docs = []
+    from_dict = cfg.ExperimentConfig.from_dict.__func__
+
+    def counted(cls, doc):
+        docs.append(doc)
+        return from_dict(cls, doc)
+
+    monkeypatch.setattr(cfg.ExperimentConfig, "from_dict", classmethod(counted))
+    path = _write(tmp_path, TOY_JACOBI)
+    assert cli.main(["jacobi", "--config", path]) == 0
+    assert len(docs) == 1
+    assert cli.main(["jacobi", "--config", path, "--seed", "3"]) == 0
+    assert len(docs) == 3 and docs[-1]["seed"] == 3
+
+
 def test_cli_tolerance_override_fails(tmp_path, capsys):
     path = _write(tmp_path, copy.deepcopy(BASE_CONSERVE))
     code = cli.main(["conserve", "--config", path, "--tol", "1e-12"])
@@ -858,6 +874,27 @@ MALFORMED = {
         initial_data={"phi": {"profile": "bump", "center": 0}},
         tangents=[{"phi": {"profile": "bump", "center": -1, "width": 0.6}},
                   {"pi": {"profile": "bump", "center": 1, "width": 0.6}}])),
+    "lattice_dt_and_dt_factor": ("conserve", lambda d: d["lattice"].update(dt=0.01)),
+    # a document that is not an object replaces the base config whole
+    "config_a_json_array": ("conserve", [BASE_CONSERVE]),
+    "array_values_not_a_list": ("conserve", lambda d: d["initial_data"].update(
+        phi={"profile": "array", "values": 3})),
+    # an integer past the float range: float() raises rather than giving inf
+    "amplitude_of_400_digits":
+        ("conserve", lambda d: d["initial_data"]["phi"].update(amplitude=10**400)),
+    # the mode-sum oracle takes a massive free field and spacetime observables only
+    "oracle_under_sine_gordon":
+        ("bracket", lambda d: d.update(interaction={"name": "sine_gordon"})),
+    "oracle_massless_zero_mode": ("bracket", lambda d: d.update(interaction={"name": "free"})),
+    "oracle_mass_negative": ("bracket", lambda d: d["interaction"].update(mass=-1)),
+    "oracle_slice_observable": ("bracket", lambda d: d["observables"][0].update(
+        kind="slice_phi", smearing={"profile": "gaussian"})),
+    "bracket_one_observable": ("bracket", lambda d: d["observables"].pop()),
+    "solution_error_under_mass": ("convergence", lambda d: (
+        d.pop("tangents"), d.update(study="solution_error", interaction={"name": "mass"}))),
+    # zero tangents make every closedness error 0, and an order needs nonzero errors
+    "closedness_zero_tangents":
+        ("convergence", lambda d: d.update(study="closedness", tangents=[{}, {}])),
 }
 BASES = {"conserve": BASE_CONSERVE, "jacobi": TOY_JACOBI, "bracket": TOY_BRACKET,
          "convergence": BASE_DRIFT}
@@ -877,7 +914,8 @@ def _assert_usage_error(command, doc, tmp_path, capsys):
 
 @pytest.mark.parametrize("command,edit", MALFORMED.values(), ids=MALFORMED.keys())
 def test_cli_malformed_config_exits_2(command, edit, tmp_path, capsys):
-    _assert_usage_error(command, _edited(BASES[command], edit), tmp_path, capsys)
+    doc = _edited(BASES[command], edit) if callable(edit) else edit
+    _assert_usage_error(command, doc, tmp_path, capsys)
 
 
 # (command, edit, the start of its error line): a number must be a JSON number,

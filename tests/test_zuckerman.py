@@ -248,9 +248,9 @@ def test_off_shell_fiber_is_detected(sg_setup):
 def whole_grid_reference(v, vp):
     """omega per slice and the interior max of the divergence, from current_u."""
     u, lat = zk.current_u(v, vp), v.lattice
-    series = np.array([lt.integrate_slice(u.slice_density(j)).scalar_part
+    series = np.array([lt.integrate_slice(u.t_component[j], lat).scalar_part
                        for j in range(lat.n_slices)])
-    div = lt.divergence(u, lat).coeffs[1:-1][..., ~lat.guard_band, :]
+    div = lt.divergence(u).coeffs[1:-1][..., ~lat.guard_band, :]
     return series, float(np.max(np.abs(div), initial=0.0))  # no interior slice at n_time 3
 
 
@@ -516,3 +516,28 @@ def test_sc_rule_on_line():
             assert np.max(np.abs(component.coeffs[j][outside, :]), initial=0.0) == 0.0
     with pytest.raises(lt.LatticeError):
         zk.TangentSolution(base_h, fiber, (bump != 0)[:10])
+
+
+def test_theta_and_current_vanish_at_the_line_edges_over_a_kink():
+    # d_dx reads the line's field as zero beyond the ends, so *d of the static
+    # kink, which tends to 2 pi, is no derivative at site n-1; theta and the
+    # current multiply every stencil by a fiber, and bump fibers vanish there
+    n = 256
+    lat = lt.LatticeSpacetime("line", n, 0.1, 0.05, 96, guard=2)
+    sg = dyn.interaction("sine_gordon")
+    kink = dyn.data_from_arrays(4.0 * np.arctan(np.exp(lat.x)), np.zeros(n))
+    bump = np.zeros(n)
+    bump[118:138] = np.exp(1 - 1 / (1 - np.linspace(-0.95, 0.95, 20) ** 2))
+    tangents = []
+    for direction in (dyn.data_from_arrays(bump, np.zeros(n)),
+                      dyn.data_from_arrays(np.zeros(n), bump)):
+        lifted = dyn.solve_cauchy(dyn.lift_data(kink, direction), sg, lat,
+                                  check_support=False)
+        tangents.append(zk.TangentSolution(dyn.base_history(lifted),
+                                           dyn.fiber_history(lifted), bump != 0))
+    star_d = lt.hodge_d(tangents[0].base.values, lat).x_component.coeffs
+    assert star_d[:, -1, 0].max() < -31 and np.abs(star_d[:, -2, 0]).max() < 1e-4
+    edges = [0, n - 1]
+    for current in (zk.theta(tangents[0]), zk.theta(tangents[1]), zk.current_u(*tangents)):
+        for component in (current.t_component, current.x_component):
+            assert np.all(component.coeffs[:, edges, :] == 0.0)
