@@ -10,8 +10,9 @@ transpose of that linearized scheme, run backward over a stored solve that
 the caller supplies, gives the whole gradient at once (smeared_gradient),
 so observables smeared at one base point can share its solve, and, as the
 transpose is linear in its seed, one backward march too.  The spatial
-Laplacian D reads zero beyond the line's ends, so it is symmetric on both
-topologies and the transpose applies D itself.  An affine
+Laplacian D reads zero beyond the line's ends, and the leapfrog steps every
+site, the line's edge sites included, so the scheme is variational on both
+topologies, D is symmetric and the transpose applies D itself.  An affine
 interaction (free, mass) has a constant rho', so its transpose is the same
 at every base point and marches over no solve at all.  lift_data is
 the one tangent lift, data + sum_k t_k * v_k over W (x) D(k), so several
@@ -174,23 +175,19 @@ def data_from_arrays(phi: np.ndarray, pi: np.ndarray,
 
 
 def _residual(values: WeilValue, term: WeilValue, lat: lt.LatticeSpacetime) -> WeilValue:
-    """box(values) + term on the time slices 1..n_time-1, at the sites the leapfrog steps.
-
-    That is every site on the circle, and 1..n_space-2 on the line, whose clamp holds the ends.
-    """
-    res = lt.d2_dt2_interior(values, lat) - lt.d2_dx2(values, lat)[1:-1] + term
-    return res if lat.topology == lt.CIRCLE else res[..., 1:-1, :]
+    """box(values) + term at every site of the time slices 1..n_time-1."""
+    return lt.d2_dt2_interior(values, lat) - lt.d2_dx2(values, lat)[1:-1] + term
 
 
 def eom_residual(history: FieldHistory, inter: Interaction) -> WeilValue:
-    """P(phi) = box(phi) + rho(phi) at the stepped sites of the time slices 1..n_time-1."""
+    """P(phi) = box(phi) + rho(phi) at every site of the time slices 1..n_time-1."""
     phi = history.values
     return _residual(phi, apply_smooth(inter.rho, phi[1:-1]), history.lattice)
 
 
 def linearize_residual(base: FieldHistory, fiber: FieldHistory,
                        inter: Interaction) -> WeilValue:
-    """box(psi) + rho'(phi) * psi at the stepped sites of the time slices 1..n_time-1."""
+    """box(psi) + rho'(phi) * psi at every site of the time slices 1..n_time-1."""
     if base.lattice != fiber.lattice:
         raise SolverError("base and fiber must share a lattice")
     mass_term = apply_smooth(inter.rho_prime, base.values[1:-1]) * fiber.values[1:-1]
@@ -242,15 +239,10 @@ def leapfrog_blocks(data: CauchyData, inter: Interaction, lat: lt.LatticeSpaceti
     per_block = max(1, _BLOCK_BYTES // max(phi0.coeffs.nbytes, 1))
     buf = np.empty((min(per_block + 2, lat.n_slices),) + shape)  # no row the march never fills
     force = np.empty(shape)
-    # line boundary: edge sites frozen at their initial values, which
-    # stands in for a static vacuum outside the slab
-    edge = slice(None, None, lat.n_space - 1)  # sites 0 and n_space - 1
-    edges = phi0.coeffs[..., edge, :].copy() if lat.topology == lt.LINE else None
     # each row's operands, bound once: a step makes only ufunc calls
     rows, algebra = list(buf), data.algebra
     slots = [_slots(row) for row in rows]
     laplacians = [lt._d2_dx2_bound(row, force, lat) for row in rows]
-    ends = [row[..., edge, :] for row in rows]
     with np.errstate(over="ignore", invalid="ignore"):
         jerk = lt.d2_dx2(pi0, lat) - apply_smooth(inter.rho_prime, phi0) * pi0
         accel = lt.d2_dx2(phi0, lat)
@@ -258,8 +250,6 @@ def leapfrog_blocks(data: CauchyData, inter: Interaction, lat: lt.LatticeSpaceti
         buf[1] = (phi0 + lat.dt * pi0 + (0.5 * dt2) * accel
                   + (lat.dt**3 / 6.0) * jerk).coeffs
     buf[0] = phi0.coeffs
-    if edges is not None:
-        ends[1][...] = edges
     j, lo = 0, 0  # the slice at buf[0], the first position to yield
     while True:
         end = min(len(buf), lat.n_slices - j)
@@ -273,8 +263,6 @@ def leapfrog_blocks(data: CauchyData, inter: Interaction, lat: lt.LatticeSpaceti
                 np.multiply(cur, 2.0, out=nxt)
                 nxt -= prev
                 nxt += force
-                if edges is not None:
-                    ends[p][...] = edges
         finite = np.isfinite(buf[lo:end]).reshape(end - lo, -1).all(axis=1)
         if not finite.all():
             k = j + lo + int(np.argmin(finite))
@@ -334,19 +322,14 @@ def smeared_gradient(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacet
     affine inter needs none: its rho' is a constant, so the one row
     rho'(phi) stands for every slice, and on the line the sweep refuses
     data whose cone reaches the guard band, as the solve would.  With
-    lam^j = dF/dphi^j seeded by weights[k][j] * dx * dt, and mu = lam^j with
-    the line's clamped edge sites zeroed, step j (phi^j from phi^{j-1} and
-    phi^{j-2}) transposes to
+    lam^j = dF/dphi^j seeded by weights[k][j] * dx * dt, step j (phi^j from
+    phi^{j-1} and phi^{j-2}) transposes to
 
-        lam^{j-1} += 2 mu + dt^2 (D mu - rho'(phi^{j-1}) mu)
-        lam^{j-2} -= mu
+        lam^{j-1} += 2 lam^j + dt^2 (D lam^j - rho'(phi^{j-1}) lam^j)
+        lam^{j-2} -= lam^j
 
-    with D = D^T the Laplacian of lattice.d2_dx2, symmetric on both topologies.
-
-    On the line the edge sites of phi^j are frozen copies of phi^0's, so
-    lam^j at the edges passes down to lam^{j-1} and ends in dF/dphi at the
-    edge sites.  The third-order Taylor start transposes, with
-    mu = lam^1 edge-zeroed, to
+    with D = D^T the Laplacian of lattice.d2_dx2, symmetric on both
+    topologies, and the third-order Taylor start transposes, with mu = lam^1, to
 
         dF/dphi = lam^0 + mu + (dt^2/2)(D mu - rho'(phi) mu)
                   - (dt^3/6) rho''(phi) pi mu
@@ -358,8 +341,8 @@ def smeared_gradient(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacet
     Weil-extended and batched base points.  It lifts rho' over history a
     block of _BLOCK_BYTES of slices at a time, checks lam before each block
     and dF at the end for an overflow or NaN, and steps in place in four
-    contiguous buffers: lam^j, lam^{j-1} (2 mu, then the row below, then the
-    dt^2 force), the row below it (seed - mu) and the force.  Each step
+    contiguous buffers: lam^j, lam^{j-1} (2 lam^j, then the row below, then
+    the dt^2 force), the row below it (seed - lam^j) and the force.  Each step
     writes its seed rows into one zeroed row buffer, so the grids are never
     stacked into one new array.  When a check fails, the sweep marches again
     with a check before every step, so the SolverError names the first slice
@@ -408,15 +391,8 @@ def _sweep(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
     # copies of the seed rows: zeros + seed would turn a -0.0 into +0.0
     np.copyto(lam, seed(lat.n_time))
     np.copyto(below, seed(lat.n_time - 1))
-    edges = slice(None, None, lat.n_space - 1)  # sites 0 and n_space - 1
     # D (symmetric, so D^T) of each of the two buffers lam alternates between, bound once
     lam_laplacian, nxt_laplacian = (lt._d2_dx2_bound(b, force, lat) for b in (lam, nxt))
-
-    def unclamp(lam: np.ndarray) -> None:
-        """lam becomes mu: its line edge sites handed down to below, then zeroed."""
-        if lat.topology == lt.LINE:
-            below[..., edges, :] += lam[..., edges, :]
-            lam[..., edges, :] = 0.0
 
     for j in range(lat.n_time, 1, -1):
         if j - 1 < lo:
@@ -424,9 +400,8 @@ def _sweep(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
             lo = max(1, j - per_block)
             rho1 = apply_smooth(inter.rho_prime, history.values[lo:j]).coeffs if history \
                 else np.broadcast_to(at_phi.coeffs, (j - lo,) + phi.coeffs.shape)
-        unclamp(lam)
         lam_laplacian()
-        force -= _mul_into(algebra, rho1[j - 1 - lo], lam, nxt)  # rho'(phi^{j-1}) mu
+        force -= _mul_into(algebra, rho1[j - 1 - lo], lam, nxt)  # rho'(phi^{j-1}) lam^j
         force *= dt2
         np.multiply(lam, 2.0, out=nxt)
         nxt += below
@@ -435,7 +410,6 @@ def _sweep(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
         lam, nxt = nxt, lam
         lam_laplacian, nxt_laplacian = nxt_laplacian, lam_laplacian
 
-    unclamp(lam)
     mu = WeilValue(algebra, lam)
     force = WeilValue(algebra, lam_laplacian()) - at_phi * mu
     rho2 = apply_smooth(inter.rho_prime.derivative(), phi)

@@ -310,6 +310,9 @@ def located(path: str, build, *args):
 def _lattice_from(desc: dict) -> lt.LatticeSpacetime:
     d = dict(_known_keys(desc, ("topology", "n_space", "dx", "extent", "dt", "dt_factor",
                                 "n_time", "guard"), "lattice key"))
+    topology = d.get("topology", lt.CIRCLE)
+    if topology not in (lt.CIRCLE, lt.LINE):
+        raise ConfigError(f"topology must be one of {(lt.CIRCLE, lt.LINE)}, got {_shown(topology)}")
     n_space = count(d, "n_space", None, 1)
     if "dx" in d and "extent" in d:
         raise ConfigError("give dx or extent, not both")
@@ -328,7 +331,7 @@ def _lattice_from(desc: dict) -> lt.LatticeSpacetime:
     else:
         raise ConfigError("needs dt or dt_factor")
     return lt.LatticeSpacetime(
-        topology=d.get("topology", "circle"),
+        topology=topology,
         n_space=n_space,
         dx=dx,
         dt=dt,

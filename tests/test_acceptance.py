@@ -384,7 +384,7 @@ def test_shipped_line_conserve_config_passes():
     """configs/conserve_sine_gordon_line.json: the current on the line.
 
     Sine-Gordon bumps on 1024 sites of a slab 40 long, 256 steps: the march
-    writes the clamped edge sites of every slice, and the tangents' cones
+    steps every site, the edge sites included, and the tangents' cones
     stay off the guard band.  omega drifts about 2.5e-4 relative to slice 0,
     under the config's 1e-3.
     """

@@ -117,22 +117,21 @@ def test_dual_residual_splits_into_base_and_linearized(rng):
 
 
 @pytest.mark.parametrize("topology", ["circle", "line"])
-def test_residuals_cover_the_stepped_sites(topology, rng):
-    # the line's clamp holds its two edge sites, so the residuals report sites
-    # 1..n-2 there; a solve whose wave reaches them holds its recursion to rounding
+def test_residuals_cover_every_site(topology, rng):
+    # the leapfrog steps every site on both topologies, the line's edge sites
+    # included, so a solve whose wave reaches them holds its recursion to rounding
     lat = lt.LatticeSpacetime(topology, 48, 0.1, 0.1, 40, guard=2)
     sg = dyn.interaction("sine_gordon")
     bump = np.exp(-lat.x**2)
     data = dyn.data_from_arrays(0.5 * bump, 0.2 * bump)
     direction = dyn.data_from_arrays(*(0.3 * rng.standard_normal((2, lat.n_space)) * bump))
     lifted = dyn.solve_cauchy(dyn.lift_data(data, direction), sg, lat, check_support=False)
-    assert np.abs(lifted.values.coeffs[-1, [1, -2]]).min() > 1e-3  # the wave reached both
-    sites = lat.n_space if topology == "circle" else lat.n_space - 2
+    assert np.abs(lifted.values.coeffs[-1, [0, -1]]).min() > 1e-3  # the wave reached both ends
     res = dyn.eom_residual(lifted, sg)
     lin = dyn.linearize_residual(dyn.base_history(lifted), dyn.fiber_history(lifted), sg)
     bound = 1e-12 * max(1.0, lifted.values.max_abs()) / lat.dt**2
     for r in (res, lin):
-        assert r.shape == (lat.n_time - 1, sites)
+        assert r.shape == (lat.n_time - 1, lat.n_space)
         assert r.max_abs() < bound
 
 
@@ -154,16 +153,20 @@ def test_free_field_separation_of_variables():
 
 
 def test_static_kink_preserved():
-    # static solution of the sine-Gordon equation on the line, ten crossings
-    n = 256
-    lat = lt.LatticeSpacetime("line", n, 0.1, 0.05, 5120, guard=2)
+    # a static kink-antikink pair K(x - L/4) - K(x - 3L/4), K(x) = 4 arctan(e^x),
+    # of the sine-Gordon equation on a circle of length L, five crossings; the
+    # pair is periodic up to tails of order e^{-L/4}, where one kink on the
+    # line would read zero beyond the ends and not stay static there
+    n = 512
+    lat = lt.LatticeSpacetime("circle", n, 0.1, 0.05, 5120)
     sg = dyn.interaction("sine_gordon")
-    kink = 4.0 * np.arctan(np.exp(lat.x))
-    data = dyn.data_from_arrays(kink, np.zeros(n))
-    hist = dyn.solve_cauchy(data, sg, lat, check_support=False)
-    drift = np.max(np.abs(hist.values.scalar_part - kink[None, :]))
+    L = n * lat.dx
+    pair = 4.0 * (np.arctan(np.exp(lat.x - L / 4)) - np.arctan(np.exp(lat.x - 3 * L / 4)))
+    data = dyn.data_from_arrays(pair, np.zeros(n))
+    hist = dyn.solve_cauchy(data, sg, lat)
+    drift = np.max(np.abs(hist.values.scalar_part - pair[None, :]))
     assert drift < 5 * lat.dx**2
-    # the stepped sites hold the leapfrog's recursion to rounding, the solve's own bound
+    # every site holds the leapfrog's recursion to rounding, the solve's own bound
     bound = 1e-12 * max(1.0, hist.values.max_abs()) / lat.dt**2
     assert dyn.eom_residual(hist, sg).max_abs() < bound
 
@@ -350,20 +353,28 @@ REFERENCE_RHO = {
 INTERACTION_PARAMS = {"mass": {"mass": 1.3}, "phi4": {"coupling": 0.8}}
 
 
+def reference_laplacian(c, lat):
+    """D c over sites on axis -2, zero beyond the line's ends; the right neighbour is
+    added before the left, as the march adds them.  D is symmetric, so it is also D^T."""
+    if lat.topology == lt.CIRCLE:
+        return (-2.0 * c + np.roll(c, -1, axis=-2) + np.roll(c, 1, axis=-2)) / lat.dx**2
+    out = -2.0 * c
+    out[..., :-1, :] += c[..., 1:, :]
+    out[..., 1:, :] += c[..., :-1, :]
+    return out / lat.dx**2
+
+
 def reference_slices(phi, pi, name, lat):
     """The leapfrog's slices in plain numpy, over R, R[eps] or R (x) D(k).
 
     Coefficient slot 0 is the base and slots 1.. are first-order, so a
     product is (x0 y0, x0 y_k + x_k y0) and f lifts to (f(a), f'(a) b_k).
     Operation order is the solver's: a third-order Taylor start, the
-    -2c + c[i+1] + c[i-1] stencil over dx^2, (2 cur - prev) + dt^2 (D cur -
-    rho(cur)), and the line's edge sites clamped to phi's.
+    -2c + c[i+1] + c[i-1] stencil over dx^2, read as zero beyond the line's
+    ends, and (2 cur - prev) + dt^2 (D cur - rho(cur)) at every site.
     """
     rho, rho1, rho2 = REFERENCE_RHO[name][:3]
     dt = lat.dt
-
-    def d2(c):
-        return (-2.0 * c + np.roll(c, -1, axis=0) + np.roll(c, 1, axis=0)) / lat.dx**2
 
     def lift(f, f1, c):
         out = np.empty_like(c)
@@ -377,17 +388,14 @@ def reference_slices(phi, pi, name, lat):
         out[:, 1:] = x[:, :1] * y[:, 1:] + x[:, 1:] * y[:, :1]
         return out
 
-    def clamp(c):
-        if lat.topology == lt.LINE:
-            c[[0, -1]] = phi[[0, -1]]
-        return c
+    def accel(c):
+        return reference_laplacian(c, lat) - lift(rho, rho1, c)
 
-    jerk = d2(pi) - times(lift(rho1, rho2, phi), pi)
-    prev, cur = phi, clamp(phi + dt * pi + (0.5 * dt**2) * (d2(phi) - lift(rho, rho1, phi))
-                           + (dt**3 / 6.0) * jerk)
+    jerk = reference_laplacian(pi, lat) - times(lift(rho1, rho2, phi), pi)
+    prev, cur = phi, phi + dt * pi + (0.5 * dt**2) * accel(phi) + (dt**3 / 6.0) * jerk
     out = [prev, cur]
     for _ in range(2, lat.n_slices):
-        prev, cur = cur, clamp((2.0 * cur - prev) + dt**2 * (d2(cur) - lift(rho, rho1, cur)))
+        prev, cur = cur, (2.0 * cur - prev) + dt**2 * accel(cur)
         out.append(cur)
     return out
 
@@ -470,14 +478,6 @@ def reference_gradient(phi, pi, history, weights, name, lat):
         out[..., 0] = derivatives[order](a)
         return out
 
-    def d_transpose(c):  # the right neighbour added before the left, as the march adds them
-        if lat.topology == lt.CIRCLE:
-            return (-2.0 * c + np.roll(c, -1, axis=-2) + np.roll(c, 1, axis=-2)) / lat.dx**2
-        out = -2.0 * c
-        out[..., :-1, :] += c[..., 1:, :]
-        out[..., 1:, :] += c[..., :-1, :]
-        return out / lat.dx**2
-
     seed = weights * (lat.dx * lat.dt)
 
     def seeded(j):
@@ -485,24 +485,14 @@ def reference_gradient(phi, pi, history, weights, name, lat):
         out[..., 0] = seed[j]
         return out
 
-    def unclamp(lam, below):
-        if lat.topology == lt.CIRCLE:
-            return lam
-        below[..., [0, -1], :] += lam[..., [0, -1], :]
-        mu = lam.copy()
-        mu[..., [0, -1], :] = 0.0
-        return mu
-
     lam, below = seeded(lat.n_time), seeded(lat.n_time - 1)
     for j in range(lat.n_time, 1, -1):
-        mu = unclamp(lam, below)
-        lam = below + 2.0 * mu + dt2 * (d_transpose(mu) - times(lift(1, history[j - 1]), mu))
-        below = seeded(j - 2) - mu
-    mu = unclamp(lam, below)
-    force = d_transpose(mu) - times(lift(1, phi), mu)
-    grad_phi = (below + mu + (0.5 * dt2) * force
-                - (dt**3 / 6.0) * times(times(lift(2, phi), pi), mu))
-    return grad_phi, dt * mu + (dt**3 / 6.0) * force
+        force = reference_laplacian(lam, lat) - times(lift(1, history[j - 1]), lam)
+        lam, below = below + 2.0 * lam + dt2 * force, seeded(j - 2) - lam
+    force = reference_laplacian(lam, lat) - times(lift(1, phi), lam)
+    grad_phi = (below + lam + (0.5 * dt2) * force
+                - (dt**3 / 6.0) * times(times(lift(2, phi), pi), lam))
+    return grad_phi, dt * lam + (dt**3 / 6.0) * force
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_RHO))

@@ -659,7 +659,7 @@ def test_cli_missing_file(tmp_path):
 
 def test_line_solve_whose_wave_reaches_the_guard_band_passes(tmp_path, capsys):
     # on its last slice the shipped line solve's wave reaches the site next to
-    # the guard band; the residual judges only the sites the leapfrog steps
+    # the guard band; the residual judges every site, as the leapfrog steps every site
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "solve_sine_gordon_line.json")
     assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.startswith("PASS eom_residual_max")
@@ -698,173 +698,288 @@ def _edited(doc, edit):
     return doc
 
 
-# (command, edit of that command's base config)
+# (command, edit of that command's base config, the start of its error line):
+# each case is refused by the check it is named for, not by one that runs first
 MALFORMED = {
-    "lattice_without_n_space": ("conserve", lambda d: d["lattice"].pop("n_space")),
-    "lattice_without_n_time": ("conserve", lambda d: d["lattice"].pop("n_time")),
-    "interaction_without_name": ("conserve", lambda d: d["interaction"].pop("name")),
+    "lattice_without_n_space": ("conserve", lambda d: d["lattice"].pop("n_space"),
+                                "lattice: n_space must be an integer, got None"),
+    "lattice_without_n_time": ("conserve", lambda d: d["lattice"].pop("n_time"),
+                               "lattice: n_time must be an integer, got None"),
+    "interaction_without_name": ("conserve", lambda d: d["interaction"].pop("name"),
+                                 "interaction: missing 'name'"),
     "array_profile_without_values":
-        ("conserve", lambda d: d["initial_data"].update(phi={"profile": "array"})),
-    "n_space_not_a_number": ("conserve", lambda d: d["lattice"].update(n_space="abc")),
-    "n_space_zero": ("conserve", lambda d: d["lattice"].update(n_space=0)),
+        ("conserve", lambda d: d["initial_data"].update(phi={"profile": "array"}),
+         "initial_data.phi: array profile needs values"),
+    "n_space_not_a_number": ("conserve", lambda d: d["lattice"].update(n_space="abc"),
+                             "lattice: n_space must be an integer, got 'abc'"),
+    "n_space_zero": ("conserve", lambda d: d["lattice"].update(n_space=0),
+                     "lattice: n_space must be at least 1, got 0"),
     "tolerance_not_a_number":
-        ("conserve", lambda d: d.update(tolerances={"omega_drift": "abc"})),
-    "tolerance_null": ("conserve", lambda d: d.update(tolerances={"omega_drift": None})),
+        ("conserve", lambda d: d.update(tolerances={"omega_drift": "abc"}),
+         "tolerances: omega_drift must be a number, got 'abc'"),
+    "tolerance_null": ("conserve", lambda d: d.update(tolerances={"omega_drift": None}),
+                       "tolerances: omega_drift must be a number, got None"),
     "tolerance_inf":
-        ("conserve", lambda d: d.update(tolerances={"omega_drift": float("inf")})),
+        ("conserve", lambda d: d.update(tolerances={"omega_drift": float("inf")}),
+         "tolerances: omega_drift must be a finite number, got inf"),
     "tolerance_nan":
-        ("conserve", lambda d: d.update(tolerances={"omega_drift": float("nan")})),
+        ("conserve", lambda d: d.update(tolerances={"omega_drift": float("nan")}),
+         "tolerances: omega_drift must be a finite number, got nan"),
     "tolerance_negative":
-        ("conserve", lambda d: d.update(tolerances={"omega_drift": -1e-3})),
+        ("conserve", lambda d: d.update(tolerances={"omega_drift": -1e-3}),
+         "tolerances: omega_drift must be nonnegative, got -0.001"),
     "tolerance_misspelled":
-        ("conserve", lambda d: d.update(tolerances={"omega_drfit": 1e-12})),
-    "tolerances_not_an_object": ("conserve", lambda d: d.update(tolerances=[1e-3])),
+        ("conserve", lambda d: d.update(tolerances={"omega_drfit": 1e-12}),
+         "tolerances: unknown tolerance 'omega_drfit'; did you mean 'omega_drift'?"),
+    "tolerances_not_an_object": ("conserve", lambda d: d.update(tolerances=[1e-3]),
+                                 "tolerances: must be a JSON object, got [0.001]"),
     "profile_amplitude_not_a_number":
-        ("conserve", lambda d: d["initial_data"]["phi"].update(amplitude="x")),
+        ("conserve", lambda d: d["initial_data"]["phi"].update(amplitude="x"),
+         "initial_data.phi: amplitude must be a number, got 'x'"),
     "profile_kmax_not_a_number": ("conserve", lambda d: d["initial_data"].update(
-        phi={"profile": "random_fourier", "kmax": "many"})),
-    "initial_data_not_an_object": ("conserve", lambda d: d.update(initial_data=[1])),
-    "tangent_not_an_object": ("conserve", lambda d: d.update(tangents=[1, 2])),
-    "profile_not_an_object": ("conserve", lambda d: d["initial_data"].update(phi=3)),
-    "options_not_an_object": ("conserve", lambda d: d.update(options="fast")),
-    "option_misspelled": ("jacobi", lambda d: d["options"].update(n_sample=50)),
+        phi={"profile": "random_fourier", "kmax": "many"}),
+        "initial_data.phi: kmax must be an integer, got 'many'"),
+    "initial_data_not_an_object": ("conserve", lambda d: d.update(initial_data=[1]),
+                                   "initial_data must be a JSON object, got [1]"),
+    "tangent_not_an_object": ("conserve", lambda d: d.update(tangents=[1, 2]),
+                              "tangents: a tangent must be a JSON object, got 1"),
+    "profile_not_an_object": ("conserve", lambda d: d["initial_data"].update(phi=3),
+                              "initial_data.phi: a profile must be a JSON object, got 3"),
+    "options_not_an_object": ("jacobi", lambda d: d.update(options="fast"),
+                              "options: must be a JSON object, got 'fast'"),
+    "option_misspelled": ("jacobi", lambda d: d["options"].update(n_sample=50),
+                          "options: unknown jacobi option 'n_sample'; did you mean 'n_samples'?"),
     "option_of_another_experiment":
-        ("bracket", lambda d: d["options"].update(n_samples=3)),
-    "option_where_none_exist": ("conserve", lambda d: d.update(options={"fast": True})),
+        ("bracket", lambda d: d["options"].update(n_samples=3),
+         "options: unknown bracket option 'n_samples'"),
+    "option_where_none_exist": ("conserve", lambda d: d.update(options={"fast": True}),
+                                "unknown conserve config key 'options'"),
     # each experiment takes only the tolerances its driver reads
     "tolerance_of_conserve_on_jacobi": ("jacobi", lambda d: d.update(
-        tolerances={"axiom_defect": 1e-9, "omega_drift": 1e-30})),
+        tolerances={"axiom_defect": 1e-9, "omega_drift": 1e-30}),
+        "tolerances: unknown tolerance 'omega_drift'"),
     "tolerance_of_jacobi_on_conserve":
-        ("conserve", lambda d: d.update(tolerances={"axiom_defect": 1e-30})),
+        ("conserve", lambda d: d.update(tolerances={"axiom_defect": 1e-30}),
+         "tolerances: unknown tolerance 'axiom_defect'"),
     "tolerance_of_conserve_on_convergence":
-        ("convergence", lambda d: d.update(tolerances={"omega_drift": 1e-30})),
+        ("convergence", lambda d: d.update(tolerances={"omega_drift": 1e-30}),
+         "tolerances: unknown tolerance 'omega_drift'"),
     "bracket_oracle_tolerance_without_the_oracle": ("bracket", lambda d: (
         d["options"].update(compare_oracle=False),
-        d.update(tolerances={"bracket_oracle": 1e-30}))),
+        d.update(tolerances={"bracket_oracle": 1e-30})),
+        "tolerances: bracket_oracle bounds the oracle comparison, which runs only with"
+        " compare_oracle true"),
     # the top level and the lattice name only their own keys
-    "config_key_misspelled": ("jacobi", lambda d: d.update(optoins=d.pop("options"))),
-    "config_key_unknown": ("conserve", lambda d: d.update(comment="a note")),
+    "config_key_misspelled": ("jacobi", lambda d: d.update(optoins=d.pop("options")),
+                              "unknown jacobi config key 'optoins'; did you mean 'options'?"),
+    "config_key_unknown": ("conserve", lambda d: d.update(comment="a note"),
+                           "unknown conserve config key 'comment'"),
     # and only the keys their experiment's driver reads
     "jacobi_initial_data": ("jacobi", lambda d: d.update(
-        initial_data={"phi": {"profile": "gaussian", "widht": 0.3}})),
-    "jacobi_tangents": ("jacobi", lambda d: d.update(tangents=[{"phi": {"profile": "nonsense"}}])),
-    "jacobi_ladder": ("jacobi", lambda d: d.update(ladder=[16, 32])),
-    "jacobi_study": ("jacobi", lambda d: d.update(study="closedness")),
-    "conserve_observables": ("conserve", lambda d: d.update(observables=[])),
-    "conserve_ladder": ("conserve", lambda d: d.update(ladder=[16, 32])),
-    "bracket_tangents": ("bracket", lambda d: d.update(tangents=[{}, {}])),
-    "bracket_study": ("bracket", lambda d: d.update(study="omega_drift")),
-    "convergence_observables": ("convergence", lambda d: d.update(observables=[])),
-    "convergence_options": ("convergence", lambda d: d.update(options={})),
-    "lattice_key_misspelled": ("conserve", lambda d: d["lattice"].update(n_tme=8)),
+        initial_data={"phi": {"profile": "gaussian", "widht": 0.3}}),
+        "unknown jacobi config key 'initial_data'"),
+    "jacobi_tangents": ("jacobi", lambda d: d.update(tangents=[{"phi": {"profile": "nonsense"}}]),
+                        "unknown jacobi config key 'tangents'"),
+    "jacobi_ladder": ("jacobi", lambda d: d.update(ladder=[16, 32]),
+                      "unknown jacobi config key 'ladder'"),
+    "jacobi_study": ("jacobi", lambda d: d.update(study="closedness"),
+                     "unknown jacobi config key 'study'"),
+    "conserve_observables": ("conserve", lambda d: d.update(observables=[]),
+                             "unknown conserve config key 'observables'"),
+    "conserve_ladder": ("conserve", lambda d: d.update(ladder=[16, 32]),
+                        "unknown conserve config key 'ladder'"),
+    "bracket_tangents": ("bracket", lambda d: d.update(tangents=[{}, {}]),
+                         "unknown bracket config key 'tangents'"),
+    "bracket_study": ("bracket", lambda d: d.update(study="omega_drift"),
+                      "unknown bracket config key 'study'"),
+    "convergence_observables": ("convergence", lambda d: d.update(observables=[]),
+                                "unknown convergence config key 'observables'"),
+    "convergence_options": ("convergence", lambda d: d.update(options={}),
+                            "unknown convergence config key 'options'"),
+    "lattice_key_misspelled": ("conserve", lambda d: d["lattice"].update(n_tme=8),
+                               "lattice: unknown lattice key 'n_tme'; did you mean 'n_time'?"),
+    # a long value is elided in its error line, as every value shown there is
+    "topology_a_long_list":
+        ("conserve", lambda d: d["lattice"].update(topology=[0] * 20_000),
+         "lattice: topology must be one of ('circle', 'line'), got [0, 0, 0, 0, 0, 0, ...]"),
+    "topology_a_long_string":
+        ("conserve", lambda d: d["lattice"].update(topology="x" * 100_000),
+         "lattice: topology must be one of ('circle', 'line'), got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
     "lattice_key_of_another_block":
-        ("conserve", lambda d: d["lattice"].update(mass=1.0)),
+        ("conserve", lambda d: d["lattice"].update(mass=1.0),
+         "lattice: unknown lattice key 'mass'"),
     # profiles, Cauchy data and smearings name only their own keys
     "tangent_profile_key_misspelled":
-        ("conserve", lambda d: d["tangents"][0]["phi"].update(widht=0.01)),
+        ("conserve", lambda d: d["tangents"][0]["phi"].update(widht=0.01),
+         "tangents[0].phi: unknown gaussian profile key 'widht'; did you mean 'width'?"),
     "profile_key_of_another_kind":
-        ("conserve", lambda d: d["initial_data"]["phi"].update(width=0.3)),
+        ("conserve", lambda d: d["initial_data"]["phi"].update(width=0.3),
+         "initial_data.phi: unknown cosine profile key 'width'"),
     "profile_amplitude_misspelled":
-        ("conserve", lambda d: d["initial_data"]["pi"].update(amplitued=2.0)),
-    "tangent_key_unknown": ("conserve", lambda d: d["tangents"][1].update(psi={})),
+        ("conserve", lambda d: d["initial_data"]["pi"].update(amplitued=2.0),
+         "initial_data.pi: unknown sine profile key 'amplitued'; did you mean 'amplitude'?"),
+    "tangent_key_unknown": ("conserve", lambda d: d["tangents"][1].update(psi={}),
+                            "tangents[1]: unknown Cauchy data key 'psi'; did you mean 'pi'?"),
     "initial_data_key_misspelled":
-        ("conserve", lambda d: d["initial_data"].update(ph={"profile": "zero"})),
+        ("conserve", lambda d: d["initial_data"].update(ph={"profile": "zero"}),
+         "initial_data: unknown Cauchy data key 'ph'; did you mean 'phi'?"),
     "profile_kind_not_a_string":
-        ("conserve", lambda d: d["initial_data"].update(phi={"profile": ["cosine"]})),
+        ("conserve", lambda d: d["initial_data"].update(phi={"profile": ["cosine"]}),
+         "initial_data.phi: unknown profile ['cosine']"),
     "smearing_profile_key_misspelled": ("jacobi", lambda d: d["observables"][0][
-        "smearing"].update(centre=2.0)),
+        "smearing"].update(centre=2.0),
+        "observables[0].smearing: unknown gaussian profile key 'centre'; did you mean 'center'?"),
     "spacetime_smearing_key_misspelled": ("bracket", lambda d: d["observables"][0][
-        "smearing"].update(tmie={"profile": "constant"})),
+        "smearing"].update(tmie={"profile": "constant"}),
+        "observables[0].smearing: unknown spacetime smearing key 'tmie'; did you mean 'time'?"),
     # so do the interaction (per name) and each observable kind
     "interaction_key_of_another_interaction":
-        ("conserve", lambda d: d["interaction"].update(mass=1.0)),
+        ("conserve", lambda d: d["interaction"].update(mass=1.0),
+         "interaction: unknown sine_gordon interaction key 'mass'"),
     "interaction_coupling_for_mass":
-        ("bracket", lambda d: d["interaction"].update(coupling=2.0)),
+        ("bracket", lambda d: d["interaction"].update(coupling=2.0),
+         "interaction: unknown mass interaction key 'coupling'"),
     "interaction_name_not_a_string":
-        ("conserve", lambda d: d.update(interaction={"name": ["free"]})),
+        ("conserve", lambda d: d.update(interaction={"name": ["free"]}),
+         "interaction: unknown interaction ['free']"),
     "observable_key_misspelled":
-        ("bracket", lambda d: d["observables"][1].update(smaering={})),
+        ("bracket", lambda d: d["observables"][1].update(smaering={}),
+         "observables[1]: unknown spacetime observable key 'smaering'; did you mean 'smearing'?"),
     "composite_smearing_ignored": ("jacobi", lambda d: d["observables"][2].update(
-        smearing={"profile": "cosine"})),
+        smearing={"profile": "cosine"}),
+        "observables[2]: unknown poly_composite observable key 'smearing'"),
     "composite_factor_key_misspelled":
-        ("jacobi", lambda d: d["observables"][2]["factors"][1].update(knid="slice_pi")),
+        ("jacobi", lambda d: d["observables"][2]["factors"][1].update(knid="slice_pi"),
+         "observables[2].factors[1]: unknown slice_pi observable key 'knid'; did you mean 'kind'?"),
     "array_values_not_numbers": ("conserve", lambda d: d["initial_data"].update(
-        phi={"profile": "array", "values": ["a"] * 128})),
+        phi={"profile": "array", "values": ["a"] * 128}),
+        "initial_data.phi: values[0] must be a number, got 'a'"),
     "n_samples_not_a_number":
-        ("jacobi", lambda d: d["options"].update(n_samples="five")),
+        ("jacobi", lambda d: d["options"].update(n_samples="five"),
+         "n_samples must be an integer, got 'five'"),
     "sample_amplitude_not_a_number":
-        ("jacobi", lambda d: d["options"].update(sample_amplitude="big")),
-    "power_not_a_number": ("jacobi", lambda d: d["observables"][2].update(power="two")),
+        ("jacobi", lambda d: d["options"].update(sample_amplitude="big"),
+         "sample_amplitude must be a number, got 'big'"),
+    "power_not_a_number": ("jacobi", lambda d: d["observables"][2].update(power="two"),
+                           "power must be an integer, got 'two'"),
     "smearing_amplitude_not_a_number": ("jacobi", lambda d: d["observables"][1][
-        "smearing"].update(amplitude="wide")),
+        "smearing"].update(amplitude="wide"),
+        "observables[1].smearing: amplitude must be a number, got 'wide'"),
     "factor_not_an_object":
-        ("jacobi", lambda d: d["observables"][2].update(factors=[7])),
+        ("jacobi", lambda d: d["observables"][2].update(factors=[7]),
+         "observables[2].factors[0]: an observable must be a JSON object, got 7"),
     "spacetime_smearing_not_an_object":
-        ("bracket", lambda d: d["observables"][0].update(smearing="wide")),
+        ("bracket", lambda d: d["observables"][0].update(smearing="wide"),
+         "observables[0].smearing: must be a JSON object, got 'wide'"),
     "kmax_negative": ("jacobi", lambda d: d["observables"][1].update(
-        smearing={"profile": "random_fourier", "kmax": -5})),
+        smearing={"profile": "random_fourier", "kmax": -5}),
+        "observables[1].smearing: kmax must be at least 0, got -5"),
     "kmax_minus_one": ("jacobi", lambda d: d["observables"][1].update(
-        smearing={"profile": "random_fourier", "kmax": -1})),
-    "n_samples_zero": ("jacobi", lambda d: d["options"].update(n_samples=0)),
-    "n_samples_negative": ("jacobi", lambda d: d["options"].update(n_samples=-2)),
-    "observables_null": ("bracket", lambda d: d.update(observables=None)),
-    "observables_a_number": ("bracket", lambda d: d.update(observables=3)),
-    "factors_a_number": ("jacobi", lambda d: d["observables"][2].update(factors=7)),
-    "factors_true": ("jacobi", lambda d: d["observables"][2].update(factors=True)),
-    "seed_negative": ("conserve", lambda d: d.update(seed=-1)),
-    "ladder_rung_zero": ("convergence", lambda d: d.update(ladder=[0, 16])),
+        smearing={"profile": "random_fourier", "kmax": -1}),
+        "observables[1].smearing: kmax must be at least 0, got -1"),
+    "n_samples_zero": ("jacobi", lambda d: d["options"].update(n_samples=0),
+                       "n_samples must be at least 1, got 0"),
+    "n_samples_negative": ("jacobi", lambda d: d["options"].update(n_samples=-2),
+                           "n_samples must be at least 1, got -2"),
+    "observables_null": ("bracket", lambda d: d.update(observables=None),
+                         "observables: must be a list, got None"),
+    "observables_a_number": ("bracket", lambda d: d.update(observables=3),
+                             "observables: must be a list, got 3"),
+    "factors_a_number": ("jacobi", lambda d: d["observables"][2].update(factors=7),
+                         "observables[2]: poly_composite needs a nonempty factors list"),
+    "factors_true": ("jacobi", lambda d: d["observables"][2].update(factors=True),
+                     "observables[2]: poly_composite needs a nonempty factors list"),
+    "seed_negative": ("conserve", lambda d: d.update(seed=-1),
+                      "seed must be at least 0, got -1"),
+    "ladder_rung_zero": ("convergence", lambda d: d.update(ladder=[0, 16]),
+                         "ladder: rung must be at least 1, got 0"),
     "gaussian_width_zero": ("jacobi", lambda d: d["observables"][0][
-        "smearing"].update(width=0)),
+        "smearing"].update(width=0),
+        "observables[0].smearing: width must be positive, got 0.0"),
     "gaussian_width_negative": ("jacobi", lambda d: d["observables"][0][
-        "smearing"].update(width=-1)),
+        "smearing"].update(width=-1),
+        "observables[0].smearing: width must be positive, got -1.0"),
     "bump_width_zero": ("conserve", lambda d: d["tangents"][0].update(
-        phi={"profile": "bump", "width": 0})),
+        phi={"profile": "bump", "width": 0}),
+        "tangents[0].phi: width must be positive, got 0.0"),
     "bump_width_negative": ("conserve", lambda d: d["tangents"][0].update(
-        phi={"profile": "bump", "width": -1})),
-    "power_negative": ("jacobi", lambda d: d["observables"][2].update(power=-1)),
+        phi={"profile": "bump", "width": -1}),
+        "tangents[0].phi: width must be positive, got -1.0"),
+    "power_negative": ("jacobi", lambda d: d["observables"][2].update(power=-1),
+                       "power must be at least 0, got -1"),
     # non-finite numbers; a string or a boolean for a number is in NOT_NUMBERS
     "sample_amplitude_nan":
-        ("jacobi", lambda d: d["options"].update(sample_amplitude=float("nan"))),
+        ("jacobi", lambda d: d["options"].update(sample_amplitude=float("nan")),
+         "sample_amplitude must be a finite number, got nan"),
     "sample_amplitude_inf":
-        ("jacobi", lambda d: d["options"].update(sample_amplitude=float("inf"))),
-    "dt_factor_nan": ("jacobi", lambda d: d["lattice"].update(dt_factor=float("nan"))),
-    "extent_inf": ("conserve", lambda d: d["lattice"].update(extent=float("inf"))),
+        ("jacobi", lambda d: d["options"].update(sample_amplitude=float("inf")),
+         "sample_amplitude must be a finite number, got inf"),
+    "dt_factor_nan": ("jacobi", lambda d: d["lattice"].update(dt_factor=float("nan")),
+                      "lattice: dt_factor must be a finite number, got nan"),
+    "extent_inf": ("conserve", lambda d: d["lattice"].update(extent=float("inf")),
+                   "lattice: extent must be a finite number, got inf"),
     # a spacing whose cube overflows: the leapfrog's Taylor start takes dt^3
-    "extent_cube_overflows": ("conserve", lambda d: d["lattice"].update(extent=3.2e121)),
-    "extent_square_underflows": ("conserve", lambda d: d["lattice"].update(extent=1e-300)),
+    "extent_cube_overflows": ("conserve", lambda d: d["lattice"].update(extent=3.2e121),
+        "lattice: grid spacings must have a finite cube and a normal square, got dx=2.5e+119,"
+        " dt=1.25e+119"),
+    "extent_square_underflows": ("conserve", lambda d: d["lattice"].update(extent=1e-300),
+        "lattice: grid spacings must have a finite cube and a normal square, got"
+        " dx=7.8125e-303, dt=3.90625e-303"),
     "extent_square_subnormal": ("conserve", lambda d: d["lattice"].update(
-        n_space=32, n_time=16, extent=3e-160)),
+        n_space=32, n_time=16, extent=3e-160),
+        "lattice: grid spacings must have a finite cube and a normal square, got"
+        " dx=9.375e-162, dt=4.6875e-162"),
     "dx_nan": ("jacobi", lambda d: d.update(lattice={
-        "topology": "circle", "n_space": 32, "dx": float("nan"), "dt": 0.01, "n_time": 8})),
+        "topology": "circle", "n_space": 32, "dx": float("nan"), "dt": 0.01, "n_time": 8}),
+        "lattice: dx must be a finite number, got nan"),
     "smearing_center_nan":
-        ("jacobi", lambda d: d["observables"][0]["smearing"].update(center=float("nan"))),
+        ("jacobi", lambda d: d["observables"][0]["smearing"].update(center=float("nan")),
+         "observables[0].smearing: center must be a finite number, got nan"),
     # counts that are not integers
-    "n_samples_fraction": ("jacobi", lambda d: d["options"].update(n_samples=2.7)),
-    "n_samples_true": ("jacobi", lambda d: d["options"].update(n_samples=True)),
-    "n_space_fraction": ("conserve", lambda d: d["lattice"].update(n_space=128.5)),
-    "n_time_fraction": ("conserve", lambda d: d["lattice"].update(n_time=8.5)),
-    "n_time_string": ("conserve", lambda d: d["lattice"].update(n_time="8")),
-    "guard_fraction": ("conserve", lambda d: d["lattice"].update(guard=2.5)),
-    "seed_fraction": ("conserve", lambda d: d.update(seed=1.5)),
-    "power_fraction": ("jacobi", lambda d: d["observables"][2].update(power=2.5)),
+    "n_samples_fraction": ("jacobi", lambda d: d["options"].update(n_samples=2.7),
+                           "n_samples must be an integer, got 2.7"),
+    "n_samples_true": ("jacobi", lambda d: d["options"].update(n_samples=True),
+                       "n_samples must be an integer, got True"),
+    "n_space_fraction": ("conserve", lambda d: d["lattice"].update(n_space=128.5),
+                         "lattice: n_space must be an integer, got 128.5"),
+    "n_time_fraction": ("conserve", lambda d: d["lattice"].update(n_time=8.5),
+                        "lattice: n_time must be an integer, got 8.5"),
+    "n_time_string": ("conserve", lambda d: d["lattice"].update(n_time="8"),
+                      "lattice: n_time must be an integer, got '8'"),
+    "guard_fraction": ("conserve", lambda d: d["lattice"].update(guard=2.5),
+                       "lattice: guard must be an integer, got 2.5"),
+    "seed_fraction": ("conserve", lambda d: d.update(seed=1.5),
+                      "seed must be an integer, got 1.5"),
+    "power_fraction": ("jacobi", lambda d: d["observables"][2].update(power=2.5),
+                       "power must be an integer, got 2.5"),
     "kmax_fraction": ("jacobi", lambda d: d["observables"][1].update(
-        smearing={"profile": "random_fourier", "kmax": 2.5})),
-    "ladder_rung_fraction": ("convergence", lambda d: d.update(ladder=[16.5, 32])),
+        smearing={"profile": "random_fourier", "kmax": 2.5}),
+        "observables[1].smearing: kmax must be an integer, got 2.5"),
+    "ladder_rung_fraction": ("convergence", lambda d: d.update(ladder=[16.5, 32]),
+                             "ladder: rung must be an integer, got 16.5"),
     # the axioms take exactly three observables
     "observables_four": ("jacobi", lambda d: d["observables"].append(
-        {"kind": "slice_phi", "smearing": {"profile": "gaussian", "widht": 0.3}})),
-    "observables_two": ("jacobi", lambda d: d["observables"].pop()),
+        {"kind": "slice_phi", "smearing": {"profile": "gaussian", "widht": 0.3}}),
+        "observables: the axioms take exactly three, not 4"),
+    "observables_two": ("jacobi", lambda d: d["observables"].pop(),
+                        "observables: the axioms take exactly three, not 2"),
     # the current pairs exactly two tangents
-    "tangents_one": ("conserve", lambda d: d["tangents"].pop()),
-    "tangents_three": ("conserve", lambda d: d["tangents"].append(d["tangents"][0])),
+    "tangents_one": ("conserve", lambda d: d["tangents"].pop(),
+                     "tangents: omega pairs exactly two, not 1"),
+    "tangents_three": ("conserve", lambda d: d["tangents"].append(d["tangents"][0]),
+                       "tangents: omega pairs exactly two, not 3"),
     "drift_tangents_three":
-        ("convergence", lambda d: d["tangents"].append(d["tangents"][0])),
+        ("convergence", lambda d: d["tangents"].append(d["tangents"][0]),
+         "tangents: omega pairs exactly two, not 3"),
     # two smearings with a zero space profile: bracket and oracle are both
     # exactly 0, so a relative error between them has no scale
     "oracle_bracket_zero": ("bracket", lambda d: [
-        o["smearing"].update(space={"profile": "zero"}) for o in d["observables"]]),
+        o["smearing"].update(space={"profile": "zero"}) for o in d["observables"]],
+        "observables 0 and 1: the oracle bracket is 0, so a relative error against it would"
+        " measure nothing"),
     # the current's one-sided time stencil spans four slices
-    "n_time_two": ("conserve", lambda d: d["lattice"].update(n_time=2)),
+    "n_time_two": ("conserve", lambda d: d["lattice"].update(n_time=2),
+                   "the current's one-sided time stencil needs at least 3 time steps, not 2"),
     # tangents with disjoint data: omega is exactly 0 on slice 0 and not after,
     # so a drift relative to slice 0 has no scale
     "omega_zero_on_slice_0": ("conserve", lambda d: d.update(
@@ -873,28 +988,40 @@ MALFORMED = {
         interaction={"name": "phi4"},
         initial_data={"phi": {"profile": "bump", "center": 0}},
         tangents=[{"phi": {"profile": "bump", "center": -1, "width": 0.6}},
-                  {"pi": {"profile": "bump", "center": 1, "width": 0.6}}])),
-    "lattice_dt_and_dt_factor": ("conserve", lambda d: d["lattice"].update(dt=0.01)),
+                  {"pi": {"profile": "bump", "center": 1, "width": 0.6}}]),
+        "tangents: omega vanishes on slice 0, so a drift relative to it would measure nothing"),
+    "lattice_dt_and_dt_factor": ("conserve", lambda d: d["lattice"].update(dt=0.01),
+                                 "lattice: give dt or dt_factor, not both"),
     # a document that is not an object replaces the base config whole
-    "config_a_json_array": ("conserve", [BASE_CONSERVE]),
+    "config_a_json_array": ("conserve", [BASE_CONSERVE],
+                            "config must be a JSON object"),
     "array_values_not_a_list": ("conserve", lambda d: d["initial_data"].update(
-        phi={"profile": "array", "values": 3})),
+        phi={"profile": "array", "values": 3}),
+        "initial_data.phi: array profile values must be a list, got 3"),
     # an integer past the float range: float() raises rather than giving inf
     "amplitude_of_400_digits":
-        ("conserve", lambda d: d["initial_data"]["phi"].update(amplitude=10**400)),
+        ("conserve", lambda d: d["initial_data"]["phi"].update(amplitude=10**400),
+         "initial_data.phi: amplitude must be a finite number, got 1000"),
     # the mode-sum oracle takes a massive free field and spacetime observables only
     "oracle_under_sine_gordon":
-        ("bracket", lambda d: d.update(interaction={"name": "sine_gordon"})),
-    "oracle_massless_zero_mode": ("bracket", lambda d: d.update(interaction={"name": "free"})),
-    "oracle_mass_negative": ("bracket", lambda d: d["interaction"].update(mass=-1)),
+        ("bracket", lambda d: d.update(interaction={"name": "sine_gordon"}),
+         "the mode-sum oracle needs the free or mass interaction"),
+    "oracle_massless_zero_mode": ("bracket", lambda d: d.update(interaction={"name": "free"}),
+                                  "massless zero mode: give the field a mass"),
+    "oracle_mass_negative": ("bracket", lambda d: d["interaction"].update(mass=-1),
+                             "mass must be nonnegative"),
     "oracle_slice_observable": ("bracket", lambda d: d["observables"][0].update(
-        kind="slice_phi", smearing={"profile": "gaussian"})),
-    "bracket_one_observable": ("bracket", lambda d: d["observables"].pop()),
+        kind="slice_phi", smearing={"profile": "gaussian"}),
+        "oracle comparison needs spacetime observables"),
+    "bracket_one_observable": ("bracket", lambda d: d["observables"].pop(),
+                               "bracket experiment needs at least two observables"),
     "solution_error_under_mass": ("convergence", lambda d: (
-        d.pop("tangents"), d.update(study="solution_error", interaction={"name": "mass"}))),
+        d.pop("tangents"), d.update(study="solution_error", interaction={"name": "mass"})),
+        "solution_error study needs a free field on the circle"),
     # zero tangents make every closedness error 0, and an order needs nonzero errors
     "closedness_zero_tangents":
-        ("convergence", lambda d: d.update(study="closedness", tangents=[{}, {}])),
+        ("convergence", lambda d: d.update(study="closedness", tangents=[{}, {}]),
+         "cannot fit an order to the errors [0.0, 0.0]: each must be finite and nonzero"),
 }
 BASES = {"conserve": BASE_CONSERVE, "jacobi": TOY_JACOBI, "bracket": TOY_BRACKET,
          "convergence": BASE_DRIFT}
@@ -906,16 +1033,18 @@ DEGENERATE_LADDERS = {
 }
 
 
-def _assert_usage_error(command, doc, tmp_path, capsys):
+def _assert_usage_error(command, doc, tmp_path, capsys, message=""):
+    """command exits 2 with one short stderr line, error: message..."""
     assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+    assert len(err[0]) <= 150, len(err[0])
 
 
-@pytest.mark.parametrize("command,edit", MALFORMED.values(), ids=MALFORMED.keys())
-def test_cli_malformed_config_exits_2(command, edit, tmp_path, capsys):
+@pytest.mark.parametrize("command,edit,message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_cli_malformed_config_exits_2(command, edit, message, tmp_path, capsys):
     doc = _edited(BASES[command], edit) if callable(edit) else edit
-    _assert_usage_error(command, doc, tmp_path, capsys)
+    _assert_usage_error(command, doc, tmp_path, capsys, message)
 
 
 # (command, edit, the start of its error line): a number must be a JSON number,

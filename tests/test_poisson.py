@@ -204,7 +204,7 @@ def test_spacetime_differential_on_the_line(rng, monkeypatch):
     [c] = ps.differential([F], at)
     ref = forward_oracle(F, at, monkeypatch)
     assert (c - ref).max_abs() <= 1e-12 * ref.max_abs()
-    # the frozen edge sites carry their own, nonzero, component of dF/dphi
+    # the edge sites carry their own, nonzero, component of dF/dphi
     assert np.all(np.abs(ref.phi.scalar_part[[0, -1]]) > 1e-6 * ref.max_abs())
 
 
@@ -332,13 +332,22 @@ def test_assembled_operator_agrees_with_closed_form():
         assert np.max(np.abs(op.matrix - closed.matrix)) < 2 * lat.dx**2
 
 
-def test_assembled_operators_at_two_slices_agree():
-    lat = circle_lattice(24, 16)
-    inter = dyn.interaction("sine_gordon")
+@pytest.mark.parametrize("name", ["mass", "sine_gordon", "phi4"])
+@pytest.mark.parametrize("topology", ["circle", "line"])
+def test_assembled_operators_at_three_slices_agree(topology, name):
+    # the leapfrog steps every site on both topologies, so every unit tangent,
+    # the line's edge sites included, conserves omega to rounding: the
+    # matrices agree at three slices and have full rank 2n
+    if topology == "circle":
+        lat = circle_lattice(32, 40)
+    else:
+        lat = lt.LatticeSpacetime("line", 32, 0.1, 0.05, 40, guard=2)
+    inter = dyn.interaction(name)
     base = dyn.data_from_arrays(0.3 * np.cos(lat.x), 0.1 * np.sin(lat.x))
-    a = ps.OmegaOperator.assembled(base, inter, lat, 2)
-    b = ps.OmegaOperator.assembled(base, inter, lat, 12)
-    assert np.max(np.abs(a.matrix - b.matrix)) < 2 * lat.dx**2
+    a, *others = (ps.OmegaOperator.assembled(base, inter, lat, j).matrix for j in (2, 20, 38))
+    for b in others:
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.abs(a).max()
+    assert ps.OmegaOperator(a, lat.dx).null_space().shape == (2 * lat.n_space, 0)
 
 
 def explicit_unit_lift(at):
