@@ -219,12 +219,12 @@ def leapfrog_blocks(data: CauchyData, inter: Interaction, lat: lt.LatticeSpaceti
     This is the one leapfrog: solve_cauchy stores what it yields,
     solve_smeared and tangent_blocks fold it block by block.
 
-    The first step is a Taylor start carried to third order,
-    phi^1 = phi + dt*pi + (dt^2/2)(d_x^2 phi - rho(phi))
-                 + (dt^3/6)(d_x^2 pi - rho'(phi) pi),
-    so that the start-up error stays invisible to twice-differenced
-    diagnostics (the conserved-current divergence) while global accuracy
-    remains O(dx^2 + dt^2).  Each later step writes (2 cur - prev) +
+    The first step is the Stormer-Verlet start
+    phi^1 = phi + dt*pi + (dt^2/2)(d_x^2 phi - rho(phi)),
+    whose d phi^1/d pi is dt and whose d phi^1/d phi is symmetric, so it
+    pulls the scheme's invariant form (dx/dt) sum d phi^0 ^ d phi^1 back to
+    exactly dx d phi ^ d pi, the form poisson pairs Cauchy data with; global
+    accuracy is O(dx^2 + dt^2).  Each later step writes (2 cur - prev) +
     dt^2 (d_x^2 cur - rho(cur)) in place into one buffer, two carried slices
     and a block of _BLOCK_BYTES, which block views until the next yield;
     consumers must not write to it.  A block holding a slice that overflowed
@@ -244,11 +244,9 @@ def leapfrog_blocks(data: CauchyData, inter: Interaction, lat: lt.LatticeSpaceti
     slots = [_slots(row) for row in rows]
     laplacians = [lt._d2_dx2_bound(row, force, lat) for row in rows]
     with np.errstate(over="ignore", invalid="ignore"):
-        jerk = lt.d2_dx2(pi0, lat) - apply_smooth(inter.rho_prime, phi0) * pi0
         accel = lt.d2_dx2(phi0, lat)
         np.subtract(accel.coeffs, apply_smooth(rho, phi0).coeffs, out=accel.coeffs)
-        buf[1] = (phi0 + lat.dt * pi0 + (0.5 * dt2) * accel
-                  + (lat.dt**3 / 6.0) * jerk).coeffs
+        buf[1] = (phi0 + lat.dt * pi0 + (0.5 * dt2) * accel).coeffs
     buf[0] = phi0.coeffs
     j, lo = 0, 0  # the slice at buf[0], the first position to yield
     while True:
@@ -329,11 +327,10 @@ def smeared_gradient(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacet
         lam^{j-2} -= lam^j
 
     with D = D^T the Laplacian of lattice.d2_dx2, symmetric on both
-    topologies, and the third-order Taylor start transposes, with mu = lam^1, to
+    topologies, and the Stormer-Verlet start transposes, with mu = lam^1, to
 
         dF/dphi = lam^0 + mu + (dt^2/2)(D mu - rho'(phi) mu)
-                  - (dt^3/6) rho''(phi) pi mu
-        dF/dpi  = dt mu + (dt^3/6)(D mu - rho'(phi) mu).
+        dF/dpi  = dt mu.
 
     The sweep is linear in its seed, so one march carries all k seeds, each
     row the same floats as a sweep of its own grid.  Every product is Weil
@@ -370,7 +367,7 @@ def _sweep(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
            grids: list[np.ndarray], history: FieldHistory | None,
            per_block: int) -> tuple[WeilValue, WeilValue]:
     """smeared_gradient's march, lifting rho' and checking lam every per_block slices."""
-    algebra, phi, pi, dt2 = data.algebra, data.phi, data.pi, lat.dt**2
+    algebra, phi, dt2 = data.algebra, data.phi, lat.dt**2
     # each grid's seed row of a step, unit slot only as from_scalar, and a
     # view of them that broadcasts over the batch
     row = np.zeros((len(grids), lat.n_space, algebra.dim))
@@ -412,10 +409,8 @@ def _sweep(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
 
     mu = WeilValue(algebra, lam)
     force = WeilValue(algebra, lam_laplacian()) - at_phi * mu
-    rho2 = apply_smooth(inter.rho_prime.derivative(), phi)
-    grad_phi = WeilValue(algebra, below) + mu + (0.5 * dt2) * force \
-        - (lat.dt**3 / 6.0) * (rho2 * pi * mu)
-    grad_pi = lat.dt * mu + (lat.dt**3 / 6.0) * force
+    grad_phi = WeilValue(algebra, below) + mu + (0.5 * dt2) * force
+    grad_pi = lat.dt * mu
     require_finite(0, grad_phi.coeffs, grad_pi.coeffs)
     return grad_phi, grad_pi
 

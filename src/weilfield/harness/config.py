@@ -35,6 +35,7 @@ import numpy as np
 
 from .. import dynamics as dyn
 from .. import lattice as lt
+from ..lattice import _shown
 
 # the top-level keys every config takes; each experiment's driver reads others besides
 COMMON_KEYS = ("experiment", "lattice", "interaction", "tolerances", "seed")
@@ -106,17 +107,6 @@ PROFILE_KEYS = {
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-def _shown(value) -> str:
-    """repr(value) for a one-line error message, at most 100 characters long.
-
-    reprlib elides deep nesting, long containers and long strings, and a
-    repr still longer is cut, so a huge value cannot flood the line.
-    """
-    import reprlib  # only an error pays for the import
-    text = reprlib.repr(value)
-    return text if len(text) <= 100 else text[:97] + "..."
 
 
 class SeededDraws:

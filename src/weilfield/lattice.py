@@ -48,6 +48,17 @@ class SupportError(LatticeError):
     """A spacelike-compact support requirement is violated."""
 
 
+def _shown(value) -> str:
+    """repr(value) for a one-line error message, at most 100 characters long.
+
+    reprlib elides deep nesting, long containers and long strings, and a
+    repr still longer is cut, so a huge value cannot flood the line.
+    """
+    import reprlib  # only an error pays for the import
+    text = reprlib.repr(value)
+    return text if len(text) <= 100 else text[:97] + "..."
+
+
 @dataclass(frozen=True)
 class LatticeSpacetime:
     """Uniform grid on a 1+1D cylinder (circle) or slab (line).
@@ -66,7 +77,7 @@ class LatticeSpacetime:
 
     def __post_init__(self) -> None:
         if self.topology not in (CIRCLE, LINE):
-            raise LatticeError(f"unknown topology {self.topology!r}")
+            raise LatticeError(f"unknown topology {_shown(self.topology)}")
         if self.n_space < 8:
             raise LatticeError("need at least 8 spatial sites")
         if self.n_time < 2:
@@ -77,17 +88,14 @@ class LatticeSpacetime:
         if not (0 < self.dx < np.inf and 0 < self.dt < np.inf):
             raise LatticeError(f"grid spacings must be finite and positive, "
                                f"got dx={self.dx}, dt={self.dt}")
-        try:  # the leapfrog's Taylor start takes dt^3; a float power overflows by raising
-            float(self.dx) ** 3, float(self.dt) ** 3
-            # and the stencils divide by dx^2 and dt^2, which may underflow to 0 or
-            # to a subnormal of a few significant bits
-            tiny = sys.float_info.min
-            in_range = float(self.dx) ** 2 >= tiny and float(self.dt) ** 2 >= tiny
-        except OverflowError:
-            in_range = False
-        if not in_range:
-            raise LatticeError(f"grid spacings must have a finite cube and a normal square, "
-                               f"got dx={self.dx}, dt={self.dt}")
+        # the stencils divide by dx^2 and dt^2, which must neither overflow nor
+        # underflow to 0 or to a subnormal of a few significant bits, and the
+        # oracle scales by (dx dt)^2; a float product overflows to inf, never raising
+        dx, dt, tiny, huge = float(self.dx), float(self.dt), sys.float_info.min, sys.float_info.max
+        if not (tiny <= dx * dx <= huge and tiny <= dt * dt <= huge
+                and (dx * dt) * (dx * dt) <= huge):
+            raise LatticeError(f"grid spacings must have normal squares and a finite "
+                               f"(dx*dt)^2, got dx={self.dx}, dt={self.dt}")
         if self.dt > self.dx * (1 + 1e-12):
             raise LatticeError(
                 f"CFL violation: dt={self.dt} exceeds dx={self.dx} (lightcone speed 1)"

@@ -918,16 +918,21 @@ MALFORMED = {
                       "lattice: dt_factor must be a finite number, got nan"),
     "extent_inf": ("conserve", lambda d: d["lattice"].update(extent=float("inf")),
                    "lattice: extent must be a finite number, got inf"),
-    # a spacing whose cube overflows: the leapfrog's Taylor start takes dt^3
-    "extent_cube_overflows": ("conserve", lambda d: d["lattice"].update(extent=3.2e121),
-        "lattice: grid spacings must have a finite cube and a normal square, got dx=2.5e+119,"
-        " dt=1.25e+119"),
+    # spacings whose (dx dt)^2 overflows: the oracle's bracket takes it, and a
+    # float power overflows by raising
+    "extent_product_square_overflows": ("conserve", lambda d: d["lattice"].update(
+        extent=3.2e121),
+        "lattice: grid spacings must have normal squares and a finite (dx*dt)^2, got"
+        " dx=2.5e+119, dt=1.25e+119"),
+    "oracle_extent_1e80": ("bracket", lambda d: d["lattice"].update(extent=1e80),
+        "lattice: grid spacings must have normal squares and a finite (dx*dt)^2, got"
+        " dx=3.125e+78, dt=1.5625e+78"),
     "extent_square_underflows": ("conserve", lambda d: d["lattice"].update(extent=1e-300),
-        "lattice: grid spacings must have a finite cube and a normal square, got"
+        "lattice: grid spacings must have normal squares and a finite (dx*dt)^2, got"
         " dx=7.8125e-303, dt=3.90625e-303"),
     "extent_square_subnormal": ("conserve", lambda d: d["lattice"].update(
         n_space=32, n_time=16, extent=3e-160),
-        "lattice: grid spacings must have a finite cube and a normal square, got"
+        "lattice: grid spacings must have normal squares and a finite (dx*dt)^2, got"
         " dx=9.375e-162, dt=4.6875e-162"),
     "dx_nan": ("jacobi", lambda d: d.update(lattice={
         "topology": "circle", "n_space": 32, "dx": float("nan"), "dt": 0.01, "n_time": 8}),
@@ -1438,7 +1443,7 @@ def test_cli_spacing_with_a_subnormal_square_exits_2(command, tmp_path, capsys):
     assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        "error: lattice: grid spacings must have a finite cube and a normal square, "
+        "error: lattice: grid spacings must have normal squares and a finite (dx*dt)^2, "
         "got dx=9.375e-162, dt=4.6875e-162"]
     assert captured.out == ""
 

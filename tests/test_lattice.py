@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from weilfield import dynamics as dyn
 from weilfield import lattice as lt
 from weilfield.weil import WeilAlgebra, WeilValue
 
@@ -40,15 +41,23 @@ def test_spacings_must_be_finite_and_positive(dx, dt):
         lt.LatticeSpacetime("circle", 32, dx, dt, 8)
 
 
-@pytest.mark.parametrize("dx,dt", [(1e120, 5e119), (1e200, 1e-3), (np.float64(1e120), 0.1),
-                                   (1e-300, 5e-301), (0.1, 1e-170), (np.float64(1e-170), 1e-171),
+@pytest.mark.parametrize("dx,dt", [(1e120, 5e119), (1e200, 1e-3), (1e-300, 5e-301),
+                                   (0.1, 1e-170), (np.float64(1e-170), 1e-171),
                                    (9.375e-162, 4.6875e-162), (0.1, 1e-155)])
-def test_spacings_must_have_a_finite_cube(dx, dt):
-    # the leapfrog's Taylor start takes dt^3, which would raise OverflowError mid-run,
-    # and the stencils divide by dx^2 and dt^2, which would underflow to 0 or to a
-    # subnormal of a few significant bits
-    with pytest.raises(lt.LatticeError, match="finite cube"):
+def test_spacings_must_have_normal_squares(dx, dt):
+    # the stencils divide by dx^2 and dt^2, which would overflow, or underflow to 0
+    # or to a subnormal of a few significant bits, and the oracle's (dx dt)^2 would
+    # raise OverflowError mid-run: (1e120, 5e119) has normal squares but not that one
+    with pytest.raises(lt.LatticeError, match="normal squares and a finite"):
         lt.LatticeSpacetime("circle", 32, dx, dt, 8)
+
+
+def test_spacings_with_a_finite_product_square_are_accepted():
+    # dx^3 = 1e360 overflows, but no power the code takes does, and a solve runs
+    lat = lt.LatticeSpacetime("circle", 32, np.float64(1e120), 0.1, 8)
+    data = dyn.data_from_arrays(0.5 * np.cos(np.arange(32)), np.zeros(32))
+    history = dyn.solve_cauchy(data, dyn.interaction("sine_gordon"), lat)
+    assert np.isfinite(history.values.coeffs).all()
 
 
 def test_spacings_with_the_smallest_normal_square_are_accepted():
@@ -59,6 +68,18 @@ def test_spacings_with_the_smallest_normal_square_are_accepted():
 
 def test_descriptor_roundtrip(circle):
     assert lt.LatticeSpacetime.from_descriptor(circle.descriptor()) == circle
+
+
+@pytest.mark.parametrize("topology", [list(range(20000)), "x" * 20000], ids=["list", "string"])
+def test_unknown_topology_error_stays_one_short_line(topology, circle):
+    # load_grid reads a file's lattice through from_descriptor, so a huge
+    # topology value must not be echoed whole
+    desc = dict(circle.descriptor(), topology=topology)
+    for build in (lambda: lt.LatticeSpacetime(**desc),
+                  lambda: lt.LatticeSpacetime.from_descriptor(desc)):
+        with pytest.raises(lt.LatticeError, match="unknown topology") as caught:
+            build()
+        assert len(str(caught.value)) <= 150 and "\n" not in str(caught.value)
 
 
 # -- slice integration -----------------------------------------------------------
