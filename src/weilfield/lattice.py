@@ -24,6 +24,7 @@ one flat pass over a contiguous input.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,14 +148,25 @@ class LatticeSpacetime:
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "LatticeSpacetime":
-        return cls(
-            topology=desc["topology"],
-            n_space=int(desc["n_space"]),
-            dx=float(desc["dx"]),
-            dt=float(desc["dt"]),
-            n_time=int(desc["n_time"]),
-            guard=int(desc.get("guard", 2)),
-        )
+        """The lattice a descriptor names, or one LatticeError line naming a malformed entry.
+
+        A size or a spacing is read only from a number of that value: never
+        from a string or a boolean, nor a size from a fraction.
+        """
+        if not isinstance(desc, dict):
+            raise LatticeError(f"a lattice descriptor must be an object, got {_shown(desc)}")
+        read = {"topology": desc.get("topology")}
+        for key, kind in (("n_space", int), ("dx", float), ("dt", float), ("n_time", int),
+                          ("guard", int)):
+            value = desc.get(key, 2 if key == "guard" else None)
+            try:
+                read[key] = kind(value)
+            except (TypeError, ValueError, OverflowError):
+                read[key] = None
+            if read[key] is None or read[key] != value or isinstance(value, (bool, str)):
+                what = "an integer" if kind is int else "a number"
+                raise LatticeError(f"lattice {key} must be {what}, got {_shown(value)}")
+        return cls(**read)
 
 
 # -- spatial and temporal stencils (Weil-coefficientwise) --------------------
@@ -379,13 +391,28 @@ def save_grid(fh: BinaryIO, values: WeilValue, lat: LatticeSpacetime) -> None:
 
 
 def load_grid(fh: BinaryIO) -> tuple[WeilValue, LatticeSpacetime]:
-    """Read back a grid array written by save_grid."""
-    header = json.loads(fh.readline().decode("utf-8"))
-    if header.get("format") != _MAGIC:
+    """Read back a grid array written by save_grid; anything else is one LatticeError line.
+
+    The dims must be (n_slices, ..., n_space, algebra.dim) of the header's
+    lattice and algebra, and the body exactly that many floats.
+    """
+    try:
+        header = json.loads(fh.readline().decode("utf-8"))
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep a nest
+        header = None
+    if not isinstance(header, dict) or header.get("format") != _MAGIC:
         raise LatticeError("not a weilfield grid file")
-    dims = tuple(int(d) for d in header["dims"])
-    algebra = WeilAlgebra.from_descriptor(header["algebra"])
-    lat = LatticeSpacetime.from_descriptor(header["lattice"])
-    count = int(np.prod(dims))
-    data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-    return WeilValue(algebra, data.reshape(dims).copy()), lat
+    try:
+        algebra = WeilAlgebra.from_descriptor(header.get("algebra"))
+    except (LookupError, TypeError, ValueError):
+        raise LatticeError(f"grid algebra must be an algebra descriptor, "
+                           f"got {_shown(header.get('algebra'))}") from None
+    lat = LatticeSpacetime.from_descriptor(header.get("lattice"))
+    dims = header.get("dims")
+    if (not isinstance(dims, list) or len(dims) < 3
+            or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in dims)
+            or (dims[0], dims[-2], dims[-1]) != (lat.n_slices, lat.n_space, algebra.dim)):
+        raise LatticeError(f"grid dims {_shown(dims)} do not fit its lattice and algebra")
+    if len(body := fh.read()) != 8 * math.prod(dims):
+        raise LatticeError(f"grid body holds {len(body)} bytes, not 8 per float of its dims")
+    return WeilValue(algebra, np.frombuffer(body, dtype="<f8").reshape(dims).copy()), lat

@@ -23,7 +23,9 @@ Sign conventions, pinned once and used consistently:
 
 which reproduce {integral f*phi, integral g*pi} = + integral f*g.  Pairs
 (F, v) are algebra: bracket and product check nothing, and pair_defect alone
-compares dF with iota_v omega, per batch row of a base point.  The closed
+compares dF with iota_v omega, per batch row of a base point.  verify_axioms
+states antisymmetry, Jacobi and Leibniz each as an identity between sums of
+pairs and measures all three by one relative cancellation.  The closed
 slice form of omega is used everywhere: _field_at, the one Hamiltonian
 vector field X_F, inverts it on dF once per observable and point; both
 hamiltonian_field and a bracket's dF'' read it, so in a sharing scope dF''
@@ -367,14 +369,6 @@ def _row_max_abs(*values: WeilValue) -> np.ndarray:
     return out
 
 
-def _equation_defect(c: Covector, fiber: CauchyData, dx: float) -> np.ndarray:
-    """Relative defect of c = iota_fiber omega, per batch row."""
-    back = insert_omega(fiber, dx)
-    diff = back - c
-    scale = np.maximum(_row_max_abs(c.phi, c.pi, back.phi, back.pi), 1e-300)
-    return _row_max_abs(diff.phi, diff.pi) / scale
-
-
 @_once
 def _field_at(F: Observable, at: CauchyData, lat: lt.LatticeSpacetime) -> CauchyData:
     """X_F at at: dF inverted through the closed-form omega, once per scope."""
@@ -550,7 +544,11 @@ def pair_defect(p: HamiltonianPair, at: CauchyData,
 
     An unbatched point is a single row, and its defect a numpy scalar.
     """
-    return _equation_defect(differential([p.F], at)[0], p.v.evaluate(at), lat.dx)
+    c = differential([p.F], at)[0]
+    back = insert_omega(p.v.evaluate(at), lat.dx)
+    diff = back - c
+    scale = np.maximum(_row_max_abs(c.phi, c.pi, back.phi, back.pi), 1e-300)
+    return _row_max_abs(diff.phi, diff.pi) / scale
 
 
 def make_pair(F: Observable, lat: lt.LatticeSpacetime) -> HamiltonianPair:
@@ -631,78 +629,61 @@ class AxiomReport:
         )
 
 
-def _rel(defect: float, scale: float) -> float:
-    return defect / max(scale, 1e-30)
-
-
 def _sup(*rows) -> float:
     """The largest entry of all the given per-row values, or NaN when any is NaN."""
     return float(max_or_nan(*(np.max(r) for r in rows)))
+
+
+def _cancellation(at: CauchyData, lhs: Sequence[HamiltonianPair],
+                  rhs: Sequence[HamiltonianPair] = ()) -> tuple[float, float]:
+    """Relative defects (value, field) of sum(lhs) = sum(rhs) at the samples of at.
+
+    Each is the largest |sum(lhs) - sum(rhs)| over the samples (for a field,
+    per site and coefficient) over one scale: the largest of 1.0, each |lhs
+    term| and |sum(rhs)|, values and fields alike.  A NaN anywhere reads
+    NaN.  Values are evaluated before fields, lhs before rhs.
+    """
+    n = len(lhs)
+    values = [p.F.evaluate(at).scalar_part for p in (*lhs, *rhs)]
+    fields = [p.v.evaluate(at) for p in (*lhs, *rhs)]
+
+    def measured(terms: list, size: Callable) -> tuple:
+        """The rows of sum(lhs) - sum(rhs), and those of each term of the scale."""
+        total = sum(terms[1:n], terms[0])
+        if rhs:
+            terms = [*terms[:n], sum(terms[n + 1:], terms[n])]
+            total = total - terms[n]
+        return size(total), [size(t) for t in terms]
+
+    value_rows, value_scale = measured(values, np.abs)
+    field_rows, field_scale = measured(fields, lambda v: _row_max_abs(v.phi, v.pi))
+    scale = max(_sup(*value_scale, 1.0, *field_scale), 1e-30)
+    return _sup(value_rows) / scale, _sup(field_rows) / scale
 
 
 def verify_axioms(p1: HamiltonianPair, p2: HamiltonianPair, p3: HamiltonianPair,
                   at: CauchyData, lat: lt.LatticeSpacetime) -> AxiomReport:
     """Evaluate antisymmetry, Jacobi, Leibniz and pair defects at the sampled points.
 
-    at holds the samples on its leading axis, one batch row each, and every
-    check runs in one sharing scope over it: each observable value,
-    gradient, field value and dual lift runs once for all samples, however
-    many terms ask for it.  Each term is reduced per sample (max
-    |coefficient| over sites and coefficients), then over the samples; a
-    NaN in any sample fails.  Memory grows linearly with the number of
-    samples.
+    Each axiom is an identity between sums of pairs that _cancellation
+    measures.  at holds the samples on its leading axis, one batch row
+    each, and every check runs in one sharing scope over it: each
+    observable value, gradient, field value and dual lift runs once for all
+    samples, however many terms ask for it.  Every bracket is built before
+    the scope opens, so a SupportError comes first.  Memory grows linearly
+    with the number of samples.
     """
     if not at.phi.coeffs.size:
         raise ValueError("verify_axioms needs at least one sample")
-    b12 = bracket(p1, p2, lat)
-    b21 = bracket(p2, p1, lat)
-    b13 = bracket(p1, p3, lat)
-    b23 = bracket(p2, p3, lat)
-    b31 = bracket(p3, p1, lat)
-    j1 = bracket(p1, b23, lat)
-    j2 = bracket(p2, b31, lat)
-    j3 = bracket(p3, b12, lat)
-    prod23 = pair_product(p2, p3)
-    leib_lhs = bracket(p1, prod23, lat)
-    leib_r1 = pair_product(b12, p3)
-    leib_r2 = pair_product(p2, b13)
-
-    def fval(pair: HamiltonianPair) -> np.ndarray:
-        return pair.F.evaluate(at).scalar_part
-
-    def vrows(v: CauchyData) -> np.ndarray:
-        return _row_max_abs(v.phi, v.pi)
-
+    b12, b21, b13 = bracket(p1, p2, lat), bracket(p2, p1, lat), bracket(p1, p3, lat)
+    jacobi = [bracket(p1, bracket(p2, p3, lat), lat), bracket(p2, bracket(p3, p1, lat), lat),
+              bracket(p3, b12, lat)]
+    leibniz_lhs = [bracket(p1, pair_product(p2, p3), lat)]
+    leibniz_rhs = [pair_product(b12, p3), pair_product(p2, b13)]
     with sharing():
         differential([p1.F, p2.F, p3.F], at)  # the spacetime ones in one sweep
         pair_defects = tuple(_sup(pair_defect(p, at, lat)) for p in (p1, p2, p3))
         closure = _sup(pair_defect(b12, at, lat))
-
-        a, b = fval(b12), fval(b21)
-        va, vb = b12.v.evaluate(at), b21.v.evaluate(at)
-        anti_f, anti_v = _sup(np.abs(a + b)), _sup(vrows(va + vb))
-        anti_scale = _sup(np.abs(a), np.abs(b), 1.0, vrows(va), vrows(vb))
-
-        t1, t2, t3 = fval(j1), fval(j2), fval(j3)
-        w1, w2, w3 = j1.v.evaluate(at), j2.v.evaluate(at), j3.v.evaluate(at)
-        jac_f, jac_v = _sup(np.abs(t1 + t2 + t3)), _sup(vrows(w1 + w2 + w3))
-        jac_scale = _sup(np.abs(t1), np.abs(t2), np.abs(t3), 1.0,
-                         vrows(w1), vrows(w2), vrows(w3))
-
-        lhs = fval(leib_lhs)
-        rhs = fval(leib_r1) + fval(leib_r2)
-        lv = leib_lhs.v.evaluate(at)
-        rv = leib_r1.v.evaluate(at) + leib_r2.v.evaluate(at)
-        leib_f, leib_v = _sup(np.abs(lhs - rhs)), _sup(vrows(lv - rv))
-        leib_scale = _sup(np.abs(lhs), np.abs(rhs), 1.0, vrows(lv), vrows(rv))
-
-    return AxiomReport(
-        antisymmetry_f=_rel(anti_f, anti_scale),
-        antisymmetry_v=_rel(anti_v, anti_scale),
-        jacobi_f=_rel(jac_f, jac_scale),
-        jacobi_v=_rel(jac_v, jac_scale),
-        leibniz_f=_rel(leib_f, leib_scale),
-        leibniz_v=_rel(leib_v, leib_scale),
-        pair_defects=pair_defects,
-        closure=closure,
-    )
+        defects = (*_cancellation(at, [b12, b21]), *_cancellation(at, jacobi),
+                   *_cancellation(at, leibniz_lhs, leibniz_rhs))
+    return AxiomReport(*defects, pair_defects=pair_defects, closure=closure)

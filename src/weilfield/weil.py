@@ -96,7 +96,9 @@ class WeilAlgebra:
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "WeilAlgebra":
-        orders = tuple(int(o) for o in desc["orders"])
+        orders = tuple(desc["orders"])
+        if not all(type(o) is int for o in orders):
+            raise ValueError("descriptor orders must be integers")
         if int(desc.get("generators", len(orders))) != len(orders):
             raise ValueError("descriptor generator count does not match orders")
         return cls(orders)

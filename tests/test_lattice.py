@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import sys
 
 import numpy as np
@@ -330,7 +331,58 @@ def test_save_load_roundtrip(rng, circle):
     assert np.array_equal(loaded.coeffs, vals.coeffs)
 
 
-def test_load_rejects_foreign_file():
-    buf = io.BytesIO(b'{"format": "something-else"}\n')
-    with pytest.raises(lt.LatticeError):
-        lt.load_grid(buf)
+def saved_grid(edit=None, tail=b""):
+    """A saved 3 x 8 dual grid, its header passed through edit and tail appended."""
+    lat = lt.LatticeSpacetime("circle", 8, 0.1, 0.05, 2)
+    buf = io.BytesIO()
+    lt.save_grid(buf, WeilValue(WeilAlgebra.dual(), np.ones((3, 8, 2))), lat)
+    line, body = buf.getvalue().split(b"\n", 1)
+    header = json.loads(line)
+    if edit is not None:
+        edit(header)
+    return json.dumps(header).encode() + b"\n" + body + tail
+
+
+def edited(path, value=None):
+    """An edit of a saved grid's header: the entry at path set to value, or deleted when None."""
+    *outer, key = path
+
+    def edit(header):
+        for name in outer:
+            header = header[name]
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+
+    return edit
+
+
+MALFORMED_GRIDS = {
+    "foreign-format": b'{"format": "something-else"}\n',
+    "not-utf8": b"\xff\xfe\n",
+    "list-header": b"[1, 2]\n",
+    "long-string-dx": saved_grid(edited(("lattice", "dx"), "x" * 20000)),
+    "list-dt": saved_grid(edited(("lattice", "dt"), [0.05])),
+    "missing-dims": saved_grid(edited(("dims",))),
+    "missing-n_time": saved_grid(edited(("lattice", "n_time"))),
+    "string-algebra": saved_grid(edited(("algebra",), "dual")),
+    "fractional-algebra-order": saved_grid(edited(("algebra", "orders"), [2.7])),
+    "dims-of-two-slices": saved_grid(edited(("dims",), [2, 8, 2])),
+    "n_space-16-over-8-sites": saved_grid(edited(("lattice", "n_space"), 16)),
+    "negative-dims": saved_grid(edited(("dims",), [-3, 8, 2])),
+    "trailing-bytes": saved_grid(tail=b"\0" * 8),
+    "short-body": saved_grid()[:-8],
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_GRIDS.values(), ids=MALFORMED_GRIDS.keys())
+def test_load_rejects_foreign_file(content):
+    with pytest.raises(lt.LatticeError) as caught:
+        lt.load_grid(io.BytesIO(content))
+    assert len(str(caught.value)) <= 150 and "\n" not in str(caught.value)
+
+
+def test_saved_grid_loads_unedited():
+    values, lat = lt.load_grid(io.BytesIO(saved_grid()))
+    assert lat.n_slices == 3 and np.array_equal(values.coeffs, np.ones((3, 8, 2)))

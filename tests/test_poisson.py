@@ -876,6 +876,72 @@ def test_batched_verify_axioms_is_the_max_over_single_samples(case, rng):
     assert batched.max_defect() < 1e-9
 
 
+def transcribed_axioms(p1, p2, p3, at, lat):
+    """verify_axioms' six defects and three scales, each axiom's measure written out in numpy.
+
+    Per axiom: the largest |sum of the terms| over the samples (for a field,
+    over sites and coefficients too), over the largest |term|, floored at 1.0;
+    Leibniz's terms are its left-hand side and the sum of its right-hand side.
+    """
+    b12, b21 = ps.bracket(p1, p2, lat), ps.bracket(p2, p1, lat)
+    b13, b23, b31 = ps.bracket(p1, p3, lat), ps.bracket(p2, p3, lat), ps.bracket(p3, p1, lat)
+    jacobi = [ps.bracket(p1, b23, lat), ps.bracket(p2, b31, lat), ps.bracket(p3, b12, lat)]
+    leibniz_lhs = ps.bracket(p1, ps.pair_product(p2, p3), lat)
+    leibniz_rhs = [ps.pair_product(b12, p3), ps.pair_product(p2, b13)]
+
+    def value(p):
+        return p.F.evaluate(at).scalar_part
+
+    def field(p):
+        v = p.v.evaluate(at)
+        return np.stack([v.phi.coeffs, v.pi.coeffs])
+
+    def rows(f):
+        return np.abs(f).max(axis=(0, 2, 3))
+
+    def measured(sums, terms):
+        (value_sum, field_sum), (values, fields) = sums, terms
+        scale = max(*(np.abs(t).max() for t in values), 1.0, *(rows(f).max() for f in fields))
+        return np.abs(value_sum).max() / scale, rows(field_sum).max() / scale, scale
+
+    with ps.sharing():
+        a, b, fa, fb = value(b12), value(b21), field(b12), field(b21)
+        anti = measured((a + b, fa + fb), ((a, b), (fa, fb)))
+        t1, t2, t3 = map(value, jacobi)
+        f1, f2, f3 = map(field, jacobi)
+        jac = measured((t1 + t2 + t3, f1 + f2 + f3), ((t1, t2, t3), (f1, f2, f3)))
+        lhs, rhs = value(leibniz_lhs), value(leibniz_rhs[0]) + value(leibniz_rhs[1])
+        flhs, frhs = field(leibniz_lhs), field(leibniz_rhs[0]) + field(leibniz_rhs[1])
+        leib = measured((lhs - rhs, flhs - frhs), ((lhs, rhs), (flhs, frhs)))
+    return anti, jac, leib
+
+
+@pytest.mark.parametrize("case", ["slice_scaled", "spacetime_circle"])
+def test_axiom_defects_match_their_numpy_transcription(case, small, rng):
+    # the pinned configs all sit at the 1.0 floor; the slice triple here, the
+    # polynomial config's kinds with a cosine third factor and doubled
+    # profiles, has terms above it in every axiom and nonzero Jacobi and
+    # Leibniz defects, so the scale itself is checked
+    lat, f, g, h = small
+    if case == "slice_scaled":
+        F1 = ps.observable_power(ps.slice_phi_observable(2 * f, lat), 2)
+        F2 = ps.slice_pi_observable(2 * g, lat)
+        F3 = ps.observable_product(ps.slice_phi_observable(2 * g, lat), F2)
+        pairs = [ps.make_pair(F, lat) for F in (F1, F2, F3)]
+        samples = batch(compact_samples(lat, rng, 3, scale=1.0))
+    else:
+        pairs = spacetime_triple(lat, np.random.default_rng(3))
+        samples = batch(compact_samples(lat, rng, 3))
+    rep = ps.verify_axioms(*pairs, samples, lat)
+    anti, jac, leib = transcribed_axioms(*pairs, samples, lat)
+    assert (rep.antisymmetry_f, rep.antisymmetry_v) == anti[:2]
+    assert (rep.jacobi_f, rep.jacobi_v) == jac[:2]
+    assert (rep.leibniz_f, rep.leibniz_v) == leib[:2]
+    if case == "slice_scaled":
+        assert min(anti[2], jac[2], leib[2]) > 1.0
+        assert min(max(jac[:2]), max(leib[:2])) > 0.0
+
+
 def test_nan_in_one_sample_row_fails_its_defects(small, rng):
     lat = small[0]
     pairs = slice_triple(lat, 1.0)
