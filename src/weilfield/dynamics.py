@@ -129,7 +129,7 @@ class FieldHistory:
 
 @dataclass(frozen=True)
 class CauchyData:
-    """Initial position phi and initial velocity pi = d_t phi on a slice."""
+    """phi and pi on a slice: data (pi = d_t phi), a tangent to it, or dF's dx-weighted blocks."""
 
     phi: WeilValue
     pi: WeilValue

@@ -27,7 +27,11 @@ from .report import Report, check, check_window, write_report
 
 def run(config: ExperimentConfig, outdir: str | None = None) -> Report:
     """Run a validated config's experiment and, given an outdir, write its report there."""
-    report = globals()[f"_run_{config.experiment}"](config)
+    try:  # a run whose terms overflow is refused, not finished with NaN verdicts
+        with np.errstate(over="raise", invalid="raise"):
+            report = globals()[f"_run_{config.experiment}"](config)
+    except FloatingPointError as exc:
+        raise ConfigError(f"the {config.experiment} run's terms overflow ({exc})") from exc
     report.provenance = {
         "config_sha256": config.config_hash(),
         "version": __version__,

@@ -3,16 +3,18 @@
 Solutions are coordinatized by Cauchy data on the reference slice (the
 data map is the well-posedness isomorphism), so observables and vector
 fields are Weil-polymorphic maps on CauchyData: they accept data over any
-algebra extension and commute with scalar-part extraction.  Differentials
-are exact and each observable carries its own: closed forms for slices and
-constants, the product rule, the discrete adjoint of the leapfrog for
-spacetime observables (dynamics.smeared_gradient, swept over a base history
-solved here unless the interaction is affine; as the sweep is linear in its
-seed, differential sweeps the spacetime observables a point needs in one
-march, and a sharing scope keeps each dF and holds the last point's solve
-only), and forward-over-reverse Hessian-vector products for brackets.
-Forward dual mode, the eps part of F at data + eps*e_site for every unit
-tangent, is the tests' oracle (forward_differential).
+algebra extension and commute with scalar-part extraction.  A dF is a
+CauchyData too, its two dx-weighted blocks.  Differentials are exact and
+each observable carries its own: closed forms for slices and constants,
+the product rule (_leibniz, which also gives a product pair's field), the
+discrete adjoint of the leapfrog for spacetime observables
+(dynamics.smeared_gradient, swept over a base history solved here unless
+the interaction is affine; as the sweep is linear in its seed, differential
+sweeps the spacetime observables a point needs in one march, and a sharing
+scope keeps each dF and holds the last point's solve only), and
+forward-over-reverse Hessian-vector products for brackets.  Forward dual
+mode, the eps part of F at data + eps*e_site for every unit tangent, is the
+tests' oracle (forward_differential).
 
 Sign conventions, pinned once and used consistently:
 
@@ -28,10 +30,12 @@ states antisymmetry, Jacobi and Leibniz each as an identity between sums of
 pairs and measures all three by one relative cancellation.  The closed
 slice form of omega is used everywhere: _field_at, the one Hamiltonian
 vector field X_F, inverts it on dF once per observable and point; both
-hamiltonian_field and a bracket's dF'' read it, so in a sharing scope dF''
-and [v, v'] share their lifts.  The operator assembled from basis insertions
-into the current integral is retained as an oracle, and synthetic degenerate
-operators exercise the admissibility classification (OmegaOperator.solve).
+hamiltonian_field and a bracket's dF'' read it.  dF'' and [v, v'] are each
+a difference of two directional_derivative calls, the eps part of a
+pair-valued map at a dual lift, so in a sharing scope they share their
+lifts.  The operator assembled from basis insertions into the current
+integral is retained as an oracle, and synthetic degenerate operators
+exercise the admissibility classification (OmegaOperator.solve).
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ class _Smearing:
     lat: lt.LatticeSpacetime
 
 
-def _swept(smearings: Sequence[_Smearing], at: CauchyData) -> list["Covector"]:
+def _swept(smearings: Sequence[_Smearing], at: CauchyData) -> list[CauchyData]:
     """dF at at of each smearing, by the discrete adjoint of the leapfrog at at.
 
     Those not yet swept there share one march per interaction and lattice
@@ -135,7 +139,7 @@ def _swept(smearings: Sequence[_Smearing], at: CauchyData) -> list["Covector"]:
             held = store[FieldHistory] = (point, solve_cauchy(at, inter, lat), (at, inter, lat))
         phi, pi = smeared_gradient(at, inter, lat, [s.weights for s in todo],
                                    history=None if inter.affine else held[1])
-        store.update(((s, id(at)), (Covector(phi[k], pi[k]), at)) for k, s in enumerate(todo))
+        store.update(((s, id(at)), (CauchyData(phi[k], pi[k]), at)) for k, s in enumerate(todo))
     return [store[s, id(at)][0] for s in smearings]
 
 
@@ -155,7 +159,7 @@ class Observable:
     """
 
     evaluate: Callable[[CauchyData], WeilValue]
-    gradient: Callable[[CauchyData], "Covector"]
+    gradient: Callable[[CauchyData], CauchyData]
     name: str = ""
     sc_window: np.ndarray | None = None
     smearing: _Smearing | None = None
@@ -189,7 +193,7 @@ def slice_phi_observable(f: np.ndarray, lat: lt.LatticeSpacetime,
     def ev(d: CauchyData) -> WeilValue:
         return (d.phi * f).sum(axis=-1) * lat.dx
 
-    def grad(d: CauchyData) -> Covector:
+    def grad(d: CauchyData) -> CauchyData:
         return _constant_covector(d, f * lat.dx, 0.0)
 
     return Observable(ev, grad, name or "int f*phi", sc_window=np.abs(f) > 0)
@@ -203,7 +207,7 @@ def slice_pi_observable(g: np.ndarray, lat: lt.LatticeSpacetime,
     def ev(d: CauchyData) -> WeilValue:
         return (d.pi * g).sum(axis=-1) * lat.dx
 
-    def grad(d: CauchyData) -> Covector:
+    def grad(d: CauchyData) -> CauchyData:
         return _constant_covector(d, 0.0, g * lat.dx)
 
     return Observable(ev, grad, name or "int g*pi", sc_window=np.abs(g) > 0)
@@ -229,7 +233,7 @@ def spacetime_observable(g: np.ndarray, inter: Interaction,
     def ev(d: CauchyData) -> WeilValue:
         return solve_smeared(d, inter, lat, g)
 
-    def grad(d: CauchyData) -> Covector:
+    def grad(d: CauchyData) -> CauchyData:
         return _swept([smearing], d)[0]
 
     window = lt.causal_cone((np.abs(g) > 0).any(axis=0), lat.n_time, lat)
@@ -241,20 +245,25 @@ def constant_observable(c: float, name: str = "") -> Observable:
     def ev(d: CauchyData) -> WeilValue:
         return WeilValue.from_scalar(d.algebra, np.full(d.phi.shape[:-1], c))
 
-    def grad(d: CauchyData) -> Covector:
+    def grad(d: CauchyData) -> CauchyData:
         return _constant_covector(d, 0.0, 0.0)
 
     return Observable(ev, grad, name or f"const {c:g}")
+
+
+def _leibniz(a: WeilValue, x: CauchyData, b: WeilValue, y: CauchyData) -> CauchyData:
+    """a*x + b*y block by block, for scalars a, b and pairs x, y: the product rule."""
+    a, b = a.expand_dims(-1), b.expand_dims(-1)
+    return CauchyData(a * x.phi + b * y.phi, a * x.pi + b * y.pi)
 
 
 def observable_product(F: Observable, G: Observable) -> Observable:
     def ev(d: CauchyData) -> WeilValue:
         return F.evaluate(d) * G.evaluate(d)
 
-    def grad(d: CauchyData) -> Covector:
-        a, b = F.evaluate(d).expand_dims(-1), G.evaluate(d).expand_dims(-1)
-        da, db = F.gradient(d), G.gradient(d)
-        return Covector(a * db.phi + b * da.phi, a * db.pi + b * da.pi)
+    def grad(d: CauchyData) -> CauchyData:
+        a, b, da, db = F.evaluate(d), G.evaluate(d), F.gradient(d), G.gradient(d)
+        return _leibniz(a, db, b, da)
 
     unbounded = F.sc_window is None or G.sc_window is None
     return Observable(ev, grad, f"({F.name})*({G.name})",
@@ -265,11 +274,11 @@ def observable_power(F: Observable, k: int) -> Observable:
     def ev(d: CauchyData) -> WeilValue:
         return F.evaluate(d) ** k
 
-    def grad(d: CauchyData) -> Covector:
+    def grad(d: CauchyData) -> CauchyData:
         if k == 0:
             return _constant_covector(d, 0.0, 0.0)
         a, da = (k * F.evaluate(d) ** (k - 1)).expand_dims(-1), F.gradient(d)
-        return Covector(a * da.phi, a * da.pi)
+        return CauchyData(a * da.phi, a * da.pi)
 
     return Observable(ev, grad, f"({F.name})^{k}", sc_window=F.sc_window)
 
@@ -277,21 +286,7 @@ def observable_power(F: Observable, k: int) -> Observable:
 # -- differentials ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Covector:
-    """A 1-form on data space: dx-weighted gradient arrays per site and block."""
-
-    phi: WeilValue
-    pi: WeilValue
-
-    def max_abs(self) -> float:
-        return max_or_nan(self.phi.max_abs(), self.pi.max_abs())
-
-    def __sub__(self, other: "Covector") -> "Covector":
-        return Covector(self.phi - other.phi, self.pi - other.pi)
-
-
-def _constant_covector(at: CauchyData, phi, pi) -> Covector:
+def _constant_covector(at: CauchyData, phi, pi) -> CauchyData:
     """The covector with the given real site weights at every batch row of at.
 
     Each block is one (n_space, dim) row of zeros with the weights in its
@@ -304,10 +299,10 @@ def _constant_covector(at: CauchyData, phi, pi) -> Covector:
         row[:, 0] = w
         return WeilValue(at.algebra, np.broadcast_to(row, at.phi.shape + row.shape[-1:]))
 
-    return Covector(block(phi), block(pi))
+    return CauchyData(block(phi), block(pi))
 
 
-def differential(Fs: Sequence[Observable], at: CauchyData) -> list[Covector]:
+def differential(Fs: Sequence[Observable], at: CauchyData) -> list[CauchyData]:
     """Exact dF at a base point for each F of Fs: the observable's own gradient.
 
     The spacetime observables among Fs that share an interaction and a
@@ -328,15 +323,15 @@ def _unit_lift(at: CauchyData) -> CauchyData:
 
 
 def forward_differential(evaluate: Callable[[CauchyData], WeilValue],
-                         at: CauchyData) -> Covector:
+                         at: CauchyData) -> CauchyData:
     """dF by forward dual mode, the tests' oracle.
 
     The eps part of F at at + eps*e for all 2*n_space unit tangents e, in one batch.
     """
     n = at.n_space
     grads = np.moveaxis(extract_top(evaluate(_unit_lift(at)), 1).coeffs, 0, -2)
-    return Covector(WeilValue(at.algebra, grads[..., :n, :]),
-                    WeilValue(at.algebra, grads[..., n:, :]))
+    return CauchyData(WeilValue(at.algebra, grads[..., :n, :]),
+                      WeilValue(at.algebra, grads[..., n:, :]))
 
 
 # -- the pinned slice form of omega -------------------------------------------
@@ -347,12 +342,12 @@ def omega_pairing(v: CauchyData, w: CauchyData, dx: float) -> WeilValue:
     return (v.phi * w.pi - v.pi * w.phi).sum(axis=-1) * dx
 
 
-def insert_omega(v: CauchyData, dx: float) -> Covector:
+def insert_omega(v: CauchyData, dx: float) -> CauchyData:
     """iota_v omega as a covector: pairs with w to give omega(w, v)."""
-    return Covector(v.pi * dx, -v.phi * dx)
+    return CauchyData(v.pi * dx, -v.phi * dx)
 
 
-def hamiltonian_inversion(c: Covector, dx: float) -> CauchyData:
+def hamiltonian_inversion(c: CauchyData, dx: float) -> CauchyData:
     """Solve insert_omega(v) = c in closed form: psi = -c_pi/dx, pi = +c_phi/dx."""
     return CauchyData(-c.pi / dx, c.phi / dx)
 
@@ -468,11 +463,10 @@ class OmegaOperator:
 # -- Lie bracket of vector fields ----------------------------------------------
 
 
-def directional_derivative(target: SolVectorField, direction: CauchyData,
-                           at: CauchyData) -> CauchyData:
-    """d/ds of target's fiber along the given tangent, by one dual evaluation."""
-    lifted = _lift(at, direction)
-    out = target.evaluate(lifted)
+def directional_derivative(target: Callable[[CauchyData], CauchyData],
+                           direction: CauchyData, at: CauchyData) -> CauchyData:
+    """d/ds target(at + s*direction) by the shared lift: a field's for [v, v'], dF's for dF''."""
+    out = target(_lift(at, direction))
     return CauchyData(extract_top(out.phi, 1), extract_top(out.pi, 1))
 
 
@@ -480,8 +474,8 @@ def lie_bracket(v: SolVectorField, vp: SolVectorField, at: CauchyData) -> Cauchy
     """[v, v'] at a base point: v(psi') - v'(psi) via dual-number directions."""
     fiber_v = v.evaluate(at)
     fiber_vp = vp.evaluate(at)
-    return directional_derivative(vp, fiber_v, at) - \
-        directional_derivative(v, fiber_vp, at)
+    return directional_derivative(vp.evaluate, fiber_v, at) - \
+        directional_derivative(v.evaluate, fiber_vp, at)
 
 
 def lie_bracket_field(v: SolVectorField, vp: SolVectorField) -> SolVectorField:
@@ -564,15 +558,12 @@ def bracket(p: HamiltonianPair, pp: HamiltonianPair,
     def ev(d: CauchyData) -> WeilValue:
         return omega_pairing(p.v.evaluate(d), pp.v.evaluate(d), lat.dx)
 
-    def hessian_times(F: Observable, d: CauchyData, x: CauchyData) -> Covector:
-        c = F.gradient(_lift(d, x))  # forward over reverse: eps part is H_F x
-        return Covector(extract_top(c.phi, 1), extract_top(c.pi, 1))
-
-    def grad(d: CauchyData) -> Covector:
+    def grad(d: CauchyData) -> CauchyData:
         # dF'' = H_G X_F - H_F X_G, with X_F and X_G from the gradients, not p.v and
         # pp.v: for a made pair they are the same objects, so their lifts are shared
         x_f, x_g = _field_at(p.F, d, lat), _field_at(pp.F, d, lat)
-        return hessian_times(pp.F, d, x_f) - hessian_times(p.F, d, x_g)
+        return directional_derivative(pp.F.gradient, x_f, d) - \
+            directional_derivative(p.F.gradient, x_g, d)
 
     F2 = Observable(ev, grad, name=f"{{{p.F.name},{pp.F.name}}}")
     return HamiltonianPair(F2, lie_bracket_field(p.v, pp.v))
@@ -582,9 +573,8 @@ def pair_product(p: HamiltonianPair, pp: HamiltonianPair) -> HamiltonianPair:
     """(F,v) * (F',v') = (F F', F v' + F' v)."""
 
     def ev(d: CauchyData) -> CauchyData:
-        a, b = p.F.evaluate(d).expand_dims(-1), pp.F.evaluate(d).expand_dims(-1)
-        fa, fb = p.v.evaluate(d), pp.v.evaluate(d)
-        return CauchyData(a * fb.phi + b * fa.phi, a * fb.pi + b * fa.pi)
+        a, b, fa, fb = p.F.evaluate(d), pp.F.evaluate(d), p.v.evaluate(d), pp.v.evaluate(d)
+        return _leibniz(a, fb, b, fa)
 
     return HamiltonianPair(observable_product(p.F, pp.F),
                            SolVectorField(ev, sc=p.v.sc and pp.v.sc))
@@ -593,12 +583,7 @@ def pair_product(p: HamiltonianPair, pp: HamiltonianPair) -> HamiltonianPair:
 def unit_pair() -> HamiltonianPair:
     """The algebra unit (1, 0)."""
     F = constant_observable(1.0, name="1")
-
-    def ev(d: CauchyData) -> CauchyData:
-        zero = F.gradient(d)
-        return CauchyData(zero.phi, zero.pi)
-
-    return HamiltonianPair(F, SolVectorField(ev, sc=True))
+    return HamiltonianPair(F, SolVectorField(F.gradient))
 
 
 # -- axiom verification ----------------------------------------------------------

@@ -91,12 +91,12 @@ MUTANTS = [
     ("jacobi", "jacobi", ps, "directional_derivative",
      "extract_top(out.phi, 1)", "extract_top(out.phi, 0)"),
     # 0.021 (1e-9): a product rule with a term missing
-    ("leibniz", "jacobi", ps, "pair_product", "a * fb.phi + b * fa.phi", "a * fb.phi"),
+    ("leibniz", "jacobi", ps, "_leibniz", "a * x.phi + b * y.phi", "a * x.phi"),
     # 0.99 (0.39, the input residuals + 10 dx^2): the two Hessians of the bracket's
     # gradient swapped
     ("bracket_revalidation", "jacobi_spacetime", ps, "bracket",
-     "hessian_times(pp.F, d, x_f) - hessian_times(p.F, d, x_g)",
-     "hessian_times(p.F, d, x_f) - hessian_times(pp.F, d, x_g)"),
+     "(pp.F.gradient, x_f, d) - \\\n            directional_derivative(p.F.gradient",
+     "(p.F.gradient, x_f, d) - \\\n            directional_derivative(pp.F.gradient"),
     # -0.06 (2 +/- 0.3): the Taylor start's dt^2 term taken at dt
     ("solution_error_order", "solution_error", dyn, "leapfrog_blocks",
      "(0.5 * dt2) * accel", "(0.5 * lat.dt) * accel"),

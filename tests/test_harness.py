@@ -1729,6 +1729,40 @@ def test_cli_overflowing_jacobi_axiom_terms_exit_2(amplitude, where, tmp_path, c
         f"(overflow encountered in {where})"]
 
 
+def _bracket_at_1e200(doc, compare_oracle):
+    for observable in doc["observables"]:
+        observable["smearing"]["space"]["amplitude"] = 1e200
+    doc["options"]["compare_oracle"] = compare_oracle
+    if not compare_oracle:
+        del doc["tolerances"]
+
+
+def _tangents_at_1e200(doc):
+    doc["tangents"][0]["phi"]["amplitude"] = 1e200
+    doc["tangents"][1]["pi"]["amplitude"] = 1e200
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, edit", [
+    ("bracket_vs_oracle", functools.partial(_bracket_at_1e200, compare_oracle=False)),
+    ("bracket_vs_oracle", functools.partial(_bracket_at_1e200, compare_oracle=True)),
+    ("conserve_sine_gordon", _tangents_at_1e200),
+], ids=["bracket", "bracket_oracle", "conserve"])
+def test_cli_overflowing_run_terms_exit_2(name, edit, tmp_path, capsys):
+    # finite inputs whose products pass 1e308: the run stops at the first
+    # overflow rather than writing nan or reading NaN verdicts
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.json")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    command = doc["experiment"]
+    assert cli.main([command, "--config", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: the {command} run's terms overflow (overflow encountered in multiply)"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_unstable_mass_bracket_exits_2_naming_a_slice(tmp_path, capsys, monkeypatch):
     # at mass 3000 the leapfrog is unstable; with no base solve to find the
