@@ -3,7 +3,8 @@
 Numbers are written in scientific notation with 17 significant digits so
 64-bit floats round-trip exactly; CSV bodies are deterministic for a fixed
 config and seed.  Files land via temp-file + rename, so an aborted run
-never leaves a partial output.
+never leaves a partial output, and each takes the mode open() would give it
+under the umask in force when it is written.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, groupby
@@ -110,26 +110,16 @@ class Report:
         return [v.line() for v in self.verdicts]
 
 
-@cache
-def _new_file_mode() -> int:
-    """The mode open() gives a new file: 0o666 under the process umask, read once."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
-
-
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write via a sibling temp file and rename, never leaving partial output.
 
-    The temp file is created private (0o600), so it takes the mode a plain
-    open() would give the file before the rename publishes it.
+    The temp file is created 0o666 under the umask in force now, the mode a
+    plain open() would give the file; its directory must exist.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), _new_file_mode())
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -140,6 +130,7 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 def write_report(report: Report, outdir: str) -> list[str]:
     """Persist all tables, the files and the verdict/provenance document; returns paths."""
+    os.makedirs(os.path.abspath(outdir), exist_ok=True)
     paths = []
     for name in sorted(report.tables):
         path = os.path.join(outdir, f"{name}.csv")

@@ -244,11 +244,23 @@ def d_dt(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
     if c.shape[_TIME_AXIS] != lat.n_slices:
         raise LatticeError("time axis does not match the lattice")
     out = np.empty_like(c)
-    inner = np.subtract(c[2:], c[:-2], out=out[1:-1])
-    inner /= 2 * lat.dt
-    out[0] = (-11 * c[0] + 18 * c[1] - 9 * c[2] + 2 * c[3]) / (6 * lat.dt)
+    _d_dt_into(c, out[1:-1], lat)
+    out[0] = _d_dt_start(c, lat)
+    # written out, as -_d_dt_start(c[::-1]) reads -0.0 where the sum cancels exactly
     out[-1] = (11 * c[-1] - 18 * c[-2] + 9 * c[-3] - 2 * c[-4]) / (6 * lat.dt)
     return WeilValue(values.algebra, out)
+
+
+def _d_dt_into(c: np.ndarray, out: np.ndarray, lat: LatticeSpacetime) -> np.ndarray:
+    """The centered time difference of slices c[1:-1], written into out (not c)."""
+    np.subtract(c[2:], c[:-2], out=out)
+    out /= 2 * lat.dt
+    return out
+
+
+def _d_dt_start(c: np.ndarray, lat: LatticeSpacetime) -> np.ndarray:
+    """The third-order one-sided time derivative at slice c[0], from c[0..3]."""
+    return (-11 * c[0] + 18 * c[1] - 9 * c[2] + 2 * c[3]) / (6 * lat.dt)
 
 
 def d2_dt2_interior(values: WeilValue, lat: LatticeSpacetime) -> WeilValue:
@@ -322,8 +334,7 @@ def divergence(current: Current) -> WeilValue:
 def _divergence_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray,
                      lat: LatticeSpacetime) -> np.ndarray:
     """divergence into out from a on slices 0..T and contiguous b on 1..T-1, d_x b in scratch."""
-    np.subtract(a[2:], a[:-2], out=out)
-    out /= 2 * lat.dt
+    _d_dt_into(a, out, lat)
     out -= _d_dx_into(b, scratch, lat)
     return out
 

@@ -125,7 +125,6 @@ def conservation(fiber_blocks: Iterable[tuple[int, WeilValue]], lat: lt.LatticeS
         raise lt.LatticeError("the current's one-sided time stencil needs at least "
                               f"3 time steps, not {lat.n_time}")
     interior = slice(lat.guard, -lat.guard) if lat.topology == lt.LINE else slice(None)
-    two_dt, six_dt = 2 * lat.dt, 6 * lat.dt
     series, closed = np.empty(lat.n_slices), 0.0
     f = None  # fibers on axes (position, 2), then current u, scratch: made at the first block
     s, m, lo = 0, 0, 1  # first slice, positions filled, first position without current
@@ -139,16 +138,13 @@ def conservation(fiber_blocks: Iterable[tuple[int, WeilValue]], lat: lt.LatticeS
         np.multiply(density.sum(axis=-2)[..., 0], lat.dx, out=out)
 
     def one_sided(c: np.ndarray, out: np.ndarray) -> None:  # omega on c[0], from c[0..3]
-        d = (-11 * c[0] + 18 * c[1] - 9 * c[2] + 2 * c[3]) / six_dt
-        omega(cross(c[:1], d[None], u[0, :1]), out)
+        omega(cross(c[:1], lt._d_dt_start(c, lat)[None], u[0, :1]), out)
 
     def fold() -> None:
         nonlocal closed
         if s == 0:
             one_sided(f[:4], series[:1])
-        fibers, d = f[lo:m - 1], dt_dx[:m - 1 - lo]
-        np.subtract(f[lo + 1:m], f[lo - 1:m - 2], out=d)
-        d /= two_dt
+        fibers, d = f[lo:m - 1], lt._d_dt_into(f[lo - 1:m], dt_dx[:m - 1 - lo], lat)
         cross(fibers, d, u[0, lo:m - 1])
         cross(fibers, lt._d_dx_into(fibers, d, lat), u[1, lo:m - 1])
         omega(u[0, lo:m - 1], series[s + lo:s + m - 1])

@@ -76,7 +76,7 @@ MUTANTS = [
     ("eom_residual_max", "solve_sine_gordon", dyn, "leapfrog_blocks",
      "force -= nxt", "force += nxt"),
     # 0.20 (1e-3): a wrong one-sided time stencil on slice 0; the interior stays 1.6e-15
-    ("omega_slice_drift", "conserve", zk, "conservation", "18 * c[1]", "17 * c[1]"),
+    ("omega_slice_drift", "conserve", lt, "_d_dt_start", "18 * c[1]", "17 * c[1]"),
     # 1.5e-4 (1e-12): the seam site's Laplacian reads its right neighbour twice
     ("omega_interior_drift", "conserve", lt, "_d2_dx2_bound",
      "np.add(edges, near[1], out=edges)", "np.add(edges, near[0], out=edges)"),
@@ -101,7 +101,7 @@ MUTANTS = [
     ("solution_error_order", "solution_error", dyn, "leapfrog_blocks",
      "(0.5 * dt2) * accel", "(0.5 * lat.dt) * accel"),
     # -0.03 (2 +/- 0.3): the one-sided time stencil of omega on slice 0
-    ("omega_drift_order", "omega_drift", zk, "conservation", "18 * c[1]", "17 * c[1]"),
+    ("omega_drift_order", "omega_drift", lt, "_d_dt_start", "18 * c[1]", "17 * c[1]"),
     # -0.12 (2 +/- 0.3): the centered space difference over dx, not 2 dx
     ("closedness_order", "closedness", lt, "_d_dx_into",
      "out /= 2 * lat.dx", "out /= lat.dx"),

@@ -283,19 +283,44 @@ def test_atomic_write_leaves_no_partial(tmp_path, monkeypatch):
 
 
 def test_atomic_write_gives_the_umask_mode(tmp_path):
-    # a new file and a replaced one both end up 0o666 under the umask,
-    # not the temp file's private 0o600
+    # a new file and a replaced one both end up 0o666 under the umask
     target = tmp_path / "out.csv"
     old = os.umask(0o022)
-    rp._new_file_mode.cache_clear()
     try:
         for data in (b"first", b"second"):
             rp.atomic_write_bytes(str(target), data)
             assert stat.S_IMODE(target.stat().st_mode) == 0o644
     finally:
         os.umask(old)
-        rp._new_file_mode.cache_clear()
     assert target.read_bytes() == b"second"
+
+
+def test_write_report_takes_the_umask_of_each_write(tmp_path):
+    # in one process, each write reads the umask in force then, not one read earlier
+    report = rp.Report("t", files={"history.bin": b"\x00\x01"})
+    report.add_table("t", ["a"], [[1.0]])
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o077, 0o600), (0o022, 0o644)):
+            os.umask(umask)
+            paths = rp.write_report(report, str(tmp_path / f"{umask:o}"))
+            assert sorted(os.path.basename(p) for p in paths) == [
+                "history.bin", "report.json", "t.csv"]
+            assert [stat.S_IMODE(os.stat(p).st_mode) for p in paths] == [mode] * 3
+    finally:
+        os.umask(old)
+
+
+def test_atomic_write_refuses_an_existing_temp_name(tmp_path, monkeypatch):
+    # a temp name already taken is never truncated nor removed: the write fails
+    target = tmp_path / "out.csv"
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    taken = tmp_path / f"out.csv.{bytes(8).hex()}.tmp"
+    taken.write_bytes(b"someone else's")
+    with pytest.raises(FileExistsError):
+        rp.atomic_write_bytes(str(target), b"data")
+    assert taken.read_bytes() == b"someone else's"
+    assert not target.exists()
 
 
 def test_verdict_lines():
