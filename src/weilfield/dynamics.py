@@ -20,8 +20,8 @@ tangents at one base ride one march of the base (tangent_blocks).  One
 generator, leapfrog_blocks, marches the scheme in place in blocks of slices;
 solve_cauchy stores the blocks, while solve_smeared and tangent_blocks use
 each as it comes and hold one buffer of about 256 KiB (at least 3 slices).
-With each row's operands bound once per march, a sine-Gordon step over W (x)
-D(2) at 1024 sites takes about 38 us on a shared 2-core Xeon (15 in sin).
+Both marches refuse inputs that are not finite and raise on an overflow or
+invalid operation, so one pass names the first slice that is not finite.
 """
 
 from __future__ import annotations
@@ -209,6 +209,10 @@ def _check_line_support(data: CauchyData, lat: lt.LatticeSpacetime) -> None:
         )
 
 
+def _not_finite(what: str, j: int, lat: lt.LatticeSpacetime) -> SolverError:
+    return SolverError(f"the {what} is not finite at slice {j} (t = {lat.t[j]:.6g})")
+
+
 _BLOCK_BYTES = 1 << 18  # a march yields as many slices as fit in 256 KiB, at least one
 
 
@@ -227,13 +231,17 @@ def leapfrog_blocks(data: CauchyData, inter: Interaction, lat: lt.LatticeSpaceti
     accuracy is O(dx^2 + dt^2).  Each later step writes (2 cur - prev) +
     dt^2 (d_x^2 cur - rho(cur)) in place into one buffer, two carried slices
     and a block of _BLOCK_BYTES, which block views until the next yield;
-    consumers must not write to it.  A block holding a slice that overflowed
-    or turned NaN is never yielded: the SolverError names the first one.
+    consumers must not write to it.  Data that are not finite name slice 0
+    (phi) or 1 (pi); from finite data a step raises on an overflow or invalid
+    operation, naming the slice it forms, and no block holding it is yielded.
     """
     if data.n_space != lat.n_space:
         raise SolverError("data length does not match the lattice")
     if lat.topology == lt.LINE and check_support:
         _check_line_support(data, lat)
+    for k, v in enumerate((data.phi, data.pi)):
+        if not np.isfinite(v.coeffs).all():
+            raise _not_finite("field", k, lat)
     phi0, pi0, dt2, rho = data.phi, data.pi, lat.dt**2, inter.rho
     shape = phi0.coeffs.shape
     per_block = max(1, _BLOCK_BYTES // max(phi0.coeffs.nbytes, 1))
@@ -243,28 +251,27 @@ def leapfrog_blocks(data: CauchyData, inter: Interaction, lat: lt.LatticeSpaceti
     rows, algebra = list(buf), data.algebra
     slots = [_slots(row) for row in rows]
     laplacians = [lt._d2_dx2_bound(row, force, lat) for row in rows]
-    with np.errstate(over="ignore", invalid="ignore"):
-        accel = lt.d2_dx2(phi0, lat)
-        np.subtract(accel.coeffs, apply_smooth(rho, phi0).coeffs, out=accel.coeffs)
-        buf[1] = (phi0 + lat.dt * pi0 + (0.5 * dt2) * accel).coeffs
     buf[0] = phi0.coeffs
-    j, lo = 0, 0  # the slice at buf[0], the first position to yield
+    j, lo, p = 0, 0, 1  # the slice at buf[0], the first position to yield, the row being formed
     while True:
         end = min(len(buf), lat.n_slices - j)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for p in range(2, end):
-                prev, cur, nxt = rows[p - 2], rows[p - 1], rows[p]
-                _lift_into(rho, algebra, cur, nxt, slots[p - 1], slots[p])  # rho(cur) in nxt
-                laplacians[p - 1]()
-                force -= nxt
-                force *= dt2
-                np.multiply(cur, 2.0, out=nxt)
-                nxt -= prev
-                nxt += force
-        finite = np.isfinite(buf[lo:end]).reshape(end - lo, -1).all(axis=1)
-        if not finite.all():
-            k = j + lo + int(np.argmin(finite))
-            raise SolverError(f"the field is not finite at slice {k} (t = {lat.t[k]:.6g})")
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                if not lo:  # the start forms slice 1
+                    accel = lt.d2_dx2(phi0, lat)
+                    np.subtract(accel.coeffs, apply_smooth(rho, phi0).coeffs, out=accel.coeffs)
+                    buf[1] = (phi0 + lat.dt * pi0 + (0.5 * dt2) * accel).coeffs
+                for p in range(2, end):
+                    prev, cur, nxt = rows[p - 2], rows[p - 1], rows[p]
+                    _lift_into(rho, algebra, cur, nxt, slots[p - 1], slots[p])  # rho(cur) in nxt
+                    laplacians[p - 1]()
+                    force -= nxt
+                    force *= dt2
+                    np.multiply(cur, 2.0, out=nxt)
+                    nxt -= prev
+                    nxt += force
+            except FloatingPointError:
+                raise _not_finite("field", j + p, lat) from None
         yield j + lo, WeilValue(data.algebra, buf[lo:end])
         if j + end == lat.n_slices:
             return
@@ -336,14 +343,14 @@ def smeared_gradient(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacet
     row the same floats as a sweep of its own grid.  Every product is Weil
     multiplication, which is symmetric, so the sweep runs unchanged at
     Weil-extended and batched base points.  It lifts rho' over history a
-    block of _BLOCK_BYTES of slices at a time, checks lam before each block
-    and dF at the end for an overflow or NaN, and steps in place in four
+    block of _BLOCK_BYTES of slices at a time and steps in place in four
     contiguous buffers: lam^j, lam^{j-1} (2 lam^j, then the row below, then
     the dt^2 force), the row below it (seed - lam^j) and the force.  Each step
     writes its seed rows into one zeroed row buffer, so the grids are never
-    stacked into one new array.  When a check fails, the sweep marches again
-    with a check before every step, so the SolverError names the first slice
-    that is not finite whatever the block.
+    stacked into one new array.  A row read that is not finite names the lam
+    it reaches first (grid row or history slice s: lam^s; data.phi: dF), an
+    overflow the lam it was forming (lifting rho': the block's first step),
+    as a check after every step would, with slice 0 for lam^1, lam^0 and dF.
     """
     if history is None and not inter.affine:
         raise SolverError(f"the {inter.name} sweep needs a stored solve of the data")
@@ -355,19 +362,13 @@ def smeared_gradient(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacet
     grids = [np.asarray(g, dtype=np.float64) for g in weights]
     if any(g.shape != (lat.n_slices, lat.n_space) for g in grids):
         raise SolverError("weights must cover the full grid")
-    try:
-        return _sweep(data, inter, lat, grids, history,
-                      max(1, _BLOCK_BYTES // max(data.phi.coeffs.nbytes, 1)))
-    except SolverError:
-        return _sweep(data, inter, lat, grids, history, 1)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # require_finite names the slice instead
-def _sweep(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
-           grids: list[np.ndarray], history: FieldHistory | None,
-           per_block: int) -> tuple[WeilValue, WeilValue]:
-    """smeared_gradient's march, lifting rho' and checking lam every per_block slices."""
     algebra, phi, dt2 = data.algebra, data.phi, lat.dt**2
+    finite = np.ones(lat.n_slices, dtype=bool)  # by the slice of lam a row reaches first
+    finite[0] = np.isfinite(phi.coeffs).all()
+    for g in grids + ([history.values.coeffs] if history else []):
+        finite &= np.isfinite(g).reshape(lat.n_slices, -1).all(axis=1)
+    if (bad := np.flatnonzero(~finite)).size:
+        raise _not_finite("adjoint", bad[-1] if bad[-1] > 1 else 0, lat)
     # each grid's seed row of a step, unit slot only as from_scalar, and a
     # view of them that broadcasts over the batch
     row = np.zeros((len(grids), lat.n_space, algebra.dim))
@@ -378,40 +379,38 @@ def _sweep(data: CauchyData, inter: Interaction, lat: lt.LatticeSpacetime,
             np.multiply(g[j], lat.dx * lat.dt, out=unit)
         return rows
 
-    def require_finite(j: int, *values: np.ndarray) -> None:
-        if not all(np.isfinite(v).all() for v in values):
-            raise SolverError(f"the adjoint is not finite at slice {j} (t = {lat.t[j]:.6g})")
-
-    # rho'(phi^i) for the slices i in [lo, j) of the current block
-    rho1, lo, at_phi = None, lat.n_time, apply_smooth(inter.rho_prime, phi)
+    per_block = max(1, _BLOCK_BYTES // max(phi.coeffs.nbytes, 1))
     lam, nxt, below, force = (np.empty(row.shape[:1] + phi.coeffs.shape) for _ in range(4))
-    # copies of the seed rows: zeros + seed would turn a -0.0 into +0.0
-    np.copyto(lam, seed(lat.n_time))
-    np.copyto(below, seed(lat.n_time - 1))
     # D (symmetric, so D^T) of each of the two buffers lam alternates between, bound once
     lam_laplacian, nxt_laplacian = (lt._d2_dx2_bound(b, force, lat) for b in (lam, nxt))
-
-    for j in range(lat.n_time, 1, -1):
-        if j - 1 < lo:
-            require_finite(j, lam)
-            lo = max(1, j - per_block)
-            rho1 = apply_smooth(inter.rho_prime, history.values[lo:j]).coeffs if history \
-                else np.broadcast_to(at_phi.coeffs, (j - lo,) + phi.coeffs.shape)
-        lam_laplacian()
-        force -= _mul_into(algebra, rho1[j - 1 - lo], lam, nxt)  # rho'(phi^{j-1}) lam^j
-        force *= dt2
-        np.multiply(lam, 2.0, out=nxt)
-        nxt += below
-        nxt += force
-        np.subtract(seed(j - 2), lam, out=below)
-        lam, nxt = nxt, lam
-        lam_laplacian, nxt_laplacian = nxt_laplacian, lam_laplacian
-
-    mu = WeilValue(algebra, lam)
-    force = WeilValue(algebra, lam_laplacian()) - at_phi * mu
-    grad_phi = WeilValue(algebra, below) + mu + (0.5 * dt2) * force
-    grad_pi = lat.dt * mu
-    require_finite(0, grad_phi.coeffs, grad_pi.coeffs)
+    # rho'(phi^i) for i in [lo, j), the current block; k, the slice of lam being formed (0: dF)
+    rho1, lo, k = None, lat.n_time, 0
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            at_phi = apply_smooth(inter.rho_prime, phi)
+            for k, b in ((lat.n_time, lam), (lat.n_time - 1, below)):
+                np.copyto(b, seed(k))  # a copy: zeros + seed would turn a -0.0 into +0.0
+            for j in range(lat.n_time, 1, -1):
+                if (k := j - 1) < lo:
+                    lo = max(1, j - per_block)
+                    rho1 = apply_smooth(inter.rho_prime, history.values[lo:j]).coeffs if history \
+                        else np.broadcast_to(at_phi.coeffs, (j - lo,) + phi.coeffs.shape)
+                lam_laplacian()
+                force -= _mul_into(algebra, rho1[k - lo], lam, nxt)  # rho'(phi^{j-1}) lam^j
+                force *= dt2
+                np.multiply(lam, 2.0, out=nxt)
+                nxt += below
+                nxt += force
+                k = j - 2
+                np.subtract(seed(k), lam, out=below)
+                lam, nxt = nxt, lam
+                lam_laplacian, nxt_laplacian = nxt_laplacian, lam_laplacian
+            mu = WeilValue(algebra, lam)
+            force = WeilValue(algebra, lam_laplacian()) - at_phi * mu
+            grad_phi = WeilValue(algebra, below) + mu + (0.5 * dt2) * force
+            grad_pi = lat.dt * mu
+        except FloatingPointError:
+            raise _not_finite("adjoint", k if k > 1 else 0, lat) from None
     return grad_phi, grad_pi
 
 

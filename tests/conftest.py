@@ -109,3 +109,18 @@ def block_lengths(request, monkeypatch):
 def each_block_length(monkeypatch):
     """The block_lengths fit for every one of BLOCK_SIZES, in turn, in one test."""
     return [_block_fit(monkeypatch, size) for size in BLOCK_SIZES]
+
+
+@pytest.fixture
+def refuses():
+    """check(rows): each row's call raises exactly its exception type, with its message start.
+
+    A row is (call, exception type, message start), one row per guard.
+    """
+    def check(rows):
+        for call, error, start in rows:
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error and str(info.value).startswith(start), info.value
+
+    return check

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -352,6 +354,12 @@ REFERENCE_RHO = {
 INTERACTION_PARAMS = {"mass": {"mass": 1.3}, "phi4": {"coupling": 0.8}}
 
 
+def monomial_rho(coeff, power):
+    """REFERENCE_RHO's entry for rho(x) = coeff * x**power at any coefficient."""
+    return tuple((lambda x, n=n: coeff * math.perm(power, n) * x ** (power - n)) if n <= power
+                 else np.zeros_like for n in range(4))
+
+
 def reference_laplacian(c, lat):
     """D c over sites on axis -2, zero beyond the line's ends; the right neighbour is
     added before the left, as the march adds them.  D is symmetric, so it is also D^T."""
@@ -363,16 +371,17 @@ def reference_laplacian(c, lat):
     return out / lat.dx**2
 
 
-def reference_slices(phi, pi, name, lat):
+def reference_slices(phi, pi, rho, lat):
     """The leapfrog's slices in plain numpy, over R, R[eps] or R (x) D(k).
 
     Coefficient slot 0 is the base and slots 1.. are first-order, so a
     product is (x0 y0, x0 y_k + x_k y0) and f lifts to (f(a), f'(a) b_k).
     Operation order is the solver's: the Stormer-Verlet start, the
     -2c + c[i+1] + c[i-1] stencil over dx^2, read as zero beyond the line's
-    ends, and (2 cur - prev) + dt^2 (D cur - rho(cur)) at every site.
+    ends, and (2 cur - prev) + dt^2 (D cur - rho(cur)) at every site.  rho
+    is a REFERENCE_RHO entry.
     """
-    rho, rho1 = REFERENCE_RHO[name][:2]
+    rho, rho1 = rho[:2]
     dt = lat.dt
 
     def lift(f, f1, c):
@@ -419,7 +428,7 @@ def test_leapfrog_slices_bit_match_plain_numpy_recurrence(topology, algebra, nam
                for _ in range(2))
     data = dyn.CauchyData(WeilValue(algebra, phi), WeilValue(algebra, pi))
     inter = dyn.interaction(name, **INTERACTION_PARAMS.get(name, {}))
-    expected = reference_slices(phi, pi, name, lat)
+    expected = reference_slices(phi, pi, REFERENCE_RHO[name], lat)
     for block_lengths in each_block_length:
         lengths = block_lengths(phi.nbytes, lat.n_slices)
         seen = []
@@ -441,7 +450,7 @@ REFERENCE_PRODUCTS = {
 }
 
 
-def reference_gradient(phi, history, weights, name, lat):
+def reference_gradient(phi, history, weights, derivatives, lat, non_finite=None):
     """The adjoint sweep of smeared_gradient in plain numpy, over R, R[eps] or R[eps1, eps2].
 
     phi is a (*batch, n_space, dim) coefficient array and history the
@@ -449,8 +458,11 @@ def reference_gradient(phi, history, weights, name, lat):
     sums its terms into zeros, and f lifts as f'(a) c, plus f''(a)/2 h h over
     R[eps1, eps2], with f(a) written into the unit slot; the operation order
     is the sweep's own, so a -0.0 keeps or loses its sign as it does there.
+    derivatives is a REFERENCE_RHO entry.  A non_finite list gets, after
+    every step, the slice of each lam formed that is not finite, in march
+    order, with slice 0 for lam^1, lam^0 and dF, which the start's transpose
+    makes.
     """
-    derivatives = REFERENCE_RHO[name]
     dim, dt, dt2 = phi.shape[-1], lat.dt, lat.dt**2
     nil_degree = {1: 0, 2: 1, 4: 2}[dim]
 
@@ -483,12 +495,22 @@ def reference_gradient(phi, history, weights, name, lat):
         out[..., 0] = seed[j]
         return out
 
+    def check(k, *values):
+        if non_finite is not None and not all(np.isfinite(v).all() for v in values):
+            non_finite.append(k if k > 1 else 0)
+
     lam, below = seeded(lat.n_time), seeded(lat.n_time - 1)
+    check(lat.n_time, lam)
+    check(lat.n_time - 1, below)
     for j in range(lat.n_time, 1, -1):
         force = reference_laplacian(lam, lat) - times(lift(1, history[j - 1]), lam)
         lam, below = below + 2.0 * lam + dt2 * force, seeded(j - 2) - lam
+        check(j - 1, lam)
+        check(j - 2, below)
     force = reference_laplacian(lam, lat) - times(lift(1, phi), lam)
-    return below + lam + (0.5 * dt2) * force, dt * lam
+    grad = below + lam + (0.5 * dt2) * force, dt * lam
+    check(0, *grad)
+    return grad
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_RHO))
@@ -520,7 +542,7 @@ def test_smeared_gradient_bit_matches_plain_numpy_sweep(topology, algebra, batch
     data = dyn.CauchyData(WeilValue(algebra, phi), WeilValue(algebra, pi))
     inter = dyn.interaction(name, **INTERACTION_PARAMS.get(name, {}))
     history = dyn.solve_cauchy(data, inter, lat)
-    expected = [reference_gradient(phi, history.values.coeffs, w, name, lat)
+    expected = [reference_gradient(phi, history.values.coeffs, w, REFERENCE_RHO[name], lat)
                 for w in stack]
     for block_lengths in each_block_length:
         block_lengths(history.values.coeffs[0].nbytes, lat.n_slices)
@@ -608,8 +630,7 @@ def test_sweep_refuses_a_lone_grid(rng):
 @pytest.mark.parametrize("size", [1, 3, 16, None], ids=["block1", "block3", "block16", "default"])
 def test_sweep_names_the_first_non_finite_slice_at_any_block(size, monkeypatch):
     # at mass 3000 the transposed leapfrog is unstable: lam first overflows
-    # at slice 53 of the backward march, which a check per block alone finds
-    # only when a block starts there
+    # at slice 53 of the backward march, wherever the blocks of rho' start
     lat = lt.LatticeSpacetime("circle", 64, 2 * np.pi / 64, np.pi / 64, 128)
     if size is not None:
         monkeypatch.setattr(dyn, "_BLOCK_BYTES", size * 8 * lat.n_space)
@@ -619,6 +640,82 @@ def test_sweep_names_the_first_non_finite_slice_at_any_block(size, monkeypatch):
     with pytest.raises(dyn.SolverError,
                        match=r"^the adjoint is not finite at slice 53 \(t = 2\.60163\)$"):
         dyn.smeared_gradient(data, dyn.interaction("mass", mass=3000), lat, [weights])
+
+
+def unstable_sweep_setup():
+    lat = lt.LatticeSpacetime("circle", 64, 2 * np.pi / 64, np.pi / 64, 128)
+    weights = np.outer(np.exp(-0.5 * ((lat.t - 5) / 0.15) ** 2),
+                       np.exp(-0.5 * ((lat.x - 2) / 0.4) ** 2))
+    return lat, 0.1 * np.cos(lat.x)[:, None], weights
+
+
+@pytest.mark.parametrize("mass,nan_at,expected", [
+    (3000, None, 53), (1000, None, 32), (1.3, 128, 128), (1.3, 5, 5), (1.3, 1, 0)],
+    ids=["mass3000", "mass1000", "nan-weight128", "nan-weight5", "nan-weight1"])
+def test_sweep_names_the_slice_a_plain_sweep_checked_after_every_step_finds(
+        mass, nan_at, expected, each_block_length):
+    # the one march names the first slice of lam that is not finite, as the
+    # plain-numpy sweep does with a check after every step: at masses 3000 and
+    # 1000 the transposed leapfrog overflows, and a NaN weight at slice s
+    # reaches lam^s first (slice 0 for lam^1, which only dF reads)
+    lat, phi, weights = unstable_sweep_setup()
+    if nan_at is not None:
+        weights[nan_at, 40] = np.nan
+    found = []
+    with np.errstate(all="ignore"):  # the affine sweep reads rho'(phi) for every slice
+        reference_gradient(phi, np.broadcast_to(phi, (lat.n_slices,) + phi.shape), weights,
+                           monomial_rho(float(mass) ** 2, 1), lat, found)
+    assert found[0] == expected
+    data = dyn.data_from_arrays(phi[:, 0], np.zeros(lat.n_space))
+    for block_lengths in each_block_length:
+        block_lengths(phi.nbytes, lat.n_slices)
+        with pytest.raises(dyn.SolverError,
+                           match=rf"^the adjoint is not finite at slice {expected} \(t = "):
+            dyn.smeared_gradient(data, dyn.interaction("mass", mass=mass), lat, [weights])
+
+
+@pytest.mark.parametrize("at,expected", [(16, 16), (15, 15), (5, 5), (1, 0), (0, 0)])
+def test_sweep_names_a_seed_that_overflows(at, expected):
+    # with dx dt = 2 a weight of 1e308 overflows its seed, weight * dx * dt,
+    # which the sweep forms with the row below lam^j: it names the seed's
+    # slice, as the plain sweep checked after every step does
+    lat = lt.LatticeSpacetime("circle", 16, 2.0, 1.0, 16)
+    weights = np.ones((lat.n_slices, lat.n_space))
+    weights[at, 3] = 1e308
+    phi = 0.1 * np.cos(lat.x)[:, None]
+    found = []
+    with np.errstate(all="ignore"):
+        reference_gradient(phi, np.broadcast_to(phi, (lat.n_slices,) + phi.shape), weights,
+                           REFERENCE_RHO["mass"], lat, found)
+    assert found[0] == expected
+    with pytest.raises(dyn.SolverError,
+                       match=rf"^the adjoint is not finite at slice {expected} \(t = "):
+        dyn.smeared_gradient(dyn.data_from_arrays(phi[:, 0], np.zeros(lat.n_space)),
+                             dyn.interaction("mass", mass=1.3), lat, [weights])
+
+
+@pytest.mark.parametrize("nan_at,expected", [(7, 7), (1, 0), ("data", 0)],
+                         ids=["history7", "history1", "data"])
+def test_sweep_refuses_a_base_that_is_not_finite(nan_at, expected):
+    # a NaN in the stored solve at slice s reaches lam^s first through rho',
+    # and one in data.phi reaches dF only; the plain sweep checked after
+    # every step finds the same slice
+    lat, phi, weights = unstable_sweep_setup()
+    sg = dyn.interaction("sine_gordon")
+    data = dyn.data_from_arrays(phi[:, 0], np.zeros(lat.n_space))
+    history = dyn.solve_cauchy(data, sg, lat)
+    if nan_at == "data":
+        data.phi.coeffs[40] = np.nan
+    else:
+        history.values.coeffs[nan_at, 40] = np.nan
+    found = []
+    with np.errstate(all="ignore"):
+        reference_gradient(data.phi.coeffs, history.values.coeffs, weights,
+                           REFERENCE_RHO["sine_gordon"], lat, found)
+    assert found[0] == expected
+    with pytest.raises(dyn.SolverError,
+                       match=rf"^the adjoint is not finite at slice {expected} \(t = "):
+        dyn.smeared_gradient(data, sg, lat, [weights], history=history)
 
 
 def test_tangent_march_lifts_rho_on_one_base_slice():
@@ -660,6 +757,28 @@ def test_tangent_slices_refuse_when_one_cone_escapes():
             next(dyn.tangent_blocks(base, pair, free, lat))
     with pytest.raises(dyn.SolverError):
         next(dyn.tangent_blocks(base, [fits, dyn.lift_data(fits, fits)], free, lat))
+
+
+@pytest.mark.parametrize("coupling,nan_in,expected", [
+    (50, None, 6), (1, None, 11), (0.8, "phi", 0), (0.8, "pi", 1)],
+    ids=["coupling50", "coupling1", "nan-phi", "nan-pi"])
+def test_march_names_the_slice_a_plain_leapfrog_checked_after_every_step_finds(
+        coupling, nan_in, expected, block_lengths):
+    # phi4 at amplitude 30 overflows at a slice that depends on the coupling,
+    # and data that are not finite are refused as slice 0 (phi) or 1 (pi):
+    # the march names the first slice of the plain leapfrog that is not finite
+    lat = circle_lattice(64, 2000)
+    phi, pi = 30 * np.cos(lat.x)[:, None], np.zeros((lat.n_space, 1))
+    if nan_in is not None:
+        {"phi": phi, "pi": pi}[nan_in][40] = np.nan
+    with np.errstate(all="ignore"):
+        slices = reference_slices(phi, pi, monomial_rho(float(coupling), 3), lat)
+    assert next(j for j, c in enumerate(slices) if not np.isfinite(c).all()) == expected
+    block_lengths(phi.nbytes, lat.n_slices)
+    with pytest.raises(dyn.SolverError,
+                       match=rf"^the field is not finite at slice {expected} \(t = "):
+        dyn.solve_cauchy(dyn.data_from_arrays(phi[:, 0], pi[:, 0]),
+                         dyn.interaction("phi4", coupling=coupling), lat)
 
 
 def test_finite_propagation_speed_exact():
@@ -751,9 +870,9 @@ def test_solve_smeared_bit_matches_slice_sums_of_stored_solve(topology, algebra,
 
 
 def test_march_names_the_first_non_finite_slice_and_never_yields_it(block_lengths):
-    # phi4 at a large coupling and amplitude overflows at slice 6; a block is
-    # checked whole, so the blocks that end before slice 6 come out, finite,
-    # and the one holding it does not
+    # phi4 at a large coupling and amplitude overflows at slice 6; a block
+    # steps whole before it is yielded, so the blocks that end before slice 6
+    # come out, finite, and the one holding it does not
     lat = circle_lattice(64, 2000)
     phi4 = dyn.interaction("phi4", coupling=50)
     data = dyn.data_from_arrays(30 * np.cos(lat.x), np.zeros(lat.n_space))
@@ -765,3 +884,24 @@ def test_march_names_the_first_non_finite_slice_and_never_yields_it(block_length
             assert j == seen and np.isfinite(block.coeffs).all()
             seen += len(block.coeffs)
     assert seen == ends[ends <= 6].max(initial=0)
+
+
+def test_each_guard_refuses_with_its_exception_and_message(refuses):
+    lat, other = circle_lattice(16, 4), circle_lattice(16, 5)
+    real, dual, free = WeilAlgebra.real(), WeilAlgebra.dual(), dyn.interaction("free")
+    data = dyn.data_from_arrays(np.zeros(16), np.zeros(16))
+    history = dyn.solve_cauchy(data, free, lat)
+    refuses([
+        (lambda: dyn.FieldHistory(WeilValue.zeros(real, (lat.n_slices, 15)), lat),
+         dyn.SolverError, "history shape (5, 15) does not match lattice (5 x ... x 16)"),
+        (lambda: dyn.CauchyData(WeilValue.zeros(real, (16,)), WeilValue.zeros(dual, (16,))),
+         dyn.SolverError, "phi and pi must share an algebra"),
+        (lambda: dyn.CauchyData(WeilValue.zeros(real, (16,)), WeilValue.zeros(real, (15,))),
+         dyn.SolverError, "phi and pi must share a shape"),
+        (lambda: dyn.linearize_residual(history, dyn.solve_cauchy(data, free, other), free),
+         dyn.SolverError, "base and fiber must share a lattice"),
+        (lambda: dyn.solve_cauchy(dyn.data_from_arrays(np.zeros(15), np.zeros(15)), free, lat),
+         dyn.SolverError, "data length does not match the lattice"),
+        (lambda: dyn.solve_smeared(data, free, lat, np.ones((lat.n_slices, 15))),
+         dyn.SolverError, "weights must cover the full grid"),
+    ])

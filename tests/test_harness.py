@@ -484,6 +484,27 @@ def test_oracle_velocity_comb(circle):
     assert abs(comb[0] - (circle.n_space + 1) / circle.circumference) < 1e-12
 
 
+@pytest.mark.parametrize("n", [33, 65])
+def test_oracle_velocity_comb_at_odd_n(n):
+    # odd n has no mode j = n/2, so the comb is n delta_i0 / L with no (-1)^i term
+    lat = lt.LatticeSpacetime("circle", n, 2 * np.pi / n, np.pi / n, 8)
+    pj = oracle.PauliJordanOracle(lat, 1.0)
+    assert np.max(np.abs(pj.d_dt_commutator(0.0) - pj.delta_comb())) < 1e-12
+
+
+def test_oracle_guards_refuse_with_their_exception_and_message(circle, refuses):
+    refuses([
+        (lambda: oracle.PauliJordanOracle(lt.LatticeSpacetime("line", 32, 0.1, 0.05, 8)),
+         oracle.OracleError, "mode-sum oracle requires circle topology"),
+        (lambda: oracle.PauliJordanOracle(circle, -1.0),
+         oracle.OracleError, "mass must be nonnegative"),
+        (lambda: oracle.PauliJordanOracle(circle, 0.0).commutator(0.0),
+         oracle.OracleError, "massless zero mode: give the field a mass"),
+        (lambda: oracle.PauliJordanOracle(circle).moments(np.ones((circle.n_slices, 63))),
+         oracle.OracleError, "smearings must cover the full grid"),
+    ])
+
+
 def test_oracle_smeared_antisymmetry(circle, rng):
     pj = oracle.PauliJordanOracle(circle, 1.0)
     f = rng.standard_normal((circle.n_slices, circle.n_space))

@@ -386,3 +386,40 @@ def test_load_rejects_foreign_file(content):
 def test_saved_grid_loads_unedited():
     values, lat = lt.load_grid(io.BytesIO(saved_grid()))
     assert lat.n_slices == 3 and np.array_equal(values.coeffs, np.ones((3, 8, 2)))
+
+
+def test_each_guard_refuses_with_its_exception_and_message(refuses):
+    lat = lt.LatticeSpacetime("circle", 16, 0.1, 0.05, 4)
+    real = WeilAlgebra.real()
+    short = WeilValue.zeros(real, (lat.n_slices - 1, 16))
+    history = WeilValue.zeros(real, (lat.n_slices, 16))
+    refuses([
+        (lambda: lt.LatticeSpacetime("circle", 16, 0.1, 0.05, 1),
+         lt.LatticeError, "need at least 2 time steps"),
+        (lambda: lt.LatticeSpacetime("line", 16, 0.1, 0.05, 4).circumference,
+         lt.LatticeError, "circumference only makes sense on the circle"),
+        (lambda: lt.LatticeSpacetime.from_descriptor([16]),
+         lt.LatticeError, "a lattice descriptor must be an object, got "),
+        (lambda: lt.d_dt(short, lat), lt.LatticeError, "time axis does not match the lattice"),
+        (lambda: lt.d2_dt2_interior(short, lat),
+         lt.LatticeError, "time axis does not match the lattice"),
+        (lambda: lt.time_derivative_at(history, lat.n_time + 1, lat),
+         lt.LatticeError, "slice 5 out of range"),
+        (lambda: lt.time_derivative_at(history, -1, lat), lt.LatticeError, "slice -1 out of range"),
+        (lambda: lt.Current(history, WeilValue.zeros(real, (lat.n_slices, 15)), lat),
+         lt.LatticeError, "current components must share a shape"),
+        (lambda: lt.Current(*(WeilValue.zeros(real, (lat.n_slices, 15)),) * 2, lat),
+         lt.LatticeError, "current components must span the spatial grid"),
+    ])
+
+
+def test_time_derivative_at_is_exact_for_a_history_quadratic_in_t(rng):
+    # the centered difference and both second-order one-sided ends, the last
+    # slice's included, are exact for a quadratic in t, up to rounding
+    lat = lt.LatticeSpacetime("circle", 16, 0.1, 0.05, 12)
+    a, b, q = rng.standard_normal((3, lat.n_space))
+    t = lat.t[:, None]
+    history = WeilValue.from_scalar(WeilAlgebra.real(), a + b * t + q * t**2)
+    for j in range(lat.n_slices):
+        got = lt.time_derivative_at(history, j, lat).scalar_part
+        assert np.max(np.abs(got - (b + 2 * q * lat.t[j]))) < 1e-12, j

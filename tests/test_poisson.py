@@ -1036,3 +1036,19 @@ def test_non_finite_sample_fails_every_defect(small, rng):
         "antisymmetry_f", "antisymmetry_v", "jacobi_f", "jacobi_v",
         "leibniz_f", "leibniz_v"))
     assert np.isnan(rep.max_defect())
+
+
+def test_each_guard_refuses_with_its_exception_and_message(refuses):
+    lat = lt.LatticeSpacetime("circle", 16, 0.1, 0.05, 4)
+    mass = dyn.interaction("mass")
+    zeros = dyn.data_from_arrays(np.zeros(16), np.zeros(16))
+    refuses([
+        (lambda: ps.spacetime_observable(np.ones((lat.n_slices, 15)), mass, lat),
+         ValueError, "spacetime smearing must cover the full grid"),
+        (lambda: ps.OmegaOperator(np.zeros((3, 3)), lat.dx),
+         ValueError, "omega operator must be square with even size"),
+        (lambda: ps.OmegaOperator(np.eye(2), lat.dx),
+         ValueError, "omega operator must be antisymmetric"),
+        (lambda: ps.OmegaOperator.assembled(dyn.lift_data(zeros, zeros), mass, lat, 0),
+         ValueError, "assembled operator expects a real base point"),
+    ])

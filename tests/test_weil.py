@@ -459,3 +459,19 @@ def test_derivatives_match_finite_differences(factory):
         errs.append(np.max(np.abs(fd - f.deriv(1, x))))
     # second-order shrink: halving h divides the error by about four
     assert errs[1] <= errs[0] / 3.0
+
+
+def test_each_guard_refuses_with_its_exception_and_message(refuses):
+    dual = WeilAlgebra.dual()
+    refuses([
+        (lambda: WeilAlgebra((2,), tangents=-1),
+         ValueError, "a tangent block needs a nonnegative number of tangents"),
+        (lambda: WeilAlgebra.from_descriptor({"orders": [2], "generators": 2}),
+         ValueError, "descriptor generator count does not match orders"),
+        (lambda: dual.index((1, 0)), ValueError, "monomial (1, 0) has wrong generator count"),
+        (lambda: WeilValue(dual, np.zeros(3)),
+         ValueError, "coefficient array needs trailing axis of length 2"),
+        (lambda: WeilValue.unit(dual) ** -1,
+         ValueError, "negative powers are not defined in a nilpotent ring"),
+        (lambda: monomial_map(1.0, -1), ValueError, "power must be nonnegative"),
+    ])

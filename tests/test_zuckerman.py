@@ -562,3 +562,16 @@ def test_theta_and_current_vanish_at_the_line_edges_over_a_kink():
     for current in (zk.theta(tangents[0]), zk.theta(tangents[1]), zk.current_u(*tangents)):
         for component in (current.t_component, current.x_component):
             assert np.all(component.coeffs[:, edges, :] == 0.0)
+
+
+def test_each_guard_refuses_with_its_exception_and_message(refuses):
+    free = dyn.interaction("free")
+    data = dyn.data_from_arrays(np.zeros(16), np.zeros(16))
+    solutions = [zk.TangentSolution(*(dyn.solve_cauchy(data, free, lat),) * 2)
+                 for lat in (lt.LatticeSpacetime("circle", 16, 0.1, 0.05, n) for n in (4, 5))]
+    refuses([
+        (lambda: zk.TangentSolution(solutions[0].base, solutions[1].fiber),
+         lt.LatticeError, "base and fiber must share a lattice"),
+        (lambda: zk.current_u(*solutions),
+         lt.LatticeError, "tangent solutions must share a lattice"),
+    ])
