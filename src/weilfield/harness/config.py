@@ -247,8 +247,7 @@ def _profile_array(desc: dict, x: np.ndarray, rng: Draws,
 def cauchy_profiles(desc: dict) -> tuple[dict, dict]:
     """The phi and pi profiles of Cauchy data {phi, pi}, zero where absent."""
     desc = _known_keys(desc, ("phi", "pi"), "Cauchy data key")
-    zero = {"profile": "zero"}
-    return desc.get("phi", zero), desc.get("pi", zero)
+    return desc.get("phi", {}), desc.get("pi", {})
 
 
 def observable_kind(desc) -> str:
@@ -277,8 +276,7 @@ def spacetime_profile(desc: dict, lat: lt.LatticeSpacetime, rng: Draws,
     desc = located(path, _known_keys, desc, ("time", "space"), "spacetime smearing key")
     g_t = located(f"{path}.time", time_profile, desc.get("time", {"profile": "constant"}),
                   lat, rng)
-    g_x = located(f"{path}.space", spatial_profile, desc.get("space", {"profile": "zero"}),
-                  lat, rng)
+    g_x = located(f"{path}.space", spatial_profile, desc.get("space", {}), lat, rng)
     return np.outer(g_t, g_x)
 
 
@@ -326,7 +324,7 @@ def _lattice_from(desc: dict) -> lt.LatticeSpacetime:
         dx=dx,
         dt=dt,
         n_time=count(d, "n_time", None, 1),
-        guard=count(d, "guard", 2, 0),
+        guard=count(d, "guard", lt.LatticeSpacetime.guard, 0),
     )
 
 
@@ -432,10 +430,7 @@ class ExperimentConfig:
             experiment=experiment,
             lattice=lattice,
             interaction=inter,
-            initial_data=json_object(
-                doc.get("initial_data",
-                        {"phi": {"profile": "zero"}, "pi": {"profile": "zero"}}),
-                "initial_data"),
+            initial_data=json_object(doc.get("initial_data", {}), "initial_data"),
             tangents=located("tangents", _objects("a tangent"), doc.get("tangents", ())),
             observables=located("observables", _objects("an observable"),
                                 doc.get("observables", ())),

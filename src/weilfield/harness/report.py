@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import chain, groupby
 from typing import Iterable, Sequence
@@ -142,16 +142,7 @@ def write_report(report: Report, outdir: str) -> list[str]:
         paths.append(path)
     doc = {
         "experiment": report.experiment,
-        "verdicts": [
-            {
-                "name": v.name,
-                "value": v.value,
-                "tolerance": v.tolerance,
-                "passed": v.passed,
-                "note": v.note,
-            }
-            for v in report.verdicts
-        ],
+        "verdicts": [asdict(v) for v in report.verdicts],
         "provenance": report.provenance,
     }
     path = os.path.join(outdir, "report.json")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import BinaryIO
 
@@ -137,14 +137,7 @@ class LatticeSpacetime:
         return band
 
     def descriptor(self) -> dict:
-        return {
-            "topology": self.topology,
-            "n_space": self.n_space,
-            "dx": self.dx,
-            "dt": self.dt,
-            "n_time": self.n_time,
-            "guard": self.guard,
-        }
+        return asdict(self)
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "LatticeSpacetime":
@@ -158,7 +151,7 @@ class LatticeSpacetime:
         read = {"topology": desc.get("topology")}
         for key, kind in (("n_space", int), ("dx", float), ("dt", float), ("n_time", int),
                           ("guard", int)):
-            value = desc.get(key, 2 if key == "guard" else None)
+            value = desc.get(key, cls.guard if key == "guard" else None)
             try:
                 read[key] = kind(value)
             except (TypeError, ValueError, OverflowError):

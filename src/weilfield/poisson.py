@@ -593,25 +593,14 @@ def unit_pair() -> HamiltonianPair:
 class AxiomReport:
     """Max relative defects over the sampled base points.
 
-    max_defect gathers the six Poisson axioms; pair_defects and closure are
-    the pair defects of p1, p2, p3 and of their bracket {p1, p2}.
+    axioms maps each axiom's verdict name (antisymmetry, jacobi, leibniz) to
+    its (value, field) defects; pair_defects and closure are the pair
+    defects of p1, p2, p3 and of their bracket {p1, p2}.
     """
 
-    antisymmetry_f: float
-    antisymmetry_v: float
-    jacobi_f: float
-    jacobi_v: float
-    leibniz_f: float
-    leibniz_v: float
+    axioms: dict[str, tuple[float, float]]
     pair_defects: tuple[float, float, float]
     closure: float
-
-    def max_defect(self) -> float:
-        return max_or_nan(
-            self.antisymmetry_f, self.antisymmetry_v,
-            self.jacobi_f, self.jacobi_v,
-            self.leibniz_f, self.leibniz_v,
-        )
 
 
 def _sup(*rows) -> float:
@@ -651,7 +640,8 @@ def verify_axioms(p1: HamiltonianPair, p2: HamiltonianPair, p3: HamiltonianPair,
     """Evaluate antisymmetry, Jacobi, Leibniz and pair defects at the sampled points.
 
     Each axiom is an identity between sums of pairs that _cancellation
-    measures.  at holds the samples on its leading axis, one batch row
+    measures, and the report maps each axiom's verdict name to its (value,
+    field) defects.  at holds the samples on its leading axis, one batch row
     each, and every check runs in one sharing scope over it: each
     observable value, gradient, field value and dual lift runs once for all
     samples, however many terms ask for it.  Every bracket is built before
@@ -669,6 +659,7 @@ def verify_axioms(p1: HamiltonianPair, p2: HamiltonianPair, p3: HamiltonianPair,
         differential([p1.F, p2.F, p3.F], at)  # the spacetime ones in one sweep
         pair_defects = tuple(_sup(pair_defect(p, at, lat)) for p in (p1, p2, p3))
         closure = _sup(pair_defect(b12, at, lat))
-        defects = (*_cancellation(at, [b12, b21]), *_cancellation(at, jacobi),
-                   *_cancellation(at, leibniz_lhs, leibniz_rhs))
-    return AxiomReport(*defects, pair_defects=pair_defects, closure=closure)
+        axioms = {"antisymmetry": _cancellation(at, [b12, b21]),
+                  "jacobi": _cancellation(at, jacobi),
+                  "leibniz": _cancellation(at, leibniz_lhs, leibniz_rhs)}
+    return AxiomReport(axioms, pair_defects, closure)

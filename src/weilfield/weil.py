@@ -99,7 +99,8 @@ class WeilAlgebra:
         orders = tuple(desc["orders"])
         if not all(type(o) is int for o in orders):
             raise ValueError("descriptor orders must be integers")
-        if int(desc.get("generators", len(orders))) != len(orders):
+        generators = desc.get("generators", len(orders))
+        if type(generators) is not int or generators != len(orders):
             raise ValueError("descriptor generator count does not match orders")
         return cls(orders)
 
@@ -122,39 +123,25 @@ class WeilAlgebra:
 
     @cached_property
     def dim(self) -> int:
-        d = self.tangents + 1
-        for o in self.orders:
-            d *= o
-        return d
+        # closed form, so a grid header's algebra is sized without building its basis
+        return math.prod(self.orders) * (self.tangents + 1)
 
     @cached_property
     def nil_degree(self) -> int:
         """Max total degree of a basis monomial; nilpotent^(nil_degree+1) = 0."""
-        return sum(o - 1 for o in self.orders) + (1 if self.tangents else 0)
+        return max(map(sum, self.basis))
 
     @property
     def basis(self) -> tuple[Monomial, ...]:
         return _basis(self)
 
-    @cached_property
-    def _strides(self) -> tuple[int, ...]:
-        strides = []
-        acc = 1
-        for o in reversed(self.orders):
-            strides.append(acc)
-            acc *= o
-        return tuple(reversed(strides))
-
     def index(self, mono: Sequence[int]) -> int:
         mono = tuple(int(e) for e in mono)
         if len(mono) != self.num_generators:
             raise ValueError(f"monomial {mono} has wrong generator count")
-        box, tangent = mono[:len(self.orders)], mono[len(self.orders):]
-        if any(e < 0 or e >= o for e, o in zip(box, self.orders)) \
-                or any(e not in (0, 1) for e in tangent) or sum(tangent) > 1:
+        if (k := _positions(self).get(mono)) is None:
             raise ValueError(f"monomial {mono} outside basis for {self!r}")
-        slot = tangent.index(1) + 1 if 1 in tangent else 0
-        return sum(e * s for e, s in zip(box, self._strides)) * (self.tangents + 1) + slot
+        return k
 
     @cached_property
     def mult_tensor(self) -> np.ndarray:
@@ -177,11 +164,20 @@ class WeilAlgebra:
 
 @cache
 def _basis(algebra: WeilAlgebra) -> tuple[Monomial, ...]:
-    """The basis monomials in storage order, built once per algebra."""
+    """The basis monomials in storage order, built once per algebra.
+
+    The algebra's nil_degree, index and product table are read off it.
+    """
     box = itertools.product(*(range(o) for o in algebra.orders))
     n = algebra.tangents
     slots = [(0,) * n] + [tuple(int(i == s) for i in range(n)) for s in range(n)]
     return tuple(m + t for m in box for t in slots)
+
+
+@cache
+def _positions(algebra: WeilAlgebra) -> dict[Monomial, int]:
+    """Each basis monomial's storage position, read off _basis."""
+    return {m: k for k, m in enumerate(_basis(algebra))}
 
 
 @cache
@@ -192,7 +188,7 @@ def _products_by_target(algebra: WeilAlgebra):
     instance.  The pairs of each target come in (i, j) order, so a tangent
     block sums each t_i slot in the order a dual generator sums its eps slot.
     """
-    index = {m: k for k, m in enumerate(algebra.basis)}
+    index = _positions(algebra)
     grouped: dict[int, list[tuple[int, int]]] = {}
     for i, a in enumerate(algebra.basis):
         for j, b in enumerate(algebra.basis):

@@ -217,17 +217,17 @@ def test_criterion_6_poisson_axioms():
     reval = max(rep.pair_defects[0], rep.pair_defects[1], rep.closure)
     closure_bound = max(rep.pair_defects) + 10 * lat.dx**2
     ok = (
-        max(rep.antisymmetry_f, rep.antisymmetry_v) <= 1e-12
-        and max(rep.jacobi_f, rep.jacobi_v) <= tol
-        and max(rep.leibniz_f, rep.leibniz_v) <= tol
+        max(rep.axioms["antisymmetry"]) <= 1e-12
+        and max(rep.axioms["jacobi"]) <= tol
+        and max(rep.axioms["leibniz"]) <= tol
         and reval <= closure_bound
     )
     verdict(
         "criterion 6 (Poisson axioms)",
         ok,
-        f"antisymmetry {max(rep.antisymmetry_f, rep.antisymmetry_v):.1e}, "
-        f"Jacobi {max(rep.jacobi_f, rep.jacobi_v):.3e}, "
-        f"Leibniz {max(rep.leibniz_f, rep.leibniz_v):.3e} vs {tol:.0e}; "
+        f"antisymmetry {max(rep.axioms['antisymmetry']):.1e}, "
+        f"Jacobi {max(rep.axioms['jacobi']):.3e}, "
+        f"Leibniz {max(rep.axioms['leibniz']):.3e} vs {tol:.0e}; "
         f"bracket revalidates at {reval:.2e} <= {closure_bound:.2e}",
     )
 

@@ -14,6 +14,7 @@ import os
 import re
 import textwrap
 
+import numpy as np
 import pytest
 
 from test_harness import (BASE_CONSERVE, BASE_DRIFT, TOY_BRACKET, TOY_JACOBI,
@@ -150,8 +151,13 @@ def test_spacetime_triple_fails_a_lie_bracket_sign_slip(tmp_path, capsys, monkey
 
 
 def test_every_verdict_has_a_mutant():
-    # the verdicts the drivers can report: each check("name", ...) call, and
-    # check_window's f"{study}_order" for each convergence study
+    # the verdicts the drivers can report: each check("name", ...) call,
+    # check_window's f"{study}_order" for each convergence study, and each
+    # axiom a verify_axioms report names
     named = set(re.findall(r'\bcheck(?:_window)?\("(\w+)"', inspect.getsource(experiments)))
     named |= {f"{study}_order" for study in STUDY_KEYS}
+    lat = lt.LatticeSpacetime("circle", 8, 0.1, 0.05, 2)
+    pair = ps.make_pair(ps.slice_phi_observable(np.ones(8), lat), lat)
+    named |= set(ps.verify_axioms(pair, pair, pair, dyn.data_from_arrays(
+        np.zeros((1, 8)), np.zeros((1, 8))), lat).axioms)
     assert sorted(case[0] for case in MUTANTS) == sorted(named)

@@ -438,7 +438,9 @@ def test_jacobi_nan_defects_fail(monkeypatch):
     def nan_defects(*args, **kwargs):
         # NaN only in the second of each folded pair, and in the last pair defect
         rep = real(*args, **kwargs)
-        return dataclasses.replace(rep, antisymmetry_v=np.nan, jacobi_v=np.nan,
+        axioms = dict(rep.axioms, antisymmetry=(rep.axioms["antisymmetry"][0], np.nan),
+                      jacobi=(rep.axioms["jacobi"][0], np.nan))
+        return dataclasses.replace(rep, axioms=axioms,
                                    pair_defects=(*rep.pair_defects[:2], np.nan))
 
     monkeypatch.setattr(ps, "verify_axioms", nan_defects)

@@ -368,6 +368,9 @@ MALFORMED_GRIDS = {
     "missing-n_time": saved_grid(edited(("lattice", "n_time"))),
     "string-algebra": saved_grid(edited(("algebra",), "dual")),
     "fractional-algebra-order": saved_grid(edited(("algebra", "orders"), [2.7])),
+    "fractional-generators": saved_grid(edited(("algebra", "generators"), 1.5)),
+    "string-generators": saved_grid(edited(("algebra", "generators"), "1")),
+    "64-orders-of-2": saved_grid(edited(("algebra",), {"generators": 64, "orders": [2] * 64})),
     "dims-of-two-slices": saved_grid(edited(("dims",), [2, 8, 2])),
     "n_space-16-over-8-sites": saved_grid(edited(("lattice", "n_space"), 16)),
     "negative-dims": saved_grid(edited(("dims",), [-3, 8, 2])),

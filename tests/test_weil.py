@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -260,6 +261,42 @@ def test_tangent_block_locality(orders, n):
         assert (v ** (big.nil_degree + 1)).max_abs() == 0.0
 
 
+@pytest.mark.parametrize("orders,n", [((), 0), ((2,), 0), ((3,), 0), ((2, 2), 0),
+                                      ((2, 3, 4), 0), *TANGENT_BLOCKS])
+def test_structure_read_off_the_basis_matches_its_closed_forms(orders, n, refuses):
+    W = WeilAlgebra(orders, n)
+    assert W.dim == len(W.basis) == math.prod(orders) * (n + 1)
+    assert W.nil_degree == sum(o - 1 for o in orders) + (1 if n else 0)
+    # storage is row-major in the box exponents (last fastest), then n + 1 tangent slots
+    for box in itertools.product(*(range(o) for o in orders)):
+        row = 0
+        for e, o in zip(box, orders):
+            row = row * o + e
+        for slot in range(n + 1):
+            assert W.index(box + tuple(int(i + 1 == slot) for i in range(n))) == \
+                row * (n + 1) + slot
+
+    def zero_but(*exponents):
+        mono = [0] * W.num_generators
+        for i, e in exponents:
+            mono[i] = e
+        return tuple(mono)
+
+    outside = [zero_but((i, o)) for i, o in enumerate(orders)]
+    outside += [zero_but((i, -1)) for i in range(len(orders))]
+    outside += [zero_but((len(orders) + i, 1), (len(orders) + j, 1))
+                for i in range(n) for j in range(i)]
+    refuses([(lambda m=m: W.index(m), ValueError, f"monomial {m} outside basis for {W!r}")
+             for m in outside])
+
+
+def test_value_repr_is_one_short_line():
+    # the dataclass repr would print every coefficient of the grid
+    text = repr(WeilValue.zeros(WeilAlgebra.dual(), (2049, 1024)))
+    assert "\n" not in text and len(text) <= 100
+    assert "orders=(2,)" in text and "shape=(2049, 1024)" in text
+
+
 def test_first_order_one_is_the_dual_generator():
     for W in (WeilAlgebra.real(), WeilAlgebra.dual(), WeilAlgebra((2, 3))):
         one, dual = W.tensor(WeilAlgebra.first_order(1)), W.tensor(WeilAlgebra.dual())
@@ -467,6 +504,8 @@ def test_each_guard_refuses_with_its_exception_and_message(refuses):
         (lambda: WeilAlgebra((2,), tangents=-1),
          ValueError, "a tangent block needs a nonnegative number of tangents"),
         (lambda: WeilAlgebra.from_descriptor({"orders": [2], "generators": 2}),
+         ValueError, "descriptor generator count does not match orders"),
+        (lambda: WeilAlgebra.from_descriptor({"orders": [2], "generators": True}),
          ValueError, "descriptor generator count does not match orders"),
         (lambda: dual.index((1, 0)), ValueError, "monomial (1, 0) has wrong generator count"),
         (lambda: WeilValue(dual, np.zeros(3)),
